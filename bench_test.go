@@ -28,7 +28,7 @@ const benchReps = 200
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3()
+		rows := runRows[experiments.Table3Row](experiments.Table3Jobs())
 		if len(rows) != 18 {
 			b.Fatal("Table III incomplete")
 		}
@@ -38,7 +38,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	var rows []experiments.Fig3Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig3(experiments.Fig3Config{Reps: benchReps})
+		rows = runRows[experiments.Fig3Row](experiments.Fig3Jobs(experiments.Fig3Config{Reps: benchReps}))
 	}
 	cs := experiments.Fig3Find(rows, "CS-rd", true, true)
 	ld := experiments.Fig3Find(rows, "ld", false, true)
@@ -114,7 +114,7 @@ func BenchmarkClusterSharded(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	var rows []experiments.Fig4Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig4(experiments.Fig4Config{Reps: benchReps})
+		rows = runRows[experiments.Fig4Row](experiments.Fig4Jobs(experiments.Fig4Config{Reps: benchReps}))
 	}
 	hb := experiments.Fig4Find(rows, "CO-wr", false, true, false)
 	db := experiments.Fig4Find(rows, "CO-wr", false, true, true)
@@ -124,7 +124,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	var rows []experiments.Fig5Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig5(experiments.Fig5Config{Reps: benchReps})
+		rows = runRows[experiments.Fig5Row](experiments.Fig5Jobs(experiments.Fig5Config{Reps: benchReps}))
 	}
 	t2 := experiments.Fig5Find(rows, cxl.Ld, experiments.CaseT2Miss)
 	t3 := experiments.Fig5Find(rows, cxl.Ld, experiments.CaseT3)
@@ -135,7 +135,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	var rows []experiments.Fig6Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig6()
+		rows = runRows[experiments.Fig6Row](experiments.Fig6Jobs())
 	}
 	st := experiments.Fig6Find(rows, experiments.MechCXLSt, false, 256)
 	mmio := experiments.Fig6Find(rows, experiments.MechPCIeMMIO, false, 256)
@@ -146,7 +146,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	var rows []experiments.Table4Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Table4()
+		rows = runRows[experiments.Table4Row](experiments.Table4Jobs())
 	}
 	b.ReportMetric(experiments.Table4Find(rows, "cxl-zswap").Total, "cxl-total-us")
 	b.ReportMetric(experiments.Table4Find(rows, "pcie-rdma-zswap").Total, "rdma-total-us")
@@ -156,7 +156,7 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkWriteQueueCrossover(b *testing.B) {
 	var rows []experiments.WriteQueueRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.WriteQueueSweep([]int{16, 64, 1024})
+		rows = runRows[experiments.WriteQueueRow](experiments.WriteQueueSweepJobs([]int{16, 64, 1024}))
 	}
 	b.ReportMetric(experiments.FindWriteQueueRow(rows, "CO-wr", 64).BWGBs, "CO-wr-N64-GBs")
 	b.ReportMetric(experiments.FindWriteQueueRow(rows, "st", 64).BWGBs, "st-N64-GBs")
@@ -266,7 +266,7 @@ func BenchmarkAblationBias(b *testing.B) {
 func BenchmarkAblationPipeline(b *testing.B) {
 	var rows []experiments.Table4Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Table4()
+		rows = runRows[experiments.Table4Row](experiments.Table4Jobs())
 	}
 	cxlRow := experiments.Table4Find(rows, "cxl-zswap")
 	dma := experiments.Table4Find(rows, "pcie-dma-zswap")

@@ -31,6 +31,7 @@ import (
 	"syscall"
 
 	cxl2sim "repro"
+	"repro/internal/dist"
 )
 
 func main() { os.Exit(run()) }
@@ -148,12 +149,15 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "cxlbench:", rerr)
 			return 1
 		}
-		t, derr := cxl2sim.DecodeWorkloadTrace(raw)
-		if derr != nil {
-			fmt.Fprintln(os.Stderr, "cxlbench:", derr)
+		// The same decode and replay precondition the daemon and the dist
+		// workers apply: a trace the section cannot serve fails here, as
+		// one line, instead of panicking inside a job.
+		sec, berr := dist.Spec{Kind: "section", Section: "infer", Reps: *reps, Trace: raw}.Build()
+		if berr != nil {
+			fmt.Fprintln(os.Stderr, "cxlbench:", berr)
 			return 1
 		}
-		secs = []cxl2sim.ExperimentSection{cxl2sim.InferSectionTrace(*reps, t)}
+		secs = []cxl2sim.ExperimentSection{sec}
 	}
 
 	var results []cxl2sim.JobResult

@@ -163,10 +163,13 @@ func TestStackValidation(t *testing.T) {
 
 func TestExperimentRunnersSmoke(t *testing.T) {
 	var sb strings.Builder
-	PrintFig3(&sb, RunFig3(8))
-	PrintTable3(&sb, RunTable3())
+	secs := ExperimentSections(8)
+	fig3, _ := ExperimentSectionByName(secs, "fig3")
+	table3, _ := ExperimentSectionByName(secs, "table3")
+	if _, err := RunExperimentSections(&sb, []ExperimentSection{fig3, table3}, JobOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
 	PrintTable4(&sb, RunTable4())
-	PrintWriteQueueSweep(&sb, RunWriteQueueSweep([]int{16, 32}))
 	if !strings.Contains(sb.String(), "Fig. 3") || !strings.Contains(sb.String(), "Table III") {
 		t.Fatal("runner output incomplete")
 	}

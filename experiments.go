@@ -4,87 +4,28 @@ import (
 	"io"
 
 	"repro/internal/experiments"
+	"repro/internal/runner"
 	"repro/internal/workload"
 	"repro/internal/ycsb"
 )
 
-// The experiment drivers regenerate the paper's evaluation. Each Run
-// function returns structured rows; each Print function renders them like
-// the paper's figure or table.
-
-// Fig3Row is one bar of Fig. 3 (D2H latency/bandwidth, true vs emulated).
-type Fig3Row = experiments.Fig3Row
-
-// RunFig3 measures true and UPI-emulated D2H accesses. reps <= 0 uses the
-// paper's 1000 repetitions.
-func RunFig3(reps int) []Fig3Row {
-	cfg := experiments.Fig3Config{}
-	if reps > 0 {
-		cfg.Reps = reps
-	}
-	return experiments.Fig3(cfg)
-}
-
-// PrintFig3 renders Fig. 3 rows.
-func PrintFig3(w io.Writer, rows []Fig3Row) { experiments.PrintFig3(w, rows) }
-
-// Fig4Row is one bar of Fig. 4 (D2D bias modes).
-type Fig4Row = experiments.Fig4Row
-
-// RunFig4 measures D2D accesses in host- and device-bias modes.
-func RunFig4(reps int) []Fig4Row {
-	cfg := experiments.Fig4Config{}
-	if reps > 0 {
-		cfg.Reps = reps
-	}
-	return experiments.Fig4(cfg)
-}
-
-// PrintFig4 renders Fig. 4 rows.
-func PrintFig4(w io.Writer, rows []Fig4Row) { experiments.PrintFig4(w, rows) }
-
-// Fig5Row is one bar of Fig. 5 (H2D, Type-2 vs Type-3, DMC states, NC-P).
-type Fig5Row = experiments.Fig5Row
-
-// RunFig5 measures H2D accesses across device personalities and DMC states.
-func RunFig5(reps int) []Fig5Row {
-	cfg := experiments.Fig5Config{}
-	if reps > 0 {
-		cfg.Reps = reps
-	}
-	return experiments.Fig5(cfg)
-}
-
-// PrintFig5 renders Fig. 5 rows.
-func PrintFig5(w io.Writer, rows []Fig5Row) { experiments.PrintFig5(w, rows) }
+// The experiment drivers the commands call outside the section registry
+// (jobs.go): Table IV and Fig. 8 for kvsbench, the Fig. 6 CSV exporter, and
+// the infer section's trace recorder.
 
 // Fig6Row is one point of Fig. 6 (transfer-size sweep, CXL vs PCIe).
 type Fig6Row = experiments.Fig6Row
 
-// RunFig6 sweeps transfer sizes across every mechanism in both directions.
-func RunFig6() []Fig6Row { return experiments.Fig6() }
-
-// PrintFig6 renders Fig. 6 rows.
-func PrintFig6(w io.Writer, rows []Fig6Row) { experiments.PrintFig6(w, rows) }
-
 // WriteFig6CSV renders Fig. 6 rows as CSV for external plotting.
 func WriteFig6CSV(w io.Writer, rows []Fig6Row) error { return experiments.WriteFig6CSV(w, rows) }
-
-// Table3Row is one row of Table III (coherence states after D2H).
-type Table3Row = experiments.Table3Row
-
-// RunTable3 drives every D2H type against every initial placement and
-// reads the resulting HMC/LLC states.
-func RunTable3() []Table3Row { return experiments.Table3() }
-
-// PrintTable3 renders Table III.
-func PrintTable3(w io.Writer, rows []Table3Row) { experiments.PrintTable3(w, rows) }
 
 // Table4Row is one row of Table IV (offload latency breakdown).
 type Table4Row = experiments.Table4Row
 
 // RunTable4 measures the zswap compression-offload breakdown per backend.
-func RunTable4() []Table4Row { return experiments.Table4() }
+func RunTable4() []Table4Row {
+	return experiments.Rows[Table4Row](runner.Run(experiments.Table4Jobs(), runner.Options{Workers: 1}))
+}
 
 // PrintTable4 renders Table IV.
 func PrintTable4(w io.Writer, rows []Table4Row) { experiments.PrintTable4(w, rows) }
@@ -105,38 +46,9 @@ func RunFig8(feature string, workloads []Workload, cfg Fig8Config) []Fig8Row {
 // PrintFig8 renders Fig. 8 rows.
 func PrintFig8(w io.Writer, rows []Fig8Row) { experiments.PrintFig8(w, rows) }
 
-// InferRow is one scenario of the LLM-serving KV-placement experiment:
-// TTFT/TPOT/goodput plus per-tier KV traffic for one placement policy.
-type InferRow = experiments.InferRow
-
 // InferConfig tunes the serving experiment (zero values take the default
 // 48-request runs with the job's derived seed).
 type InferConfig = experiments.InferConfig
-
-// RunInfer runs every KV-placement scenario (all-DRAM baseline, one
-// static placement per far tier, LRU spill, device-bias-pinned decode).
-func RunInfer(cfg InferConfig) []InferRow { return experiments.Infer(cfg) }
-
-// PrintInfer renders the serving rows.
-func PrintInfer(w io.Writer, rows []InferRow) { experiments.PrintInfer(w, rows) }
-
-// FindInferRow locates a scenario's row by name (e.g. "all-dram").
-func FindInferRow(rows []InferRow, scenario string) InferRow {
-	return experiments.InferFind(rows, scenario)
-}
-
-// WriteQueueRow is one point of the §V-A write-queue sweep.
-type WriteQueueRow = experiments.WriteQueueRow
-
-// RunWriteQueueSweep measures write bandwidth against burst length,
-// exposing the write-queue knee and the CO-wr/st crossover. nil uses the
-// default burst ladder.
-func RunWriteQueueSweep(ns []int) []WriteQueueRow { return experiments.WriteQueueSweep(ns) }
-
-// PrintWriteQueueSweep renders the sweep.
-func PrintWriteQueueSweep(w io.Writer, rows []WriteQueueRow) {
-	experiments.PrintWriteQueueSweep(w, rows)
-}
 
 // Workloads lists the YCSB core workloads A–D.
 func Workloads() []Workload { return ycsb.Workloads() }
@@ -146,42 +58,10 @@ func Workloads() []Workload { return ycsb.Workloads() }
 // bit-for-bit across policies, worker counts and binary versions.
 type WorkloadTrace = workload.Trace
 
-// DecodeWorkloadTrace parses an encoded trace, validating version and
-// length fields.
-func DecodeWorkloadTrace(data []byte) (*WorkloadTrace, error) {
-	return workload.DecodeTrace(data)
-}
-
 // RecordInferTrace records the request stream the infer section serves
-// under rootSeed and cfg — feed the result back through InferConfig.Trace
-// (or InferSectionTrace) to reproduce the runs exactly.
+// under rootSeed and cfg — replay the result through the infer section
+// (InferConfig.Trace, or a section Spec carrying the encoded trace) to
+// reproduce the runs exactly.
 func RecordInferTrace(rootSeed int64, cfg InferConfig) *WorkloadTrace {
 	return experiments.InferTrace(rootSeed, cfg)
 }
-
-// InferSectionTrace builds the infer experiment section replaying t
-// through every placement scenario.
-func InferSectionTrace(reps int, t *WorkloadTrace) ExperimentSection {
-	return experiments.InferSection(experiments.InferConfig{Reps: reps, Trace: t})
-}
-
-// SectionTraceKey is the canonical result-cache key for a section run that
-// replays a trace: the trace's content hash joins the key so distinct
-// streams never share a cache entry.
-func SectionTraceKey(name string, reps int, seed int64, format string, t *WorkloadTrace) string {
-	return experiments.SectionKeyTrace(name, reps, seed, format, t.Hash())
-}
-
-// WorkloadRow is one row of the workload traffic-library section: a
-// temporal arrival model's realized stream (recorded vs replayed) or a
-// client cohort's realized share and shape.
-type WorkloadRow = experiments.WorkloadRow
-
-// WorkloadConfig tunes the workload section.
-type WorkloadConfig = experiments.WorkloadConfig
-
-// RunWorkload runs the traffic-library characterization section.
-func RunWorkload(cfg WorkloadConfig) []WorkloadRow { return experiments.Workload(cfg) }
-
-// PrintWorkload renders the workload rows.
-func PrintWorkload(w io.Writer, rows []WorkloadRow) { experiments.PrintWorkload(w, rows) }

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	cxl2sim "repro"
+	"repro/internal/experiments"
+	"repro/internal/runner"
 )
 
 // Golden-file tests pin the rendered output of the report generator and
@@ -23,6 +25,12 @@ import (
 //	go test . -run Golden -update
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files instead of comparing")
+
+// runRows runs jobs serially under the default root seed and collects
+// their rows.
+func runRows[T any](jobs []runner.Job) []T {
+	return experiments.Rows[T](runner.Run(jobs, runner.Options{Workers: 1}))
+}
 
 const (
 	// goldenRelTol is the per-number relative tolerance; goldenAbsTol
@@ -134,7 +142,7 @@ func withinTolerance(a, b float64) bool {
 // exercised by its own calibration tests and too slow for a golden run).
 func TestReportGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := cxl2sim.WriteReport(&buf, 50, false); err != nil {
+	if _, err := cxl2sim.WriteReportOpts(&buf, cxl2sim.ReportOptions{Reps: 50, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "report.golden", buf.String())
@@ -144,14 +152,15 @@ func TestReportGolden(t *testing.T) {
 // (cache states, no timing), so any drift is a semantics change.
 func TestTable3Golden(t *testing.T) {
 	var buf bytes.Buffer
-	cxl2sim.PrintTable3(&buf, cxl2sim.RunTable3())
+	experiments.PrintTable3(&buf, runRows[experiments.Table3Row](experiments.Table3Jobs()))
 	checkGolden(t, "table3.golden", buf.String())
 }
 
 // TestWriteQueueSweepGolden pins the §V-A write-queue sweep rendering.
 func TestWriteQueueSweepGolden(t *testing.T) {
 	var buf bytes.Buffer
-	cxl2sim.PrintWriteQueueSweep(&buf, cxl2sim.RunWriteQueueSweep([]int{1, 8, 64}))
+	experiments.PrintWriteQueueSweep(&buf,
+		runRows[experiments.WriteQueueRow](experiments.WriteQueueSweepJobs([]int{1, 8, 64})))
 	checkGolden(t, "writequeue.golden", buf.String())
 }
 
@@ -160,7 +169,7 @@ func TestWriteQueueSweepGolden(t *testing.T) {
 // a tier-ordering flip (PCIe TPOT is an order of magnitude above DRAM).
 func TestInferGolden(t *testing.T) {
 	var buf bytes.Buffer
-	cxl2sim.PrintInfer(&buf, cxl2sim.RunInfer(cxl2sim.InferConfig{Seed: 42}))
+	experiments.PrintInfer(&buf, runRows[experiments.InferRow](experiments.InferJobs(experiments.InferConfig{Seed: 42})))
 	checkGolden(t, "infer.golden", buf.String())
 }
 

@@ -199,13 +199,19 @@ func (c *Coordinator) count(f func(*Metrics)) {
 	c.mu.Unlock()
 }
 
+// maxReplyBytes caps one worker reply. The whole report's results
+// gob-encode to about 10 KiB, so the cap leaves ~800x headroom while
+// bounding what a confused or hostile worker can make the coordinator
+// buffer.
+const maxReplyBytes = 8 << 20
+
 // chunk is one dispatch unit: a contiguous slice of job indices.
 type chunk struct{ indices []int }
 
-// Run executes the Spec's job list across the live fleet and returns one
-// result per job, in submission order — the same contract as runner.Run.
-// jobs must be spec.BuildJobs() output (the caller usually already has it
-// for rendering); opts supplies RootSeed and Context.
+// Run builds the Spec's job list, executes it across the live fleet and
+// returns one result per job, in submission order — the same contract as
+// runner.Run. opts supplies RootSeed and Context; the error is the Spec's
+// own (Build's), never a job's.
 //
 // Scheduling: indices are chunked onto a shared queue; each live worker
 // gets Window lanes pulling from it. A lane that fails marks its worker
@@ -215,9 +221,10 @@ type chunk struct{ indices []int }
 // and an empty fleet drains the queue locally. The invariant that makes
 // this safe: a chunk is either completed exactly once into its result
 // slots, or back on the queue.
-func (c *Coordinator) Run(ctx context.Context, spec Spec, jobs []runner.Job, opts runner.Options) []runner.Result {
-	if len(jobs) == 0 {
-		return nil
+func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) ([]runner.Result, error) {
+	jobs, err := spec.BuildJobs()
+	if err != nil || len(jobs) == 0 {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -273,7 +280,7 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, jobs []runner.Job, opt
 		left := remaining
 		remMu.Unlock()
 		if left == 0 {
-			return results
+			return results, nil
 		}
 		live := c.liveWorkers()
 		if len(live) == 0 || ctx.Err() != nil {
@@ -358,8 +365,10 @@ func (c *Coordinator) runRemote(ctx context.Context, addr string, spec Spec, ind
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("worker %s: status %d: %s", addr, resp.StatusCode, bytes.TrimSpace(msg))
 	}
+	// A reply past the cap fails the decode like garbage does, and the
+	// lane requeues the chunk.
 	var wire runResponse
-	if err := gob.NewDecoder(resp.Body).Decode(&wire); err != nil {
+	if err := gob.NewDecoder(io.LimitReader(resp.Body, maxReplyBytes)).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("worker %s: decode: %w", addr, err)
 	}
 	if len(wire.Results) != len(indices) {

@@ -25,15 +25,18 @@
 package dist
 
 import (
-	"encoding/base64"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	cxl2sim "repro"
 	"repro/internal/experiments"
 	"repro/internal/runner"
+	"repro/internal/workload"
 )
 
 // WireVersion is the dist wire-format version. Bump on any change to the
@@ -79,10 +82,14 @@ func Build(mode string) BuildInfo {
 	return info
 }
 
-// Spec describes a job set by reference. BuildJobs is a pure function of
-// the Spec: every process holding the same binary derives the identical
-// job list (same IDs, same order), which is what makes remote execution
-// byte-identical to local execution.
+// Spec describes one request by value — a section, the report, or one §V
+// measurement. It is the only thing that turns a request into work: the
+// service handlers, dist workers and cxlbench -replay-trace all parse
+// their input into a Spec, Build validates it and derives the job list
+// and renderer, and Key renders its canonical cache key. Both are pure
+// functions of the Spec, so every process holding the same binary derives
+// the identical job list (same IDs, same order) — which is what makes
+// remote execution byte-identical to local execution.
 type Spec struct {
 	// Kind selects the enumeration: "section", "report" or "measure".
 	Kind string `json:"kind"`
@@ -92,14 +99,16 @@ type Spec struct {
 	Reps int `json:"reps,omitempty"`
 	// Full includes the Fig. 8 co-simulations (Kind == "report").
 	Full bool `json:"full,omitempty"`
-	// TraceB64 is a base64 workload trace replayed by the infer section.
-	TraceB64 string `json:"trace,omitempty"`
+	// Trace is an encoded workload trace (the versioned binary format)
+	// the infer section replays instead of generating its request stream.
+	// JSON carries it base64.
+	Trace []byte `json:"trace,omitempty"`
 	// Measure carries one §V measurement (Kind == "measure").
 	Measure *MeasureParams `json:"measure,omitempty"`
 }
 
-// MeasureParams is the wire form of one microbenchmark measurement — the
-// already-validated fields of the service's /v1/measure request.
+// MeasureParams is one microbenchmark measurement, in the vocabulary of
+// the service's /v1/measure request.
 type MeasureParams struct {
 	MeasureKind string `json:"measure_kind"` // d2h / d2d / h2d
 	Op          string `json:"op"`
@@ -113,71 +122,157 @@ type MeasureParams struct {
 	SNC         bool   `json:"snc,omitempty"`
 }
 
-// BuildJobs re-derives the job list a Spec describes.
-func (sp Spec) BuildJobs() ([]runner.Job, error) {
+// ErrUnknownSection marks a Spec naming a section the registry lacks (the
+// service answers it with 404 rather than 400).
+var ErrUnknownSection = errors.New("unknown section")
+
+// Key validates the Spec and renders its canonical result-cache key under
+// the given root seed and output format (sections only: "text" or
+// "json"). It builds no jobs, so a cache hit costs no enumeration. The
+// strings are the durable store's file identities: changing one for an
+// existing request silently re-keys every stored result (pinned by
+// TestSpecKeysPinned).
+func (sp Spec) Key(seed int64, format string) (string, error) {
 	switch sp.Kind {
 	case "section":
-		if sp.TraceB64 != "" {
-			if sp.Section != "infer" {
-				return nil, fmt.Errorf("dist: section %q does not support trace replay", sp.Section)
-			}
-			raw, err := base64.StdEncoding.DecodeString(sp.TraceB64)
-			if err != nil {
-				return nil, fmt.Errorf("dist: trace: %w", err)
-			}
-			t, err := cxl2sim.DecodeWorkloadTrace(raw)
-			if err != nil {
-				return nil, fmt.Errorf("dist: trace: %w", err)
-			}
-			if err := t.Validate(); err != nil {
-				return nil, fmt.Errorf("dist: trace: %w", err)
-			}
-			return cxl2sim.InferSectionTrace(sp.Reps, t).Jobs, nil
+		t, err := sp.sectionTrace()
+		if err != nil {
+			return "", err
 		}
-		secs := cxl2sim.ExperimentSections(sp.Reps)
-		sec, ok := cxl2sim.ExperimentSectionByName(secs, sp.Section)
-		if !ok {
-			return nil, fmt.Errorf("dist: unknown section %q", sp.Section)
+		key := experiments.SectionKey(sp.Section, sp.Reps, seed, format)
+		if t != nil {
+			// The rendered bytes depend on the replayed stream, so its
+			// content hash joins the key. The encoding is canonical: the
+			// hash identifies the stream, not the upload that carried it.
+			key += fmt.Sprintf("|trace=%016x", t.Hash())
 		}
-		return sec.Jobs, nil
+		return key, nil
 	case "report":
-		return cxl2sim.ReportJobs(cxl2sim.ReportOptions{Reps: sp.Reps, Full: sp.Full}), nil
+		if sp.Reps < 0 {
+			return "", errNegativeReps
+		}
+		return fmt.Sprintf("v1/report|reps=%d|full=%t|seed=%d", sp.Reps, sp.Full, seed), nil
 	case "measure":
+		_, cfg, err := sp.measure()
+		if err != nil {
+			return "", err
+		}
 		m := sp.Measure
-		if m == nil {
-			return nil, fmt.Errorf("dist: measure spec without parameters")
-		}
-		place, ok := cxl2sim.PlacementNames[m.Place]
-		if !ok {
-			return nil, fmt.Errorf("dist: unknown place %q", m.Place)
-		}
-		cfg := cxl2sim.Config{
-			DeviceType: cxl2sim.DeviceType(m.DeviceType),
-			LLCBytes:   m.LLCBytes, LLCWays: m.LLCWays, Cores: m.Cores, SNC: m.SNC,
-		}
-		spec := cxl2sim.MeasureSpec{Reps: m.Reps, Burst: m.Burst, Place: place}
-		id := fmt.Sprintf("measure/%s/%s", m.MeasureKind, m.Op)
-		switch m.MeasureKind {
-		case "d2h", "d2d":
-			op, ok := cxl2sim.D2HOpNames[m.Op]
-			if !ok {
-				return nil, fmt.Errorf("dist: unknown %s op %q", m.MeasureKind, m.Op)
-			}
-			if m.MeasureKind == "d2h" {
-				return []runner.Job{cxl2sim.MeasureD2HJob(id, cfg, op, spec)}, nil
-			}
-			return []runner.Job{cxl2sim.MeasureD2DJob(id, cfg, op, spec)}, nil
-		case "h2d":
-			op, ok := cxl2sim.HostOpNames[m.Op]
-			if !ok {
-				return nil, fmt.Errorf("dist: unknown h2d op %q", m.Op)
-			}
-			return []runner.Job{cxl2sim.MeasureH2DJob(id, cfg, op, spec)}, nil
-		default:
-			return nil, fmt.Errorf("dist: unknown measure kind %q", m.MeasureKind)
-		}
+		return fmt.Sprintf("v1/measure|%s|%s|%s|reps=%d|burst=%d|seed=%d|%s",
+			m.MeasureKind, m.Op, m.Place, m.Reps, m.Burst, seed, cfg.CanonicalKey()), nil
 	default:
-		return nil, fmt.Errorf("dist: unknown spec kind %q", sp.Kind)
+		return "", fmt.Errorf("unknown spec kind %q", sp.Kind)
+	}
+}
+
+// Build validates the Spec and assembles the work it describes: the job
+// list plus, for sections and the report, the renderer of their results
+// (a measurement has no text rendering; its Render is nil).
+func (sp Spec) Build() (experiments.Section, error) {
+	switch sp.Kind {
+	case "section":
+		t, err := sp.sectionTrace()
+		if err != nil {
+			return experiments.Section{}, err
+		}
+		sec, _ := experiments.Lookup(sp.Section, experiments.SectionOptions{Reps: sp.Reps, Trace: t})
+		return sec, nil
+	case "report":
+		if sp.Reps < 0 {
+			return experiments.Section{}, errNegativeReps
+		}
+		o := cxl2sim.ReportOptions{Reps: sp.Reps, Full: sp.Full}
+		return experiments.Section{
+			Name: "report",
+			Jobs: cxl2sim.ReportJobs(o),
+			Render: func(w io.Writer, results []runner.Result) error {
+				return cxl2sim.RenderReport(w, o, results)
+			},
+		}, nil
+	case "measure":
+		job, _, err := sp.measure()
+		return experiments.Section{Name: "measure", Jobs: []runner.Job{job}}, err
+	default:
+		return experiments.Section{}, fmt.Errorf("unknown spec kind %q", sp.Kind)
+	}
+}
+
+// BuildJobs is Build's job list.
+func (sp Spec) BuildJobs() ([]runner.Job, error) {
+	sec, err := sp.Build()
+	return sec.Jobs, err
+}
+
+var errNegativeReps = errors.New("reps must be >= 0")
+
+// sectionTrace validates a section Spec and decodes its replay trace (nil
+// without one). A trace must pass the infer section's replay precondition
+// here, so no accepted Spec reaches a job that would panic on it.
+func (sp Spec) sectionTrace() (*workload.Trace, error) {
+	if names := experiments.SectionNames(); !slices.Contains(names, sp.Section) {
+		slices.Sort(names)
+		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownSection, sp.Section, names)
+	}
+	if sp.Reps < 0 {
+		return nil, errNegativeReps
+	}
+	if len(sp.Trace) == 0 {
+		return nil, nil
+	}
+	if sp.Section != "infer" {
+		return nil, fmt.Errorf("section %q does not support trace replay (only \"infer\")", sp.Section)
+	}
+	t, err := workload.DecodeTrace(sp.Trace)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	if err := experiments.CheckInferTrace(t); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	return t, nil
+}
+
+// measure validates a measure Spec and builds its one job and platform
+// config. The job ID is a function of the vocabulary alone, so a
+// distributed measurement shares its seed derivation with a local one.
+func (sp Spec) measure() (runner.Job, cxl2sim.Config, error) {
+	m := sp.Measure
+	if m == nil {
+		return runner.Job{}, cxl2sim.Config{}, errors.New("measure spec without parameters")
+	}
+	cfg := cxl2sim.Config{
+		DeviceType: cxl2sim.DeviceType(m.DeviceType),
+		LLCBytes:   m.LLCBytes, LLCWays: m.LLCWays, Cores: m.Cores, SNC: m.SNC,
+	}
+	place, ok := cxl2sim.PlacementNames[m.Place]
+	switch {
+	case !ok:
+		return runner.Job{}, cfg, fmt.Errorf("unknown place %q (cold, LLC-1, HMC-1, DMC-1)", m.Place)
+	case m.Reps < 0 || m.Burst < 0:
+		return runner.Job{}, cfg, errors.New("reps and burst must be >= 0")
+	case cfg.DeviceType != 0 && cfg.DeviceType != cxl2sim.Type2 && cfg.DeviceType != cxl2sim.Type3:
+		return runner.Job{}, cfg, fmt.Errorf("unknown device type %d", m.DeviceType)
+	}
+	spec := cxl2sim.MeasureSpec{Reps: m.Reps, Burst: m.Burst, Place: place}
+	id := fmt.Sprintf("measure/%s/%s", m.MeasureKind, m.Op)
+	switch m.MeasureKind {
+	case "d2h", "d2d":
+		op, ok := cxl2sim.D2HOpNames[m.Op]
+		if !ok {
+			return runner.Job{}, cfg, fmt.Errorf("unknown %s op %q (NC-P, NC-rd, NC-wr, CO-rd, CO-wr, CS-rd)", m.MeasureKind, m.Op)
+		}
+		if m.MeasureKind == "d2h" {
+			return cxl2sim.MeasureD2HJob(id, cfg, op, spec), cfg, nil
+		}
+		return cxl2sim.MeasureD2DJob(id, cfg, op, spec), cfg, nil
+	case "h2d":
+		op, ok := cxl2sim.HostOpNames[m.Op]
+		if !ok {
+			return runner.Job{}, cfg, fmt.Errorf("unknown h2d op %q (ld, nt-ld, st, nt-st)", m.Op)
+		}
+		return cxl2sim.MeasureH2DJob(id, cfg, op, spec), cfg, nil
+	default:
+		return runner.Job{}, cfg, fmt.Errorf("unknown kind %q (d2h, d2d, h2d)", m.MeasureKind)
 	}
 }
 

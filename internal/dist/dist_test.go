@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -60,6 +60,17 @@ func register(t *testing.T, coord, addr, version string, wantStatus int) {
 	}
 }
 
+// run executes spec through the coordinator, failing the test on a spec
+// error.
+func run(t *testing.T, c *dist.Coordinator, spec dist.Spec) []runner.Result {
+	t.Helper()
+	results, err := c.Run(context.Background(), spec, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
 // renderSection runs Render for the named section over results.
 func renderSection(t *testing.T, name string, reps int, results []runner.Result) []byte {
 	t.Helper()
@@ -90,7 +101,7 @@ func TestDistributedSectionByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := renderSection(t, "fig3", reps, runner.Run(jobs, runner.Options{Workers: 1}))
-	distd := renderSection(t, "fig3", reps, c.Run(context.Background(), spec, jobs, runner.Options{}))
+	distd := renderSection(t, "fig3", reps, run(t, c, spec))
 	if !bytes.Equal(serial, distd) {
 		t.Fatalf("distributed render differs from serial:\nserial:\n%s\ndistributed:\n%s", serial, distd)
 	}
@@ -129,7 +140,7 @@ func TestWorkerLossReassignsMidSection(t *testing.T) {
 		t.Fatalf("need enough jobs to spread over two workers, got %d", len(jobs))
 	}
 	serial := renderSection(t, "fig4", reps, runner.Run(jobs, runner.Options{Workers: 1}))
-	distd := renderSection(t, "fig4", reps, c.Run(context.Background(), spec, jobs, runner.Options{}))
+	distd := renderSection(t, "fig4", reps, run(t, c, spec))
 	if !bytes.Equal(serial, distd) {
 		t.Fatal("render after mid-section worker loss differs from serial")
 	}
@@ -153,7 +164,7 @@ func TestLocalFallbackWithNoWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := renderSection(t, "fig3", reps, runner.Run(jobs, runner.Options{Workers: 1}))
-	local := renderSection(t, "fig3", reps, c.Run(context.Background(), spec, jobs, runner.Options{}))
+	local := renderSection(t, "fig3", reps, run(t, c, spec))
 	if !bytes.Equal(serial, local) {
 		t.Fatal("local-fallback render differs from serial")
 	}
@@ -224,7 +235,7 @@ func TestEverySectionDistributes(t *testing.T) {
 				t.Fatal(err)
 			}
 			serial := renderSection(t, sec.Name, reps, runner.Run(jobs, runner.Options{Workers: 1}))
-			distd := renderSection(t, sec.Name, reps, c.Run(context.Background(), spec, jobs, runner.Options{}))
+			distd := renderSection(t, sec.Name, reps, run(t, c, spec))
 			if !bytes.Equal(serial, distd) {
 				t.Fatal("distributed render differs from serial")
 			}
@@ -251,7 +262,7 @@ func TestDistributedReportByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var distd bytes.Buffer
-	if err := cxl2sim.RenderReport(&distd, opts, c.Run(context.Background(), spec, jobs, runner.Options{})); err != nil {
+	if err := cxl2sim.RenderReport(&distd, opts, run(t, c, spec)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), distd.Bytes()) {
@@ -261,7 +272,8 @@ func TestDistributedReportByteIdentity(t *testing.T) {
 
 // TestMeasureSpecBuildsCanonicalJob: the measure spec derives the same
 // job ID the service uses, so distributed measures share seed derivation
-// with local ones.
+// with local ones; and every invalid Spec fails both Key and Build, with
+// only an unknown section marked ErrUnknownSection (the service's 404).
 func TestMeasureSpecBuildsCanonicalJob(t *testing.T) {
 	spec := dist.Spec{Kind: "measure", Measure: &dist.MeasureParams{
 		MeasureKind: "d2h", Op: "NC-rd", Place: "cold", Reps: 50, Burst: 4,
@@ -273,18 +285,29 @@ func TestMeasureSpecBuildsCanonicalJob(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].ID != "measure/d2h/NC-rd" {
 		t.Fatalf("jobs = %+v", jobs)
 	}
-	for _, bad := range []dist.Spec{
-		{Kind: "measure"},
-		{Kind: "measure", Measure: &dist.MeasureParams{MeasureKind: "d2h", Op: "nope", Place: "cold"}},
-		{Kind: "measure", Measure: &dist.MeasureParams{MeasureKind: "d2h", Op: "NC-rd", Place: "nope"}},
-		{Kind: "section", Section: "nope"},
-		{Kind: "nope"},
-	} {
-		if _, err := bad.BuildJobs(); err == nil {
-			t.Fatalf("spec %+v built jobs without error", bad)
-		}
+	bad := map[string]dist.Spec{
+		"measure sans args": {Kind: "measure"},
+		"measure op":        {Kind: "measure", Measure: &dist.MeasureParams{MeasureKind: "d2h", Op: "nope", Place: "cold"}},
+		"measure place":     {Kind: "measure", Measure: &dist.MeasureParams{MeasureKind: "d2h", Op: "NC-rd", Place: "nope"}},
+		"measure device": {Kind: "measure", Measure: &dist.MeasureParams{
+			MeasureKind: "h2d", Op: "ld", Place: "cold", DeviceType: 9}},
+		"unknown section":   {Kind: "section", Section: "nope"},
+		"unknown kind":      {Kind: "nope"},
+		"negative reps":     {Kind: "section", Section: "fig3", Reps: -1},
+		"report reps":       {Kind: "report", Reps: -1},
+		"trace on fig3":     {Kind: "section", Section: "fig3", Trace: []byte("CXWT")},
+		"undecodable trace": {Kind: "section", Section: "infer", Trace: []byte("notatrace")},
 	}
-	if fmt.Sprint(jobs[0].ID) == "" {
-		t.Fatal("unreachable")
+	for name, tr := range unservableTraces() {
+		bad[name] = dist.Spec{Kind: "section", Section: "infer", Trace: tr}
+	}
+	for name, sp := range bad {
+		_, kerr := sp.Key(1, "text")
+		if _, berr := sp.BuildJobs(); kerr == nil || berr == nil {
+			t.Errorf("%s: Key err %v, Build err %v; want both to fail", name, kerr, berr)
+		}
+		if got := errors.Is(kerr, dist.ErrUnknownSection); got != (name == "unknown section") {
+			t.Errorf("%s: errors.Is(ErrUnknownSection) = %v", name, got)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import "fmt"
 // cached section output safe to share between requests.
 
 // CacheKeyVersion names the canonical key schema. It is the "v1" prefix
-// every key below carries, surfaced as a constant so the serving layer can
+// every key carries (dist.Spec.Key renders them all, from SectionKey up), surfaced as a constant so the serving layer can
 // advertise it (GET /v1/version), the distributed protocol can refuse
 // mixed-version peers, and the durable result store can fold it into its
 // on-disk paths — a key-schema change then lands in a fresh directory
@@ -24,30 +24,4 @@ const CacheKeyVersion = "v1"
 // "json").
 func SectionKey(name string, reps int, seed int64, format string) string {
 	return fmt.Sprintf("v1/section|%s|reps=%d|seed=%d|format=%s", name, reps, seed, format)
-}
-
-// SectionKeyTrace is SectionKey for a run that replays a recorded trace:
-// the trace's content hash joins the key because the rendered bytes now
-// depend on the replayed stream, and two different traces must never share
-// a cache entry. The hash is of the canonical encoding, so it identifies
-// the stream itself, not the upload that carried it.
-func SectionKeyTrace(name string, reps int, seed int64, format string, traceHash uint64) string {
-	return fmt.Sprintf("%s|trace=%016x", SectionKey(name, reps, seed, format), traceHash)
-}
-
-// SectionKeyTopology is SectionKey for a run over a non-default fabric
-// topology: the topology's canonical key (fabric.Topology.CanonicalKey —
-// sorted, orientation-free, defaults normalized) joins the cache key
-// because the rendered bytes depend on the compiled fabric, and two
-// topologies that Build observationally identical fabrics must share an
-// entry while any parameter change must miss. The default topology is
-// deliberately NOT folded in, so pre-fabric cache entries stay valid.
-func SectionKeyTopology(name string, reps int, seed int64, format, topoKey string) string {
-	return fmt.Sprintf("%s|topo=%s", SectionKey(name, reps, seed, format), topoKey)
-}
-
-// ReportKey is the canonical cache key for the full paper-vs-measured
-// comparison report.
-func ReportKey(reps int, full bool, seed int64) string {
-	return fmt.Sprintf("v1/report|reps=%d|full=%t|seed=%d", reps, full, seed)
 }

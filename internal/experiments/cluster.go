@@ -190,28 +190,6 @@ func ClusterJobs(cfg ClusterConfig) []runner.Job {
 	}}}
 }
 
-// ClusterSection builds the cluster section for cfg.
-func ClusterSection(cfg ClusterConfig) Section {
-	return section("cluster", ClusterJobs(cfg), PrintCluster)
-}
-
-// Cluster runs the section serially.
-func Cluster(cfg ClusterConfig) []ClusterRow {
-	return collectRows[ClusterRow](runSerial(ClusterJobs(cfg)))
-}
-
-// ClusterCollect concatenates job results into rows in job order.
-func ClusterCollect(results []runner.Result) []ClusterRow {
-	return collectRows[ClusterRow](results)
-}
-
-// ClusterTopologyKey returns the canonical topology key of a scenario's
-// compiled fabric — the component SectionKeyTopology folds into cache
-// keys when a caller pins a non-default topology.
-func ClusterTopologyKey(sc ClusterScenario) string {
-	return cluster.Config{Replicas: sc.Replicas}.Topology().CanonicalKey(nil)
-}
-
 // printClusterTable is printTable with a wider first column: cluster row
 // labels compose scenario, router and link names ("4r/oversub/affinity/r0")
 // and would overflow the shared 17-character grid.

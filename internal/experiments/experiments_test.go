@@ -18,7 +18,7 @@ var quick5 = Fig5Config{Reps: 120}
 // ---------- Fig. 3 ----------
 
 func TestFig3LatencyRatios(t *testing.T) {
-	rows := Fig3(quick3)
+	rows := runRows[Fig3Row](Fig3Jobs(quick3))
 	cases := []struct {
 		trueLbl, emuLbl string
 		llcHit          bool
@@ -45,7 +45,7 @@ func TestFig3LatencyRatios(t *testing.T) {
 }
 
 func TestFig3BandwidthRelations(t *testing.T) {
-	rows := Fig3(quick3)
+	rows := runRows[Fig3Row](Fig3Jobs(quick3))
 	// §V-A: CXL reads beat emulated reads by ~1.8–2.2× when latency is
 	// comparable (LLC-0). Our model lands at 1.67–2.2 (see EXPERIMENTS.md).
 	cs := Fig3Find(rows, "CS-rd", true, false)
@@ -76,7 +76,7 @@ func TestFig3BandwidthRelations(t *testing.T) {
 // ---------- Fig. 4 ----------
 
 func TestFig4BiasModes(t *testing.T) {
-	rows := Fig4(quick4)
+	rows := runRows[Fig4Row](Fig4Jobs(quick4))
 	// Writes hitting DMC: device-bias ~60 % lower latency (§V-B).
 	for _, wr := range []string{"NC-wr", "CO-wr"} {
 		hb := Fig4Find(rows, wr, false, true, false)
@@ -117,7 +117,7 @@ func TestFig4BiasModes(t *testing.T) {
 // ---------- Fig. 5 ----------
 
 func TestFig5TypePenalties(t *testing.T) {
-	rows := Fig5(quick5)
+	rows := runRows[Fig5Row](Fig5Jobs(quick5))
 	for _, op := range []cxl.HostOp{cxl.Ld, cxl.NtLd, cxl.St, cxl.NtSt} {
 		t2 := Fig5Find(rows, op, CaseT2Miss)
 		t3 := Fig5Find(rows, op, CaseT3)
@@ -147,7 +147,7 @@ func TestFig5TypePenalties(t *testing.T) {
 }
 
 func TestFig5NCPInsight4(t *testing.T) {
-	rows := Fig5(quick5)
+	rows := runRows[Fig5Row](Fig5Jobs(quick5))
 	for _, op := range []cxl.HostOp{cxl.Ld, cxl.St} {
 		push := Fig5Find(rows, op, CaseT2Pushed)
 		miss := Fig5Find(rows, op, CaseT2Miss)
@@ -163,7 +163,7 @@ func TestFig5NCPInsight4(t *testing.T) {
 }
 
 func TestFig5NtStBandwidthDominance(t *testing.T) {
-	rows := Fig5(quick5)
+	rows := runRows[Fig5Row](Fig5Jobs(quick5))
 	ntst := Fig5Find(rows, cxl.NtSt, CaseT2Miss).BandwidthGBs
 	ratios := map[string]float64{
 		"nt-ld": ntst / Fig5Find(rows, cxl.NtLd, CaseT2Miss).BandwidthGBs, // paper 12.2
@@ -180,7 +180,7 @@ func TestFig5NtStBandwidthDominance(t *testing.T) {
 // ---------- Fig. 6 ----------
 
 func TestFig6SmallTransferLatency(t *testing.T) {
-	rows := Fig6()
+	rows := runRows[Fig6Row](Fig6Jobs())
 	cxlst := Fig6Find(rows, MechCXLSt, false, 256)
 	cases := []struct {
 		mech Fig6Mechanism
@@ -201,7 +201,7 @@ func TestFig6SmallTransferLatency(t *testing.T) {
 }
 
 func TestFig6D2HvsRDMA(t *testing.T) {
-	rows := Fig6()
+	rows := runRows[Fig6Row](Fig6Jobs())
 	// §V-D: D2H CXL-LD ~3× lower latency than PCIe-RDMA across sizes (our
 	// spread: ~5× at 64 B down to ~1.8× at 16 KB; see EXPERIMENTS.md).
 	for _, size := range []int{256, 1024, 4096} {
@@ -215,7 +215,7 @@ func TestFig6D2HvsRDMA(t *testing.T) {
 }
 
 func TestFig6Saturation(t *testing.T) {
-	rows := Fig6()
+	rows := runRows[Fig6Row](Fig6Jobs())
 	dma := Fig6Find(rows, MechPCIeDMA, false, 256<<10).BandwidthGBs
 	dsa := Fig6Find(rows, MechCXLDSA, false, 256<<10).BandwidthGBs
 	rdma := Fig6Find(rows, MechPCIeRDMA, false, 256<<10).BandwidthGBs
@@ -231,7 +231,7 @@ func TestFig6Saturation(t *testing.T) {
 }
 
 func TestFig6LargeTransferBottleneck(t *testing.T) {
-	rows := Fig6()
+	rows := runRows[Fig6Row](Fig6Jobs())
 	// §V-D: beyond 1 KB the CPU LD queue bottlenecks CXL-LD; CXL-DSA
 	// addresses it with latency comparable to PCIe-DMA.
 	ld4k := Fig6Find(rows, MechCXLLd, false, 4096)
@@ -254,7 +254,7 @@ func TestFig6LargeTransferBottleneck(t *testing.T) {
 // ---------- Table III ----------
 
 func TestTable3MatchesPaper(t *testing.T) {
-	rows := Table3()
+	rows := runRows[Table3Row](Table3Jobs())
 	want := map[string][2]cache.State{ // request/initial → {HMC, LLC}
 		"NC-P/HMC hit":   {cache.Invalid, cache.Modified},
 		"NC-P/LLC hit":   {cache.Invalid, cache.Modified},
@@ -294,7 +294,7 @@ func TestTable3MatchesPaper(t *testing.T) {
 // ---------- Table IV ----------
 
 func TestTable4Shape(t *testing.T) {
-	rows := Table4()
+	rows := runRows[Table4Row](Table4Jobs())
 	rdma := Table4Find(rows, "pcie-rdma-zswap")
 	dma := Table4Find(rows, "pcie-dma-zswap")
 	cxlRow := Table4Find(rows, "cxl-zswap")
@@ -327,7 +327,7 @@ func TestTable4Shape(t *testing.T) {
 // ---------- §V-A write-queue sweep ----------
 
 func TestWriteQueueCrossover(t *testing.T) {
-	rows := WriteQueueSweep([]int{16, 64, 1024})
+	rows := runRows[WriteQueueRow](WriteQueueSweepJobs([]int{16, 64, 1024}))
 	// At 16 accesses CO-wr trails st; beyond 16 it overtakes (§V-A).
 	if FindWriteQueueRow(rows, "CO-wr", 16).BWGBs >= FindWriteQueueRow(rows, "st", 16).BWGBs {
 		t.Error("CO-wr should trail st at N=16")
@@ -395,13 +395,13 @@ func TestFig8KsmShape(t *testing.T) {
 
 func TestPrintersDoNotPanic(t *testing.T) {
 	var sb strings.Builder
-	PrintFig3(&sb, Fig3(Fig3Config{Reps: 4, Burst: 4}))
-	PrintFig4(&sb, Fig4(Fig4Config{Reps: 4, Burst: 64}))
-	PrintFig5(&sb, Fig5(Fig5Config{Reps: 4, Burst: 4}))
-	PrintFig6(&sb, Fig6())
-	PrintTable3(&sb, Table3())
-	PrintTable4(&sb, Table4())
-	PrintWriteQueueSweep(&sb, WriteQueueSweep([]int{16, 32}))
+	PrintFig3(&sb, runRows[Fig3Row](Fig3Jobs(Fig3Config{Reps: 4, Burst: 4})))
+	PrintFig4(&sb, runRows[Fig4Row](Fig4Jobs(Fig4Config{Reps: 4, Burst: 64})))
+	PrintFig5(&sb, runRows[Fig5Row](Fig5Jobs(Fig5Config{Reps: 4, Burst: 4})))
+	PrintFig6(&sb, runRows[Fig6Row](Fig6Jobs()))
+	PrintTable3(&sb, runRows[Table3Row](Table3Jobs()))
+	PrintTable4(&sb, runRows[Table4Row](Table4Jobs()))
+	PrintWriteQueueSweep(&sb, runRows[WriteQueueRow](WriteQueueSweepJobs([]int{16, 32})))
 	if sb.Len() == 0 {
 		t.Fatal("no output")
 	}
@@ -413,8 +413,8 @@ func TestPrintersDoNotPanic(t *testing.T) {
 // TestDeterminism: identical configurations reproduce identical rows — the
 // property that makes the recorded EXPERIMENTS.md numbers exact.
 func TestDeterminism(t *testing.T) {
-	a := Fig3(Fig3Config{Reps: 40})
-	b := Fig3(Fig3Config{Reps: 40})
+	a := runRows[Fig3Row](Fig3Jobs(Fig3Config{Reps: 40}))
+	b := runRows[Fig3Row](Fig3Jobs(Fig3Config{Reps: 40}))
 	if len(a) != len(b) {
 		t.Fatal("row counts differ")
 	}
@@ -423,7 +423,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("row %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	t3a, t3b := Table4(), Table4()
+	t3a, t3b := runRows[Table4Row](Table4Jobs()), runRows[Table4Row](Table4Jobs())
 	for i := range t3a {
 		if t3a[i] != t3b[i] {
 			t.Fatalf("Table4 row %d differs", i)
@@ -440,5 +440,33 @@ func TestFig8Determinism(t *testing.T) {
 	b := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
 	if a.P99us != b.P99us || a.Served != b.Served || a.Faults != b.Faults {
 		t.Fatalf("nondeterministic co-simulation: %+v vs %+v", a, b)
+	}
+}
+
+// TestLookupMatchesSections: the single-section lookup builds exactly the
+// section the full list holds (same job IDs, same order) — the service
+// and cxlbench enumerate identical work from the one registry.
+func TestLookupMatchesSections(t *testing.T) {
+	ids := func(sec Section) string {
+		var b strings.Builder
+		for _, j := range sec.Jobs {
+			b.WriteString(j.ID + ",")
+		}
+		return b.String()
+	}
+	o := SectionOptions{Reps: 7}
+	secs, names := Sections(o), SectionNames()
+	if len(secs) != len(names) {
+		t.Fatalf("%d sections, %d names", len(secs), len(names))
+	}
+	for i, sec := range secs {
+		got, ok := Lookup(names[i], o)
+		if !ok || sec.Name != names[i] || ids(got) != ids(sec) {
+			t.Errorf("section %d: Lookup(%q) = %q jobs %s; Sections has %q jobs %s",
+				i, names[i], got.Name, ids(got), sec.Name, ids(sec))
+		}
+	}
+	if _, ok := Lookup("fig99", o); ok {
+		t.Error("Lookup found an unregistered section")
 	}
 }

@@ -59,18 +59,12 @@ var trueD2HOps = []struct {
 	{cxl.COWrite, cxl.St},
 }
 
-// Fig3 measures the latency and bandwidth of true and emulated D2H
+// Fig3Jobs measures the latency and bandwidth of true and emulated D2H
 // accesses (Fig. 3 of the paper): NC-rd/CS-rd/NC-wr/CO-wr issued by the
 // device LSU versus nt-ld/ld/nt-st/st issued by a remote-socket core, each
-// against LLC-resident (LLC-1) and LLC-absent (LLC-0) lines. It is the
-// serial form of Fig3Jobs: one enumeration backs both, so parallel and
-// serial runs produce identical row order.
-func Fig3(cfg Fig3Config) []Fig3Row {
-	return collectRows[Fig3Row](runSerial(Fig3Jobs(cfg)))
-}
-
-// Fig3Jobs returns one self-contained job per Fig. 3 cell, in presentation
-// order. Each job builds its own rig, so jobs are shared-nothing.
+// against LLC-resident (LLC-1) and LLC-absent (LLC-0) lines. It returns one
+// self-contained job per cell, in presentation order; each job builds its
+// own rig, so jobs are shared-nothing.
 func Fig3Jobs(cfg Fig3Config) []runner.Job {
 	cfg.setDefaults()
 	var jobs []runner.Job

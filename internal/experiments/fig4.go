@@ -41,15 +41,9 @@ func (c *Fig4Config) setDefaults() {
 	}
 }
 
-// Fig4 measures D2D accesses in host- and device-bias modes against DMC
-// hits and misses, alongside the NUMA-emulated equivalents. It is the
-// serial form of Fig4Jobs.
-func Fig4(cfg Fig4Config) []Fig4Row {
-	return collectRows[Fig4Row](runSerial(Fig4Jobs(cfg)))
-}
-
-// Fig4Jobs returns one self-contained job per Fig. 4 cell, in presentation
-// order.
+// Fig4Jobs measures D2D accesses in host- and device-bias modes against
+// DMC hits and misses, alongside the NUMA-emulated equivalents: one
+// self-contained job per Fig. 4 cell, in presentation order.
 func Fig4Jobs(cfg Fig4Config) []runner.Job {
 	cfg.setDefaults()
 	ops := cfg.Reps + cfg.Burst

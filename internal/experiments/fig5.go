@@ -75,15 +75,9 @@ func (c *Fig5Config) setDefaults() {
 	}
 }
 
-// Fig5 measures H2D accesses (host core ld/nt-ld/st/nt-st to device
-// memory) across device personalities and DMC states. It is the serial
-// form of Fig5Jobs.
-func Fig5(cfg Fig5Config) []Fig5Row {
-	return collectRows[Fig5Row](runSerial(Fig5Jobs(cfg)))
-}
-
-// Fig5Jobs returns one self-contained job per Fig. 5 cell, in presentation
-// order.
+// Fig5Jobs measures H2D accesses (host core ld/nt-ld/st/nt-st to device
+// memory) across device personalities and DMC states: one self-contained
+// job per Fig. 5 cell, in presentation order.
 func Fig5Jobs(cfg Fig5Config) []runner.Job {
 	cfg.setDefaults()
 	ops := cfg.Reps + cfg.Burst

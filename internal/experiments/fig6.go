@@ -69,15 +69,10 @@ type Fig6Row struct {
 	BandwidthGBs float64
 }
 
-// Fig6 sweeps transfer sizes over every mechanism in both directions
-// (PCIe-DMA is omitted for D2H, as on the real card, §V-D). It is the
-// serial form of Fig6Jobs.
-func Fig6() []Fig6Row {
-	return collectRows[Fig6Row](runSerial(Fig6Jobs()))
-}
-
-// Fig6Jobs returns one self-contained job per (mechanism, direction)
-// curve, each sweeping all transfer sizes, in presentation order.
+// Fig6Jobs sweeps transfer sizes over every mechanism in both directions
+// (PCIe-DMA is omitted for D2H, as on the real card, §V-D): one
+// self-contained job per (mechanism, direction) curve, each sweeping all
+// transfer sizes, in presentation order.
 func Fig6Jobs() []runner.Job {
 	var jobs []runner.Job
 	for _, d2h := range []bool{false, true} {
@@ -201,13 +196,6 @@ func measureCXLD2HRead(r *Rig, size int) sim.Time {
 // to host LLC via DDIO, §V-D).
 func measureCXLD2HPush(r *Rig, size int) sim.Time {
 	return r.Dev.WriteHostBlock(cxl.NCP, r.hostLine(0), nil, size, 0)
-}
-
-// Fig6Collect concatenates Fig6Jobs results into rows in job order — for
-// callers (like the CSV exporter) that need the rows rather than the
-// rendered table.
-func Fig6Collect(results []runner.Result) []Fig6Row {
-	return collectRows[Fig6Row](results)
 }
 
 // PrintFig6 renders the rows.

@@ -504,7 +504,7 @@ func Fig8(feature string, workloads []ycsb.Workload, cfg Fig8Config) []Fig8Row {
 	if cfg.Seed == 0 {
 		cfg.Seed = seedFig8Calibrated
 	}
-	return Fig8Collect(runSerial(Fig8Jobs(feature, workloads, cfg)))
+	return Fig8Collect(runner.Run(Fig8Jobs(feature, workloads, cfg), runner.Options{Workers: 1}))
 }
 
 // Fig8Jobs returns one job per workload, each forking the baseline + the
@@ -558,7 +558,7 @@ func fig8RunCounted(run fig8Run, v Fig8Variant, w ycsb.Workload, cfg Fig8Config)
 // filling in the baseline-normalized p99: within each workload the
 // baseline job precedes its variants, so normalization is a single pass.
 func Fig8Collect(results []runner.Result) []Fig8Row {
-	rows := collectRows[Fig8Row](results)
+	rows := Rows[Fig8Row](results)
 	var baseP99 float64
 	for i := range rows {
 		if rows[i].Variant == Baseline {

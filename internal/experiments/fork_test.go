@@ -28,6 +28,16 @@ func renderSection(t *testing.T, sec Section, workers int) string {
 	return buf.String()
 }
 
+// lookup builds one registered section at the given repetition count.
+func lookup(t *testing.T, name string, reps int) Section {
+	t.Helper()
+	sec, ok := Lookup(name, SectionOptions{Reps: reps})
+	if !ok {
+		t.Fatalf("no section %q", name)
+	}
+	return sec
+}
+
 // forkWorkerCounts covers serial, the smallest genuinely parallel pool,
 // and whatever the host offers.
 func forkWorkerCounts() []int {
@@ -39,7 +49,7 @@ func forkWorkerCounts() []int {
 }
 
 func TestInferIntraJobParallelMatchesSerial(t *testing.T) {
-	sec := section("infer", InferJobs(InferConfig{Reps: 30}), PrintInfer)
+	sec := lookup(t, "infer", 30)
 	serial := renderSection(t, sec, 1)
 	if serial == "" {
 		t.Fatal("empty infer section output")
@@ -52,7 +62,7 @@ func TestInferIntraJobParallelMatchesSerial(t *testing.T) {
 }
 
 func TestWorkloadIntraJobParallelMatchesSerial(t *testing.T) {
-	sec := section("workload", WorkloadJobs(WorkloadConfig{Reps: 30}), PrintWorkload)
+	sec := lookup(t, "workload", 30)
 	serial := renderSection(t, sec, 1)
 	if serial == "" {
 		t.Fatal("empty workload section output")
@@ -69,7 +79,7 @@ func TestFig8IntraJobParallelMatchesSerial(t *testing.T) {
 	// cfg.Seed stays 0 so each variant runs under its derived sub seed —
 	// the path a parallel report run takes.
 	cfg := Fig8Config{Duration: 30 * sim.Millisecond}
-	sec := section("fig8", Fig8Jobs("zswap", []ycsb.Workload{ycsb.A}, cfg), PrintFig8)
+	sec := Section{Name: "fig8", Jobs: Fig8Jobs("zswap", []ycsb.Workload{ycsb.A}, cfg), Render: renderRows(PrintFig8)}
 	serial := renderSection(t, sec, 1)
 	if serial == "" {
 		t.Fatal("empty fig8 section output")
@@ -86,7 +96,7 @@ func TestFig8IntraJobParallelMatchesSerial(t *testing.T) {
 // shared Type-3 pool behind one switch, fanned out as Fork sub-jobs —
 // renders byte-identically serial and parallel (run under -race in CI).
 func TestClusterIntraJobParallelMatchesSerial(t *testing.T) {
-	sec := section("cluster", ClusterJobs(ClusterConfig{Reps: 30}), PrintCluster)
+	sec := lookup(t, "cluster", 30)
 	serial := renderSection(t, sec, 1)
 	if serial == "" {
 		t.Fatal("empty cluster section output")

@@ -88,16 +88,21 @@ type InferRow struct {
 	MigrateMB float64 // DSA cold-block migration volume
 }
 
-// inferRow runs one scenario to completion.
-func inferRow(sc InferScenario, requests int, seed int64, trace *workload.Trace) InferRow {
-	m := infer.Run(infer.Config{
+// config is the serving configuration of the scenario.
+func (sc InferScenario) config(requests int, seed int64, trace *workload.Trace) infer.Config {
+	return infer.Config{
 		Seed:       seed,
 		Requests:   requests,
 		Trace:      trace,
 		Far:        sc.Far,
 		Policy:     sc.Policy,
 		DRAMBlocks: sc.DRAMBlocks,
-	})
+	}
+}
+
+// inferRow runs one scenario to completion.
+func inferRow(sc InferScenario, requests int, seed int64, trace *workload.Trace) InferRow {
+	m := infer.Run(sc.config(requests, seed, trace))
 	const mb = 1.0 / (1 << 20)
 	near := float64(m.ReadBytes[infer.TierDRAM] + m.WriteBytes[infer.TierDRAM])
 	var far float64
@@ -163,21 +168,17 @@ func InferTrace(rootSeed int64, cfg InferConfig) *workload.Trace {
 	return infer.GenTrace(infer.Config{Seed: seed, Requests: cfg.requests()})
 }
 
-// InferSection builds the infer section for cfg. Sections() registers the
-// default configuration; this entry point exists for trace replay, where
-// the caller substitutes a recorded stream for the generated one.
-func InferSection(cfg InferConfig) Section {
-	return section("infer", InferJobs(cfg), PrintInfer)
-}
-
-// Infer runs the section serially.
-func Infer(cfg InferConfig) []InferRow {
-	return collectRows[InferRow](runSerial(InferJobs(cfg)))
-}
-
-// InferCollect concatenates job results into rows in job order.
-func InferCollect(results []runner.Result) []InferRow {
-	return collectRows[InferRow](results)
+// CheckInferTrace reports whether every placement scenario of the section
+// can replay t (infer.CheckTrace against each scenario's pools): the
+// precondition for InferConfig.Trace, checked before a trace from outside
+// reaches a job.
+func CheckInferTrace(t *workload.Trace) error {
+	for _, sc := range InferScenarios() {
+		if err := infer.CheckTrace(t, sc.config(0, 0, t)); err != nil {
+			return fmt.Errorf("scenario %s: %w", sc.Name, err)
+		}
+	}
+	return nil
 }
 
 // PrintInfer renders the rows.

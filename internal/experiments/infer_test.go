@@ -11,7 +11,7 @@ import (
 // Type-3 < PCIe-DMA, and host bias costs more than device bias on the
 // same memory.
 func TestInferTierOrdering(t *testing.T) {
-	rows := Infer(InferConfig{Seed: SeedRig})
+	rows := runRows[InferRow](InferJobs(InferConfig{Seed: SeedRig}))
 	order := []string{"all-dram", "kv@t2-dev", "kv@t3", "kv@pcie-dma"}
 	for i := 1; i < len(order); i++ {
 		lo := InferFind(rows, order[i-1])
@@ -38,7 +38,7 @@ func TestInferTierOrdering(t *testing.T) {
 }
 
 func TestInferTraffic(t *testing.T) {
-	rows := Infer(InferConfig{Seed: SeedRig})
+	rows := runRows[InferRow](InferJobs(InferConfig{Seed: SeedRig}))
 	if r := InferFind(rows, "all-dram"); r.FarMB != 0 || r.NearMB == 0 {
 		t.Errorf("all-dram traffic wrong: %+v", r)
 	}
@@ -54,8 +54,8 @@ func TestInferTraffic(t *testing.T) {
 }
 
 func TestInferJobsDeterministicAcrossRuns(t *testing.T) {
-	a := Infer(InferConfig{Reps: 30})
-	b := Infer(InferConfig{Reps: 30})
+	a := runRows[InferRow](InferJobs(InferConfig{Reps: 30}))
+	b := runRows[InferRow](InferJobs(InferConfig{Reps: 30}))
 	if len(a) != len(b) {
 		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}
@@ -68,7 +68,7 @@ func TestInferJobsDeterministicAcrossRuns(t *testing.T) {
 
 func TestPrintInferRenders(t *testing.T) {
 	var buf bytes.Buffer
-	PrintInfer(&buf, Infer(InferConfig{Reps: 24}))
+	PrintInfer(&buf, runRows[InferRow](InferJobs(InferConfig{Reps: 24})))
 	out := buf.String()
 	for _, want := range []string{"KV-cache placement", "all-dram", "pinned-decode", "TPOT(us)"} {
 		if !strings.Contains(out, want) {

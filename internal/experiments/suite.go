@@ -5,15 +5,15 @@ import (
 	"io"
 
 	"repro/internal/runner"
+	"repro/internal/workload"
 )
 
 // This file is the experiment registry: every figure and table of the
 // paper's evaluation decomposed into self-contained runner jobs (one rig
-// or co-simulation per job, nothing shared), plus the section list the
-// commands fan out over a worker pool. The serial drivers (Fig3, Fig4, …)
-// run the very same jobs on one worker, so parallel and serial runs share
-// a single enumeration and produce byte-identical output for the same
-// root seed.
+// or co-simulation per job, nothing shared), plus the section table the
+// commands fan out over a worker pool. Serial and parallel runs share the
+// one enumeration, so they render byte-identical output for the same root
+// seed.
 
 // cellJob wraps one measurement cell as a runner job: the cell receives
 // the job's derived seed and returns one typed row; ops is the simulated
@@ -54,16 +54,10 @@ func forkRows[T any](ctx *runner.Ctx, subs []runner.SubJob) ([]T, error) {
 	return rows, nil
 }
 
-// runSerial executes jobs on one worker under the default root seed — the
-// legacy serial drivers are this plus a collect.
-func runSerial(jobs []runner.Job) []runner.Result {
-	return runner.Run(jobs, runner.Options{Workers: 1})
-}
-
-// collectRows concatenates the per-job []T fragments in job order. A
-// failed job's fragment is skipped; the suite-level callers surface the
-// error through runner.Values before rendering.
-func collectRows[T any](results []runner.Result) []T {
+// Rows concatenates the per-job []T row fragments of a finished run in
+// job order. A failed job's fragment is skipped; callers surface the error
+// through runner.Values before rendering.
+func Rows[T any](results []runner.Result) []T {
 	var rows []T
 	for _, r := range results {
 		if frag, ok := r.Value.([]T); ok {
@@ -83,70 +77,88 @@ type Section struct {
 	Render func(w io.Writer, results []runner.Result) error
 }
 
-// section builds a Section whose renderer collects []T fragments and
-// prints them with the figure's printer.
-func section[T any](name string, jobs []runner.Job, print func(io.Writer, []T)) Section {
-	return Section{
-		Name: name,
-		Jobs: jobs,
-		Render: func(w io.Writer, results []runner.Result) error {
-			if _, err := runner.Values(results); err != nil {
-				return err
-			}
-			print(w, collectRows[T](results))
-			return nil
-		},
-	}
-}
-
-// SuiteConfig tunes cross-section execution knobs of the assembled
-// suite. Everything here is output-neutral: rows are byte-identical at
-// every setting, so none of it joins section cache keys.
-type SuiteConfig struct {
+// SectionOptions is everything a section constructor reads.
+type SectionOptions struct {
+	// Reps tunes the repetition count of the experiments that take one
+	// (0 keeps the paper's defaults).
+	Reps int
 	// ClusterShards caps the worker count for sharded PDES execution of
-	// each cluster simulation (0 or 1 runs inline); workers are
-	// recruited from the runner pool (see ClusterConfig.Shards).
+	// each cluster simulation (0 or 1 runs inline); workers are recruited
+	// from the runner pool (see ClusterConfig.Shards). Rows are
+	// byte-identical at every setting, so it never joins a cache key.
 	ClusterShards int
+	// Trace replaces the infer section's generated request stream with a
+	// recorded one; the other sections ignore it. It must pass
+	// CheckInferTrace.
+	Trace *workload.Trace
 }
 
-// Sections returns the cxlbench experiment sections in presentation
-// order. reps tunes the repetition count of the experiments that take one
-// (0 keeps the paper's defaults).
-func Sections(reps int) []Section {
-	return SectionsCfg(reps, SuiteConfig{})
+// registry is the one table of experiment sections, in presentation
+// order: each entry builds its section's jobs from the options and renders
+// their rows with the figure's printer.
+var registry = []struct {
+	name   string
+	jobs   func(SectionOptions) []runner.Job
+	render func(io.Writer, []runner.Result) error
+}{
+	{"table3", func(SectionOptions) []runner.Job { return Table3Jobs() }, renderRows(PrintTable3)},
+	{"fig3", func(o SectionOptions) []runner.Job { return Fig3Jobs(Fig3Config{Reps: o.Reps}) }, renderRows(PrintFig3)},
+	{"fig4", func(o SectionOptions) []runner.Job { return Fig4Jobs(Fig4Config{Reps: o.Reps}) }, renderRows(PrintFig4)},
+	{"fig5", func(o SectionOptions) []runner.Job { return Fig5Jobs(Fig5Config{Reps: o.Reps}) }, renderRows(PrintFig5)},
+	{"fig6", func(SectionOptions) []runner.Job { return Fig6Jobs() }, renderRows(PrintFig6)},
+	{"wqsweep", func(SectionOptions) []runner.Job { return WriteQueueSweepJobs(nil) }, renderRows(PrintWriteQueueSweep)},
+	{"infer", func(o SectionOptions) []runner.Job {
+		return InferJobs(InferConfig{Reps: o.Reps, Trace: o.Trace})
+	}, renderRows(PrintInfer)},
+	{"workload", func(o SectionOptions) []runner.Job { return WorkloadJobs(WorkloadConfig{Reps: o.Reps}) }, renderRows(PrintWorkload)},
+	{"cluster", func(o SectionOptions) []runner.Job {
+		return ClusterJobs(ClusterConfig{Reps: o.Reps, Shards: o.ClusterShards})
+	}, renderRows(PrintCluster)},
 }
 
-// SectionsCfg is Sections with suite-level execution knobs.
-func SectionsCfg(reps int, suite SuiteConfig) []Section {
-	f3 := Fig3Config{Reps: reps}
-	f4 := Fig4Config{Reps: reps}
-	f5 := Fig5Config{Reps: reps}
-	return []Section{
-		section("table3", Table3Jobs(), PrintTable3),
-		section("fig3", Fig3Jobs(f3), PrintFig3),
-		section("fig4", Fig4Jobs(f4), PrintFig4),
-		section("fig5", Fig5Jobs(f5), PrintFig5),
-		section("fig6", Fig6Jobs(), PrintFig6),
-		section("wqsweep", WriteQueueSweepJobs(nil), PrintWriteQueueSweep),
-		section("infer", InferJobs(InferConfig{Reps: reps}), PrintInfer),
-		section("workload", WorkloadJobs(WorkloadConfig{Reps: reps}), PrintWorkload),
-		section("cluster", ClusterJobs(ClusterConfig{Reps: reps, Shards: suite.ClusterShards}), PrintCluster),
+// renderRows adapts a figure printer into a section renderer: it fails on
+// the first failed job, else prints the collected rows.
+func renderRows[T any](print func(io.Writer, []T)) func(io.Writer, []runner.Result) error {
+	return func(w io.Writer, results []runner.Result) error {
+		if _, err := runner.Values(results); err != nil {
+			return err
+		}
+		print(w, Rows[T](results))
+		return nil
 	}
+}
+
+// Sections builds every registered section in presentation order.
+func Sections(o SectionOptions) []Section {
+	secs := make([]Section, len(registry))
+	for i, e := range registry {
+		secs[i] = Section{Name: e.name, Jobs: e.jobs(o), Render: e.render}
+	}
+	return secs
+}
+
+// Lookup builds the named section alone.
+func Lookup(name string, o SectionOptions) (Section, bool) {
+	for _, e := range registry {
+		if e.name == name {
+			return Section{Name: e.name, Jobs: e.jobs(o), Render: e.render}, true
+		}
+	}
+	return Section{}, false
 }
 
 // SectionNames lists the registered section names in presentation order —
 // the single source the commands derive their usage text and section
-// validation from, so the list can never drift from the registry again.
+// validation from, so the list can never drift from the registry.
 func SectionNames() []string {
-	secs := Sections(0)
-	names := make([]string, len(secs))
-	for i, s := range secs {
-		names[i] = s.Name
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
 	return names
 }
 
-// SectionByName locates a section.
+// SectionByName locates a section among already-built ones.
 func SectionByName(secs []Section, name string) (Section, bool) {
 	for _, s := range secs {
 		if s.Name == name {

@@ -18,16 +18,11 @@ type Table3Row struct {
 	LLCState cache.State
 }
 
-// Table3 reproduces Table III by driving every D2H request type against
+// Table3Jobs reproduces Table III by driving every D2H request type against
 // every initial placement on a live system and reading the resulting
-// coherence states back (the paper's cross-validation methodology). It is
-// the serial form of Table3Jobs.
-func Table3() []Table3Row {
-	return collectRows[Table3Row](runSerial(Table3Jobs()))
-}
-
-// Table3Jobs returns one self-contained job per D2H request type, each
-// covering all three initial placements, in presentation order.
+// coherence states back (the paper's cross-validation methodology): one
+// self-contained job per request type, each covering all three initial
+// placements, in presentation order.
 func Table3Jobs() []runner.Job {
 	reqs := []cxl.D2HReq{cxl.NCP, cxl.NCRead, cxl.NCWrite, cxl.CORead, cxl.COWrite, cxl.CSRead}
 	var jobs []runner.Job

@@ -28,14 +28,9 @@ type Table4Row struct {
 	Pipelined  bool // cxl reports only Total (steps overlap), like the paper
 }
 
-// Table4 measures the compression-offload latency breakdown for the
-// pcie-rdma, pcie-dma and cxl backends over a representative 4 KB page.
-// It is the serial form of Table4Jobs.
-func Table4() []Table4Row {
-	return collectRows[Table4Row](runSerial(Table4Jobs()))
-}
-
-// Table4Jobs returns one self-contained job per backend. Each builds its
+// Table4Jobs measures the compression-offload latency breakdown for the
+// pcie-rdma, pcie-dma and cxl backends over a representative 4 KB page:
+// one self-contained job per backend. Each builds its
 // own host + platform; the representative page always comes from the
 // calibration constant SeedTable4Page (its content is part of the
 // calibration), not the job's derived seed.
@@ -109,16 +104,11 @@ type WriteQueueRow struct {
 	IsTrue bool
 }
 
-// WriteQueueSweep measures st / nt-st (emulated) and CO-wr / NC-wr (true
-// CXL) write bandwidth over growing burst lengths, all against LLC-miss
-// lines. It is the serial form of WriteQueueSweepJobs.
-func WriteQueueSweep(ns []int) []WriteQueueRow {
-	return collectRows[WriteQueueRow](runSerial(WriteQueueSweepJobs(ns)))
-}
-
-// WriteQueueSweepJobs returns one self-contained job per burst length,
-// each measuring all four access kinds, in sweep order. nil uses the
-// default burst ladder.
+// WriteQueueSweepJobs measures st / nt-st (emulated) and CO-wr / NC-wr
+// (true CXL) write bandwidth over growing burst lengths, all against
+// LLC-miss lines: one self-contained job per burst length, each measuring
+// all four access kinds, in sweep order. nil uses the default burst
+// ladder.
 func WriteQueueSweepJobs(ns []int) []runner.Job {
 	if len(ns) == 0 {
 		ns = []int{16, 32, 64, 128, 256, 512, 1024}

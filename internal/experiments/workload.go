@@ -224,11 +224,6 @@ func WorkloadJobs(cfg WorkloadConfig) []runner.Job {
 	}}}
 }
 
-// Workload runs the section serially.
-func Workload(cfg WorkloadConfig) []WorkloadRow {
-	return collectRows[WorkloadRow](runSerial(WorkloadJobs(cfg)))
-}
-
 // PrintWorkload renders the arrival-model and cohort tables.
 func PrintWorkload(w io.Writer, rows []WorkloadRow) {
 	var arr, coh [][]string

@@ -21,7 +21,7 @@ func workloadArrivalRows(rows []WorkloadRow) map[string]WorkloadRow {
 }
 
 func TestWorkloadSectionRows(t *testing.T) {
-	rows := Workload(WorkloadConfig{Reps: 25})
+	rows := runRows[WorkloadRow](WorkloadJobs(WorkloadConfig{Reps: 25}))
 	arr := workloadArrivalRows(rows)
 	for _, name := range []string{"poisson", "diurnal", "diurnal+burst", "replay(burst)"} {
 		r, ok := arr[name]
@@ -66,8 +66,8 @@ func workloadRowRenamed(r WorkloadRow, name string) WorkloadRow {
 }
 
 func TestWorkloadSectionDeterministic(t *testing.T) {
-	a := Workload(WorkloadConfig{Reps: 25})
-	b := Workload(WorkloadConfig{Reps: 25})
+	a := runRows[WorkloadRow](WorkloadJobs(WorkloadConfig{Reps: 25}))
+	b := runRows[WorkloadRow](WorkloadJobs(WorkloadConfig{Reps: 25}))
 	if len(a) != len(b) {
 		t.Fatal("row counts differ")
 	}
@@ -80,7 +80,7 @@ func TestWorkloadSectionDeterministic(t *testing.T) {
 
 func TestWorkloadPrinterRendersBothTables(t *testing.T) {
 	var sb strings.Builder
-	PrintWorkload(&sb, Workload(WorkloadConfig{Reps: 20}))
+	PrintWorkload(&sb, runRows[WorkloadRow](WorkloadJobs(WorkloadConfig{Reps: 20})))
 	out := sb.String()
 	for _, want := range []string{"temporal arrival models", "cohort mixture", "replay(burst)", "chat"} {
 		if !strings.Contains(out, want) {

@@ -45,12 +45,20 @@ import (
 // published N is its pre-window value — Send's emission times can't
 // precede it), queued in a mailbox (mp), or drained into an engine
 // (drain lowers the published N before clearing mp, so the protection
-// never gaps). windowFor reads in an order that rides that baton: every
-// activation once, then the mailboxes, then the activations again —
-// with sequentially consistent atomics, whichever stage the chain
-// occupies when the reads happen, one read catches it, and each hop to
-// r adds at least dist of slack. Stale values only err low, which only
-// shrinks windows. The strict `<` bound (sim.RunWindow) covers exact
+// never gaps). Each hop to r adds at least dist of slack. The reads,
+// though, are many: a chain that completes several hops while windowFor
+// is between two of them can slip past every read (a peer drains,
+// forwards and re-publishes after its mailbox and activation were read;
+// the next hop lands in a mailbox read earlier). So the only operations
+// that raise a bound — a drain clearing mp, a publish raising N — first
+// bump ShardSet.raises, and a window computation is kept only if the
+// counter did not move across its reads (else it is retried). A kept
+// read set can overlap at most one raise per shard, one already counted
+// when the reads began: a drain whose lowered N was then already
+// published, or a publish whose window's sends were then already queued
+// — either way the chain stays visible — and any further raise would
+// have moved the counter. Sends and lowerings never bump (they only add
+// protection). The strict `<` bound (sim.RunWindow) covers exact
 // equality.
 //
 // # Determinism
@@ -193,6 +201,7 @@ func (s *Shard) drain() bool {
 		if cur := s.nextAt.Load(); int64(lo) < cur {
 			s.nextAt.Store(int64(lo))
 		}
+		s.set.raises.Add(1)
 		b.minPending.Store(int64(sim.Forever))
 		b.mu.Unlock()
 		any = true
@@ -215,7 +224,7 @@ func (s *Shard) step() bool {
 	progressed := s.drain()
 	next := s.eng.NextEventAt()
 	if next < sim.Forever {
-		if w := s.set.windowFor(s.id, next); next < w {
+		if w := s.set.stableWindow(s.id, next); next < w {
 			s.eng.RunWindow(w)
 			progressed = true
 			next = s.eng.NextEventAt()
@@ -226,7 +235,11 @@ func (s *Shard) step() bool {
 	}
 	// Publish after any sends from the window above are enqueued: a peer
 	// that reads the new activation must be able to see the messages it
-	// promises (both stores are sequentially consistent atomics).
+	// promises (both stores are sequentially consistent atomics). A rise
+	// is counted first (see Safety).
+	if int64(next) > s.nextAt.Load() {
+		s.set.raises.Add(1)
+	}
 	s.nextAt.Store(int64(next))
 	return progressed
 }
@@ -239,6 +252,9 @@ type ShardSet struct {
 	byNode  map[string]int
 	dist    [][]sim.Time
 	rt      []sim.Time // cheapest self round trip per shard
+	// raises counts bound rises (drain's mp clear, a raising publish) so
+	// concurrent window computations can detect them (see Safety).
+	raises atomic.Uint64
 
 	inflight atomic.Int64
 	done     atomic.Bool
@@ -382,12 +398,27 @@ func newShardSet(f *Fabric, workers int) (*ShardSet, error) {
 	return ss, nil
 }
 
+// stableWindow is windowFor for concurrent execution: it keeps a bound
+// only if no raise overlapped its reads (see Safety). After a few
+// overlapped attempts it returns selfNext — no window this step — and
+// the shard retries on its next step.
+func (ss *ShardSet) stableWindow(dst int, selfNext sim.Time) sim.Time {
+	for try := 0; try < 4; try++ {
+		before := ss.raises.Load()
+		w := ss.windowFor(dst, selfNext)
+		if ss.raises.Load() == before {
+			return w
+		}
+	}
+	return selfNext
+}
+
 // windowFor computes the conservative execution bound for shard dst
-// whose own next pending event is at selfNext. The read order is load
-// bearing (see the Safety note): all published activations first, then
-// each peer's mailboxes, then its activation again — a message's
-// protection moves activation→mailbox→activation as it is emitted,
-// queued and drained, and this order catches it at every stage.
+// whose own next pending event is at selfNext; runInline calls it with
+// every peer idle, concurrent steps through stableWindow. The reads
+// follow a message's protection as it moves activation→mailbox→
+// activation (emitted, queued, drained): all activations, then each
+// peer's mailboxes and activation again, then dst's own inbox last.
 func (ss *ShardSet) windowFor(dst int, selfNext sim.Time) sim.Time {
 	shards := ss.shards
 	self := shards[dst]
@@ -396,12 +427,6 @@ func (ss *ShardSet) windowFor(dst int, selfNext sim.Time) sim.Time {
 		pre[j] = sim.Time(s.nextAt.Load())
 	}
 	w := satAdd(selfNext, ss.rt[dst])
-	// Mail already bound for dst needs no distance: it delivers here.
-	for i := range self.inbox {
-		if mp := sim.Time(self.inbox[i].minPending.Load()); mp < w {
-			w = mp
-		}
-	}
 	for j, s := range shards {
 		if j == dst {
 			continue
@@ -417,6 +442,12 @@ func (ss *ShardSet) windowFor(dst int, selfNext sim.Time) sim.Time {
 		}
 		if v := satAdd(eff, ss.dist[j][dst]); v < w {
 			w = v
+		}
+	}
+	// Mail already bound for dst needs no distance: it delivers here.
+	for i := range self.inbox {
+		if mp := sim.Time(self.inbox[i].minPending.Load()); mp < w {
+			w = mp
 		}
 	}
 	return w

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -196,6 +197,68 @@ func TestShardedTransferByteIdentity(t *testing.T) {
 			if b.String() != want {
 				t.Fatalf("seed %d Shards(%d): transfer render differs from unsharded build", seed, w)
 			}
+		}
+	}
+}
+
+// relayStorm runs pings relayed through the hub over a star of seven
+// hosts on four workers: hosts forward only to the hub, the hub to a
+// payload-chosen host, each hop at the lookahead bound plus a small
+// jitter. It returns the shard panic, if any, as an error.
+func relayStorm(seed int64) (err error) {
+	const workers = 4
+	f := MustBuild(star(7, 1), nil, Shards(workers))
+	ss := f.ShardSet()
+	n := ss.NumShards()
+	type ping struct {
+		state uint64
+		hops  int
+	}
+	handlers := make([]func(any), n)
+	for i := 0; i < n; i++ {
+		s := ss.Shard(i)
+		handlers[i] = func(a any) {
+			p := a.(*ping)
+			if p.hops == 0 {
+				return
+			}
+			p.hops--
+			p.state = p.state*6364136223846793005 + 1442695040888963407
+			dst := 0
+			if s.ID() == 0 {
+				dst = 1 + int(p.state>>40)%(n-1)
+			}
+			jitter := sim.Time(p.state>>17) % 50 * sim.Nanosecond
+			s.Send(dst, s.Engine().Now()+jitter, handlers[dst], p)
+		}
+	}
+	r := rng.New(seed)
+	for k := 0; k < 8; k++ {
+		src := r.Intn(n)
+		at := sim.Time(r.Intn(5000)) * sim.Nanosecond
+		ss.Shard(src).Engine().AtCall(at, handlers[src], &ping{state: r.Uint64(), hops: 40})
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("%v", v)
+		}
+	}()
+	ss.Run(workers)
+	return nil
+}
+
+// TestShardedWindowNeverOutrunsMail reproduces a window race: a relay
+// chain completing several hops while a shard sat between two of
+// windowFor's reads let that shard's window pass the chain's final
+// delivery, and the late message panicked ("scheduling tagged event …
+// before now") in about one run in a thousand. Thousands of seeded runs
+// catch it within seconds; the loop also stops after a wall budget so
+// slow builds (-race) stay bounded.
+func TestShardedWindowNeverOutrunsMail(t *testing.T) {
+	deadline := time.Now().Add(10 * time.Second)
+	for seed := int64(1); seed <= 5000 && time.Now().Before(deadline); seed++ {
+		if err := relayStorm(seed); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -138,8 +138,8 @@ type Config struct {
 	// Trace, when set, replays a recorded request stream verbatim:
 	// arrivals and shapes come from the trace records and the generator
 	// knobs above (Seed's arrival/shape streams, Requests, RatePerSec,
-	// Arrivals, Cohorts) are ignored. Every request must still fit the
-	// configured pools; Run panics on a trace it cannot serve.
+	// Arrivals, Cohorts) are ignored. Run panics on a trace CheckTrace
+	// rejects.
 	Trace *workload.Trace
 	// BlockTokens is the paged-KV block granule in tokens.
 	BlockTokens int
@@ -365,30 +365,43 @@ func (s *shapeSampler) sample(rng2 *rand.Rand) (cohort uint8, prompt, decode int
 	return uint8(i), prompt, decode
 }
 
-// requestsFromTrace rebuilds the request stream from a recorded trace,
-// panicking on records the configured platform cannot serve (a trace is a
-// contract: silently clamping it would break bit-for-bit replay).
-func (s *Sim) requestsFromTrace(t *workload.Trace) []*request {
+// CheckTrace reports whether Run(cfg) can replay t: arrivals in order
+// (Trace.Validate), every record with a non-empty prompt and decode, and
+// every request's worst-case KV footprint within the pools cfg configures.
+// Replay treats a failure as a broken contract and panics (clamping a
+// record would break bit-for-bit replay), so callers holding outside input
+// check here first.
+func CheckTrace(t *workload.Trace, cfg Config) error {
 	if err := t.Validate(); err != nil {
-		panic(err)
+		return err
 	}
-	maxBlocks := s.cfg.DRAMBlocks + s.cfg.FarBlocks
-	reqs := make([]*request, len(t.Requests))
+	cfg = cfg.withDefaults()
+	capacity := cfg.DRAMBlocks + cfg.farBlocks()
 	for i, rec := range t.Requests {
 		if rec.Prompt == 0 || rec.Decode == 0 {
-			panic(fmt.Sprintf("infer: trace record %d has empty prompt/decode", i))
+			return fmt.Errorf("infer: trace record %d has empty prompt/decode", i)
 		}
-		r := &request{
+		if n := cfg.blocksFor(int(rec.Prompt) + int(rec.Decode)); n > capacity {
+			return fmt.Errorf("infer: trace record %d needs %d KV blocks, pools hold %d", i, n, capacity)
+		}
+	}
+	return nil
+}
+
+// requestsFromTrace rebuilds the request stream from a recorded trace,
+// panicking on a trace CheckTrace rejects.
+func (s *Sim) requestsFromTrace(t *workload.Trace) []*request {
+	if err := CheckTrace(t, s.cfg); err != nil {
+		panic(err)
+	}
+	reqs := make([]*request, len(t.Requests))
+	for i, rec := range t.Requests {
+		reqs[i] = &request{
 			arrival: rec.At,
 			cohort:  rec.Cohort,
 			prompt:  int(rec.Prompt),
 			decode:  int(rec.Decode),
 		}
-		if s.blocksFor(r.prompt+r.decode) > maxBlocks {
-			panic(fmt.Sprintf("infer: trace record %d needs %d KV blocks, pools hold %d",
-				i, s.blocksFor(r.prompt+r.decode), maxBlocks))
-		}
-		reqs[i] = r
 	}
 	return reqs
 }
@@ -434,7 +447,7 @@ func (s *Sim) serve() {
 			if r.arrival > now {
 				break
 			}
-			if !s.cache.canFit(s.blocksFor(r.prompt + r.decode)) {
+			if !s.cache.canFit(s.cfg.blocksFor(r.prompt + r.decode)) {
 				break
 			}
 			batch = append(batch, r)
@@ -553,8 +566,16 @@ func (s *Sim) finalize(reqs []*request) {
 }
 
 // blocksFor returns how many blocks tokens occupy.
-func (s *Sim) blocksFor(tokens int) int {
-	return (tokens + s.cfg.BlockTokens - 1) / s.cfg.BlockTokens
+func (c Config) blocksFor(tokens int) int {
+	return (tokens + c.BlockTokens - 1) / c.BlockTokens
+}
+
+// farBlocks is the far pool's size: none when serving is all-DRAM.
+func (c Config) farBlocks() int {
+	if c.Far == TierDRAM {
+		return 0
+	}
+	return c.FarBlocks
 }
 
 // alloc places a new block via the policy, falling back to the other pool

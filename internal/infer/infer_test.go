@@ -2,7 +2,11 @@ package infer
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // run executes a small serving sim with the given far tier and policy.
@@ -151,4 +155,40 @@ func TestBlockPoolReuse(t *testing.T) {
 		t.Fatalf("freed slot not reused: got %v want %v", d.addr, a.addr)
 	}
 	_ = b
+}
+
+// TestCheckTrace pins the replay precondition: ordering, non-empty
+// records, and a per-request KV bound against the pools the config
+// actually builds — an all-DRAM run has no far pool, so a record that
+// fits DRAM+far still fails there (serving it would never admit).
+func TestCheckTrace(t *testing.T) {
+	rec := func(at int64, prompt, decode uint32) workload.Request {
+		return workload.Request{At: sim.Time(at), Prompt: prompt, Decode: decode}
+	}
+	// 16-token blocks, 512 DRAM + 512 far by default.
+	big := uint32(16*600 - 4) // 600 blocks with a 4-token decode
+	far := Config{Far: TierT2Dev}
+	cases := []struct {
+		name string
+		reqs []workload.Request
+		cfg  Config
+		want string
+	}{
+		{"ok", []workload.Request{rec(0, 8, 4), rec(5, 30, 2)}, far, ""},
+		{"out of order", []workload.Request{rec(9, 8, 4), rec(5, 8, 4)}, far, "before"},
+		{"zero prompt", []workload.Request{rec(0, 0, 4)}, far, "empty prompt/decode"},
+		{"zero decode", []workload.Request{rec(0, 8, 0)}, far, "empty prompt/decode"},
+		{"fits dram+far", []workload.Request{rec(0, big, 4)}, far, ""},
+		{"exceeds all-dram", []workload.Request{rec(0, big, 4)}, Config{}, "pools hold 512"},
+		{"4e9-token prompt", []workload.Request{rec(0, 4_000_000_000, 1)}, far, "pools hold 1024"},
+	}
+	for _, c := range cases {
+		err := CheckTrace(&workload.Trace{Requests: c.reqs}, c.cfg)
+		if c.want == "" && err != nil {
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
 }

@@ -77,11 +77,7 @@ func newKVCache(cfg Config) *KVCache {
 	bb := cfg.BlockTokens * cfg.BytesPerToken
 	c := &KVCache{blockBytes: bb}
 	c.near = newPool(TierDRAM, nearPoolBase, bb, cfg.DRAMBlocks)
-	farBlocks := cfg.FarBlocks
-	if cfg.Far == TierDRAM {
-		farBlocks = 0 // all-DRAM serving: no far tier
-	}
-	c.far = newPool(cfg.Far, farPoolBase, bb, farBlocks)
+	c.far = newPool(cfg.Far, farPoolBase, bb, cfg.farBlocks())
 	return c
 }
 

@@ -3,14 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"reflect"
-	"sort"
 	"strconv"
 	"time"
 
@@ -207,12 +205,27 @@ type sectionInfo struct {
 }
 
 func (s *Server) handleSectionsList(w http.ResponseWriter, r *http.Request) {
-	secs := cxl2sim.ExperimentSections(s.cfg.DefaultReps)
+	secs := experiments.Sections(experiments.SectionOptions{Reps: s.cfg.DefaultReps})
 	infos := make([]sectionInfo, 0, len(secs))
 	for _, sec := range secs {
 		infos = append(infos, sectionInfo{Name: sec.Name, Jobs: len(sec.Jobs)})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"sections": infos})
+}
+
+// specKey validates spec and renders its cache key, answering an invalid
+// spec before admission: 404 for an unknown section, 400 otherwise.
+func specKey(w http.ResponseWriter, spec dist.Spec, seed int64, format string) (string, bool) {
+	key, err := spec.Key(seed, format)
+	switch {
+	case errors.Is(err, dist.ErrUnknownSection):
+		writeError(w, http.StatusNotFound, "%v", err)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "%v", err)
+	default:
+		return key, true
+	}
+	return "", false
 }
 
 // ---- POST /v1/sections/{name} ----------------------------------------
@@ -229,7 +242,7 @@ type sectionRequest struct {
 	// format) to replay instead of generating the request stream. Only the
 	// "infer" section supports replay; the trace's content hash joins the
 	// cache key, so distinct streams never alias.
-	Trace string `json:"trace"`
+	Trace []byte `json:"trace"`
 }
 
 func (s *Server) handleSectionRun(w http.ResponseWriter, r *http.Request) {
@@ -239,10 +252,6 @@ func (s *Server) handleSectionRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Reps == 0 {
 		req.Reps = s.cfg.DefaultReps
-	}
-	if req.Reps < 0 {
-		writeError(w, http.StatusBadRequest, "reps must be >= 0")
-		return
 	}
 	if req.Seed == 0 {
 		req.Seed = cxl2sim.DefaultRootSeed
@@ -255,46 +264,14 @@ func (s *Server) handleSectionRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	secs := cxl2sim.ExperimentSections(req.Reps)
-	sec, ok := cxl2sim.ExperimentSectionByName(secs, name)
+	spec := dist.Spec{Kind: "section", Section: name, Reps: req.Reps, Trace: req.Trace}
+	key, ok := specKey(w, spec, req.Seed, req.Format)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown section %q (have %s)", name, sectionNames(secs))
 		return
 	}
-
-	key := experiments.SectionKey(name, req.Reps, req.Seed, req.Format)
-	if req.Trace != "" {
-		if name != "infer" {
-			writeError(w, http.StatusBadRequest, "section %q does not support trace replay (only \"infer\")", name)
-			return
-		}
-		raw, err := base64.StdEncoding.DecodeString(req.Trace)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "trace is not valid base64: %v", err)
-			return
-		}
-		t, err := cxl2sim.DecodeWorkloadTrace(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if err := t.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		for i, rec := range t.Requests {
-			if rec.Prompt == 0 || rec.Decode == 0 {
-				writeError(w, http.StatusBadRequest, "trace record %d has empty prompt/decode", i)
-				return
-			}
-		}
-		sec = cxl2sim.InferSectionTrace(req.Reps, t)
-		key = cxl2sim.SectionTraceKey(name, req.Reps, req.Seed, req.Format, t)
-	}
-	spec := dist.Spec{Kind: "section", Section: name, Reps: req.Reps, TraceB64: req.Trace}
 	s.runCached(w, r, key, "section/"+name, func(ctx context.Context) (cached, error) {
-		results := s.runJobs(ctx, spec, sec.Jobs, req.Seed)
-		if err := s.checkRun(ctx, results); err != nil {
+		sec, results, err := s.run(ctx, spec, req.Seed)
+		if err != nil {
 			return cached{}, err
 		}
 		if req.Format == "json" {
@@ -315,25 +292,6 @@ func (s *Server) handleSectionRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return cached{body: buf.Bytes(), contentType: "text/plain; charset=utf-8"}, nil
 	})
-}
-
-// checkRun folds a finished run into the metrics and converts failures
-// into errors the status mapper understands.
-func (s *Server) checkRun(ctx context.Context, results []cxl2sim.JobResult) error {
-	s.metrics.observeJobs(results)
-	if n := cxl2sim.CancelledJobCount(results); n > 0 {
-		return fmt.Errorf("cancelled after %d/%d jobs: %w", len(results)-n, len(results), ctx.Err())
-	}
-	return cxl2sim.FirstJobError(results)
-}
-
-func sectionNames(secs []cxl2sim.ExperimentSection) string {
-	names := make([]string, len(secs))
-	for i, sec := range secs {
-		names[i] = sec.Name
-	}
-	sort.Strings(names)
-	return fmt.Sprint(names)
 }
 
 // flattenRows concatenates the per-job row fragments ([]T per job) into
@@ -399,15 +357,8 @@ type measureRequest struct {
 	Config measureConfig `json:"config"`
 }
 
-// The op and placement vocabularies live in the root package (names.go)
-// so the service, the dist workers and the CLI parse the §V names
-// identically — a distributed measure job must build the same job ID on
-// every process.
-var (
-	d2hOps     = cxl2sim.D2HOpNames
-	hostOps    = cxl2sim.HostOpNames
-	placements = cxl2sim.PlacementNames
-)
+// deviceTypes maps the request's device_type names to personalities.
+var deviceTypes = map[string]cxl2sim.DeviceType{"": 0, "type2": 0, "type3": cxl2sim.Type3}
 
 type measureResponse struct {
 	Kind         string  `json:"kind"`
@@ -429,63 +380,28 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	if req.Place == "" {
 		req.Place = "cold"
 	}
-	place, ok := placements[req.Place]
-	if !ok {
-		writeError(w, http.StatusBadRequest, "unknown place %q (cold, LLC-1, HMC-1, DMC-1)", req.Place)
-		return
-	}
-	if req.Reps < 0 || req.Burst < 0 {
-		writeError(w, http.StatusBadRequest, "reps and burst must be >= 0")
-		return
-	}
 	if req.Seed == 0 {
 		req.Seed = cxl2sim.DefaultRootSeed
 	}
-	cfg, err := req.Config.toConfig()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	dt, ok := deviceTypes[req.Config.DeviceType]
+	if !ok {
+		writeError(w, http.StatusBadRequest, "unknown device_type %q (type2, type3)", req.Config.DeviceType)
 		return
 	}
-	spec := cxl2sim.MeasureSpec{Reps: req.Reps, Burst: req.Burst, Place: place}
-	id := fmt.Sprintf("measure/%s/%s", req.Kind, req.Op)
-
-	var job cxl2sim.Job
-	switch req.Kind {
-	case "d2h", "d2d":
-		op, ok := d2hOps[req.Op]
-		if !ok {
-			writeError(w, http.StatusBadRequest, "unknown %s op %q (NC-P, NC-rd, NC-wr, CO-rd, CO-wr, CS-rd)", req.Kind, req.Op)
-			return
-		}
-		if req.Kind == "d2h" {
-			job = cxl2sim.MeasureD2HJob(id, cfg, op, spec)
-		} else {
-			job = cxl2sim.MeasureD2DJob(id, cfg, op, spec)
-		}
-	case "h2d":
-		op, ok := hostOps[req.Op]
-		if !ok {
-			writeError(w, http.StatusBadRequest, "unknown h2d op %q (ld, nt-ld, st, nt-st)", req.Op)
-			return
-		}
-		job = cxl2sim.MeasureH2DJob(id, cfg, op, spec)
-	default:
-		writeError(w, http.StatusBadRequest, "unknown kind %q (d2h, d2d, h2d)", req.Kind)
-		return
-	}
-
-	key := fmt.Sprintf("v1/measure|%s|%s|%s|reps=%d|burst=%d|seed=%d|%s",
-		req.Kind, req.Op, req.Place, req.Reps, req.Burst, req.Seed, cfg.CanonicalKey())
-	dspec := dist.Spec{Kind: "measure", Measure: &dist.MeasureParams{
+	c := req.Config
+	spec := dist.Spec{Kind: "measure", Measure: &dist.MeasureParams{
 		MeasureKind: req.Kind, Op: req.Op, Place: req.Place,
-		Reps: req.Reps, Burst: req.Burst,
-		DeviceType: int(cfg.DeviceType), LLCBytes: cfg.LLCBytes,
-		LLCWays: cfg.LLCWays, Cores: cfg.Cores, SNC: cfg.SNC,
+		Reps: req.Reps, Burst: req.Burst, DeviceType: int(dt),
+		LLCBytes: c.LLCBytes, LLCWays: c.LLCWays, Cores: c.Cores, SNC: c.SNC,
 	}}
+	key, ok := specKey(w, spec, req.Seed, "")
+	if !ok {
+		return
+	}
 	s.runCached(w, r, key, "measure", func(ctx context.Context) (cached, error) {
-		results := s.runJobs(ctx, dspec, []cxl2sim.Job{job}, req.Seed)
-		if err := s.checkRun(ctx, results); err != nil {
-			if results[0].Err != nil && !results[0].Panicked && !results[0].Cancelled {
+		_, results, err := s.run(ctx, spec, req.Seed)
+		if err != nil {
+			if len(results) == 1 && results[0].Err != nil && !results[0].Panicked && !results[0].Cancelled {
 				// A plain job error on this endpoint is a bad measurement
 				// request (e.g. DMC-1 priming on a d2h access), not a
 				// server fault.
@@ -507,21 +423,6 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		}
 		return cached{body: append(body, '\n'), contentType: "application/json"}, nil
 	})
-}
-
-func (c measureConfig) toConfig() (cxl2sim.Config, error) {
-	cfg := cxl2sim.Config{
-		LLCBytes: c.LLCBytes, LLCWays: c.LLCWays, Cores: c.Cores, SNC: c.SNC,
-	}
-	switch c.DeviceType {
-	case "", "type2":
-		// default
-	case "type3":
-		cfg.DeviceType = cxl2sim.Type3
-	default:
-		return cfg, fmt.Errorf("unknown device_type %q (type2, type3)", c.DeviceType)
-	}
-	return cfg, nil
 }
 
 // ---- GET /v1/report --------------------------------------------------
@@ -559,19 +460,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		seed = n
 	}
 
-	key := experiments.ReportKey(reps, full, seed)
-	opts := cxl2sim.ReportOptions{Reps: reps, Full: full}
 	spec := dist.Spec{Kind: "report", Reps: reps, Full: full}
+	key, ok := specKey(w, spec, seed, "")
+	if !ok {
+		return
+	}
 	s.runCached(w, r, key, "report", func(ctx context.Context) (cached, error) {
-		// Enumeration and rendering stay local; only execution is
-		// distributable. The job list a worker re-derives from the spec is
-		// identical to this one, so results merge back by index.
-		results := s.runJobs(ctx, spec, cxl2sim.ReportJobs(opts), seed)
-		if cerr := s.checkRun(ctx, results); cerr != nil {
-			return cached{}, cerr
+		sec, results, err := s.run(ctx, spec, seed)
+		if err != nil {
+			return cached{}, err
 		}
 		var buf bytes.Buffer
-		if err := cxl2sim.RenderReport(&buf, opts, results); err != nil {
+		if err := sec.Render(&buf, results); err != nil {
 			return cached{}, err
 		}
 		return cached{body: buf.Bytes(), contentType: "text/markdown; charset=utf-8"}, nil

@@ -166,18 +166,32 @@ func MustNew(cfg Config) *Server {
 	return s
 }
 
-// runJobs is the execution seam every endpoint goes through: in-process
-// via the runner by default, across the dist worker fleet when a
-// coordinator is configured. Both paths derive per-job seeds from
-// (rootSeed, job ID) and merge results in submission order, so the
-// rendered bytes — and therefore the cache keys — are identical.
-func (s *Server) runJobs(ctx context.Context, spec dist.Spec, jobs []cxl2sim.Job, rootSeed int64) []cxl2sim.JobResult {
-	if s.cfg.Coordinator != nil {
-		return s.cfg.Coordinator.Run(ctx, spec, jobs, cxl2sim.JobOptions{RootSeed: rootSeed, Context: ctx})
+// run is the execution seam every endpoint goes through: it builds the
+// spec and executes its jobs in-process via the runner by default, or
+// across the dist worker fleet when a coordinator is configured. Both
+// paths derive per-job seeds from (rootSeed, job ID) and merge results in
+// submission order, so the rendered bytes — and therefore the cache keys —
+// are identical. A failed or cancelled job surfaces as the error, with the
+// results still returned for classification.
+func (s *Server) run(ctx context.Context, spec dist.Spec, rootSeed int64) (experiments.Section, []cxl2sim.JobResult, error) {
+	sec, err := spec.Build()
+	if err != nil {
+		return sec, nil, err
 	}
-	return cxl2sim.RunJobs(jobs, cxl2sim.JobOptions{
-		Workers: s.cfg.Workers, RootSeed: rootSeed, Context: ctx,
-	})
+	opts := cxl2sim.JobOptions{Workers: s.cfg.Workers, RootSeed: rootSeed, Context: ctx}
+	var results []cxl2sim.JobResult
+	if s.cfg.Coordinator != nil {
+		if results, err = s.cfg.Coordinator.Run(ctx, spec, opts); err != nil {
+			return sec, nil, err
+		}
+	} else {
+		results = cxl2sim.RunJobs(sec.Jobs, opts)
+	}
+	s.metrics.observeJobs(results)
+	if n := cxl2sim.CancelledJobCount(results); n > 0 {
+		return sec, results, fmt.Errorf("cancelled after %d/%d jobs: %w", len(results)-n, len(results), ctx.Err())
+	}
+	return sec, results, cxl2sim.FirstJobError(results)
 }
 
 // cacheSnapshot merges both cache tiers into one stats view.

@@ -15,6 +15,7 @@ import (
 
 	cxl2sim "repro"
 	"repro/internal/dist"
+	"repro/internal/workload"
 )
 
 // testReps keeps runs fast while still exercising the real experiment
@@ -235,6 +236,17 @@ func TestInferSectionTraceReplay(t *testing.T) {
 		{"bad base64", "/v1/sections/infer", `{"trace":"!!!"}`},
 		{"bad trace bytes", "/v1/sections/infer",
 			fmt.Sprintf(`{"trace":%q}`, base64.StdEncoding.EncodeToString([]byte("notatrace")))},
+	}
+	// Traces that decode but that no scenario can replay (replay would
+	// panic inside the job).
+	for name, reqs := range map[string][]workload.Request{
+		"zero prompt":      {{At: 0, Prompt: 0, Decode: 8}},
+		"out of order":     {{At: 900, Prompt: 32, Decode: 8}, {At: 100, Prompt: 32, Decode: 8}},
+		"oversized prompt": {{At: 0, Prompt: 4_000_000_000, Decode: 8}},
+	} {
+		raw := (&workload.Trace{Workload: "infer", Requests: reqs}).Encode()
+		cases = append(cases, struct{ name, url, body string }{name, "/v1/sections/infer",
+			fmt.Sprintf(`{"trace":%q}`, base64.StdEncoding.EncodeToString(raw))})
 	}
 	for _, c := range cases {
 		resp, body := post(t, ts.URL+c.url, c.body)
@@ -664,17 +676,28 @@ func TestCoordinatorModeServesIdenticalBytes(t *testing.T) {
 	}
 
 	_, tsLocal := newTestServer(t, Config{})
-	req := fmt.Sprintf(`{"reps":%d,"seed":9}`, testReps)
-	respD, bD := post(t, ts.URL+"/v1/sections/fig3", req)
-	respL, bL := post(t, tsLocal.URL+"/v1/sections/fig3", req)
-	if respD.StatusCode != http.StatusOK || respL.StatusCode != http.StatusOK {
-		t.Fatalf("statuses %d/%d", respD.StatusCode, respL.StatusCode)
-	}
-	if !bytes.Equal(bD, bL) {
-		t.Fatal("coordinator-mode bytes differ from standalone")
-	}
-	if m := coord.Snapshot(); m.RemoteJobs == 0 {
-		t.Fatalf("no jobs ran remotely: %+v", m)
+	tr := cxl2sim.RecordInferTrace(9, cxl2sim.InferConfig{Reps: testReps})
+	for _, c := range []struct{ name, path, body string }{
+		{"section", "/v1/sections/fig3", fmt.Sprintf(`{"reps":%d,"seed":9}`, testReps)},
+		{"measure", "/v1/measure", `{"kind":"d2d","op":"CO-wr","place":"DMC-1","reps":50,"burst":8,"seed":9}`},
+		{"trace replay", "/v1/sections/infer", fmt.Sprintf(`{"reps":%d,"seed":9,"trace":%q}`,
+			testReps, base64.StdEncoding.EncodeToString(tr.Encode()))},
+	} {
+		before := coord.Snapshot().RemoteJobs
+		respD, bD := post(t, ts.URL+c.path, c.body)
+		respL, bL := post(t, tsLocal.URL+c.path, c.body)
+		if respD.StatusCode != http.StatusOK || respL.StatusCode != http.StatusOK {
+			t.Fatalf("%s: statuses %d/%d: %s", c.name, respD.StatusCode, respL.StatusCode, bD)
+		}
+		if !bytes.Equal(bD, bL) {
+			t.Fatalf("%s: coordinator-mode bytes differ from standalone:\n%s\n----\n%s", c.name, bD, bL)
+		}
+		if k := respD.Header.Get("X-Cache-Key"); k != respL.Header.Get("X-Cache-Key") {
+			t.Fatalf("%s: cache keys differ across modes", c.name)
+		}
+		if m := coord.Snapshot(); m.RemoteJobs == before {
+			t.Fatalf("%s: no jobs ran remotely: %+v", c.name, m)
+		}
 	}
 
 	// The fleet listing answers on the service mux, and /metrics carries

@@ -1,7 +1,6 @@
 // Package store is the durable half of the serving layer's result cache:
 // a content-addressed on-disk store keyed by the same canonical request
-// keys (experiments.SectionKey / ReportKey / the measure key) that key the
-// in-memory LRU. The runner's determinism guarantee — byte-identical
+// keys (dist.Spec.Key) that key the in-memory LRU. The runner's determinism guarantee — byte-identical
 // rendered output per (config, seed) — is what makes a durable cache
 // sound: a stored body never goes stale, so the only reasons to drop an
 // entry are capacity and corruption.

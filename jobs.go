@@ -69,13 +69,15 @@ type ExperimentSection = experiments.Section
 // ExperimentSections returns the cxlbench sections (see
 // ExperimentSectionNames for the registry) in presentation order. reps
 // tunes the repetition count (0 keeps the paper's defaults).
-func ExperimentSections(reps int) []ExperimentSection { return experiments.Sections(reps) }
+func ExperimentSections(reps int) []ExperimentSection {
+	return experiments.Sections(experiments.SectionOptions{Reps: reps})
+}
 
 // ExperimentSectionsSharded is ExperimentSections with sharded PDES
 // execution of the cluster section capped at shards workers per
 // simulation (0 or 1 runs inline; output is byte-identical either way).
 func ExperimentSectionsSharded(reps, shards int) []ExperimentSection {
-	return experiments.SectionsCfg(reps, experiments.SuiteConfig{ClusterShards: shards})
+	return experiments.Sections(experiments.SectionOptions{Reps: reps, ClusterShards: shards})
 }
 
 // ExperimentSectionNames lists the registered section names in
@@ -83,7 +85,7 @@ func ExperimentSectionsSharded(reps, shards int) []ExperimentSection {
 // so command help can never drift from the registry.
 func ExperimentSectionNames() []string { return experiments.SectionNames() }
 
-// ExperimentSectionByName locates a section.
+// ExperimentSectionByName locates a section among built ones.
 func ExperimentSectionByName(secs []ExperimentSection, name string) (ExperimentSection, bool) {
 	return experiments.SectionByName(secs, name)
 }
@@ -97,7 +99,7 @@ func RunExperimentSections(w io.Writer, secs []ExperimentSection, opts JobOption
 
 // CollectFig6Rows concatenates fig6 job results into rows (for the CSV
 // exporter).
-func CollectFig6Rows(results []JobResult) []Fig6Row { return experiments.Fig6Collect(results) }
+func CollectFig6Rows(results []JobResult) []Fig6Row { return experiments.Rows[Fig6Row](results) }
 
 // MeasureD2HJob wraps System.MeasureD2H as a self-contained job: each run
 // builds a fresh System from cfg, so the job is safe to execute on any

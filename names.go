@@ -1,10 +1,9 @@
 package cxl2sim
 
-// Canonical name tables for the §V microbenchmark vocabulary. The HTTP
-// service (internal/service) and the distributed worker (internal/dist)
-// both parse measurement requests into jobs; sharing one table guarantees
-// the two sides can never drift — a request the coordinator accepted is,
-// by construction, one every worker can rebuild.
+// Canonical name tables for the §V microbenchmark vocabulary, which
+// dist.Spec parses measurement requests with on every process: a request
+// the coordinator accepted is, by construction, one every worker can
+// rebuild.
 
 // D2HOpNames maps the paper's D2H/D2D access names to request hints.
 var D2HOpNames = map[string]D2HReq{

@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	cxl2sim "repro"
+	"repro/internal/dist"
+	"repro/internal/experiments"
+	"repro/internal/workload"
 )
 
 // Record-and-replay tests pin the workload trace contract at the module
@@ -56,12 +59,12 @@ func TestInferTraceReplayMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run TestInferTraceGolden with -update to create it)", err)
 	}
-	tr, err := cxl2sim.DecodeWorkloadTrace(data)
+	tr, err := workload.DecodeTrace(data)
 	if err != nil {
 		t.Fatalf("checked-in trace does not decode: %v", err)
 	}
-	live := cxl2sim.RunInfer(cxl2sim.InferConfig{Seed: 42})
-	replay := cxl2sim.RunInfer(cxl2sim.InferConfig{Seed: 42, Trace: tr})
+	live := runRows[experiments.InferRow](experiments.InferJobs(experiments.InferConfig{Seed: 42}))
+	replay := runRows[experiments.InferRow](experiments.InferJobs(experiments.InferConfig{Seed: 42, Trace: tr}))
 	if !reflect.DeepEqual(live, replay) {
 		t.Fatalf("replayed rows diverged from live generation:\n live   %+v\n replay %+v", live, replay)
 	}
@@ -89,7 +92,10 @@ func TestInferTraceReplaySerialParallel(t *testing.T) {
 	live := render(liveSec, 1)
 
 	tr := cxl2sim.RecordInferTrace(0, cxl2sim.InferConfig{Reps: reps})
-	replaySec := cxl2sim.InferSectionTrace(reps, tr)
+	replaySec, err := dist.Spec{Kind: "section", Section: "infer", Reps: reps, Trace: tr.Encode()}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := render(replaySec, 1); got != live {
 		t.Errorf("serial trace replay diverged from live section:\n live:\n%s\n replay:\n%s", live, got)
 	}

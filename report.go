@@ -32,18 +32,6 @@ type ReportOptions struct {
 	Context context.Context
 }
 
-// WriteReport writes the paper-vs-measured comparison as a markdown table:
-// it runs every microbenchmark experiment (and, when full is set, the
-// Fig. 8 co-simulations), computes the paper's headline ratios from the
-// fresh measurements, and prints them next to the published numbers. reps
-// is the repetition count per microbenchmark measurement; `report -full`
-// produces the data behind EXPERIMENTS.md. It is the serial form of
-// WriteReportOpts.
-func WriteReport(w io.Writer, reps int, full bool) error {
-	_, err := WriteReportOpts(w, ReportOptions{Reps: reps, Full: full, Workers: 1})
-	return err
-}
-
 // reportGroup is one named slice of the report's job list. The
 // enumeration is a pure function of the options, so any process holding
 // the same binary derives the identical list — the property the
@@ -104,37 +92,30 @@ func RenderReport(w io.Writer, o ReportOptions, results []runner.Result) error {
 	r.printf("| experiment | relation | paper | measured |\n")
 	r.printf("|---|---|---|---|\n")
 
-	r.fig3(collect[experiments.Fig3Row](by["fig3"]))
-	r.fig4(collect[experiments.Fig4Row](by["fig4"]))
-	r.fig5(collect[experiments.Fig5Row](by["fig5"]))
-	r.fig6(collect[experiments.Fig6Row](by["fig6"]))
-	r.table4(collect[experiments.Table4Row](by["table4"]))
+	r.fig3(experiments.Rows[experiments.Fig3Row](by["fig3"]))
+	r.fig4(experiments.Rows[experiments.Fig4Row](by["fig4"]))
+	r.fig5(experiments.Rows[experiments.Fig5Row](by["fig5"]))
+	r.fig6(experiments.Rows[experiments.Fig6Row](by["fig6"]))
+	r.table4(experiments.Rows[experiments.Table4Row](by["table4"]))
 	if o.Full {
 		r.fig8(experiments.Fig8Collect(by["fig8zswap"]), experiments.Fig8Collect(by["fig8ksm"]))
 	}
 	return r.err
 }
 
-// WriteReportOpts runs the report's experiments as self-contained jobs on
-// one shared worker pool and renders the comparison table. It returns the
-// per-job results for stats reporting (wall clock, event rate). Rendering
-// happens after all jobs complete, in job order, so output bytes do not
-// depend on the worker count.
+// WriteReportOpts writes the paper-vs-measured comparison as a markdown
+// table: it runs every microbenchmark experiment (and, with Full, the
+// Fig. 8 co-simulations) as self-contained jobs on one shared worker pool,
+// computes the paper's headline ratios from the fresh measurements, and
+// prints them next to the published numbers; `report -full` produces the
+// data behind EXPERIMENTS.md. It returns the per-job results for stats
+// reporting (wall clock, event rate). Rendering happens after all jobs
+// complete, in job order, so output bytes do not depend on the worker
+// count.
 func WriteReportOpts(w io.Writer, o ReportOptions) ([]runner.Result, error) {
 	results := runner.Run(ReportJobs(o),
 		runner.Options{Workers: o.Workers, RootSeed: o.RootSeed, Context: o.Context})
 	return results, RenderReport(w, o, results)
-}
-
-// collect concatenates the per-job []T fragments in job order.
-func collect[T any](results []runner.Result) []T {
-	var rows []T
-	for _, res := range results {
-		if frag, ok := res.Value.([]T); ok {
-			rows = append(rows, frag...)
-		}
-	}
-	return rows
 }
 
 // reporter accumulates the first write error so the report functions can
