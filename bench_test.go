@@ -111,6 +111,19 @@ func BenchmarkClusterSharded(b *testing.B) {
 	b.ReportMetric(float64(m.SwitchWaited().Microseconds()), "sw-wait-us")
 }
 
+// BenchmarkWorkload runs the workload section at cxlbench's -reps 1000
+// scale on one worker: three recorded arrival streams, the trace replay
+// round trip and 8192 cohort-shaped draws, so the perf gate covers the
+// traffic library as the suite exercises it.
+func BenchmarkWorkload(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		rows := runRows[experiments.WorkloadRow](experiments.WorkloadJobs(experiments.WorkloadConfig{Reps: 1000}))
+		if len(rows) != 7 {
+			b.Fatalf("workload section has %d rows, want 7", len(rows))
+		}
+	}
+}
+
 func BenchmarkFig4(b *testing.B) {
 	var rows []experiments.Fig4Row
 	for i := 0; i < b.N; i++ {

@@ -149,14 +149,12 @@ func cohortRows(mix *workload.Mix, seed int64, n int) []WorkloadRow {
 		prompt, decode int
 	}
 	accs := make([]acc, mix.Len())
+	shapes := workload.NewShapes(mix, workload.Cohort{})
 	for i := 0; i < n; i++ {
-		c := mix.Pick(r)
-		co := mix.Cohort(c)
-		pz := workload.NewZipf(uint64(co.PromptMax-co.PromptMin+1), 0.99)
-		dz := workload.NewZipf(uint64(co.DecodeMax-co.DecodeMin+1), 0.99)
+		c, prompt, decode := shapes.Sample(r)
 		accs[c].count++
-		accs[c].prompt += co.PromptMin + int(pz.Next(r)%pz.N())
-		accs[c].decode += co.DecodeMin + int(dz.Next(r)%dz.N())
+		accs[c].prompt += prompt
+		accs[c].decode += decode
 	}
 	rows := make([]WorkloadRow, mix.Len())
 	for i := range rows {

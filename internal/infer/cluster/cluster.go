@@ -427,8 +427,8 @@ func (c *Cluster) genRequests() []*creq {
 	arrRng := rng.Derive(cfg.Seed, "cluster/arrivals")
 	shapeRng := rng.Derive(cfg.Seed, "cluster/shape")
 	sessRng := rng.Derive(cfg.Seed, "cluster/session")
-	pZipf := workload.NewZipf(uint64(cfg.PromptMax-cfg.PromptMin+1), 0.99)
-	dZipf := workload.NewZipf(uint64(cfg.DecodeMax-cfg.DecodeMin+1), 0.99)
+	shapes := workload.NewShapes(nil, workload.Cohort{PromptMin: cfg.PromptMin, PromptMax: cfg.PromptMax,
+		DecodeMin: cfg.DecodeMin, DecodeMax: cfg.DecodeMax})
 	sZipf := workload.NewZipf(uint64(cfg.Sessions), 0.99)
 	arrivals := workload.Poisson{RatePerSec: cfg.RatePerSec}
 	capacity := cfg.LocalBlocks + cfg.SharedBlocks*cfg.Expanders
@@ -440,9 +440,8 @@ func (c *Cluster) genRequests() []*creq {
 			id:      i,
 			arrival: now,
 			session: uint32(sZipf.Next(sessRng) % uint64(cfg.Sessions)),
-			prompt:  cfg.PromptMin + int(pZipf.Next(shapeRng)%uint64(pZipf.N())),
-			decode:  cfg.DecodeMin + int(dZipf.Next(shapeRng)%uint64(dZipf.N())),
 		}
+		_, r.prompt, r.decode = shapes.Sample(shapeRng)
 		if w := c.blocksFor(r.prompt + r.decode); w > capacity {
 			panic(fmt.Sprintf("cluster: request needs %d KV blocks, pools hold %d", w, capacity))
 		}

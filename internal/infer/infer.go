@@ -27,7 +27,6 @@ package infer
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cxl"
 	"repro/internal/device"
@@ -310,59 +309,16 @@ func (s *Sim) genRequests() []*request {
 	if arrivals == nil {
 		arrivals = workload.Poisson{RatePerSec: cfg.RatePerSec}
 	}
-	shape := newShapeSampler(cfg)
+	shapes := workload.NewShapes(cfg.Cohorts, workload.Cohort{PromptMin: cfg.PromptMin, PromptMax: cfg.PromptMax,
+		DecodeMin: cfg.DecodeMin, DecodeMax: cfg.DecodeMax})
 	reqs := make([]*request, cfg.Requests)
 	now := sim.Time(0)
 	for i := range reqs {
 		now += arrivals.GapAt(arrRng, now)
-		cohort, prompt, decode := shape.sample(shapeRng)
-		reqs[i] = &request{arrival: now, cohort: cohort, prompt: prompt, decode: decode}
+		cohort, prompt, decode := shapes.Sample(shapeRng)
+		reqs[i] = &request{arrival: now, cohort: uint8(cohort), prompt: prompt, decode: decode}
 	}
 	return reqs
-}
-
-// shapeSampler draws request shapes: one zipf pair over the global bounds
-// (the legacy single-population stream, preserved draw for draw), or one
-// pair per cohort with the cohort picked first.
-type shapeSampler struct {
-	mix     *workload.Mix
-	cohorts []cohortShape
-}
-
-type cohortShape struct {
-	pZipf, dZipf         *workload.Zipf
-	promptMin, decodeMin int
-}
-
-func newShapeSampler(cfg Config) *shapeSampler {
-	s := &shapeSampler{mix: cfg.Cohorts}
-	mk := func(pMin, pMax, dMin, dMax int) cohortShape {
-		return cohortShape{
-			pZipf:     workload.NewZipf(uint64(pMax-pMin+1), 0.99),
-			dZipf:     workload.NewZipf(uint64(dMax-dMin+1), 0.99),
-			promptMin: pMin, decodeMin: dMin,
-		}
-	}
-	if s.mix == nil {
-		s.cohorts = []cohortShape{mk(cfg.PromptMin, cfg.PromptMax, cfg.DecodeMin, cfg.DecodeMax)}
-		return s
-	}
-	for i := 0; i < s.mix.Len(); i++ {
-		c := s.mix.Cohort(i)
-		s.cohorts = append(s.cohorts, mk(c.PromptMin, c.PromptMax, c.DecodeMin, c.DecodeMax))
-	}
-	return s
-}
-
-func (s *shapeSampler) sample(rng2 *rand.Rand) (cohort uint8, prompt, decode int) {
-	i := 0
-	if s.mix != nil {
-		i = s.mix.Pick(rng2)
-	}
-	c := s.cohorts[i]
-	prompt = c.promptMin + int(c.pZipf.Next(rng2)%uint64(c.pZipf.N()))
-	decode = c.decodeMin + int(c.dZipf.Next(rng2)%uint64(c.dZipf.N()))
-	return uint8(i), prompt, decode
 }
 
 // CheckTrace reports whether Run(cfg) can replay t: arrivals in order

@@ -108,8 +108,10 @@ type Credits struct {
 	// old operation is still in flight at any earlier instant.
 	// InFlightAt needs those times to answer "how deep is the queue at
 	// now" exactly; the plain InFlight (ring length) cannot see them.
-	// Kept sorted; pruned against Acquire's start like the ring itself.
+	// Kept sorted; earlyRetired[retiredHead:] is live, and pruning compacts
+	// the dead prefix only once it dominates (O(1) amortized, like the ring).
 	earlyRetired []Time
+	retiredHead  int
 }
 
 // NewCredits returns a pool with the given capacity (> 0).
@@ -155,7 +157,7 @@ func (c *Credits) InFlightAt(now Time) int {
 		}
 	}
 	n := len(q) - lo
-	for i := len(c.earlyRetired) - 1; i >= 0 && c.earlyRetired[i] > now; i-- {
+	for i := len(c.earlyRetired) - 1; i >= c.retiredHead && c.earlyRetired[i] > now; i-- {
 		n++
 	}
 	return n
@@ -212,7 +214,7 @@ func (c *Credits) recordEarlyRetire(t Time) {
 		c.earlyRetired = append(q, t)
 		return
 	}
-	lo, hi := 0, n
+	lo, hi := c.retiredHead, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if q[mid] <= t {
@@ -229,15 +231,15 @@ func (c *Credits) recordEarlyRetire(t Time) {
 
 // pruneEarlyRetired drops early-retired completions at or before now.
 func (c *Credits) pruneEarlyRetired(now Time) {
-	q := c.earlyRetired
-	i := 0
+	q, i := c.earlyRetired, c.retiredHead
 	for i < len(q) && q[i] <= now {
 		i++
 	}
-	if i > 0 {
+	if 2*i >= len(q) {
 		n := copy(q, q[i:])
-		c.earlyRetired = q[:n]
+		q, i = q[:n], 0
 	}
+	c.earlyRetired, c.retiredHead = q, i
 }
 
 // Complete records that the operation admitted by a prior Acquire finishes at
@@ -327,4 +329,5 @@ func (c *Credits) Reset() {
 	c.outstanding = c.outstanding[:0]
 	c.head = 0
 	c.earlyRetired = c.earlyRetired[:0]
+	c.retiredHead = 0
 }

@@ -195,3 +195,27 @@ func TestCreditsPipelineEarlyRetire(t *testing.T) {
 		t.Fatalf("InFlightAt(350) = %d, want 0", got)
 	}
 }
+
+// TestCreditsInFlightAtOverloaded drives an overloaded pool (issue faster
+// than service, so grants run ever further ahead of now and the
+// early-retired list keeps growing and compacting) and checks InFlightAt
+// at each request time against a count over every completion so far.
+func TestCreditsInFlightAtOverloaded(t *testing.T) {
+	c := NewCredits("test", 4)
+	var done []Time
+	for i := 0; i < 2000; i++ {
+		now := Time(i)
+		end := c.Acquire(now) + 100
+		c.Complete(end)
+		done = append(done, end)
+		want := 0
+		for _, d := range done {
+			if d > now {
+				want++
+			}
+		}
+		if got := c.InFlightAt(now); got != want {
+			t.Fatalf("op %d: InFlightAt(%v) = %d, want %d", i, now, got, want)
+		}
+	}
+}

@@ -10,7 +10,7 @@ import (
 // decodes), RAG pipelines (huge prompts, short answers), batch scoring —
 // and distinct key skew. A Mix assigns each request to a cohort by weight;
 // the per-cohort shape and skew parameters then drive the workload's
-// generators (internal/infer builds one zipf pair per cohort).
+// generators (Shapes holds one zipf pair per cohort).
 
 // Cohort describes one client population's traffic shape.
 type Cohort struct {
@@ -101,4 +101,43 @@ func (m *Mix) Pick(rng *rand.Rand) int {
 		}
 	}
 	return len(m.cum) - 1
+}
+
+// Shapes draws request shapes: the cohort (picked from a Mix, or always 0
+// without one), then zipf-skewed prompt and decode lengths in tokens within
+// that cohort's bounds. Every Zipf is built once, so a draw allocates
+// nothing and pays no zeta sum.
+type Shapes struct {
+	mix   *Mix
+	zipfs []shapeZipfs
+}
+
+type shapeZipfs struct {
+	c              Cohort
+	prompt, decode *Zipf
+}
+
+// NewShapes builds the sampler for mix or, when mix is nil, for the token
+// bounds of def alone.
+func NewShapes(mix *Mix, def Cohort) *Shapes {
+	s := &Shapes{mix: mix}
+	cohorts := []Cohort{def}
+	if mix != nil {
+		cohorts = mix.cohorts
+	}
+	for _, c := range cohorts {
+		s.zipfs = append(s.zipfs, shapeZipfs{c, NewZipf(uint64(c.PromptMax-c.PromptMin+1), 0.99),
+			NewZipf(uint64(c.DecodeMax-c.DecodeMin+1), 0.99)})
+	}
+	return s
+}
+
+// Sample draws one shape, consuming one Float64 for the cohort (only with
+// a Mix), then one for the prompt and one for the decode length.
+func (s *Shapes) Sample(rng *rand.Rand) (cohort, prompt, decode int) {
+	if s.mix != nil {
+		cohort = s.mix.Pick(rng)
+	}
+	z := &s.zipfs[cohort]
+	return cohort, z.c.PromptMin + int(z.prompt.Next(rng)), z.c.DecodeMin + int(z.decode.Next(rng))
 }

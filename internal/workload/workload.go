@@ -52,8 +52,8 @@ func NewZipf(n uint64, theta float64) *Zipf {
 }
 
 func zetaStatic(n uint64, theta float64) float64 {
-	// Cap the sum for very large n: the tail contributes negligibly and the
-	// generators here use n <= a few million.
+	// Exact O(n) sum, one math.Pow per rank with no cap: callers build a
+	// Zipf once and reuse it rather than constructing one per draw.
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)
