@@ -161,18 +161,18 @@ type Fabric struct {
 type Option func(*buildOptions)
 
 type buildOptions struct {
-	shardWorkers int
+	sharded bool
 }
 
-// Shards enables sharded conservative-PDES execution with up to n worker
-// goroutines (n <= 0 is treated as 1; execution is inline on the calling
-// goroutine at 1). The topology is partitioned structurally — every host
-// becomes its own shard, the switch fabric and expanders form the hub
-// shard, and zero-latency links force co-residency — and ShardSet
-// exposes the per-shard engines and deterministic cross-shard messaging.
-// Whatever n, a run renders byte-identical output (see ShardSet).
+// Shards partitions the fabric for sharded conservative-PDES execution
+// when n > 0: every host becomes its own shard, the switch fabric and
+// expanders form the hub shard, and zero-latency links force
+// co-residency. ShardSet exposes the per-shard engines and
+// deterministic cross-shard messaging; the worker count is
+// ShardSet.Run's argument, and whatever it is, a run renders
+// byte-identical output (see ShardSet).
 func Shards(n int) Option {
-	return func(o *buildOptions) { o.shardWorkers = n }
+	return func(o *buildOptions) { o.sharded = n > 0 }
 }
 
 // Build validates topo and compiles it into a Fabric under the timing
@@ -273,8 +273,8 @@ func Build(topo Topology, p *timing.Params, opts ...Option) (*Fabric, error) {
 			}
 		}
 	}
-	if bo.shardWorkers > 0 {
-		ss, err := newShardSet(f, bo.shardWorkers)
+	if bo.sharded {
+		ss, err := newShardSet(f)
 		if err != nil {
 			return nil, err
 		}

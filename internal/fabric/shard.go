@@ -2,9 +2,7 @@ package fabric
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -23,55 +21,45 @@ import (
 // normalization makes that unexpressible, Build rejects the case
 // outright rather than silently merging.
 //
+// # Schedule
+//
+// One barrier-synchronous loop runs at every worker count:
+//
+//  1. every shard drains its inboxes into its engine and records
+//     N_r, its next pending event time;
+//  2. shard r gets the bound
+//     W_r = min( min_{j≠r}( N_j + dist(j,r) ),  N_r + rt_r )
+//     and the loop ends when no shard has N_r < W_r;
+//  3. every busy shard (N_r < W_r) runs its events strictly before W_r;
+//  4. barrier, then repeat.
+//
+// dist is the all-pairs shortest-path metric over link one-way
+// latencies, and rt_r = min_k(dist(r,k)+dist(k,r)) is shard r's
+// cheapest round trip.
+//
 // # Safety
 //
-// Shard r may execute events strictly before
-//
-//	W_r = min( min_{j≠r}( eff_j + dist(j,r) ),  mp_r,  N_r + rt_r )
-//
-// where eff_j = min(N_j, mp_j): N_j is shard j's published activation
-// (next pending event time) and mp_j the minimum delivery time over
-// unprocessed messages sitting in j's mailboxes — a peer's pending
-// input bounds what it can still emit exactly like its pending events
-// do. dist is the all-pairs shortest-path metric over link one-way
-// latencies; mp_r (distance zero) keeps r from outrunning its own
-// inbound mail; and rt_r = min_k(dist(r,k)+dist(k,r)) bounds echoes of
-// the sends r itself is about to make this window, which no mailbox or
-// activation can reflect yet.
-//
-// Every future message into r is the tail of a causal chain, and at any
-// wall-clock instant the chain's earliest unprocessed stage is visible
-// somewhere: still unemitted inside a sender mid-window (whose
-// published N is its pre-window value — Send's emission times can't
-// precede it), queued in a mailbox (mp), or drained into an engine
-// (drain lowers the published N before clearing mp, so the protection
-// never gaps). Each hop to r adds at least dist of slack. The reads,
-// though, are many: a chain that completes several hops while windowFor
-// is between two of them can slip past every read (a peer drains,
-// forwards and re-publishes after its mailbox and activation were read;
-// the next hop lands in a mailbox read earlier). So the only operations
-// that raise a bound — a drain clearing mp, a publish raising N — first
-// bump ShardSet.raises, and a window computation is kept only if the
-// counter did not move across its reads (else it is retried). A kept
-// read set can overlap at most one raise per shard, one already counted
-// when the reads began: a drain whose lowered N was then already
-// published, or a publish whose window's sends were then already queued
-// — either way the chain stays visible — and any further raise would
-// have moved the counter. Sends and lowerings never bump (they only add
-// protection). The strict `<` bound (sim.RunWindow) covers exact
-// equality.
+// Mail moves only at the barrier, so a causal chain crosses at most one
+// shard boundary per window, and at every barrier each chain's earliest
+// unprocessed stage is an event in some engine j at or after N_j. A
+// chain from j reaches r no earlier than N_j + dist(j,r); one that
+// leaves r and comes back — an echo of r's own sends — no earlier than
+// N_r + rt_r. Every future delivery into r is therefore at or after
+// W_r, which r's window never reaches. The shard with the smallest N is
+// always busy (dist and rt are positive), so the loop ends exactly when
+// every engine is empty.
 //
 // # Determinism
 //
-// Window placement depends on scheduling, so the same events can be
-// delivered into a shard's engine at different wall-clock moments on
-// different runs. Dispatch order still cannot vary: every event carries
-// a (when, srcShard<<SourceShift|srcSeq) key — locals tagged by their
-// own engine (sim.SetSourceID), messages tagged by the sender at send
-// time (Shard.Send) — and the engine heap dispatches in key order. Any
-// safe window schedule therefore dispatches each engine's events in one
-// fixed sequence, making a sharded run byte-identical to the inline
-// single-goroutine run, whatever the worker count.
+// The windows are a function of the engines' contents alone, so every
+// worker count runs the same window sequence; workers change only which
+// goroutine runs a busy shard, and shards share nothing inside a
+// window. Dispatch order within an engine is fixed by the event key
+// (when, srcShard<<SourceShift|srcSeq) — locals tagged by their own
+// engine (sim.SetSourceID), messages tagged by the sender at send time
+// (Shard.Send) — so any safe schedule dispatches each engine's events
+// in one fixed sequence, and a sharded run is byte-identical to the
+// inline single-goroutine run whatever the worker count.
 
 // shardMsg is one cross-shard event in flight.
 type shardMsg struct {
@@ -81,22 +69,6 @@ type shardMsg struct {
 	arg  any
 }
 
-// mailbox is a single-producer single-consumer queue from one source
-// shard into one destination shard. hasMail lets the receiver skip the
-// lock on the (overwhelmingly common) empty poll; spare recycles the
-// drained backing array so steady-state messaging does not allocate.
-type mailbox struct {
-	hasMail atomic.Bool
-	// minPending is the earliest delivery time among queued messages
-	// (Forever when empty): the channel clock peers fold into their
-	// window bound so in-flight mail is never outrun. Updated under mu,
-	// read lock-free by windowFor.
-	minPending atomic.Int64
-	mu         sync.Mutex
-	q          []shardMsg
-	spare      []shardMsg
-}
-
 // Shard is one partition of the fabric simulation: a private engine, the
 // nodes that live on it, and inboxes from every peer shard.
 type Shard struct {
@@ -104,23 +76,18 @@ type Shard struct {
 	id    int
 	eng   *sim.Engine
 	nodes []string
-	inbox []mailbox // indexed by source shard; inbox[id] unused
+	// inbox[src] is the mail shard src sent during the current window.
+	// Only src appends to it inside a window and only this shard drains
+	// it between windows; the barrier orders the two.
+	inbox [][]shardMsg
 	// out is the per-sender message sequence, the srcSeq half of the
 	// deterministic merge key. It advances only inside this shard's own
 	// event processing, so it is as deterministic as the event order.
 	out uint64
-	// nextAt is the shard's published activation time N (int64 of
-	// sim.Time): the earliest instant it could dispatch an event absent
-	// new messages. Peers fold it into their window bound.
-	nextAt atomic.Int64
-	// idle mirrors "engine drained" for termination detection. drain
-	// clears it before acknowledging a delivery (inflight decrement), so
-	// a scanner that reads inflight==0 cannot also read a stale idle=true
-	// for a shard that just received work.
-	idle atomic.Bool
-	// preAct is windowFor's per-shard scratch for the first activation
-	// read pass (only this shard's worker touches it).
-	preAct []sim.Time
+	// next (N) and until (W) are this window's activation and bound.
+	next, until sim.Time
+	// fail is a panic runCaught kept for the caller to re-raise.
+	fail any
 }
 
 // ID returns the shard's index within its ShardSet.
@@ -148,126 +115,47 @@ func (s *Shard) Send(dst int, when sim.Time, fn func(any), arg any) {
 		s.eng.AtCall(when, fn, arg)
 		return
 	}
-	set := s.set
-	deliver := satAdd(when, set.dist[s.id][dst])
 	s.out++
-	m := shardMsg{when: deliver, key: uint64(s.id)<<sim.SourceShift | s.out, fn: fn, arg: arg}
-	set.inflight.Add(1)
-	b := &set.shards[dst].inbox[s.id]
-	b.mu.Lock()
-	b.q = append(b.q, m)
-	if int64(deliver) < b.minPending.Load() {
-		b.minPending.Store(int64(deliver))
-	}
-	b.mu.Unlock()
-	b.hasMail.Store(true)
+	m := shardMsg{when: satAdd(when, s.set.dist[s.id][dst]), key: uint64(s.id)<<sim.SourceShift | s.out, fn: fn, arg: arg}
+	in := s.set.shards[dst].inbox
+	in[s.id] = append(in[s.id], m)
 }
 
 // Dist returns the minimum cross-shard latency from src to dst — the
 // message delivery distance Send applies.
 func (ss *ShardSet) Dist(src, dst int) sim.Time { return ss.dist[src][dst] }
 
-// drain moves every queued inbound message into the engine, keyed so the
-// heap merges it deterministically. Reports whether anything arrived.
-func (s *Shard) drain() bool {
-	any := false
-	for i := range s.inbox {
-		b := &s.inbox[i]
-		// Load before Store: the empty poll is the common case by far and
-		// a read keeps the cache line shared instead of bouncing it.
-		if !b.hasMail.Load() {
-			continue
-		}
-		b.hasMail.Store(false)
-		b.mu.Lock()
-		msgs := b.q
-		b.q = b.spare[:0]
-		if len(msgs) == 0 {
-			b.mu.Unlock()
-			b.spare = msgs
-			continue
-		}
-		lo := sim.Forever
-		for _, m := range msgs {
+// drain moves the last window's mail into the engine, keyed so the heap
+// merges it deterministically, and keeps the inboxes' backing arrays so
+// steady-state messaging does not allocate.
+func (s *Shard) drain() {
+	for src, msgs := range s.inbox {
+		for i, m := range msgs {
 			s.eng.AtCallTagged(m.when, m.key, m.fn, m.arg)
-			if m.when < lo {
-				lo = m.when
-			}
+			msgs[i] = shardMsg{} // drop fn/arg references
 		}
-		// Hand the messages' window protection from the mailbox to the
-		// published activation before clearing the channel clock: a peer
-		// that misses minPending then reads nextAt after it, and one of
-		// the two always carries the bound.
-		if cur := s.nextAt.Load(); int64(lo) < cur {
-			s.nextAt.Store(int64(lo))
-		}
-		s.set.raises.Add(1)
-		b.minPending.Store(int64(sim.Forever))
-		b.mu.Unlock()
-		any = true
-		// Order matters for termination detection: mark the shard busy
-		// before the messages stop counting as in flight.
-		s.idle.Store(false)
-		s.set.inflight.Add(-int64(len(msgs)))
-		for j := range msgs {
-			msgs[j] = shardMsg{} // drop fn/arg references
-		}
-		b.spare = msgs[:0]
+		s.inbox[src] = msgs[:0]
 	}
-	return any
 }
 
-// step runs one scheduling round: drain inbound messages, execute the
-// window the peers' published activations allow, publish our own.
-// Reports whether any work was done.
-func (s *Shard) step() bool {
-	progressed := s.drain()
-	next := s.eng.NextEventAt()
-	if next < sim.Forever {
-		if w := s.set.stableWindow(s.id, next); next < w {
-			s.eng.RunWindow(w)
-			progressed = true
-			next = s.eng.NextEventAt()
-		}
-	}
-	if next == sim.Forever {
-		s.idle.Store(true)
-	}
-	// Publish after any sends from the window above are enqueued: a peer
-	// that reads the new activation must be able to see the messages it
-	// promises (both stores are sequentially consistent atomics). A rise
-	// is counted first (see Safety).
-	if int64(next) > s.nextAt.Load() {
-		s.set.raises.Add(1)
-	}
-	s.nextAt.Store(int64(next))
-	return progressed
+// runCaught runs the shard's window for the pool, keeping a panic for
+// the caller to re-raise after the barrier.
+func (s *Shard) runCaught() {
+	defer func() { s.fail = recover() }()
+	s.eng.RunWindow(s.until)
 }
 
 // ShardSet is the sharded execution of one fabric simulation.
 type ShardSet struct {
-	f       *Fabric
-	workers int
-	shards  []*Shard
-	byNode  map[string]int
-	dist    [][]sim.Time
-	rt      []sim.Time // cheapest self round trip per shard
-	// raises counts bound rises (drain's mp clear, a raising publish) so
-	// concurrent window computations can detect them (see Safety).
-	raises atomic.Uint64
-
-	inflight atomic.Int64
-	done     atomic.Bool
-	failMu   sync.Mutex
-	failVal  any
-	failed   bool
+	shards []*Shard
+	byNode map[string]int
+	dist   [][]sim.Time
+	rt     []sim.Time // cheapest self round trip per shard
+	ran    bool
 }
 
 // NumShards reports the shard count of the partition.
 func (ss *ShardSet) NumShards() int { return len(ss.shards) }
-
-// Workers reports the worker-goroutine budget given to Shards().
-func (ss *ShardSet) Workers() int { return ss.workers }
 
 // Shard returns shard i.
 func (ss *ShardSet) Shard(i int) *Shard { return ss.shards[i] }
@@ -282,8 +170,8 @@ func (ss *ShardSet) NodeShard(id string) int {
 }
 
 // newShardSet partitions the compiled fabric.
-func newShardSet(f *Fabric, workers int) (*ShardSet, error) {
-	ss := &ShardSet{f: f, workers: workers, byNode: map[string]int{}}
+func newShardSet(f *Fabric) (*ShardSet, error) {
+	ss := &ShardSet{byNode: map[string]int{}}
 
 	// Hub shard first (switches and their expanders), if the topology has
 	// one; then one shard per host in declaration order. Directly
@@ -304,13 +192,11 @@ func newShardSet(f *Fabric, workers int) (*ShardSet, error) {
 			hubNodes = append(hubNodes, l.A)
 		}
 	}
-	addShard := func(eng *sim.Engine, nodes []string) *Shard {
-		s := &Shard{set: ss, id: len(ss.shards), eng: eng, nodes: nodes}
+	addShard := func(eng *sim.Engine, nodes []string) {
 		for _, id := range nodes {
-			ss.byNode[id] = s.id
+			ss.byNode[id] = len(ss.shards)
 		}
-		ss.shards = append(ss.shards, s)
-		return s
+		ss.shards = append(ss.shards, &Shard{set: ss, id: len(ss.shards), eng: eng, nodes: nodes})
 	}
 	if len(hubNodes) > 0 {
 		// The hub owns the fabric's original engine: links, ports and
@@ -336,11 +222,7 @@ func newShardSet(f *Fabric, workers int) (*ShardSet, error) {
 	}
 	for i, s := range ss.shards {
 		s.eng.SetSourceID(i)
-		s.inbox = make([]mailbox, len(ss.shards))
-		for j := range s.inbox {
-			s.inbox[j].minPending.Store(int64(sim.Forever))
-		}
-		s.preAct = make([]sim.Time, len(ss.shards))
+		s.inbox = make([][]shardMsg, len(ss.shards))
 	}
 
 	n := len(ss.shards)
@@ -398,194 +280,108 @@ func newShardSet(f *Fabric, workers int) (*ShardSet, error) {
 	return ss, nil
 }
 
-// stableWindow is windowFor for concurrent execution: it keeps a bound
-// only if no raise overlapped its reads (see Safety). After a few
-// overlapped attempts it returns selfNext — no window this step — and
-// the shard retries on its next step.
-func (ss *ShardSet) stableWindow(dst int, selfNext sim.Time) sim.Time {
-	for try := 0; try < 4; try++ {
-		before := ss.raises.Load()
-		w := ss.windowFor(dst, selfNext)
-		if ss.raises.Load() == before {
-			return w
-		}
+// Run executes every shard to quiescence in barrier-synchronous windows
+// (see Schedule). workers <= 1 runs every window on the calling
+// goroutine; more hand each window's busy shards to a pool of up to
+// workers-1 goroutines plus the caller, except that a window with one
+// busy shard always runs on the caller. Rendered output is
+// byte-identical whatever the worker count. A panic inside any shard's
+// event processing is re-raised on the caller.
+func (ss *ShardSet) Run(workers int) {
+	if ss.ran {
+		panic("fabric: ShardSet.Run called twice")
 	}
-	return selfNext
-}
-
-// windowFor computes the conservative execution bound for shard dst
-// whose own next pending event is at selfNext; runInline calls it with
-// every peer idle, concurrent steps through stableWindow. The reads
-// follow a message's protection as it moves activation→mailbox→
-// activation (emitted, queued, drained): all activations, then each
-// peer's mailboxes and activation again, then dst's own inbox last.
-func (ss *ShardSet) windowFor(dst int, selfNext sim.Time) sim.Time {
-	shards := ss.shards
-	self := shards[dst]
-	pre := self.preAct
-	for j, s := range shards {
-		pre[j] = sim.Time(s.nextAt.Load())
+	ss.ran = true
+	var p *pool
+	if workers = min(workers, len(ss.shards)); workers > 1 {
+		p = newPool(workers-1, len(ss.shards))
+		defer p.close()
 	}
-	w := satAdd(selfNext, ss.rt[dst])
-	for j, s := range shards {
-		if j == dst {
-			continue
+	busy := make([]*Shard, 0, len(ss.shards))
+	for {
+		for _, s := range ss.shards {
+			s.drain()
+			s.next = s.eng.NextEventAt()
 		}
-		eff := pre[j]
-		for i := range s.inbox {
-			if mp := sim.Time(s.inbox[i].minPending.Load()); mp < eff {
-				eff = mp
+		busy = busy[:0]
+		for _, s := range ss.shards {
+			if s.until = ss.window(s.id); s.next < s.until {
+				busy = append(busy, s)
 			}
 		}
-		if a := sim.Time(s.nextAt.Load()); a < eff {
-			eff = a
+		if len(busy) == 0 {
+			return
 		}
-		if v := satAdd(eff, ss.dist[j][dst]); v < w {
-			w = v
+		if p == nil || len(busy) == 1 {
+			for _, s := range busy {
+				s.eng.RunWindow(s.until)
+			}
+			continue
 		}
+		p.run(busy)
 	}
-	// Mail already bound for dst needs no distance: it delivers here.
-	for i := range self.inbox {
-		if mp := sim.Time(self.inbox[i].minPending.Load()); mp < w {
-			w = mp
+}
+
+// window is shard r's bound W_r over the current activations.
+func (ss *ShardSet) window(r int) sim.Time {
+	w := satAdd(ss.shards[r].next, ss.rt[r])
+	for j, s := range ss.shards {
+		if j != r {
+			w = min(w, satAdd(s.next, ss.dist[j][r]))
 		}
 	}
 	return w
 }
 
-// Run executes every shard to quiescence with up to `workers` OS
-// goroutines (clamped to the shard count; <=1 runs inline on the
-// calling goroutine). Rendered output is byte-identical whatever the
-// worker count — see the determinism note at the top of the file. A
-// panic inside any shard's event processing is re-raised on the caller.
-func (ss *ShardSet) Run(workers int) {
-	if ss.done.Load() {
-		panic("fabric: ShardSet.Run called twice")
-	}
-	if workers > len(ss.shards) {
-		workers = len(ss.shards)
-	}
-	if workers <= 1 {
-		ss.runInline()
-		ss.done.Store(true)
-		return
-	}
-	ss.runParallel(workers)
-	ss.done.Store(true)
-	if ss.failed {
-		panic(ss.failVal)
-	}
+// pool is the per-Run set of helper goroutines that share a window's
+// busy shards with the caller.
+type pool struct {
+	work chan *Shard
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
-// runInline is the exact sequential schedule: always run the globally
-// earliest pending timestamp. It needs no window arithmetic — it IS the
-// single-engine order, just spread over per-shard heaps.
-func (ss *ShardSet) runInline() {
-	// Inline execution keeps every shard's published activation exact:
-	// publish after each window, and drain (which lowers the receiver's
-	// activation on delivery) after every batch of sends. windowFor then
-	// sees the same picture a fully synchronized parallel run would.
-	for _, s := range ss.shards {
-		s.drain()
-		s.nextAt.Store(int64(s.eng.NextEventAt()))
-	}
-	for {
-		best := -1
-		bt := sim.Forever
-		for _, s := range ss.shards {
-			if t := sim.Time(s.nextAt.Load()); t < bt {
-				bt = t
-				best = s.id
-			}
-		}
-		if best < 0 {
-			return
-		}
-		// Run the picked shard as far as its conservative window allows
-		// (at minimum the one timestamp batch at bt): peers are idle, so
-		// the window is exact, and batching amortizes the drain/scan loop
-		// over every event the shard can safely absorb.
-		w := ss.windowFor(best, bt)
-		if w <= bt {
-			w = bt + 1
-		}
-		s := ss.shards[best]
-		s.eng.RunWindow(w)
-		s.nextAt.Store(int64(s.eng.NextEventAt()))
-		for _, p := range ss.shards {
-			p.drain()
-		}
-	}
-}
-
-func (ss *ShardSet) runParallel(workers int) {
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		var mine []*Shard
-		for i := k; i < len(ss.shards); i += workers {
-			mine = append(mine, ss.shards[i])
-		}
-		wg.Add(1)
+func newPool(helpers, shards int) *pool {
+	p := &pool{work: make(chan *Shard, shards), done: make(chan struct{}, shards)}
+	p.wg.Add(helpers)
+	for k := 0; k < helpers; k++ {
 		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					ss.fail(r)
-				}
-			}()
-			for !ss.done.Load() {
-				progressed := false
-				for _, s := range mine {
-					if s.step() {
-						progressed = true
-					}
-				}
-				if !progressed {
-					if ss.checkDone() {
-						return
-					}
-					runtime.Gosched()
-				}
+			defer p.wg.Done()
+			for s := range p.work {
+				s.runCaught()
+				p.done <- struct{}{}
 			}
 		}()
 	}
-	wg.Wait()
+	return p
 }
 
-// fail records the first shard panic and stops every worker.
-func (ss *ShardSet) fail(r any) {
-	ss.failMu.Lock()
-	if !ss.failed {
-		ss.failed = true
-		ss.failVal = r
+// run executes one window's busy shards, the caller taking queued
+// shards while helpers run others, and returns once all have finished
+// (the barrier). The lowest-numbered shard's panic, if any, is
+// re-raised.
+func (p *pool) run(busy []*Shard) {
+	for _, s := range busy {
+		p.work <- s
 	}
-	ss.failMu.Unlock()
-	ss.done.Store(true)
+	for left := len(busy); left > 0; left-- {
+		select {
+		case s := <-p.work:
+			s.runCaught()
+		case <-p.done:
+		}
+	}
+	for _, s := range busy {
+		if s.fail != nil {
+			panic(s.fail)
+		}
+	}
 }
 
-// checkDone detects quiescence: every shard idle and no message in
-// flight. The double scan plus the ordering discipline in drain (busy
-// mark before inflight decrement) makes a false positive impossible:
-// any message unaccounted for at the first scan is either still in
-// flight (inflight > 0) or already inside an engine whose shard was
-// marked busy before the decrement became visible.
-func (ss *ShardSet) checkDone() bool {
-	scan := func() bool {
-		if ss.inflight.Load() != 0 {
-			return false
-		}
-		for _, s := range ss.shards {
-			if !s.idle.Load() {
-				return false
-			}
-		}
-		return true
-	}
-	if scan() && scan() {
-		ss.done.Store(true)
-		return true
-	}
-	return false
+// close stops the helpers and waits for them to exit.
+func (p *pool) close() {
+	close(p.work)
+	p.wg.Wait()
 }
 
 // satAdd adds two times, saturating at Forever.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,18 +248,94 @@ func relayStorm(seed int64) (err error) {
 	return nil
 }
 
-// TestShardedWindowNeverOutrunsMail reproduces a window race: a relay
-// chain completing several hops while a shard sat between two of
-// windowFor's reads let that shard's window pass the chain's final
-// delivery, and the late message panicked ("scheduling tagged event …
-// before now") in about one run in a thousand. Thousands of seeded runs
-// catch it within seconds; the loop also stops after a wall budget so
-// slow builds (-race) stay bounded.
+// TestShardedWindowNeverOutrunsMail pins the window bound's safety: no
+// shard's window may pass the delivery time of mail still to reach it —
+// from a peer, or an echo of its own sends relayed back through the
+// hub — or the late message panics ("scheduling tagged event … before
+// now"). Relay chains at the lookahead bound over thousands of seeds
+// exercise every term of the bound (dropping the round-trip term fails
+// on the first seed); the loop also stops after a wall budget so slow
+// builds (-race) stay bounded.
 func TestShardedWindowNeverOutrunsMail(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for seed := int64(1); seed <= 5000 && time.Now().Before(deadline); seed++ {
 		if err := relayStorm(seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+	}
+}
+
+// TestShardedPanicReraisedOnCaller pins pool failure handling: a handler
+// panicking on a pool goroutine under Run(4) re-raises its original
+// value on the caller, and no pool goroutine outlives the run. Every
+// shard is busy in the first window and waits there for the other
+// three, so the four shards run on four distinct goroutines and the
+// first one off the caller's stack panics.
+func TestShardedPanicReraisedOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	f := MustBuild(star(3, 1), nil, Shards(4))
+	ss := f.ShardSet()
+	n := ss.NumShards()
+	if n != 4 {
+		t.Fatalf("NumShards = %d, want 4", n)
+	}
+	type boom struct{ shard int }
+	var (
+		arrived  atomic.Int32
+		all      = make(chan struct{})
+		stalled  atomic.Bool
+		thrown   atomic.Pointer[boom]
+		onCaller = func() bool {
+			pc := make([]uintptr, 64)
+			frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+			for {
+				fr, more := frames.Next()
+				if strings.HasSuffix(fr.Function, "(*ShardSet).Run") {
+					return true
+				}
+				if !more {
+					return false
+				}
+			}
+		}
+	)
+	for i := 0; i < n; i++ {
+		i := i
+		ss.Shard(i).Engine().AtCall(0, func(any) {
+			if arrived.Add(1) == int32(n) {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(5 * time.Second):
+				stalled.Store(true)
+			}
+			v := &boom{shard: i}
+			if !onCaller() && thrown.CompareAndSwap(nil, v) {
+				panic(v)
+			}
+		}, nil)
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ss.Run(4)
+	}()
+	if stalled.Load() {
+		t.Fatal("the four busy shards did not run on four goroutines")
+	}
+	want := thrown.Load()
+	if want == nil {
+		t.Fatal("no shard ran off the caller goroutine")
+	}
+	if got != any(want) {
+		t.Fatalf("Run re-raised %v, want the original panic value %v", got, want)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now != before {
+		t.Fatalf("goroutines: %d after Run, %d before; the pool leaked", now, before)
 	}
 }

@@ -60,7 +60,7 @@ func BenchmarkScheduleAtCall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.AfterCall(1, fn, s)
+		e.AtCall(e.Now()+1, fn, s)
 		if e.Pending() >= 1024 {
 			e.Run()
 		}

@@ -249,19 +249,6 @@ func (e *Engine) AtCallTagged(t Time, key uint64, fn func(arg any), arg any) {
 	e.events.pushEvent(event{when: t, seq: key, call: fn, arg: arg})
 }
 
-// AfterCall is AtCall relative to the current time, with After's saturation
-// semantics for delays that would overflow the clock.
-func (e *Engine) AfterCall(d Time, fn func(arg any), arg any) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	t := e.now + d
-	if t < e.now { // overflow: saturate rather than wrap
-		t = Forever
-	}
-	e.AtCall(t, fn, arg)
-}
-
 // pairEvent carries a callback plus two payload words through AtCall's
 // single argument slot. Records recycle through the engine's free list, so
 // steady-state two-argument scheduling allocates nothing.
