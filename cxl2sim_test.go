@@ -229,6 +229,22 @@ func TestMicrobenchAPI(t *testing.T) {
 	if _, err := s.MeasureH2D(Ld, MeasureSpec{Place: PlaceHMC}); err == nil {
 		t.Fatal("PlaceHMC accepted for H2D")
 	}
+	// Combinations the device cannot serve are errors, not panics.
+	if _, err := s.MeasureD2D(NCP, MeasureSpec{Place: PlaceCold}); err == nil {
+		t.Fatal("NC-P accepted for D2D")
+	}
+	t3 := MustNewSystem(Config{DeviceType: Type3, LLCBytes: 4 << 20, LLCWays: 16, Cores: 8})
+	if _, err := t3.MeasureD2H(CSRead, MeasureSpec{Place: PlaceCold}); err == nil {
+		t.Fatal("D2H accepted on Type-3")
+	}
+	if _, err := t3.MeasureD2D(CSRead, MeasureSpec{Place: PlaceCold}); err == nil {
+		t.Fatal("D2D accepted on Type-3")
+	}
+	for _, place := range []Placement{PlaceLLC, PlaceDMC} {
+		if _, err := t3.MeasureH2D(Ld, MeasureSpec{Place: place}); err == nil {
+			t.Fatalf("H2D %v accepted on Type-3", place)
+		}
+	}
 	if hmc.Reps != 50 || hmc.Burst != 16 {
 		t.Fatalf("spec defaults wrong: %+v", hmc)
 	}

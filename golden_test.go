@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -64,6 +65,39 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	if err := compareTolerant(string(wantBytes), got); err != nil {
 		t.Fatalf("output diverged from %s: %v\n(run with -update if the change is intended)", path, err)
+	}
+}
+
+// checkExact compares got byte for byte against the file at path, or
+// rewrites it under -update.
+func checkExact(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if string(want) != got {
+		wl, gl := splitLines(string(want)), splitLines(got)
+		for i := 0; i < len(wl) || i < len(gl); i++ {
+			var w, g string
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if w != g {
+				t.Fatalf("output diverged from %s at line %d:\n  want: %s\n  got:  %s\n(run with -update if the change is intended)", path, i+1, w, g)
+			}
+		}
+		t.Fatalf("output diverged from %s", path)
 	}
 }
 
@@ -171,6 +205,83 @@ func TestInferGolden(t *testing.T) {
 	var buf bytes.Buffer
 	experiments.PrintInfer(&buf, runRows[experiments.InferRow](experiments.InferJobs(experiments.InferConfig{Seed: 42})))
 	checkGolden(t, "infer.golden", buf.String())
+}
+
+// TestSectionsExactGolden renders every cxlbench section at the paper's
+// 1000 repetitions on one worker and requires the committed results file
+// byte for byte: the tolerant goldens above would let a refactor shift a
+// Fig. 3–5 number by 20% unnoticed.
+func TestSectionsExactGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := cxl2sim.RunExperimentSections(&buf, cxl2sim.ExperimentSections(1000), cxl2sim.JobOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	checkExact(t, filepath.Join("docs", "results-cxlbench.txt"), buf.String())
+}
+
+// measureSupported reports whether the §V microbenchmark API serves the
+// combination; the rest must be rejected with an error (see
+// TestMicrobenchAPI).
+func measureSupported(dt cxl2sim.DeviceType, kind, op string, place cxl2sim.Placement) bool {
+	switch kind {
+	case "d2h":
+		return dt == cxl2sim.Type2 && place != cxl2sim.PlaceDMC
+	case "d2d":
+		return dt == cxl2sim.Type2 && op != "NC-P" && (place == cxl2sim.PlaceCold || place == cxl2sim.PlaceDMC)
+	default:
+		return place != cxl2sim.PlaceHMC && (dt == cxl2sim.Type2 || place == cxl2sim.PlaceCold)
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestMeasureGolden pins System.MeasureD2H/D2D/H2D exactly, with no
+// tolerance, over every supported (kind, op, placement, device type)
+// combination, each on a fresh system.
+func TestMeasureGolden(t *testing.T) {
+	d2hOps, hostOps := sortedKeys(cxl2sim.D2HOpNames), sortedKeys(cxl2sim.HostOpNames)
+	spec := func(place cxl2sim.Placement) cxl2sim.MeasureSpec {
+		return cxl2sim.MeasureSpec{Reps: 50, Place: place}
+	}
+	var buf bytes.Buffer
+	for _, dt := range []cxl2sim.DeviceType{cxl2sim.Type2, cxl2sim.Type3} {
+		for _, place := range []cxl2sim.Placement{cxl2sim.PlaceCold, cxl2sim.PlaceLLC, cxl2sim.PlaceHMC, cxl2sim.PlaceDMC} {
+			for _, kind := range []string{"d2h", "d2d", "h2d"} {
+				ops := d2hOps
+				if kind == "h2d" {
+					ops = hostOps
+				}
+				for _, op := range ops {
+					if !measureSupported(dt, kind, op, place) {
+						continue
+					}
+					s := cxl2sim.MustNewSystem(cxl2sim.Config{DeviceType: dt, LLCBytes: 4 << 20, LLCWays: 16, Cores: 8})
+					var m cxl2sim.Measurement
+					var err error
+					switch kind {
+					case "d2h":
+						m, err = s.MeasureD2H(cxl2sim.D2HOpNames[op], spec(place))
+					case "d2d":
+						m, err = s.MeasureD2D(cxl2sim.D2HOpNames[op], spec(place))
+					default:
+						m, err = s.MeasureH2D(cxl2sim.HostOpNames[op], spec(place))
+					}
+					if err != nil {
+						t.Fatalf("%v %s %s %v: %v", dt, kind, op, place, err)
+					}
+					fmt.Fprintf(&buf, "%v %s %s %v %+v\n", dt, kind, op, place, m)
+				}
+			}
+		}
+	}
+	checkExact(t, filepath.Join("testdata", "measure.golden"), buf.String())
 }
 
 // TestGoldenComparatorRejectsDrift guards the comparator itself: exact

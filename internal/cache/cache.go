@@ -101,10 +101,10 @@ const (
 // slices never move once allocated, so *Line pointers returned by
 // Lookup/Peek/Fill stay valid across later fills.
 type Cache struct {
-	name    string
-	ways    int
-	sets    int
-	setMask phys.Addr
+	name     string
+	ways     int
+	sets     int
+	setMask  phys.Addr
 	chunks   [][][]Line // [chunk][set-in-chunk]lines; inner levels nil until first Fill
 	free     []Line     // slab remainder feeding per-set line storage
 	slabSets int        // sets per slab; grows geometrically toward chunkSets

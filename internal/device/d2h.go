@@ -205,7 +205,6 @@ func (d *Device) WriteHostBlock(req cxl.D2HReq, addr phys.Addr, src []byte, size
 	return last
 }
 
-
 func setLineData(l *cache.Line, data []byte) {
 	if len(data) != phys.LineSize {
 		panic(fmt.Sprintf("device: line data %d bytes", len(data)))

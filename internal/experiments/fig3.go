@@ -9,7 +9,6 @@ import (
 	"repro/internal/phys"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Fig3Row is one bar of Fig. 3: the latency and bandwidth of one D2H access
@@ -77,9 +76,9 @@ func Fig3Jobs(cfg Fig3Config) []runner.Job {
 			req, op, hit := pair.req, pair.op, llcHit
 			jobs = append(jobs,
 				cellJob(fmt.Sprintf("fig3/%s/%s", llc, req), cfg.Reps+cfg.Burst,
-					func(seed int64) Fig3Row { return measureTrueD2H(req, hit, cfg, seed) }),
+					func() Fig3Row { return measureTrueD2H(req, hit, cfg) }),
 				cellJob(fmt.Sprintf("fig3/%s/%s", llc, op), cfg.Reps+cfg.Burst,
-					func(seed int64) Fig3Row { return measureEmuD2H(op, hit, cfg, seed) }))
+					func() Fig3Row { return measureEmuD2H(op, hit, cfg) }))
 		}
 	}
 	return jobs
@@ -96,73 +95,39 @@ func primeLLC(r *Rig, addr phys.Addr, hit bool) {
 	}
 }
 
-func measureTrueD2H(req cxl.D2HReq, llcHit bool, cfg Fig3Config, seed int64) Fig3Row {
-	r := NewRigSeeded(cxl.Type2, seed)
-	lat := stats.NewSample(cfg.Reps)
-	for rep := 0; rep < cfg.Reps; rep++ {
-		addr := r.hostLine(rep)
-		primeLLC(r, addr, llcHit)
-		r.Host.ResetTiming()
-		res := r.Dev.D2H(req, addr, nil, 0)
-		lat.Add(res.Done.Nanoseconds())
-	}
-	// Bandwidth: Burst back-to-back accesses to fresh primed lines.
-	base := cfg.Reps + 1
-	for i := 0; i < cfg.Burst; i++ {
-		primeLLC(r, r.hostLine(base+i), llcHit)
-	}
-	r.Host.ResetTiming()
-	var last sim.Time
-	for i := 0; i < cfg.Burst; i++ {
-		res := r.Dev.D2H(req, r.hostLine(base+i), nil, 0)
-		if res.Done > last {
-			last = res.Done
-		}
-	}
-	bw := float64(cfg.Burst*phys.LineSize) / last.Seconds() / 1e9
-	return Fig3Row{
-		Label:        req.String(),
-		True:         true,
-		LLCHit:       llcHit,
-		LatencyNs:    lat.Median(),
-		LatencyStd:   lat.StdDev(),
-		BandwidthGBs: bw,
-	}
+func measureTrueD2H(req cxl.D2HReq, llcHit bool, cfg Fig3Config) Fig3Row {
+	r := NewRig(cxl.Type2)
+	row := Fig3Row{Label: req.String(), True: true, LLCHit: llcHit}
+	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
+		Reps: cfg.Reps, Burst: cfg.Burst,
+		Line:  r.hostLine,
+		Prime: func(addr phys.Addr) { primeLLC(r, addr, llcHit) },
+		Reset: r.Host.ResetTiming,
+		Access: func(addr phys.Addr) (sim.Time, sim.Time) {
+			done := r.Dev.D2H(req, addr, nil, 0).Done
+			return done, done
+		},
+	}.Run()
+	return row
 }
 
-func measureEmuD2H(op cxl.HostOp, llcHit bool, cfg Fig3Config, seed int64) Fig3Row {
-	r := NewRigSeeded(cxl.Type2, seed)
-	lat := stats.NewSample(cfg.Reps)
-	for rep := 0; rep < cfg.Reps; rep++ {
-		addr := r.hostLine(rep)
-		primeLLC(r, addr, llcHit)
-		r.Host.ResetTiming()
-		r.Emu.ResetTiming()
-		done := r.Emu.D2H(op, addr, 0)
-		lat.Add(done.Nanoseconds())
-	}
-	base := cfg.Reps + 1
-	for i := 0; i < cfg.Burst; i++ {
-		primeLLC(r, r.hostLine(base+i), llcHit)
-	}
-	r.Host.ResetTiming()
-	r.Emu.ResetTiming()
-	var last sim.Time
-	for i := 0; i < cfg.Burst; i++ {
-		done := r.Emu.D2H(op, r.hostLine(base+i), 0)
-		if done > last {
-			last = done
-		}
-	}
-	bw := float64(cfg.Burst*phys.LineSize) / last.Seconds() / 1e9
-	return Fig3Row{
-		Label:        op.String(),
-		True:         false,
-		LLCHit:       llcHit,
-		LatencyNs:    lat.Median(),
-		LatencyStd:   lat.StdDev(),
-		BandwidthGBs: bw,
-	}
+func measureEmuD2H(op cxl.HostOp, llcHit bool, cfg Fig3Config) Fig3Row {
+	r := NewRig(cxl.Type2)
+	row := Fig3Row{Label: op.String(), LLCHit: llcHit}
+	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
+		Reps: cfg.Reps, Burst: cfg.Burst,
+		Line:  r.hostLine,
+		Prime: func(addr phys.Addr) { primeLLC(r, addr, llcHit) },
+		Reset: func() {
+			r.Host.ResetTiming()
+			r.Emu.ResetTiming()
+		},
+		Access: func(addr phys.Addr) (sim.Time, sim.Time) {
+			done := r.Emu.D2H(op, addr, 0)
+			return done, done
+		},
+	}.Run()
+	return row
 }
 
 // PrintFig3 renders the rows like the paper's figure.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/phys"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Fig4Row is one bar of Fig. 4: D2D latency and bandwidth for one access
@@ -61,10 +60,10 @@ func Fig4Jobs(cfg Fig4Config) []runner.Job {
 					bias = "device-bias"
 				}
 				jobs = append(jobs, cellJob(fmt.Sprintf("fig4/%s/%s/%s", dmc, req, bias), ops,
-					func(seed int64) Fig4Row { return measureD2D(req, hit, db, cfg, seed) }))
+					func() Fig4Row { return measureD2D(req, hit, db, cfg) }))
 			}
 			jobs = append(jobs, cellJob(fmt.Sprintf("fig4/%s/%s", dmc, op), ops,
-				func(seed int64) Fig4Row { return measureEmuD2D(op, hit, cfg, seed) }))
+				func() Fig4Row { return measureEmuD2D(op, hit, cfg) }))
 		}
 	}
 	return jobs
@@ -80,76 +79,43 @@ func primeDMC(r *Rig, addr phys.Addr, hit bool) {
 	}
 }
 
-func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, cfg Fig4Config, seed int64) Fig4Row {
-	r := NewRigSeeded(cxl.Type2, seed)
+// The Fig. 4 cells measure steady-state bandwidth: the first Burst/8
+// accesses fill the pipeline and are not counted (Probe.Warm).
+func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, cfg Fig4Config) Fig4Row {
+	r := NewRig(cxl.Type2)
 	if devBias {
 		r.Dev.EnterDeviceBias(phys.Range{Base: r.devLine(0) &^ 0xFFFFFFF, Size: 1 << 28}, 0)
 	}
-	lat := stats.NewSample(cfg.Reps)
-	for rep := 0; rep < cfg.Reps; rep++ {
-		addr := r.devLine(rep)
-		primeDMC(r, addr, dmcHit)
-		r.Host.ResetTiming()
-		res := r.Dev.D2D(req, addr, nil, 0)
-		lat.Add(res.Done.Nanoseconds())
-	}
-	base := cfg.Reps + 1
-	for i := 0; i < cfg.Burst; i++ {
-		primeDMC(r, r.devLine(base+i), dmcHit)
-	}
-	r.Host.ResetTiming()
-	// Steady-state bandwidth: skip the pipeline-fill warm-up, then measure
-	// the completion rate of the remaining stream.
-	warm := cfg.Burst / 8
-	var warmDone, last sim.Time
-	for i := 0; i < cfg.Burst; i++ {
-		res := r.Dev.D2D(req, r.devLine(base+i), nil, 0)
-		if i == warm-1 {
-			warmDone = res.Done
-		}
-		if res.Done > last {
-			last = res.Done
-		}
-	}
-	bw := float64((cfg.Burst-warm)*phys.LineSize) / (last - warmDone).Seconds() / 1e9
-	return Fig4Row{
-		Label:        req.String(),
-		DMCHit:       dmcHit,
-		DeviceBias:   devBias,
-		LatencyNs:    lat.Median(),
-		LatencyStd:   lat.StdDev(),
-		BandwidthGBs: bw,
-	}
+	row := Fig4Row{Label: req.String(), DMCHit: dmcHit, DeviceBias: devBias}
+	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
+		Reps: cfg.Reps, Burst: cfg.Burst, Warm: cfg.Burst / 8,
+		Line:  r.devLine,
+		Prime: func(addr phys.Addr) { primeDMC(r, addr, dmcHit) },
+		Reset: r.Host.ResetTiming,
+		Access: func(addr phys.Addr) (sim.Time, sim.Time) {
+			done := r.Dev.D2D(req, addr, nil, 0).Done
+			return done, done
+		},
+	}.Run()
+	return row
 }
 
-func measureEmuD2D(op cxl.HostOp, dmcHit bool, cfg Fig4Config, seed int64) Fig4Row {
-	r := NewRigSeeded(cxl.Type2, seed)
-	lat := stats.NewSample(cfg.Reps)
-	for rep := 0; rep < cfg.Reps; rep++ {
-		r.Emu.ResetTiming()
-		lat.Add(r.Emu.D2D(op, dmcHit, 0).Nanoseconds())
-	}
-	r.Emu.ResetTiming()
-	warm := cfg.Burst / 8
-	var warmDone, last sim.Time
-	for i := 0; i < cfg.Burst; i++ {
-		done := r.Emu.D2D(op, dmcHit, 0)
-		if i == warm-1 {
-			warmDone = done
-		}
-		if done > last {
-			last = done
-		}
-	}
-	bw := float64((cfg.Burst-warm)*phys.LineSize) / (last - warmDone).Seconds() / 1e9
-	return Fig4Row{
-		Label:        op.String(),
-		Emulated:     true,
-		DMCHit:       dmcHit,
-		LatencyNs:    lat.Median(),
-		LatencyStd:   lat.StdDev(),
-		BandwidthGBs: bw,
-	}
+// measureEmuD2D times the local core whose L1 stands in for DMC; its
+// placement is a flag of the access, so lines are neither primed nor
+// addressed.
+func measureEmuD2D(op cxl.HostOp, dmcHit bool, cfg Fig4Config) Fig4Row {
+	r := NewRig(cxl.Type2)
+	row := Fig4Row{Label: op.String(), Emulated: true, DMCHit: dmcHit}
+	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
+		Reps: cfg.Reps, Burst: cfg.Burst, Warm: cfg.Burst / 8,
+		Line:  r.devLine,
+		Reset: r.Emu.ResetTiming,
+		Access: func(phys.Addr) (sim.Time, sim.Time) {
+			done := r.Emu.D2D(op, dmcHit, 0)
+			return done, done
+		},
+	}.Run()
+	return row
 }
 
 // PrintFig4 renders the rows.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/phys"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Fig5Case selects the device-side placement for an H2D access.
@@ -86,17 +85,17 @@ func Fig5Jobs(cfg Fig5Config) []runner.Job {
 		for _, cs := range Fig5Cases() {
 			op, cs := op, cs
 			jobs = append(jobs, cellJob(fmt.Sprintf("fig5/%s/%s", op, cs), ops,
-				func(seed int64) Fig5Row { return measureH2D(op, cs, cfg, seed) }))
+				func() Fig5Row { return measureH2D(op, cs, cfg) }))
 		}
 	}
 	return jobs
 }
 
-func fig5Rig(cs Fig5Case, seed int64) *Rig {
+func fig5Rig(cs Fig5Case) *Rig {
 	if cs == CaseT3 {
-		return NewRigSeeded(cxl.Type3, seed)
+		return NewRig(cxl.Type3)
 	}
-	return NewRigSeeded(cxl.Type2, seed)
+	return NewRig(cxl.Type2)
 }
 
 // primeFig5 sets up the device-side state for one access.
@@ -118,45 +117,29 @@ func primeFig5(r *Rig, cs Fig5Case, addr phys.Addr) {
 	}
 }
 
-func measureH2D(op cxl.HostOp, cs Fig5Case, cfg Fig5Config, seed int64) Fig5Row {
-	r := fig5Rig(cs, seed)
+func measureH2D(op cxl.HostOp, cs Fig5Case, cfg Fig5Config) Fig5Row {
+	r := fig5Rig(cs)
 	core := r.Host.Core(0)
-	lat := stats.NewSample(cfg.Reps)
-	for rep := 0; rep < cfg.Reps; rep++ {
-		addr := r.devLine(rep)
-		primeFig5(r, cs, addr)
-		r.Host.ResetTiming()
-		res := core.Access(op, addr, nil, 0)
-		done := res.Done
-		if op == cxl.NtSt {
-			// A posted store's core-visible time is near zero; the paper's
-			// latency for nt-st reflects the write landing at the device.
-			done = res.DeviceDone
-		}
-		lat.Add(done.Nanoseconds())
-	}
-	base := cfg.Reps + 1
-	for i := 0; i < cfg.Burst; i++ {
-		primeFig5(r, cs, r.devLine(base+i))
-	}
-	r.Host.ResetTiming()
-	var last sim.Time
-	for i := 0; i < cfg.Burst; i++ {
-		res := core.Access(op, r.devLine(base+i), nil, 0)
-		if res.Done > last {
-			last = res.Done
-		}
-	}
-	// Bandwidth keeps posted semantics for nt-st: the core perceives the
-	// stores complete at the CXL controller (§V-C).
-	bw := float64(cfg.Burst*phys.LineSize) / last.Seconds() / 1e9
-	return Fig5Row{
-		Op:           op,
-		Case:         cs,
-		LatencyNs:    lat.Median(),
-		LatencyStd:   lat.StdDev(),
-		BandwidthGBs: bw,
-	}
+	row := Fig5Row{Op: op, Case: cs}
+	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
+		Reps: cfg.Reps, Burst: cfg.Burst,
+		Line:  r.devLine,
+		Prime: func(addr phys.Addr) { primeFig5(r, cs, addr) },
+		Reset: r.Host.ResetTiming,
+		Access: func(addr phys.Addr) (sim.Time, sim.Time) {
+			res := core.Access(op, addr, nil, 0)
+			if op == cxl.NtSt {
+				// A posted store's core-visible time is near zero; the
+				// paper's latency for nt-st reflects the write landing at
+				// the device, while bandwidth keeps posted semantics: the
+				// core perceives the stores complete at the CXL
+				// controller (§V-C).
+				return res.Done, res.DeviceDone
+			}
+			return res.Done, res.Done
+		},
+	}.Run()
+	return row
 }
 
 // PrintFig5 renders the rows.

@@ -89,10 +89,10 @@ func Fig6Jobs() []runner.Job {
 			}
 			mech, d2h := mech, d2h
 			jobs = append(jobs, sliceJob(fmt.Sprintf("fig6/%s/%s", dir, mech), len(Fig6Sizes()),
-				func(seed int64) []Fig6Row {
+				func() []Fig6Row {
 					var rows []Fig6Row
 					for _, size := range Fig6Sizes() {
-						rows = append(rows, measureFig6(mech, d2h, size, seed))
+						rows = append(rows, measureFig6(mech, d2h, size))
 					}
 					return rows
 				}))
@@ -101,8 +101,8 @@ func Fig6Jobs() []runner.Job {
 	return jobs
 }
 
-func measureFig6(mech Fig6Mechanism, d2h bool, size int, seed int64) Fig6Row {
-	r := NewRigSeeded(cxl.Type2, seed)
+func measureFig6(mech Fig6Mechanism, d2h bool, size int) Fig6Row {
+	r := NewRig(cxl.Type2)
 	ep := pcie.NewEndpoint(r.P)
 	var done sim.Time
 	switch mech {

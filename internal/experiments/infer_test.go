@@ -11,7 +11,7 @@ import (
 // Type-3 < PCIe-DMA, and host bias costs more than device bias on the
 // same memory.
 func TestInferTierOrdering(t *testing.T) {
-	rows := runRows[InferRow](InferJobs(InferConfig{Seed: SeedRig}))
+	rows := runRows[InferRow](InferJobs(InferConfig{Seed: 42}))
 	order := []string{"all-dram", "kv@t2-dev", "kv@t3", "kv@pcie-dma"}
 	for i := 1; i < len(order); i++ {
 		lo := InferFind(rows, order[i-1])
@@ -38,7 +38,7 @@ func TestInferTierOrdering(t *testing.T) {
 }
 
 func TestInferTraffic(t *testing.T) {
-	rows := runRows[InferRow](InferJobs(InferConfig{Seed: SeedRig}))
+	rows := runRows[InferRow](InferJobs(InferConfig{Seed: 42}))
 	if r := InferFind(rows, "all-dram"); r.FarMB != 0 || r.NearMB == 0 {
 		t.Errorf("all-dram traffic wrong: %+v", r)
 	}

@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"repro/internal/cxl"
 	"repro/internal/device"
@@ -18,7 +17,8 @@ import (
 	"repro/internal/host"
 	"repro/internal/mem"
 	"repro/internal/phys"
-	"repro/internal/rng"
+	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/timing"
 )
 
@@ -28,31 +28,16 @@ type Rig struct {
 	Host *host.Host
 	Dev  *device.Device
 	Emu  *host.EmuCore
-	rng  *rand.Rand
 }
 
 // NewRig builds a rig with the given device personality (cxl.Type2 or
 // cxl.Type3). A smaller-than-real LLC keeps rig construction cheap;
 // capacity effects are not what the microbenchmarks measure.
-func NewRig(devType cxl.DeviceType) *Rig {
-	return NewRigSeeded(devType, SeedRig)
-}
-
-// NewRigSeeded is NewRig with an explicit seed for the rig's random
-// stream — the shared-nothing parallel runner derives one per job. The §V
-// microbenchmark measurements are seed-invariant (the access streams are
-// fixed permutations), so a derived seed never shifts the calibrated
-// numbers; the seed exists so that any future stochastic rig component
-// inherits per-job reproducibility for free.
 //
-// Since the fabric layer landed, a rig is just the compiled 1×1 topology
-// preset: one host directly attached to one CXL device
-// (fabric.OneToOne), the degenerate case of the same Build path that
-// wires multi-host clusters. The compiled components — host, home agent,
-// calibrated CXL link, attached device — are identical to what the
-// pre-fabric constructor built, so every golden file still renders byte
-// for byte.
-func NewRigSeeded(devType cxl.DeviceType, seed int64) *Rig {
+// A rig is the compiled 1×1 topology preset: one host directly attached
+// to one CXL device (fabric.OneToOne), the degenerate case of the same
+// Build path that wires multi-host clusters.
+func NewRig(devType cxl.DeviceType) *Rig {
 	kind := fabric.Type2
 	if devType == cxl.Type3 {
 		kind = fabric.Type3
@@ -60,7 +45,64 @@ func NewRigSeeded(devType cxl.DeviceType, seed int64) *Rig {
 	topo := fabric.OneToOne(kind, fabric.NodeSpec{LLCBytes: 8 << 20, LLCWays: 16, Cores: 8})
 	f := fabric.MustBuild(topo, nil)
 	h := f.Host("h0")
-	return &Rig{P: f.Params(), Host: h, Dev: h.Dev, Emu: h.NewEmuCore(), rng: rng.New(seed)}
+	return &Rig{P: f.Params(), Host: h, Dev: h.Dev, Emu: h.NewEmuCore()}
+}
+
+// Probe is the paper's §V measurement loop, shared by the Fig. 3–5 cells
+// and the public System.Measure* API. Latency: Reps times, prime a fresh
+// line, reset timing and time one access; the median and standard
+// deviation are reported. Bandwidth: prime Burst more lines (starting at
+// line Reps+1), reset timing once, then issue them back to back.
+type Probe struct {
+	Reps, Burst int
+	// Warm excludes the first Warm burst completions from the bandwidth
+	// (steady-state rate past the pipeline fill); 0 counts the whole
+	// burst from time zero.
+	Warm int
+	// Line returns the i-th line of the address stream.
+	Line func(i int) phys.Addr
+	// Prime sets up the placement of one line before it is accessed; nil
+	// means no priming.
+	Prime func(addr phys.Addr)
+	// Reset clears the timing state between repetitions.
+	Reset func()
+	// Access issues one access, returning its completion time (for
+	// bandwidth) and the latency to record.
+	Access func(addr phys.Addr) (done, latency sim.Time)
+}
+
+// Run executes the loop and returns the median latency and its standard
+// deviation in ns, and the burst bandwidth in GB/s.
+func (p Probe) Run() (medianNs, stdNs, gbs float64) {
+	lat := stats.NewSample(p.Reps)
+	for rep := 0; rep < p.Reps; rep++ {
+		addr := p.Line(rep)
+		if p.Prime != nil {
+			p.Prime(addr)
+		}
+		p.Reset()
+		_, l := p.Access(addr)
+		lat.Add(l.Nanoseconds())
+	}
+	base := p.Reps + 1
+	if p.Prime != nil {
+		for i := 0; i < p.Burst; i++ {
+			p.Prime(p.Line(base + i))
+		}
+	}
+	p.Reset()
+	var warmDone, last sim.Time
+	for i := 0; i < p.Burst; i++ {
+		done, _ := p.Access(p.Line(base + i))
+		if i == p.Warm-1 {
+			warmDone = done
+		}
+		if done > last {
+			last = done
+		}
+	}
+	gbs = float64((p.Burst-p.Warm)*phys.LineSize) / (last - warmDone).Seconds() / 1e9
+	return lat.Median(), lat.StdDev(), gbs
 }
 
 // hostLine returns the i-th distinct host-memory line of a random-ish

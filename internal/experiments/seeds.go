@@ -6,8 +6,6 @@ package experiments
 // the calibration — the calibration tests pin medians produced under these
 // exact streams — so changing one is a recalibration event, not a refactor.
 const (
-	// SeedRig feeds the per-rig stream of the §V microbenchmark drivers.
-	SeedRig int64 = 42
 	// SeedTable4Page generates the representative 70%-compressible page of
 	// the Table 4 latency breakdown.
 	SeedTable4Page int64 = 4

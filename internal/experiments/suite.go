@@ -15,23 +15,24 @@ import (
 // one enumeration, so they render byte-identical output for the same root
 // seed.
 
-// cellJob wraps one measurement cell as a runner job: the cell receives
-// the job's derived seed and returns one typed row; ops is the simulated
-// access count credited to the event-rate stat (the microbenchmark rigs
-// have no central event queue, so accesses are the honest unit).
-func cellJob[T any](id string, ops int, cell func(seed int64) T) runner.Job {
+// cellJob wraps one measurement cell as a runner job: the cell returns one
+// typed row; ops is the simulated access count credited to the event-rate
+// stat (the microbenchmark rigs have no central event queue, so accesses
+// are the honest unit). Cells draw no per-job randomness, so they take
+// no seed.
+func cellJob[T any](id string, ops int, cell func() T) runner.Job {
 	return runner.Job{ID: id, Run: func(ctx *runner.Ctx) (any, error) {
 		ctx.AddEvents(uint64(ops))
-		return []T{cell(ctx.Seed)}, nil
+		return []T{cell()}, nil
 	}}
 }
 
 // sliceJob wraps a cell producing several rows at once (e.g. one Fig. 6
 // mechanism across all sizes).
-func sliceJob[T any](id string, ops int, cell func(seed int64) []T) runner.Job {
+func sliceJob[T any](id string, ops int, cell func() []T) runner.Job {
 	return runner.Job{ID: id, Run: func(ctx *runner.Ctx) (any, error) {
 		ctx.AddEvents(uint64(ops))
-		return cell(ctx.Seed), nil
+		return cell(), nil
 	}}
 }
 

@@ -29,16 +29,16 @@ func Table3Jobs() []runner.Job {
 	for _, req := range reqs {
 		req := req
 		jobs = append(jobs, sliceJob("table3/"+req.String(), 3,
-			func(seed int64) []Table3Row { return table3Req(req, seed) }))
+			func() []Table3Row { return table3Req(req) }))
 	}
 	return jobs
 }
 
 // table3Req drives one request type against every initial placement.
-func table3Req(req cxl.D2HReq, seed int64) []Table3Row {
+func table3Req(req cxl.D2HReq) []Table3Row {
 	var rows []Table3Row
 	for _, initial := range []string{"HMC hit", "LLC hit", "LLC miss"} {
-		r := NewRigSeeded(cxl.Type2, seed)
+		r := NewRig(cxl.Type2)
 		addr := r.hostLine(1)
 		r.Host.Store().WriteLine(addr, make([]byte, phys.LineSize))
 		switch initial {

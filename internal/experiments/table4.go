@@ -39,7 +39,7 @@ func Table4Jobs() []runner.Job {
 	for _, v := range []offload.Variant{offload.PCIeRDMA, offload.PCIeDMA, offload.CXL} {
 		v := v
 		jobs = append(jobs, cellJob("table4/"+v.String(), 1,
-			func(seed int64) Table4Row { return table4Backend(v) }))
+			func() Table4Row { return table4Backend(v) }))
 	}
 	return jobs
 }
@@ -117,19 +117,19 @@ func WriteQueueSweepJobs(ns []int) []runner.Job {
 	for _, n := range ns {
 		n := n
 		jobs = append(jobs, sliceJob(fmt.Sprintf("wqsweep/N%d", n), 4*n,
-			func(seed int64) []WriteQueueRow { return writeQueuePoint(n, seed) }))
+			func() []WriteQueueRow { return writeQueuePoint(n) }))
 	}
 	return jobs
 }
 
 // writeQueuePoint measures all four access kinds at one burst length.
-func writeQueuePoint(n int, seed int64) []WriteQueueRow {
+func writeQueuePoint(n int) []WriteQueueRow {
 	var rows []WriteQueueRow
 	for _, pair := range []struct {
 		req    cxl.D2HReq
 		isTrue bool
 	}{{cxl.COWrite, true}, {cxl.NCWrite, true}} {
-		r := NewRigSeeded(cxl.Type2, seed)
+		r := NewRig(cxl.Type2)
 		r.Host.ResetTiming()
 		var last sim.Time
 		for i := 0; i < n; i++ {
@@ -144,7 +144,7 @@ func writeQueuePoint(n int, seed int64) []WriteQueueRow {
 		})
 	}
 	for _, op := range []cxl.HostOp{cxl.St, cxl.NtSt} {
-		r := NewRigSeeded(cxl.Type2, seed)
+		r := NewRig(cxl.Type2)
 		var last sim.Time
 		for i := 0; i < n; i++ {
 			done := r.Emu.D2H(op, r.hostLine(i), 0)

@@ -354,7 +354,6 @@ func (c *Core) CLDemote(addr phys.Addr, st cache.State, data []byte, now sim.Tim
 	return now + c.h.p.Host.CLDemote
 }
 
-
 func lineSetData(l *cache.Line, data []byte) {
 	if len(data) != phys.LineSize {
 		panic("host: bad line data size")

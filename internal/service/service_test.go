@@ -334,11 +334,15 @@ func TestMeasureEndpoint(t *testing.T) {
 		{"unknown place", `{"kind":"d2h","op":"CS-rd","place":"L2-1"}`},
 		{"bad device type", `{"kind":"h2d","op":"ld","config":{"device_type":"type9"}}`},
 		{"place/kind mismatch", `{"kind":"d2h","op":"CS-rd","place":"DMC-1","reps":10}`},
+		{"NC-P on D2D", `{"kind":"d2d","op":"NC-P","reps":10}`},
+		{"D2H on type3", `{"kind":"d2h","op":"CS-rd","reps":10,"config":{"device_type":"type3"}}`},
+		{"D2D on type3", `{"kind":"d2d","op":"CS-rd","reps":10,"config":{"device_type":"type3"}}`},
+		{"H2D DMC-1 on type3", `{"kind":"h2d","op":"ld","place":"DMC-1","reps":10,"config":{"device_type":"type3"}}`},
 	}
 	for _, c := range bad {
 		resp, body := post(t, ts.URL+"/v1/measure", c.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: %d %s, want 400", c.name, resp.StatusCode, body)
+		if resp.StatusCode != http.StatusBadRequest || bytes.Contains(body, []byte("goroutine ")) {
+			t.Errorf("%s: %d %s, want 400 without a stack", c.name, resp.StatusCode, body)
 		}
 	}
 

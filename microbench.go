@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/stats"
+	"repro/internal/experiments"
 )
 
 // This file provides the paper's §V microbenchmark methodology as a public
@@ -82,10 +82,32 @@ func devProbe(i int) Addr {
 	return DeviceMemoryBase + Addr(2<<20) + Addr((i*2654435761)%(1<<18))*LineSize
 }
 
+// measure runs the §V loop (experiments.Probe) over the given address
+// stream, priming each line with prime and timing it with access.
+func (s *System) measure(spec MeasureSpec, line func(int) Addr, prime func(Addr), access func(Addr) Time) Measurement {
+	m := Measurement{Reps: spec.Reps, Burst: spec.Burst}
+	m.MedianNs, m.StdDevNs, m.BandwidthGBs = experiments.Probe{
+		Reps: spec.Reps, Burst: spec.Burst,
+		Line: line, Prime: prime, Reset: s.ResetTiming,
+		Access: func(addr Addr) (Time, Time) {
+			done := access(addr)
+			return done, done
+		},
+	}.Run()
+	return m
+}
+
 // MeasureD2H measures a D2H request type against host memory with the
-// given placement (PlaceCold, PlaceLLC or PlaceHMC).
+// given placement (PlaceCold, PlaceLLC or PlaceHMC). D2H needs a device
+// with CXL.cache (Type-2).
 func (s *System) MeasureD2H(req D2HReq, spec MeasureSpec) (Measurement, error) {
 	spec.setDefaults()
+	if spec.Place == PlaceDMC {
+		return Measurement{}, fmt.Errorf("cxl2sim: PlaceDMC does not apply to D2H")
+	}
+	if !s.Dev.Type().HasDeviceCache() {
+		return Measurement{}, fmt.Errorf("cxl2sim: D2H requires CXL.cache; device is %v", s.Dev.Type())
+	}
 	prime := func(addr Addr) {
 		switch spec.Place {
 		case PlaceCold:
@@ -97,46 +119,26 @@ func (s *System) MeasureD2H(req D2HReq, spec MeasureSpec) (Measurement, error) {
 		case PlaceHMC:
 			s.Dev.D2H(CSRead, addr, nil, 0)
 			s.Host.LLC().Invalidate(addr)
-		default:
-			return
 		}
 	}
-	if spec.Place == PlaceDMC {
-		return Measurement{}, fmt.Errorf("cxl2sim: PlaceDMC does not apply to D2H")
-	}
-	lat := stats.NewSample(spec.Reps)
-	for rep := 0; rep < spec.Reps; rep++ {
-		addr := hostProbe(rep)
-		prime(addr)
-		s.ResetTiming()
-		lat.Add(s.Dev.D2H(req, addr, nil, 0).Done.Nanoseconds())
-	}
-	base := spec.Reps + 1
-	for i := 0; i < spec.Burst; i++ {
-		prime(hostProbe(base + i))
-	}
-	s.ResetTiming()
-	var last Time
-	for i := 0; i < spec.Burst; i++ {
-		if r := s.Dev.D2H(req, hostProbe(base+i), nil, 0); r.Done > last {
-			last = r.Done
-		}
-	}
-	return Measurement{
-		MedianNs:     lat.Median(),
-		StdDevNs:     lat.StdDev(),
-		BandwidthGBs: float64(spec.Burst*LineSize) / last.Seconds() / 1e9,
-		Reps:         spec.Reps,
-		Burst:        spec.Burst,
-	}, nil
+	return s.measure(spec, hostProbe, prime, func(addr Addr) Time {
+		return s.Dev.D2H(req, addr, nil, 0).Done
+	}), nil
 }
 
 // MeasureD2D measures a D2D request type against device memory with the
-// given placement (PlaceCold or PlaceDMC).
+// given placement (PlaceCold or PlaceDMC). D2D needs a Type-2 device and
+// a request other than NC-P, which targets host LLC.
 func (s *System) MeasureD2D(req D2HReq, spec MeasureSpec) (Measurement, error) {
 	spec.setDefaults()
 	if spec.Place != PlaceCold && spec.Place != PlaceDMC {
 		return Measurement{}, fmt.Errorf("cxl2sim: D2D placement must be PlaceCold or PlaceDMC")
+	}
+	if t := s.Dev.Type(); !t.HasDeviceCache() || !t.HasDeviceMemory() {
+		return Measurement{}, fmt.Errorf("cxl2sim: D2D requires a Type-2 device; device is %v", t)
+	}
+	if req == NCP {
+		return Measurement{}, fmt.Errorf("cxl2sim: NC-P targets host LLC and does not apply to D2D")
 	}
 	prime := func(addr Addr) {
 		if spec.Place == PlaceDMC {
@@ -145,40 +147,21 @@ func (s *System) MeasureD2D(req D2HReq, spec MeasureSpec) (Measurement, error) {
 			s.Dev.DMC().Invalidate(addr)
 		}
 	}
-	lat := stats.NewSample(spec.Reps)
-	for rep := 0; rep < spec.Reps; rep++ {
-		addr := devProbe(rep)
-		prime(addr)
-		s.ResetTiming()
-		lat.Add(s.Dev.D2D(req, addr, nil, 0).Done.Nanoseconds())
-	}
-	base := spec.Reps + 1
-	for i := 0; i < spec.Burst; i++ {
-		prime(devProbe(base + i))
-	}
-	s.ResetTiming()
-	var last Time
-	for i := 0; i < spec.Burst; i++ {
-		if r := s.Dev.D2D(req, devProbe(base+i), nil, 0); r.Done > last {
-			last = r.Done
-		}
-	}
-	return Measurement{
-		MedianNs:     lat.Median(),
-		StdDevNs:     lat.StdDev(),
-		BandwidthGBs: float64(spec.Burst*LineSize) / last.Seconds() / 1e9,
-		Reps:         spec.Reps,
-		Burst:        spec.Burst,
-	}, nil
+	return s.measure(spec, devProbe, prime, func(addr Addr) Time {
+		return s.Dev.D2D(req, addr, nil, 0).Done
+	}), nil
 }
 
 // MeasureH2D measures a host op against device memory with the given
 // placement (PlaceCold or PlaceDMC; PlaceLLC measures the NC-P-pushed fast
-// path).
+// path). PlaceDMC and PlaceLLC need a device with a cache (Type-2).
 func (s *System) MeasureH2D(op HostOp, spec MeasureSpec) (Measurement, error) {
 	spec.setDefaults()
 	if spec.Place == PlaceHMC {
 		return Measurement{}, fmt.Errorf("cxl2sim: PlaceHMC does not apply to H2D")
+	}
+	if (spec.Place == PlaceDMC || spec.Place == PlaceLLC) && !s.Dev.Type().HasDeviceCache() {
+		return Measurement{}, fmt.Errorf("cxl2sim: %v H2D placement requires a device cache; device is %v", spec.Place, s.Dev.Type())
 	}
 	prime := func(addr Addr) {
 		s.Host.LLC().Invalidate(addr)
@@ -190,29 +173,7 @@ func (s *System) MeasureH2D(op HostOp, spec MeasureSpec) (Measurement, error) {
 		}
 	}
 	core := s.Host.Core(0)
-	lat := stats.NewSample(spec.Reps)
-	for rep := 0; rep < spec.Reps; rep++ {
-		addr := devProbe(rep)
-		prime(addr)
-		s.ResetTiming()
-		lat.Add(core.Access(op, addr, nil, 0).Done.Nanoseconds())
-	}
-	base := spec.Reps + 1
-	for i := 0; i < spec.Burst; i++ {
-		prime(devProbe(base + i))
-	}
-	s.ResetTiming()
-	var last Time
-	for i := 0; i < spec.Burst; i++ {
-		if r := core.Access(op, devProbe(base+i), nil, 0); r.Done > last {
-			last = r.Done
-		}
-	}
-	return Measurement{
-		MedianNs:     lat.Median(),
-		StdDevNs:     lat.StdDev(),
-		BandwidthGBs: float64(spec.Burst*LineSize) / last.Seconds() / 1e9,
-		Reps:         spec.Reps,
-		Burst:        spec.Burst,
-	}, nil
+	return s.measure(spec, devProbe, prime, func(addr Addr) Time {
+		return core.Access(op, addr, nil, 0).Done
+	}), nil
 }
