@@ -86,23 +86,21 @@ func BenchmarkCluster(b *testing.B) {
 	b.ReportMetric(float64(m.SwitchWaited().Microseconds()), "sw-wait-us")
 }
 
-// BenchmarkClusterSharded is BenchmarkCluster under sharded execution:
-// the same simulation partitioned into one engine per host plus a hub
-// shard, run with 4 workers. The metrics are byte-identical to the
-// inline run (pinned by the cluster test suite); what this benchmark
-// tracks is the wall-clock cost of the conservative-PDES machinery and
-// the parallel speedup where cores are available.
-func BenchmarkClusterSharded(b *testing.B) {
+// BenchmarkClusterScale is the cluster model at 32 replicas sharing two
+// expanders: 33 shards, so the per-window cost of the PDES loop (drain
+// and bound over every shard) dominates the way it does at fleet scale,
+// which BenchmarkCluster's five shards never show.
+func BenchmarkClusterScale(b *testing.B) {
 	var m cluster.Metrics
 	for i := 0; i < b.N; i++ {
 		m = cluster.Run(cluster.Config{
 			Seed:         7,
-			Replicas:     4,
-			Requests:     48,
+			Replicas:     32,
+			Expanders:    2,
+			Requests:     768,
 			RatePerSec:   400_000,
-			LocalBlocks:  4,
-			SharedBlocks: 24,
-			Shards:       4,
+			LocalBlocks:  8,
+			SharedBlocks: 256,
 			Router:       cluster.NewRoundRobin(), // routers are single-use
 		})
 	}

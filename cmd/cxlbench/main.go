@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +42,6 @@ func main() { os.Exit(run()) }
 func run() int {
 	reps := flag.Int("reps", 1000, "repetitions per measurement (the paper uses >= 1000)")
 	parallel := flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "workers per cluster simulation for sharded PDES execution (0/1 = inline; output is byte-identical at any value)")
 	serial := flag.Bool("serial", false, "run on a single worker (same as -parallel 1)")
 	seed := flag.Int64("seed", cxl2sim.DefaultRootSeed, "root seed for per-job seed derivation")
 	noStats := flag.Bool("no-stats", false, "suppress the per-job stats table on stderr")
@@ -129,16 +129,11 @@ func run() int {
 		return 0
 	}
 
-	secs := cxl2sim.ExperimentSectionsSharded(*reps, *shards)
+	names := cxl2sim.ExperimentSectionNames()
 	if which != "all" {
-		sec, ok := cxl2sim.ExperimentSectionByName(secs, which)
-		if !ok {
-			flag.Usage()
-			return 2
-		}
-		secs = []cxl2sim.ExperimentSection{sec}
+		names = []string{which}
 	}
-
+	var trace []byte
 	if *replayTrace != "" {
 		if which != "infer" {
 			fmt.Fprintln(os.Stderr, "cxlbench: -replay-trace applies to the infer section (pass `infer`)")
@@ -149,15 +144,24 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "cxlbench:", rerr)
 			return 1
 		}
-		// The same decode and replay precondition the daemon and the dist
-		// workers apply: a trace the section cannot serve fails here, as
-		// one line, instead of panicking inside a job.
-		sec, berr := dist.Spec{Kind: "section", Section: "infer", Reps: *reps, Trace: raw}.Build()
+		trace = raw
+	}
+	// The same validation the daemon and the dist workers apply: a
+	// request the sections cannot serve (negative reps, a trace infer
+	// cannot replay) fails here, as one line, instead of panicking
+	// inside a job.
+	var secs []cxl2sim.ExperimentSection
+	for _, name := range names {
+		sec, berr := dist.Spec{Kind: "section", Section: name, Reps: *reps, Trace: trace}.Build()
+		if errors.Is(berr, dist.ErrUnknownSection) {
+			flag.Usage()
+			return 2
+		}
 		if berr != nil {
 			fmt.Fprintln(os.Stderr, "cxlbench:", berr)
-			return 1
+			return 2
 		}
-		secs = []cxl2sim.ExperimentSection{sec}
+		secs = append(secs, sec)
 	}
 
 	var results []cxl2sim.JobResult

@@ -24,6 +24,7 @@ import (
 	"syscall"
 
 	cxl2sim "repro"
+	"repro/internal/dist"
 )
 
 func main() {
@@ -35,6 +36,14 @@ func main() {
 	noStats := flag.Bool("no-stats", false, "suppress the per-job stats table on stderr")
 	benchJSON := flag.String("bench-json", "", "write per-job timing stats as JSON to this path")
 	flag.Parse()
+
+	// The report request the daemon and the dist workers validate: a
+	// negative -reps fails here, as one line, instead of inside a job.
+	sec, err := dist.Spec{Kind: "report", Reps: *reps, Full: *full}.Build()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "report:", err)
+		os.Exit(2)
+	}
 
 	if !*full {
 		fmt.Fprintln(os.Stderr, "(skipping Fig. 8 co-simulations; pass -full to include them)")
@@ -48,18 +57,14 @@ func main() {
 	// note instead of dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	results, err := cxl2sim.WriteReportOpts(os.Stdout, cxl2sim.ReportOptions{
-		Reps:     *reps,
-		Full:     *full,
-		Workers:  workers,
-		RootSeed: *seed,
-		Context:  ctx,
-	})
+	opts := cxl2sim.JobOptions{Workers: workers, RootSeed: *seed, Context: ctx}
+	results := cxl2sim.RunJobs(sec.Jobs, opts)
+	err = sec.Render(os.Stdout, results)
 	if !*noStats {
 		cxl2sim.PrintJobStats(os.Stderr, results)
 	}
 	if *benchJSON != "" {
-		eff := cxl2sim.JobOptions{Workers: workers, RootSeed: *seed}.Effective()
+		eff := opts.Effective()
 		f, cerr := os.Create(*benchJSON)
 		if cerr == nil {
 			cerr = cxl2sim.WriteJobStatsJSON(f, results, eff.Workers, eff.RootSeed)

@@ -27,12 +27,6 @@ type ClusterConfig struct {
 	Reps int
 	// Seed overrides the workload seed; 0 uses the job's derived seed.
 	Seed int64
-	// Shards is the worker cap for sharded PDES execution of each
-	// cluster simulation (0 or 1 runs inline). A pure speed knob: rows
-	// are byte-identical at every value, so it stays out of section
-	// cache keys. Workers beyond 1 are recruited from the runner pool so
-	// shard goroutines and job workers share one parallelism budget.
-	Shards int
 }
 
 func (c ClusterConfig) requests() int {
@@ -118,10 +112,8 @@ type ClusterRow struct {
 	Links    []ClusterLinkRow
 }
 
-// clusterRow runs one scenario to completion. shards and recruit
-// configure sharded execution (see ClusterConfig.Shards); recruit may
-// be nil.
-func clusterRow(sc ClusterScenario, requests int, seed int64, shards int, recruit func(int) (int, func())) (ClusterRow, uint64) {
+// clusterRow runs one scenario to completion.
+func clusterRow(sc ClusterScenario, requests int, seed int64) (ClusterRow, uint64) {
 	m := cluster.Run(cluster.Config{
 		Seed:         seed,
 		Replicas:     sc.Replicas,
@@ -130,8 +122,6 @@ func clusterRow(sc ClusterScenario, requests int, seed int64, shards int, recrui
 		LocalBlocks:  sc.LocalBlocks,
 		SharedBlocks: sc.SharedBlocks,
 		Router:       sc.Router(),
-		Shards:       shards,
-		Recruit:      recruit,
 	})
 	const mb = 1.0 / (1 << 20)
 	row := ClusterRow{
@@ -181,7 +171,7 @@ func ClusterJobs(cfg ClusterConfig) []runner.Job {
 		var subs []runner.SubJob
 		for _, sc := range ClusterScenarios() {
 			subs = append(subs, runner.SubJob{ID: sc.Name, Run: func(sctx *runner.Ctx) (any, error) {
-				row, accesses := clusterRow(sc, requests, seed, cfg.Shards, sctx.TryRecruit)
+				row, accesses := clusterRow(sc, requests, seed)
 				sctx.AddEvents(accesses)
 				return []ClusterRow{row}, nil
 			}})
@@ -256,14 +246,4 @@ func PrintCluster(w io.Writer, rows []ClusterRow) {
 	}
 	printClusterTable(w, "Per-link fabric traffic",
 		[]string{"scenario/link", "a->b(MB)", "b->a(MB)"}, perLink)
-}
-
-// ClusterFind locates a scenario's row.
-func ClusterFind(rows []ClusterRow, scenario string) ClusterRow {
-	for _, r := range rows {
-		if r.Scenario == scenario {
-			return r
-		}
-	}
-	panic(fmt.Sprintf("experiments: no cluster row %q", scenario))
 }

@@ -83,11 +83,6 @@ type SectionOptions struct {
 	// Reps tunes the repetition count of the experiments that take one
 	// (0 keeps the paper's defaults).
 	Reps int
-	// ClusterShards caps the worker count for sharded PDES execution of
-	// each cluster simulation (0 or 1 runs inline); workers are recruited
-	// from the runner pool (see ClusterConfig.Shards). Rows are
-	// byte-identical at every setting, so it never joins a cache key.
-	ClusterShards int
 	// Trace replaces the infer section's generated request stream with a
 	// recorded one; the other sections ignore it. It must pass
 	// CheckInferTrace.
@@ -112,9 +107,7 @@ var registry = []struct {
 		return InferJobs(InferConfig{Reps: o.Reps, Trace: o.Trace})
 	}, renderRows(PrintInfer)},
 	{"workload", func(o SectionOptions) []runner.Job { return WorkloadJobs(WorkloadConfig{Reps: o.Reps}) }, renderRows(PrintWorkload)},
-	{"cluster", func(o SectionOptions) []runner.Job {
-		return ClusterJobs(ClusterConfig{Reps: o.Reps, Shards: o.ClusterShards})
-	}, renderRows(PrintCluster)},
+	{"cluster", func(o SectionOptions) []runner.Job { return ClusterJobs(ClusterConfig{Reps: o.Reps}) }, renderRows(PrintCluster)},
 }
 
 // renderRows adapts a figure printer into a section renderer: it fails on

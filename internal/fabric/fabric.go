@@ -164,13 +164,12 @@ type buildOptions struct {
 	sharded bool
 }
 
-// Shards partitions the fabric for sharded conservative-PDES execution
-// when n > 0: every host becomes its own shard, the switch fabric and
-// expanders form the hub shard, and zero-latency links force
-// co-residency. ShardSet exposes the per-shard engines and
-// deterministic cross-shard messaging; the worker count is
-// ShardSet.Run's argument, and whatever it is, a run renders
-// byte-identical output (see ShardSet).
+// Shards partitions the fabric for conservative-PDES execution when
+// n > 0 (the value is otherwise unused): every host becomes its own
+// shard, the switch fabric and expanders form the hub shard, and
+// zero-latency links force co-residency. ShardSet exposes the per-shard
+// engines and deterministic cross-shard messaging, and ShardSet.Run
+// steps them through lookahead windows on the calling goroutine.
 func Shards(n int) Option {
 	return func(o *buildOptions) { o.sharded = n > 0 }
 }

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -23,7 +22,7 @@ import (
 //
 // # Schedule
 //
-// One barrier-synchronous loop runs at every worker count:
+// One barrier-synchronous loop, on the calling goroutine:
 //
 //  1. every shard drains its inboxes into its engine and records
 //     N_r, its next pending event time;
@@ -51,15 +50,14 @@ import (
 //
 // # Determinism
 //
-// The windows are a function of the engines' contents alone, so every
-// worker count runs the same window sequence; workers change only which
-// goroutine runs a busy shard, and shards share nothing inside a
-// window. Dispatch order within an engine is fixed by the event key
-// (when, srcShard<<SourceShift|srcSeq) — locals tagged by their own
-// engine (sim.SetSourceID), messages tagged by the sender at send time
-// (Shard.Send) — so any safe schedule dispatches each engine's events
-// in one fixed sequence, and a sharded run is byte-identical to the
-// inline single-goroutine run whatever the worker count.
+// The windows are a function of the engines' contents alone, and shards
+// share nothing inside a window, so the order in which a window's busy
+// shards run cannot matter. Dispatch order within an engine is fixed by
+// the event key (when, srcShard<<SourceShift|srcSeq) — locals tagged by
+// their own engine (sim.SetSourceID), messages tagged by the sender at
+// send time (Shard.Send) — so any safe schedule dispatches each
+// engine's events in one fixed sequence, and the rendered output is a
+// function of the simulation alone.
 
 // shardMsg is one cross-shard event in flight.
 type shardMsg struct {
@@ -84,10 +82,8 @@ type Shard struct {
 	// deterministic merge key. It advances only inside this shard's own
 	// event processing, so it is as deterministic as the event order.
 	out uint64
-	// next (N) and until (W) are this window's activation and bound.
-	next, until sim.Time
-	// fail is a panic runCaught kept for the caller to re-raise.
-	fail any
+	// next is N, this window's activation.
+	next sim.Time
 }
 
 // ID returns the shard's index within its ShardSet.
@@ -136,13 +132,6 @@ func (s *Shard) drain() {
 		}
 		s.inbox[src] = msgs[:0]
 	}
-}
-
-// runCaught runs the shard's window for the pool, keeping a panic for
-// the caller to re-raise after the barrier.
-func (s *Shard) runCaught() {
-	defer func() { s.fail = recover() }()
-	s.eng.RunWindow(s.until)
 }
 
 // ShardSet is the sharded execution of one fabric simulation.
@@ -281,44 +270,30 @@ func newShardSet(f *Fabric) (*ShardSet, error) {
 }
 
 // Run executes every shard to quiescence in barrier-synchronous windows
-// (see Schedule). workers <= 1 runs every window on the calling
-// goroutine; more hand each window's busy shards to a pool of up to
-// workers-1 goroutines plus the caller, except that a window with one
-// busy shard always runs on the caller. Rendered output is
-// byte-identical whatever the worker count. A panic inside any shard's
-// event processing is re-raised on the caller.
-func (ss *ShardSet) Run(workers int) {
+// (see Schedule), all on the calling goroutine.
+func (ss *ShardSet) Run() {
 	if ss.ran {
 		panic("fabric: ShardSet.Run called twice")
 	}
 	ss.ran = true
-	var p *pool
-	if workers = min(workers, len(ss.shards)); workers > 1 {
-		p = newPool(workers-1, len(ss.shards))
-		defer p.close()
-	}
-	busy := make([]*Shard, 0, len(ss.shards))
 	for {
 		for _, s := range ss.shards {
 			s.drain()
 			s.next = s.eng.NextEventAt()
 		}
-		busy = busy[:0]
+		// Running a shard touches only its engine and its peers'
+		// inboxes, never a next, so each bound can be taken just before
+		// its shard runs.
+		idle := true
 		for _, s := range ss.shards {
-			if s.until = ss.window(s.id); s.next < s.until {
-				busy = append(busy, s)
+			if w := ss.window(s.id); s.next < w {
+				s.eng.RunWindow(w)
+				idle = false
 			}
 		}
-		if len(busy) == 0 {
+		if idle {
 			return
 		}
-		if p == nil || len(busy) == 1 {
-			for _, s := range busy {
-				s.eng.RunWindow(s.until)
-			}
-			continue
-		}
-		p.run(busy)
 	}
 }
 
@@ -331,57 +306,6 @@ func (ss *ShardSet) window(r int) sim.Time {
 		}
 	}
 	return w
-}
-
-// pool is the per-Run set of helper goroutines that share a window's
-// busy shards with the caller.
-type pool struct {
-	work chan *Shard
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-func newPool(helpers, shards int) *pool {
-	p := &pool{work: make(chan *Shard, shards), done: make(chan struct{}, shards)}
-	p.wg.Add(helpers)
-	for k := 0; k < helpers; k++ {
-		go func() {
-			defer p.wg.Done()
-			for s := range p.work {
-				s.runCaught()
-				p.done <- struct{}{}
-			}
-		}()
-	}
-	return p
-}
-
-// run executes one window's busy shards, the caller taking queued
-// shards while helpers run others, and returns once all have finished
-// (the barrier). The lowest-numbered shard's panic, if any, is
-// re-raised.
-func (p *pool) run(busy []*Shard) {
-	for _, s := range busy {
-		p.work <- s
-	}
-	for left := len(busy); left > 0; left-- {
-		select {
-		case s := <-p.work:
-			s.runCaught()
-		case <-p.done:
-		}
-	}
-	for _, s := range busy {
-		if s.fail != nil {
-			panic(s.fail)
-		}
-	}
-}
-
-// close stops the helpers and waits for them to exit.
-func (p *pool) close() {
-	close(p.work)
-	p.wg.Wait()
 }
 
 // satAdd adds two times, saturating at Forever.

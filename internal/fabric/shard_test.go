@@ -1,10 +1,10 @@
 package fabric
 
 import (
+	"flag"
 	"fmt"
-	"runtime"
+	"os"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,16 +12,7 @@ import (
 	"repro/internal/sim"
 )
 
-// workerMatrix is the worker-count sweep the byte-identity properties
-// run: inline (the reference sequential schedule), two workers, and
-// GOMAXPROCS when it is larger.
-func workerMatrix() []int {
-	ws := []int{1, 2}
-	if p := runtime.GOMAXPROCS(0); p > 2 {
-		ws = append(ws, p)
-	}
-	return ws
-}
+var update = flag.Bool("update", false, "rewrite testdata/ping.golden instead of comparing")
 
 // TestShardPartitionGenericTopology pins the structural partitioner on
 // a topology that exercises every placement rule at once: switches and
@@ -91,8 +82,8 @@ func TestShardPartitionGenericTopology(t *testing.T) {
 // payload-chosen peer at the minimum admissible distance plus a small
 // payload-derived jitter — echo chains at the lookahead bound, the
 // worst case for the conservative window protocol.
-func runPingSchedule(workers int, seed int64, pings, hops int) string {
-	f := MustBuild(star(3, 2), nil, Shards(workers))
+func runPingSchedule(seed int64, pings, hops int) string {
+	f := MustBuild(star(3, 2), nil, Shards(1))
 	ss := f.ShardSet()
 	n := ss.NumShards()
 
@@ -129,7 +120,7 @@ func runPingSchedule(workers int, seed int64, pings, hops int) string {
 			hops:  hops,
 		})
 	}
-	ss.Run(workers)
+	ss.Run()
 	var b strings.Builder
 	for _, l := range logs {
 		b.WriteString(l.String())
@@ -137,78 +128,60 @@ func runPingSchedule(workers int, seed int64, pings, hops int) string {
 	return b.String()
 }
 
-// TestShardedMessageByteIdentity is the fabric-level tentpole property:
-// a cross-shard message schedule renders byte-identically at every
-// worker count, for several seeds. Same-instant deliveries from
-// different source shards land in (when, srcShard, srcSeq) order
-// regardless of which goroutine drains them first.
+// pingGolden holds runPingSchedule's render for each pinned seed, under
+// a "== seed N" header line. Regenerate with:
+//
+//	go test ./internal/fabric -run ShardedMessageByteIdentity -update
+const pingGolden = "testdata/ping.golden"
+
+// TestShardedMessageByteIdentity is the fabric-level determinism
+// property: a cross-shard message schedule renders exactly the golden
+// bytes for several seeds. Same-instant deliveries from different source
+// shards land in (when, srcShard, srcSeq) order, so any change to the
+// window loop or the merge keys that reorders one shows up here.
 func TestShardedMessageByteIdentity(t *testing.T) {
+	var b strings.Builder
 	for _, seed := range []int64{3, 17, 88} {
-		var want string
-		for _, w := range workerMatrix() {
-			got := runPingSchedule(w, seed, 24, 12)
-			if w == 1 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("seed %d workers=%d diverged from inline:\n--- inline ---\n%s--- workers=%d ---\n%s",
-					seed, w, want, w, got)
-			}
-		}
-		if want == "" {
+		got := runPingSchedule(seed, 24, 12)
+		if got == "" {
 			t.Fatalf("seed %d produced no deliveries", seed)
 		}
+		fmt.Fprintf(&b, "== seed %d\n%s", seed, got)
+	}
+	if *update {
+		if err := os.WriteFile(pingGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(pingGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("ping schedule render differs from %s", pingGolden)
 	}
 }
 
-// TestShardedTransferByteIdentity re-runs the existing random
-// ReadShared/WriteShared schedule property on a sharded build: the
+// TestShardedTransferByteIdentity re-runs the random
+// ReadShared/WriteShared schedule property on a partitioned build: the
 // transfers all execute on the hub shard, so the render must be
-// byte-identical to the unsharded fabric's whatever the worker count.
+// byte-identical to the unpartitioned fabric's.
 func TestShardedTransferByteIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		want, _ := randomSchedule(seed, 200)
-		for _, w := range workerMatrix() {
-			f := MustBuild(star(3, 2), nil, Shards(w))
-			r := rng.New(seed)
-			hosts, exps := f.Hosts(), f.Expanders()
-			var b strings.Builder
-			now := sim.Time(0)
-			for i := 0; i < 200; i++ {
-				now += sim.Time(r.Intn(200)) * sim.Nanosecond
-				h := hosts[r.Intn(len(hosts))]
-				x := exps[r.Intn(len(exps))]
-				n := (1 + r.Intn(64)) * 64
-				if r.Intn(3) == 0 {
-					done := f.WriteShared(h, x, n, now)
-					fmt.Fprintf(&b, "w %s %s %d @%d -> %d\n", h, x, n, now, done)
-				} else {
-					done := f.ReadShared(h, x, n, now)
-					fmt.Fprintf(&b, "r %s %s %d @%d -> %d\n", h, x, n, now, done)
-				}
-			}
-			for _, s := range f.LinkStats() {
-				fmt.Fprintf(&b, "link %s %d %d\n", s.Link, s.ABytes, s.BABytes)
-			}
-			for _, s := range f.PortStats() {
-				fmt.Fprintf(&b, "port %s %s claims=%d peak=%d waited=%d\n",
-					s.Switch, s.Link, s.Claims, s.PeakQueue, int64(s.Waited))
-			}
-			if b.String() != want {
-				t.Fatalf("seed %d Shards(%d): transfer render differs from unsharded build", seed, w)
-			}
+		if got, _ := randomSchedule(seed, 200, Shards(1)); got != want {
+			t.Fatalf("seed %d: partitioned transfer render differs from unpartitioned build", seed)
 		}
 	}
 }
 
 // relayStorm runs pings relayed through the hub over a star of seven
-// hosts on four workers: hosts forward only to the hub, the hub to a
+// hosts: hosts forward only to the hub, the hub to a
 // payload-chosen host, each hop at the lookahead bound plus a small
 // jitter. It returns the shard panic, if any, as an error.
 func relayStorm(seed int64) (err error) {
-	const workers = 4
-	f := MustBuild(star(7, 1), nil, Shards(workers))
+	f := MustBuild(star(7, 1), nil, Shards(1))
 	ss := f.ShardSet()
 	n := ss.NumShards()
 	type ping struct {
@@ -244,7 +217,7 @@ func relayStorm(seed int64) (err error) {
 			err = fmt.Errorf("%v", v)
 		}
 	}()
-	ss.Run(workers)
+	ss.Run()
 	return nil
 }
 
@@ -262,80 +235,5 @@ func TestShardedWindowNeverOutrunsMail(t *testing.T) {
 		if err := relayStorm(seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-	}
-}
-
-// TestShardedPanicReraisedOnCaller pins pool failure handling: a handler
-// panicking on a pool goroutine under Run(4) re-raises its original
-// value on the caller, and no pool goroutine outlives the run. Every
-// shard is busy in the first window and waits there for the other
-// three, so the four shards run on four distinct goroutines and the
-// first one off the caller's stack panics.
-func TestShardedPanicReraisedOnCaller(t *testing.T) {
-	before := runtime.NumGoroutine()
-	f := MustBuild(star(3, 1), nil, Shards(4))
-	ss := f.ShardSet()
-	n := ss.NumShards()
-	if n != 4 {
-		t.Fatalf("NumShards = %d, want 4", n)
-	}
-	type boom struct{ shard int }
-	var (
-		arrived  atomic.Int32
-		all      = make(chan struct{})
-		stalled  atomic.Bool
-		thrown   atomic.Pointer[boom]
-		onCaller = func() bool {
-			pc := make([]uintptr, 64)
-			frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
-			for {
-				fr, more := frames.Next()
-				if strings.HasSuffix(fr.Function, "(*ShardSet).Run") {
-					return true
-				}
-				if !more {
-					return false
-				}
-			}
-		}
-	)
-	for i := 0; i < n; i++ {
-		i := i
-		ss.Shard(i).Engine().AtCall(0, func(any) {
-			if arrived.Add(1) == int32(n) {
-				close(all)
-			}
-			select {
-			case <-all:
-			case <-time.After(5 * time.Second):
-				stalled.Store(true)
-			}
-			v := &boom{shard: i}
-			if !onCaller() && thrown.CompareAndSwap(nil, v) {
-				panic(v)
-			}
-		}, nil)
-	}
-	var got any
-	func() {
-		defer func() { got = recover() }()
-		ss.Run(4)
-	}()
-	if stalled.Load() {
-		t.Fatal("the four busy shards did not run on four goroutines")
-	}
-	want := thrown.Load()
-	if want == nil {
-		t.Fatal("no shard ran off the caller goroutine")
-	}
-	if got != any(want) {
-		t.Fatalf("Run re-raised %v, want the original panic value %v", got, want)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now != before {
-		t.Fatalf("goroutines: %d after Run, %d before; the pool leaked", now, before)
 	}
 }

@@ -28,11 +28,11 @@
 // with compute and gives each shard a full link latency of lookahead.
 //
 // The whole simulation is seeded (internal/rng derived streams) and
-// replays byte-identical metrics for a fixed Config at ANY worker count,
-// including Shards: 1 (inline): cross-shard messages merge by
-// (timestamp, source shard, source sequence), so the event order never
-// depends on scheduling. The `cluster` experiment section leans on that
-// to render identically in serial, parallel and sharded suite runs.
+// replays byte-identical metrics for a fixed Config: cross-shard
+// messages merge by (timestamp, source shard, source sequence), so the
+// event order is a function of the simulation alone. The `cluster`
+// experiment section leans on that to render identically in serial and
+// parallel suite runs.
 package cluster
 
 import (
@@ -94,19 +94,8 @@ type Config struct {
 	// Model is the per-token compute profile (shared with infer).
 	Model infer.ModelProfile
 
-	// Shards is the worker-goroutine budget for the sharded execution.
-	// The model always partitions into one engine per replica host plus
-	// the hub; Shards only picks how many OS workers drive them (0 and 1
-	// both run inline on the caller). Metrics are byte-identical at
-	// every value, so this is a pure speed knob and stays out of cache
-	// and canonical keys.
+	// Deprecated: ignored; every run is inline.
 	Shards int
-	// Recruit, when non-nil and Shards > 1, borrows up to n extra
-	// worker slots from an external pool (the experiment runner's
-	// parallelism budget) and returns how many it got plus a release.
-	// The run proceeds with 1+got workers so shard workers and suite
-	// workers never oversubscribe the machine together.
-	Recruit func(n int) (got int, release func())
 }
 
 // withDefaults fills zero fields with a small 2-replica setup whose
@@ -408,8 +397,7 @@ func New(cfg Config) *Cluster {
 }
 
 // Run executes the cluster simulation to completion. Deterministic in
-// Config — including across Shards values, which only change wall-clock
-// speed.
+// Config.
 func Run(cfg Config) Metrics {
 	c := New(cfg)
 	c.run()
@@ -461,19 +449,7 @@ func (c *Cluster) run() {
 	for _, q := range reqs {
 		eng.AtCall(q.arrival, c.arrivalFn, q)
 	}
-	workers := c.cfg.Shards
-	if workers < 1 {
-		workers = 1
-	}
-	if n := c.ss.NumShards(); workers > n {
-		workers = n
-	}
-	if workers > 1 && c.cfg.Recruit != nil {
-		got, release := c.cfg.Recruit(workers - 1)
-		defer release()
-		workers = 1 + got
-	}
-	c.ss.Run(workers)
+	c.ss.Run()
 	c.finalize(reqs)
 }
 

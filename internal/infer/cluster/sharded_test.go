@@ -1,29 +1,30 @@
 package cluster
 
 import (
-	"runtime"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 )
 
-// shardMatrix is the worker-count sweep every byte-identity test runs:
-// inline (the exact sequential schedule), two workers, and one worker
-// per shard up to GOMAXPROCS.
-func shardMatrix() []int {
-	ws := []int{1, 2}
-	if p := runtime.GOMAXPROCS(0); p > 2 {
-		ws = append(ws, p)
-	}
-	return ws
+var update = flag.Bool("update", false, "rewrite testdata/sharded.golden instead of comparing")
+
+// shardedGolden holds the render of every shardedCases and stressCases
+// run, each under a "== name" header line. Regenerate with:
+//
+//	go test ./internal/infer/cluster -run ShardedByteIdentity -update
+const shardedGolden = "testdata/sharded.golden"
+
+type shardedCase struct {
+	name string
+	cfg  Config
 }
 
-// TestShardedByteIdentity pins the tentpole contract: the rendered
-// metrics of a sharded run are byte-identical to the inline run at
-// every worker count, for each oversubscription regime and router.
-func TestShardedByteIdentity(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
+// shardedCases are the pinned partitioned runs: each oversubscription
+// regime and router.
+func shardedCases() []shardedCase {
+	return []shardedCase{
 		{"ample", Config{Seed: 11, Replicas: 4, Requests: 48,
 			LocalBlocks: 64, SharedBlocks: 256}},
 		{"oversub", Config{Seed: 11, Replicas: 4, Requests: 48,
@@ -34,65 +35,75 @@ func TestShardedByteIdentity(t *testing.T) {
 			RatePerSec: 400_000, LocalBlocks: 4, SharedBlocks: 24,
 			Router: NewLeastLoaded()}},
 	}
+}
+
+// stressCases are the cross-shard ordering stress runs: a high arrival
+// rate over a tiny shared pool makes every decode step exchange
+// admit/bundle/reply messages while many same-instant fabric
+// completions land at the hub, at several seeds.
+func stressCases() []shardedCase {
+	var cases []shardedCase
+	for _, seed := range []int64{1, 7, 23, 101} {
+		cases = append(cases, shardedCase{fmt.Sprintf("stress-%d", seed), Config{
+			Seed: seed, Replicas: 4, Expanders: 2, Requests: 96,
+			RatePerSec: 1_000_000, LocalBlocks: 2, SharedBlocks: 16,
+			MaxBatch: 8,
+		}})
+	}
+	return cases
+}
+
+// checkGolden runs cases and requires each render to equal its block in
+// shardedGolden exactly. With -update it rewrites the whole golden from
+// shardedCases and stressCases instead.
+func checkGolden(t *testing.T, cases []shardedCase) {
+	t.Helper()
+	if *update {
+		var all strings.Builder
+		for _, tc := range append(shardedCases(), stressCases()...) {
+			fmt.Fprintf(&all, "== %s\n%s", tc.name, render(Run(tc.cfg)))
+		}
+		if err := os.WriteFile(shardedGolden, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(shardedGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := map[string]string{}
+	for _, block := range strings.Split(string(raw), "== ")[1:] {
+		name, body, _ := strings.Cut(block, "\n")
+		want[name] = body
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var want string
-			for _, w := range shardMatrix() {
-				cfg := tc.cfg
-				cfg.Shards = w
-				// Routers are stateful and single-use: fresh one per run.
-				switch tc.cfg.Router.(type) {
-				case nil:
-				case *sessionAffinity:
-					cfg.Router = NewSessionAffinity()
-				case leastLoaded:
-					cfg.Router = NewLeastLoaded()
-				default:
-					cfg.Router = nil
-				}
-				got := render(Run(cfg))
-				if w == 1 {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("Shards=%d rendered differently from inline:\n--- inline ---\n%s\n--- %d workers ---\n%s",
-						w, want, w, got)
-				}
+			w, ok := want[tc.name]
+			if !ok {
+				t.Fatalf("no %q block in %s (run with -update)", tc.name, shardedGolden)
+			}
+			if got := render(Run(tc.cfg)); got != w {
+				t.Fatalf("render differs from %s:\n--- want ---\n%s--- got ---\n%s",
+					shardedGolden, w, got)
 			}
 		})
 	}
 }
 
+// TestShardedByteIdentity pins the partitioned execution's bytes: every
+// regime's rendered metrics must equal the golden exactly, so a change
+// to the window loop, the cross-shard merge keys or the cluster model
+// that moves any event shows up here.
+func TestShardedByteIdentity(t *testing.T) {
+	checkGolden(t, shardedCases())
+}
+
 // TestShardedStressCrossShardOrdering hammers the cross-shard merge
-// path: a high arrival rate over a tiny shared pool makes every decode
-// step exchange admit/bundle/reply messages while many same-instant
-// fabric completions land at the hub. Several seeds, all worker counts,
-// all byte-identical.
+// path with stressCases; each seed's render must equal the golden
+// exactly.
 func TestShardedStressCrossShardOrdering(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress sweep")
-	}
-	for _, seed := range []int64{1, 7, 23, 101} {
-		base := Config{
-			Seed: seed, Replicas: 4, Expanders: 2, Requests: 96,
-			RatePerSec: 1_000_000, LocalBlocks: 2, SharedBlocks: 16,
-			MaxBatch: 8,
-		}
-		var want string
-		for _, w := range shardMatrix() {
-			cfg := base
-			cfg.Shards = w
-			got := render(Run(cfg))
-			if w == 1 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("seed %d Shards=%d diverged from inline", seed, w)
-			}
-		}
-	}
+	checkGolden(t, stressCases())
 }
 
 // TestShardPartitionShape pins the cluster's partition: the hub shard

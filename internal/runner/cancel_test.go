@@ -46,8 +46,10 @@ func TestSerialCancellation(t *testing.T) {
 
 // TestParallelCancellation: cancelling mid-run lets in-flight jobs finish,
 // skips undispatched ones, and keeps result slots aligned to submission
-// order. The first job cancels the run itself, so by the time its worker
-// asks for more work the dispatcher has observed the cancellation.
+// order. The first job cancels the run itself; every other job waits for
+// that cancellation, so no worker can drain the queue first. No worker
+// takes more work before the cancel, so at most the one send in flight
+// when it lands dispatches past jobs 0 and 1.
 func TestParallelCancellation(t *testing.T) {
 	const n = 24
 	ctx, cancel := context.WithCancel(context.Background())
@@ -59,6 +61,7 @@ func TestParallelCancellation(t *testing.T) {
 			if i == 0 {
 				cancel()
 			}
+			<-ctx.Done()
 			return i, nil
 		}}
 	}
@@ -66,6 +69,9 @@ func TestParallelCancellation(t *testing.T) {
 	cancelled := CancelledCount(results)
 	if cancelled == 0 {
 		t.Fatalf("expected some cancelled jobs out of %d", n)
+	}
+	if cancelled < n-3 {
+		t.Fatalf("CancelledCount = %d, want at least %d (jobs 0, 1 and one in-flight send dispatch)", cancelled, n-3)
 	}
 	for i, r := range results {
 		if r.ID != jobs[i].ID || r.Index != i {

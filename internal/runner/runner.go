@@ -136,36 +136,6 @@ func (c *Ctx) Fork(subs []SubJob) []Result {
 	return results
 }
 
-// TryRecruit claims up to n extra CPU slots from the pool semaphore
-// without blocking and returns how many it got plus a release function
-// (call it exactly once, when the extra parallelism is done). It is the
-// same non-blocking recruitment Fork uses for helper goroutines, exposed
-// for jobs whose parallelism lives below the job level — e.g. sharded
-// PDES execution inside one simulation — so jobs, sub-jobs and shard
-// goroutines together never exceed Options.Workers. In serial mode (no
-// pool) it grants nothing, and a nil-receiver or zero n is a no-op; the
-// release function is never nil.
-func (c *Ctx) TryRecruit(n int) (got int, release func()) {
-	if c == nil || c.sem == nil || n <= 0 {
-		return 0, func() {}
-	}
-	for got < n {
-		select {
-		case c.sem <- struct{}{}:
-			got++
-			continue
-		default:
-		}
-		break
-	}
-	k := got
-	return got, func() {
-		for ; k > 0; k-- {
-			<-c.sem
-		}
-	}
-}
-
 // runSub executes a single sub-job on a child Ctx, converting a panic into
 // a failed Result exactly as runOne does for top-level jobs.
 func runSub(parent *Ctx, s SubJob, index int) (res Result) {

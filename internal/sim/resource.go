@@ -128,9 +128,6 @@ func NewCredits(name string, capacity int) *Credits {
 // Name returns the diagnostic name given at construction.
 func (c *Credits) Name() string { return c.name }
 
-// Capacity returns the pool size.
-func (c *Credits) Capacity() int { return c.capacity }
-
 // InFlight reports the number of credits currently held (not yet completed
 // relative to the most recent Acquire's start time). Because retirement is
 // lazy — completions leave the ring only when a later Acquire scans past

@@ -181,8 +181,8 @@ func (e *Engine) Now() Time { return e.now }
 // engine via AtCallTagged carry that engine's id in their key. Two
 // events at the same timestamp therefore dispatch in (sourceID,
 // perSourceSeq) order no matter when the injected one arrived — the
-// property that makes sharded execution byte-identical to inline
-// execution. Call it once, before any event is scheduled.
+// property that makes a partitioned run's bytes independent of the
+// order its shards run in. Call it once, before any event is scheduled.
 func (e *Engine) SetSourceID(id int) {
 	if id < 0 || id >= 1<<16 {
 		panic(fmt.Sprintf("sim: source id %d out of range", id))

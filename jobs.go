@@ -73,13 +73,6 @@ func ExperimentSections(reps int) []ExperimentSection {
 	return experiments.Sections(experiments.SectionOptions{Reps: reps})
 }
 
-// ExperimentSectionsSharded is ExperimentSections with sharded PDES
-// execution of the cluster section capped at shards workers per
-// simulation (0 or 1 runs inline; output is byte-identical either way).
-func ExperimentSectionsSharded(reps, shards int) []ExperimentSection {
-	return experiments.Sections(experiments.SectionOptions{Reps: reps, ClusterShards: shards})
-}
-
 // ExperimentSectionNames lists the registered section names in
 // presentation order — the single source for usage text and validation,
 // so command help can never drift from the registry.
