@@ -87,9 +87,9 @@ func BenchmarkCluster(b *testing.B) {
 }
 
 // BenchmarkClusterScale is the cluster model at 32 replicas sharing two
-// expanders: 33 shards, so the per-window cost of the PDES loop (drain
-// and bound over every shard) dominates the way it does at fleet scale,
-// which BenchmarkCluster's five shards never show.
+// expanders: 33 shards, so the per-window cost of the PDES loop (one
+// activation and one bound per shard) weighs the way it does at fleet
+// scale, which BenchmarkCluster's five shards never show.
 func BenchmarkClusterScale(b *testing.B) {
 	var m cluster.Metrics
 	for i := 0; i < b.N; i++ {

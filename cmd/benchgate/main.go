@@ -6,7 +6,9 @@
 // geomean allocs/op ratio (over benchmarks that report allocations on
 // both sides) regresses by more than -alloc-threshold percent —
 // separate gates, so an allocation regression cannot hide behind a
-// wall-clock win on a noisy runner and vice versa.
+// wall-clock win on a noisy runner and vice versa. A benchmark in the
+// run but absent from the baseline fails too: an ungated benchmark must
+// be added with -update, not slip in unmeasured.
 //
 // The committed baseline has two forms, written together by -update:
 // the JSON this tool gates against, and the raw `go test -bench` text
@@ -110,8 +112,9 @@ func run() int {
 }
 
 // gate prints a per-benchmark delta table and returns the exit code:
-// non-zero when the geomean ns/op ratio exceeds thresholdPct, or the
-// geomean allocs/op ratio exceeds allocThresholdPct. The allocs gate
+// non-zero when a benchmark is absent from the baseline, the geomean
+// ns/op ratio exceeds thresholdPct, or the geomean allocs/op ratio
+// exceeds allocThresholdPct. The allocs gate
 // only considers benchmarks where both sides report a positive
 // allocs/op (zero-alloc and pre-benchmem baseline records carry no
 // signal about allocation behavior).
@@ -121,12 +124,13 @@ func gate(w io.Writer, base *Baseline, cur []Record, thresholdPct, allocThreshol
 		baseBy[r.Name] = r
 	}
 	var logSum, logSumAlloc float64
-	var shared, sharedAlloc int
+	var shared, sharedAlloc, added int
 	fmt.Fprintf(w, "%-40s %14s %14s %8s %10s\n", "benchmark", "base ns/op", "cur ns/op", "delta", "allocs Δ")
 	for _, c := range cur {
 		b, ok := baseBy[c.Name]
 		if !ok || b.NsPerOp <= 0 || c.NsPerOp <= 0 {
 			fmt.Fprintf(w, "%-40s %14s %14.1f %8s\n", c.Name, "-", c.NsPerOp, "new")
+			added++
 			continue
 		}
 		ratio := c.NsPerOp / b.NsPerOp
@@ -150,6 +154,10 @@ func gate(w io.Writer, base *Baseline, cur []Record, thresholdPct, allocThreshol
 		return 1
 	}
 	code := 0
+	if added > 0 {
+		fmt.Fprintf(w, "benchgate: FAIL: %d benchmark(s) absent from the baseline (add them with -update)\n", added)
+		code = 1
+	}
 	geomeanPct := 100 * (math.Exp(logSum/float64(shared)) - 1)
 	fmt.Fprintf(w, "geomean over %d shared benchmarks: %+.1f%% (threshold +%.0f%%)\n", shared, geomeanPct, thresholdPct)
 	if geomeanPct > thresholdPct {

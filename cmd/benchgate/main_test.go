@@ -72,6 +72,14 @@ func TestGateThreshold(t *testing.T) {
 		{"nothing shared fails", []Record{
 			{Name: "BenchmarkOther", NsPerOp: 10},
 		}, 1},
+		{"benchmark absent from the baseline fails", []Record{
+			{Name: "BenchmarkSchedule", NsPerOp: 100},
+			{Name: "BenchmarkRunDense", NsPerOp: 100},
+			{Name: "BenchmarkOther", NsPerOp: 10},
+		}, 1},
+		{"benchmark dropped from the run passes", []Record{
+			{Name: "BenchmarkSchedule", NsPerOp: 100},
+		}, 0},
 	}
 	for _, tc := range cases {
 		var sb strings.Builder

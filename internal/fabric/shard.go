@@ -22,68 +22,60 @@ import (
 //
 // # Schedule
 //
+// Validate forbids host–host links and every device co-resides with its
+// host or the hub, so every cross-shard link joins a host to the hub
+// (shard 0) and the shard metric is a star: Dist(j,r) = up[j] + up[r],
+// where up[r] is host r's cheapest link to the hub and up[hub] = 0.
 // One barrier-synchronous loop, on the calling goroutine:
 //
-//  1. every shard drains its inboxes into its engine and records
-//     N_r, its next pending event time;
-//  2. shard r gets the bound
-//     W_r = min( min_{j≠r}( N_j + dist(j,r) ),  N_r + rt_r )
-//     and the loop ends when no shard has N_r < W_r;
+//  1. every shard records N_r, its next pending event time;
+//  2. with M = min over hosts j of N_j + up[j], a host gets the bound
+//     W_r = up[r] + min(N_hub, M) and the hub
+//     W_hub = min(M, N_hub + 2·min_j up[j]); the loop ends when no
+//     shard has N_r < W_r;
 //  3. every busy shard (N_r < W_r) runs its events strictly before W_r;
 //  4. barrier, then repeat.
 //
-// dist is the all-pairs shortest-path metric over link one-way
-// latencies, and rt_r = min_k(dist(r,k)+dist(k,r)) is shard r's
-// cheapest round trip.
+// These are the general conservative bound
+// W_r = min( min_{j≠r}(N_j + Dist(j,r)),  N_r + rt_r ), with rt_r the
+// cheapest round trip (2·up[r] for a host, the j = r term of M), in
+// closed form, so a window costs O(S).
 //
 // # Safety
 //
-// Mail moves only at the barrier, so a causal chain crosses at most one
-// shard boundary per window, and at every barrier each chain's earliest
-// unprocessed stage is an event in some engine j at or after N_j. A
-// chain from j reaches r no earlier than N_j + dist(j,r); one that
-// leaves r and comes back — an echo of r's own sends — no earlier than
-// N_r + rt_r. Every future delivery into r is therefore at or after
-// W_r, which r's window never reaches. The shard with the smallest N is
-// always busy (dist and rt are positive), so the loop ends exactly when
+// Send puts mail straight into the receiver's engine. A window runs
+// shard s's events at or after N_s, so their mail to r arrives at or
+// after N_s + Dist(s,r) ≥ W_r, past r's window whether r runs before or
+// after s. A causal chain thus crosses at most one shard boundary per
+// window: from j it reaches r no earlier than N_j + Dist(j,r), and an
+// echo of r's own sends no earlier than N_r + rt_r, so every future
+// delivery into r is at or after W_r. Send panics on mail that would
+// land inside its receiver's current bound. The shard with the smallest
+// N is always busy (every up is positive), so the loop ends exactly when
 // every engine is empty.
 //
 // # Determinism
 //
-// The windows are a function of the engines' contents alone, and shards
-// share nothing inside a window, so the order in which a window's busy
-// shards run cannot matter. Dispatch order within an engine is fixed by
-// the event key (when, srcShard<<SourceShift|srcSeq) — locals tagged by
-// their own engine (sim.SetSourceID), messages tagged by the sender at
-// send time (Shard.Send) — so any safe schedule dispatches each
-// engine's events in one fixed sequence, and the rendered output is a
-// function of the simulation alone.
+// The windows are a function of the engines' contents alone, and mail
+// sent inside a window is never dispatched in it, so the order in which
+// a window's busy shards run cannot matter. Dispatch order within an
+// engine is fixed by the event key (when, srcShard<<SourceShift|srcSeq)
+// — locals tagged by their own engine (sim.SetSourceID), messages tagged
+// by the sender at send time (Shard.Send) — so any safe schedule
+// dispatches each engine's events in one fixed sequence, and the
+// rendered output is a function of the simulation alone.
 
-// shardMsg is one cross-shard event in flight.
-type shardMsg struct {
-	when sim.Time
-	key  uint64
-	fn   func(any)
-	arg  any
-}
-
-// Shard is one partition of the fabric simulation: a private engine, the
-// nodes that live on it, and inboxes from every peer shard.
+// Shard is one partition of the fabric simulation: a private engine and
+// the nodes that live on it.
 type Shard struct {
 	set   *ShardSet
 	id    int
 	eng   *sim.Engine
 	nodes []string
-	// inbox[src] is the mail shard src sent during the current window.
-	// Only src appends to it inside a window and only this shard drains
-	// it between windows; the barrier orders the two.
-	inbox [][]shardMsg
 	// out is the per-sender message sequence, the srcSeq half of the
 	// deterministic merge key. It advances only inside this shard's own
 	// event processing, so it is as deterministic as the event order.
 	out uint64
-	// next is N, this window's activation.
-	next sim.Time
 }
 
 // ID returns the shard's index within its ShardSet.
@@ -111,36 +103,38 @@ func (s *Shard) Send(dst int, when sim.Time, fn func(any), arg any) {
 		s.eng.AtCall(when, fn, arg)
 		return
 	}
+	ss := s.set
+	at := satAdd(when, ss.Dist(s.id, dst))
+	if w := ss.bound(dst); at < w {
+		panic(fmt.Sprintf("fabric: shard %d mail arrives on shard %d at %v, inside its window bound %v", s.id, dst, at, w))
+	}
 	s.out++
-	m := shardMsg{when: satAdd(when, s.set.dist[s.id][dst]), key: uint64(s.id)<<sim.SourceShift | s.out, fn: fn, arg: arg}
-	in := s.set.shards[dst].inbox
-	in[s.id] = append(in[s.id], m)
+	ss.shards[dst].eng.AtCallTagged(at, uint64(s.id)<<sim.SourceShift|s.out, fn, arg)
 }
 
 // Dist returns the minimum cross-shard latency from src to dst — the
 // message delivery distance Send applies.
-func (ss *ShardSet) Dist(src, dst int) sim.Time { return ss.dist[src][dst] }
-
-// drain moves the last window's mail into the engine, keyed so the heap
-// merges it deterministically, and keeps the inboxes' backing arrays so
-// steady-state messaging does not allocate.
-func (s *Shard) drain() {
-	for src, msgs := range s.inbox {
-		for i, m := range msgs {
-			s.eng.AtCallTagged(m.when, m.key, m.fn, m.arg)
-			msgs[i] = shardMsg{} // drop fn/arg references
-		}
-		s.inbox[src] = msgs[:0]
+func (ss *ShardSet) Dist(src, dst int) sim.Time {
+	if src == dst {
+		return 0
 	}
+	return satAdd(ss.up[src], ss.up[dst])
 }
 
 // ShardSet is the sharded execution of one fabric simulation.
 type ShardSet struct {
 	shards []*Shard
 	byNode map[string]int
-	dist   [][]sim.Time
-	rt     []sim.Time // cheapest self round trip per shard
-	ran    bool
+	// up[r] is host shard r's cheapest one-way link to the hub, and
+	// up[0] = 0; hubRT = 2·min_r up[r] is the hub's cheapest round trip.
+	up    []sim.Time
+	hubRT sim.Time
+	// next[r] is N_r, and floor = min(N_hub, M) and hubW = W_hub the
+	// bounds, of the current window (see Schedule).
+	next        []sim.Time
+	floor, hubW sim.Time
+	windows     int
+	ran         bool
 }
 
 // NumShards reports the shard count of the partition.
@@ -211,22 +205,13 @@ func newShardSet(f *Fabric) (*ShardSet, error) {
 	}
 	for i, s := range ss.shards {
 		s.eng.SetSourceID(i)
-		s.inbox = make([][]shardMsg, len(ss.shards))
 	}
 
 	n := len(ss.shards)
-	// Inter-shard distances: shortest path over fabric-link one-way
-	// latencies (Floyd–Warshall; n is hosts+1). The metric closure is
-	// what lets the window bound cover multi-hop causal chains with a
-	// single term per origin shard.
-	ss.dist = make([][]sim.Time, n)
-	for i := range ss.dist {
-		ss.dist[i] = make([]sim.Time, n)
-		for j := range ss.dist[i] {
-			if i != j {
-				ss.dist[i][j] = sim.Forever
-			}
-		}
+	ss.up = make([]sim.Time, n)
+	ss.next = make([]sim.Time, n)
+	for r := 1; r < n; r++ {
+		ss.up[r] = sim.Forever
 	}
 	for _, fl := range f.links {
 		a, b := ss.byNode[fl.a], ss.byNode[fl.b]
@@ -240,31 +225,16 @@ func newShardSet(f *Fabric) (*ShardSet, error) {
 			// cross-shard link would mean zero lookahead.
 			return nil, fmt.Errorf("fabric: link %s crosses shards with zero latency; endpoints must co-reside", fl.name())
 		}
-		if ow := fl.spec.OneWay; ow < ss.dist[a][b] {
-			ss.dist[a][b] = ow
-			ss.dist[b][a] = ow
+		if a != 0 && b != 0 {
+			// Equally unreachable after Validate; the closed-form bounds
+			// hold only on a star around the hub.
+			return nil, fmt.Errorf("fabric: link %s joins two host shards; cross-shard links must touch the hub", fl.name())
 		}
+		ss.up[a+b] = min(ss.up[a+b], fl.spec.OneWay)
 	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if v := satAdd(ss.dist[i][k], ss.dist[k][j]); v < ss.dist[i][j] {
-					ss.dist[i][j] = v
-				}
-			}
-		}
-	}
-	ss.rt = make([]sim.Time, n)
-	for i := 0; i < n; i++ {
-		ss.rt[i] = sim.Forever
-		for k := 0; k < n; k++ {
-			if k == i {
-				continue
-			}
-			if v := satAdd(ss.dist[i][k], ss.dist[k][i]); v < ss.rt[i] {
-				ss.rt[i] = v
-			}
-		}
+	ss.hubRT = sim.Forever
+	for _, u := range ss.up[1:] {
+		ss.hubRT = min(ss.hubRT, satAdd(u, u))
 	}
 	return ss, nil
 }
@@ -277,16 +247,14 @@ func (ss *ShardSet) Run() {
 	}
 	ss.ran = true
 	for {
-		for _, s := range ss.shards {
-			s.drain()
-			s.next = s.eng.NextEventAt()
+		ss.windows++
+		for r, s := range ss.shards {
+			ss.next[r] = s.eng.NextEventAt()
 		}
-		// Running a shard touches only its engine and its peers'
-		// inboxes, never a next, so each bound can be taken just before
-		// its shard runs.
+		ss.bounds()
 		idle := true
-		for _, s := range ss.shards {
-			if w := ss.window(s.id); s.next < w {
+		for r, s := range ss.shards {
+			if w := ss.bound(r); ss.next[r] < w {
 				s.eng.RunWindow(w)
 				idle = false
 			}
@@ -297,15 +265,26 @@ func (ss *ShardSet) Run() {
 	}
 }
 
-// window is shard r's bound W_r over the current activations.
-func (ss *ShardSet) window(r int) sim.Time {
-	w := satAdd(ss.shards[r].next, ss.rt[r])
-	for j, s := range ss.shards {
-		if j != r {
-			w = min(w, satAdd(s.next, ss.dist[j][r]))
-		}
+// Windows reports how many windows Run has stepped through, the final
+// idle one included.
+func (ss *ShardSet) Windows() int { return ss.windows }
+
+// bounds sets floor and hubW from the activations in next.
+func (ss *ShardSet) bounds() {
+	m := sim.Forever
+	for j := 1; j < len(ss.next); j++ {
+		m = min(m, satAdd(ss.next[j], ss.up[j]))
 	}
-	return w
+	ss.floor = min(ss.next[0], m)
+	ss.hubW = min(m, satAdd(ss.next[0], ss.hubRT))
+}
+
+// bound is shard r's window bound W_r for the current window.
+func (ss *ShardSet) bound(r int) sim.Time {
+	if r == 0 {
+		return ss.hubW
+	}
+	return satAdd(ss.up[r], ss.floor)
 }
 
 // satAdd adds two times, saturating at Forever.

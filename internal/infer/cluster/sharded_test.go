@@ -136,3 +136,15 @@ func TestShardPartitionShape(t *testing.T) {
 		t.Fatalf("replica→replica distance %v, want %v (two hops via hub)", got, 2*oneWay)
 	}
 }
+
+// TestShardedWindowCount pins the PDES schedule itself at the cxlperf
+// cluster shape: the number of windows ShardSet.Run steps through. A
+// change that keeps the bytes but moves a window bound shows up here.
+func TestShardedWindowCount(t *testing.T) {
+	c := New(Config{Seed: 1, Replicas: 8, Expanders: 2, Requests: 2048,
+		RatePerSec: 400_000, LocalBlocks: 8, SharedBlocks: 256})
+	c.run()
+	if got, want := c.ss.Windows(), 35_659; got != want {
+		t.Fatalf("cluster run took %d windows, want %d", got, want)
+	}
+}
