@@ -33,23 +33,26 @@ func main() {
 	}
 	cfg := cxl2sim.Fig8Config{Duration: cxl2sim.Time(*ms) * cxl2sim.Millisecond, Zipfian: *zipf}
 
+	// A bad flag value fails here as one line with exit 2, never as a run.
 	var wl []cxl2sim.Workload
 	for _, s := range strings.Split(*workloads, ",") {
-		switch strings.TrimSpace(strings.ToUpper(s)) {
-		case "A":
-			wl = append(wl, cxl2sim.Workloads()[0])
-		case "B":
-			wl = append(wl, cxl2sim.Workloads()[1])
-		case "C":
-			wl = append(wl, cxl2sim.Workloads()[2])
-		case "D":
-			wl = append(wl, cxl2sim.Workloads()[3])
+		switch l := strings.TrimSpace(strings.ToUpper(s)); l {
+		case "A", "B", "C", "D":
+			wl = append(wl, cxl2sim.Workloads()[l[0]-'A'])
+		default:
+			fmt.Fprintf(os.Stderr, "kvsbench: unknown workload %q in -workloads (want A, B, C or D)\n", s)
+			os.Exit(2)
 		}
 	}
 
 	features := []string{"zswap", "ksm"}
-	if *feature != "both" {
+	switch *feature {
+	case "both":
+	case "zswap", "ksm":
 		features = []string{*feature}
+	default:
+		fmt.Fprintf(os.Stderr, "kvsbench: unknown -feature %q (want zswap, ksm or both)\n", *feature)
+		os.Exit(2)
 	}
 
 	switch which {
@@ -75,9 +78,6 @@ func main() {
 
 // printCycles reports the §VII host-CPU-cycle and LLC-pollution analysis.
 func printCycles(features []string, wl []cxl2sim.Workload, cfg cxl2sim.Fig8Config) {
-	if len(wl) == 0 {
-		wl = cxl2sim.Workloads()
-	}
 	for _, f := range features {
 		rows := cxl2sim.RunFig8(f, wl[:1], cfg)
 		fmt.Printf("\n§VII — %s host-CPU cycles and LLC pollution (workload %v)\n", f, wl[0])

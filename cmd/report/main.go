@@ -25,10 +25,11 @@ import (
 
 	cxl2sim "repro"
 	"repro/internal/dist"
+	"repro/internal/experiments"
 )
 
 func main() {
-	reps := flag.Int("reps", 400, "repetitions per microbenchmark measurement")
+	reps := flag.Int("reps", experiments.ReportReps, "repetitions per microbenchmark measurement")
 	full := flag.Bool("full", false, "also run the Fig. 8 co-simulations (minutes)")
 	parallel := flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
 	serial := flag.Bool("serial", false, "run on a single worker (same as -parallel 1)")

@@ -175,11 +175,12 @@ func withinTolerance(a, b float64) bool {
 // TestReportGolden pins `report` (the microbenchmark half; Fig. 8 is
 // exercised by its own calibration tests and too slow for a golden run).
 func TestReportGolden(t *testing.T) {
+	sec := experiments.Report(50, false)
 	var buf bytes.Buffer
-	if _, err := cxl2sim.WriteReportOpts(&buf, cxl2sim.ReportOptions{Reps: 50, Workers: 1}); err != nil {
+	if err := sec.Render(&buf, cxl2sim.RunJobs(sec.Jobs, cxl2sim.JobOptions{Workers: 1})); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "report.golden", buf.String())
+	checkExact(t, filepath.Join("testdata", "report.golden"), buf.String())
 }
 
 // TestTable3Golden pins the coherence-state table: it is fully categorical

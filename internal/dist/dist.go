@@ -28,7 +28,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"runtime/debug"
 	"slices"
 	"time"
@@ -181,14 +180,7 @@ func (sp Spec) Build() (experiments.Section, error) {
 		if sp.Reps < 0 {
 			return experiments.Section{}, errNegativeReps
 		}
-		o := cxl2sim.ReportOptions{Reps: sp.Reps, Full: sp.Full}
-		return experiments.Section{
-			Name: "report",
-			Jobs: cxl2sim.ReportJobs(o),
-			Render: func(w io.Writer, results []runner.Result) error {
-				return cxl2sim.RenderReport(w, o, results)
-			},
-		}, nil
+		return experiments.Report(sp.Reps, sp.Full), nil
 	case "measure":
 		job, _, err := sp.measure()
 		return experiments.Section{Name: "measure", Jobs: []runner.Job{job}}, err

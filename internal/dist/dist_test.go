@@ -252,17 +252,16 @@ func TestDistributedReportByteIdentity(t *testing.T) {
 	c, _ := newCoordinator(t, a, b)
 
 	spec := dist.Spec{Kind: "report", Reps: reps}
-	jobs, err := spec.BuildJobs()
+	sec, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := cxl2sim.ReportOptions{Reps: reps}
 	var serial bytes.Buffer
-	if err := cxl2sim.RenderReport(&serial, opts, runner.Run(jobs, runner.Options{Workers: 1})); err != nil {
+	if err := sec.Render(&serial, runner.Run(sec.Jobs, runner.Options{Workers: 1})); err != nil {
 		t.Fatal(err)
 	}
 	var distd bytes.Buffer
-	if err := cxl2sim.RenderReport(&distd, opts, run(t, c, spec)); err != nil {
+	if err := sec.Render(&distd, run(t, c, spec)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), distd.Bytes()) {

@@ -203,9 +203,9 @@ func printClusterTable(w io.Writer, title string, header []string, rows [][]stri
 	}
 }
 
-// PrintCluster renders the scenario summary, the per-replica breakdown,
+// printCluster renders the scenario summary, the per-replica breakdown,
 // and the per-link fabric traffic.
-func PrintCluster(w io.Writer, rows []ClusterRow) {
+func printCluster(w io.Writer, rows []ClusterRow) {
 	var summary [][]string
 	for _, r := range rows {
 		summary = append(summary, []string{

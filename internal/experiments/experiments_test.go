@@ -395,10 +395,10 @@ func TestFig8KsmShape(t *testing.T) {
 
 func TestPrintersDoNotPanic(t *testing.T) {
 	var sb strings.Builder
-	PrintFig3(&sb, runRows[Fig3Row](Fig3Jobs(Fig3Config{Reps: 4, Burst: 4})))
-	PrintFig4(&sb, runRows[Fig4Row](Fig4Jobs(Fig4Config{Reps: 4, Burst: 64})))
-	PrintFig5(&sb, runRows[Fig5Row](Fig5Jobs(Fig5Config{Reps: 4, Burst: 4})))
-	PrintFig6(&sb, runRows[Fig6Row](Fig6Jobs()))
+	printFig3(&sb, runRows[Fig3Row](Fig3Jobs(Fig3Config{Reps: 4, Burst: 4})))
+	printFig4(&sb, runRows[Fig4Row](Fig4Jobs(Fig4Config{Reps: 4, Burst: 64})))
+	printFig5(&sb, runRows[Fig5Row](Fig5Jobs(Fig5Config{Reps: 4, Burst: 4})))
+	printFig6(&sb, runRows[Fig6Row](Fig6Jobs()))
 	PrintTable3(&sb, runRows[Table3Row](Table3Jobs()))
 	PrintTable4(&sb, runRows[Table4Row](Table4Jobs()))
 	PrintWriteQueueSweep(&sb, runRows[WriteQueueRow](WriteQueueSweepJobs([]int{16, 32})))

@@ -130,8 +130,8 @@ func measureEmuD2H(op cxl.HostOp, llcHit bool, cfg Fig3Config) Fig3Row {
 	return row
 }
 
-// PrintFig3 renders the rows like the paper's figure.
-func PrintFig3(w io.Writer, rows []Fig3Row) {
+// printFig3 renders the rows like the paper's figure.
+func printFig3(w io.Writer, rows []Fig3Row) {
 	var table [][]string
 	for _, r := range rows {
 		kind := "emulated"

@@ -118,8 +118,8 @@ func measureEmuD2D(op cxl.HostOp, dmcHit bool, cfg Fig4Config) Fig4Row {
 	return row
 }
 
-// PrintFig4 renders the rows.
-func PrintFig4(w io.Writer, rows []Fig4Row) {
+// printFig4 renders the rows.
+func printFig4(w io.Writer, rows []Fig4Row) {
 	var table [][]string
 	for _, r := range rows {
 		kind := "true-CXL"

@@ -142,8 +142,8 @@ func measureH2D(op cxl.HostOp, cs Fig5Case, cfg Fig5Config) Fig5Row {
 	return row
 }
 
-// PrintFig5 renders the rows.
-func PrintFig5(w io.Writer, rows []Fig5Row) {
+// printFig5 renders the rows.
+func printFig5(w io.Writer, rows []Fig5Row) {
 	var table [][]string
 	for _, r := range rows {
 		table = append(table, []string{

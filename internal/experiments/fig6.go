@@ -198,8 +198,8 @@ func measureCXLD2HPush(r *Rig, size int) sim.Time {
 	return r.Dev.WriteHostBlock(cxl.NCP, r.hostLine(0), nil, size, 0)
 }
 
-// PrintFig6 renders the rows.
-func PrintFig6(w io.Writer, rows []Fig6Row) {
+// printFig6 renders the rows.
+func printFig6(w io.Writer, rows []Fig6Row) {
 	var table [][]string
 	for _, r := range rows {
 		dir := "H2D"

@@ -170,12 +170,12 @@ type Fig8Diag struct {
 // Fig8Zswap runs the zswap scenario: 2 Redis servers + kswapd sharing a
 // core + a memory antagonist, under one backend variant (§VII methodology).
 func Fig8Zswap(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) Fig8Row {
-	row, _ := Fig8ZswapDiag(v, w, cfg)
+	row, _ := fig8ZswapDiag(v, w, cfg)
 	return row
 }
 
-// Fig8ZswapDiag is Fig8Zswap with diagnostics.
-func Fig8ZswapDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag) {
+// fig8ZswapDiag is Fig8Zswap with diagnostics.
+func fig8ZswapDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag) {
 	cfg.setDefaults()
 	eng := sim.NewEngine()
 	h, pl := fig8Host()
@@ -343,12 +343,12 @@ func Fig8ZswapDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig
 // Fig8Ksm runs the ksm scenario: 16 VMs (4 serving Redis), ksmd sharing a
 // serving core, scanning mergeable VM pages (§VII methodology).
 func Fig8Ksm(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) Fig8Row {
-	row, _ := Fig8KsmDiag(v, w, cfg)
+	row, _ := fig8KsmDiag(v, w, cfg)
 	return row
 }
 
-// Fig8KsmDiag is Fig8Ksm with diagnostics.
-func Fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag) {
+// fig8KsmDiag is Fig8Ksm with diagnostics.
+func fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag) {
 	cfg.setDefaults()
 	eng := sim.NewEngine()
 	h, pl := fig8Host()
@@ -504,7 +504,7 @@ func Fig8(feature string, workloads []ycsb.Workload, cfg Fig8Config) []Fig8Row {
 	if cfg.Seed == 0 {
 		cfg.Seed = seedFig8Calibrated
 	}
-	return Fig8Collect(runner.Run(Fig8Jobs(feature, workloads, cfg), runner.Options{Workers: 1}))
+	return fig8Collect(runner.Run(Fig8Jobs(feature, workloads, cfg), runner.Options{Workers: 1}))
 }
 
 // Fig8Jobs returns one job per workload, each forking the baseline + the
@@ -518,9 +518,9 @@ func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runne
 	if len(workloads) == 0 {
 		workloads = ycsb.Workloads()
 	}
-	run := Fig8ZswapDiag
+	run := fig8ZswapDiag
 	if feature == "ksm" {
-		run = Fig8KsmDiag
+		run = fig8KsmDiag
 	}
 	var jobs []runner.Job
 	for _, w := range workloads {
@@ -544,7 +544,7 @@ func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runne
 	return jobs
 }
 
-// fig8Run is the signature shared by Fig8ZswapDiag and Fig8KsmDiag.
+// fig8Run is the signature shared by fig8ZswapDiag and fig8KsmDiag.
 type fig8Run = func(Fig8Variant, ycsb.Workload, Fig8Config) (Fig8Row, Fig8Diag)
 
 // fig8RunCounted runs one co-simulation and reports its engine's
@@ -554,10 +554,10 @@ func fig8RunCounted(run fig8Run, v Fig8Variant, w ycsb.Workload, cfg Fig8Config)
 	return row, diag, diag.EngineEvents
 }
 
-// Fig8Collect assembles job results (in Fig8Jobs order) into rows,
+// fig8Collect assembles job results (in Fig8Jobs order) into rows,
 // filling in the baseline-normalized p99: within each workload the
 // baseline job precedes its variants, so normalization is a single pass.
-func Fig8Collect(results []runner.Result) []Fig8Row {
+func fig8Collect(results []runner.Result) []Fig8Row {
 	rows := Rows[Fig8Row](results)
 	var baseP99 float64
 	for i := range rows {
@@ -587,8 +587,8 @@ func PrintFig8(w io.Writer, rows []Fig8Row) {
 		[]string{"feature", "config", "wkld", "p50(us)", "p99(us)", "p99.9(us)", "norm", "served", "faults", "featCPU"}, table)
 }
 
-// Fig8Find locates a row.
-func Fig8Find(rows []Fig8Row, v Fig8Variant, w ycsb.Workload) Fig8Row {
+// fig8Find locates a row.
+func fig8Find(rows []Fig8Row, v Fig8Variant, w ycsb.Workload) Fig8Row {
 	for _, r := range rows {
 		if r.Variant == v && r.Workload == w {
 			return r

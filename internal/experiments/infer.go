@@ -197,8 +197,8 @@ func PrintInfer(w io.Writer, rows []InferRow) {
 			"goodput(ktok/s)", "dram(MB)", "far(MB)", "migrated(MB)"}, table)
 }
 
-// InferFind locates a scenario's row.
-func InferFind(rows []InferRow, scenario string) InferRow {
+// inferFind locates a scenario's row.
+func inferFind(rows []InferRow, scenario string) InferRow {
 	for _, r := range rows {
 		if r.Scenario == scenario {
 			return r

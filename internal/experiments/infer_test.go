@@ -14,8 +14,8 @@ func TestInferTierOrdering(t *testing.T) {
 	rows := runRows[InferRow](InferJobs(InferConfig{Seed: 42}))
 	order := []string{"all-dram", "kv@t2-dev", "kv@t3", "kv@pcie-dma"}
 	for i := 1; i < len(order); i++ {
-		lo := InferFind(rows, order[i-1])
-		hi := InferFind(rows, order[i])
+		lo := inferFind(rows, order[i-1])
+		hi := inferFind(rows, order[i])
 		if !(lo.TPOT < hi.TPOT) {
 			t.Errorf("TPOT ordering violated: %s (%.3f) !< %s (%.3f)",
 				lo.Scenario, lo.TPOT, hi.Scenario, hi.TPOT)
@@ -29,8 +29,8 @@ func TestInferTierOrdering(t *testing.T) {
 				lo.Scenario, lo.Goodput, hi.Scenario, hi.Goodput)
 		}
 	}
-	devBias := InferFind(rows, "kv@t2-dev")
-	hostBias := InferFind(rows, "kv@t2-host")
+	devBias := inferFind(rows, "kv@t2-dev")
+	hostBias := inferFind(rows, "kv@t2-host")
 	if !(devBias.TPOT < hostBias.TPOT) {
 		t.Errorf("device bias (%.3f) should beat host bias (%.3f) on the same memory",
 			devBias.TPOT, hostBias.TPOT)
@@ -39,16 +39,16 @@ func TestInferTierOrdering(t *testing.T) {
 
 func TestInferTraffic(t *testing.T) {
 	rows := runRows[InferRow](InferJobs(InferConfig{Seed: 42}))
-	if r := InferFind(rows, "all-dram"); r.FarMB != 0 || r.NearMB == 0 {
+	if r := inferFind(rows, "all-dram"); r.FarMB != 0 || r.NearMB == 0 {
 		t.Errorf("all-dram traffic wrong: %+v", r)
 	}
-	if r := InferFind(rows, "kv@t3"); r.NearMB != 0 || r.FarMB == 0 {
+	if r := inferFind(rows, "kv@t3"); r.NearMB != 0 || r.FarMB == 0 {
 		t.Errorf("kv@t3 traffic wrong: %+v", r)
 	}
-	if r := InferFind(rows, "lru-spill"); r.MigrateMB == 0 || r.FarMB == 0 {
+	if r := inferFind(rows, "lru-spill"); r.MigrateMB == 0 || r.FarMB == 0 {
 		t.Errorf("lru-spill produced no migrations: %+v", r)
 	}
-	if r := InferFind(rows, "pinned-decode"); r.NearMB == 0 || r.FarMB == 0 {
+	if r := inferFind(rows, "pinned-decode"); r.NearMB == 0 || r.FarMB == 0 {
 		t.Errorf("pinned-decode should split traffic: %+v", r)
 	}
 }

@@ -98,16 +98,16 @@ var registry = []struct {
 	render func(io.Writer, []runner.Result) error
 }{
 	{"table3", func(SectionOptions) []runner.Job { return Table3Jobs() }, renderRows(PrintTable3)},
-	{"fig3", func(o SectionOptions) []runner.Job { return Fig3Jobs(Fig3Config{Reps: o.Reps}) }, renderRows(PrintFig3)},
-	{"fig4", func(o SectionOptions) []runner.Job { return Fig4Jobs(Fig4Config{Reps: o.Reps}) }, renderRows(PrintFig4)},
-	{"fig5", func(o SectionOptions) []runner.Job { return Fig5Jobs(Fig5Config{Reps: o.Reps}) }, renderRows(PrintFig5)},
-	{"fig6", func(SectionOptions) []runner.Job { return Fig6Jobs() }, renderRows(PrintFig6)},
+	{"fig3", func(o SectionOptions) []runner.Job { return Fig3Jobs(Fig3Config{Reps: o.Reps}) }, renderRows(printFig3)},
+	{"fig4", func(o SectionOptions) []runner.Job { return Fig4Jobs(Fig4Config{Reps: o.Reps}) }, renderRows(printFig4)},
+	{"fig5", func(o SectionOptions) []runner.Job { return Fig5Jobs(Fig5Config{Reps: o.Reps}) }, renderRows(printFig5)},
+	{"fig6", func(SectionOptions) []runner.Job { return Fig6Jobs() }, renderRows(printFig6)},
 	{"wqsweep", func(SectionOptions) []runner.Job { return WriteQueueSweepJobs(nil) }, renderRows(PrintWriteQueueSweep)},
 	{"infer", func(o SectionOptions) []runner.Job {
 		return InferJobs(InferConfig{Reps: o.Reps, Trace: o.Trace})
 	}, renderRows(PrintInfer)},
-	{"workload", func(o SectionOptions) []runner.Job { return WorkloadJobs(WorkloadConfig{Reps: o.Reps}) }, renderRows(PrintWorkload)},
-	{"cluster", func(o SectionOptions) []runner.Job { return ClusterJobs(ClusterConfig{Reps: o.Reps}) }, renderRows(PrintCluster)},
+	{"workload", func(o SectionOptions) []runner.Job { return WorkloadJobs(WorkloadConfig{Reps: o.Reps}) }, renderRows(printWorkload)},
+	{"cluster", func(o SectionOptions) []runner.Job { return ClusterJobs(ClusterConfig{Reps: o.Reps}) }, renderRows(printCluster)},
 }
 
 // renderRows adapts a figure printer into a section renderer: it fails on

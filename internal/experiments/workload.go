@@ -222,8 +222,8 @@ func WorkloadJobs(cfg WorkloadConfig) []runner.Job {
 	}}}
 }
 
-// PrintWorkload renders the arrival-model and cohort tables.
-func PrintWorkload(w io.Writer, rows []WorkloadRow) {
+// printWorkload renders the arrival-model and cohort tables.
+func printWorkload(w io.Writer, rows []WorkloadRow) {
 	var arr, coh [][]string
 	for _, r := range rows {
 		switch r.Kind {

@@ -80,7 +80,7 @@ func TestWorkloadSectionDeterministic(t *testing.T) {
 
 func TestWorkloadPrinterRendersBothTables(t *testing.T) {
 	var sb strings.Builder
-	PrintWorkload(&sb, runRows[WorkloadRow](WorkloadJobs(WorkloadConfig{Reps: 20})))
+	printWorkload(&sb, runRows[WorkloadRow](WorkloadJobs(WorkloadConfig{Reps: 20})))
 	out := sb.String()
 	for _, want := range []string{"temporal arrival models", "cohort mixture", "replay(burst)", "chat"} {
 		if !strings.Contains(out, want) {

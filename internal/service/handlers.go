@@ -429,7 +429,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	reps := 400 // cmd/report's default, so the cached bytes match its output
+	reps := experiments.ReportReps // cmd/report's default, so the cached bytes match its output
 	if v := q.Get("reps"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {

@@ -57,7 +57,7 @@ type Config struct {
 	DrainTimeout time.Duration
 	// DefaultReps is the repetition count used when a request omits one
 	// (default 0: each endpoint keeps its CLI default — 1000 for
-	// sections and measurements, 400 for the report).
+	// sections and measurements, experiments.ReportReps for the report).
 	DefaultReps int
 	// StoreDir, when set, layers a content-addressed durable result store
 	// under the in-memory cache: rendered responses survive restarts and

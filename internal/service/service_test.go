@@ -15,6 +15,7 @@ import (
 
 	cxl2sim "repro"
 	"repro/internal/dist"
+	"repro/internal/experiments"
 	"repro/internal/workload"
 )
 
@@ -357,8 +358,8 @@ func TestMeasureEndpoint(t *testing.T) {
 	}
 }
 
-// TestReportMatchesSerialWriter: the /v1/report bytes equal
-// WriteReportOpts run serially in-process — the same guarantee the CI
+// TestReportMatchesSerialWriter: the /v1/report bytes equal the report
+// section run serially in-process — the same guarantee the CI
 // smoke checks against cmd/report -serial.
 func TestReportMatchesSerialWriter(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})
@@ -366,10 +367,9 @@ func TestReportMatchesSerialWriter(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("report: %d %s", resp.StatusCode, got)
 	}
+	sec := experiments.Report(testReps, false)
 	var ref bytes.Buffer
-	if _, err := cxl2sim.WriteReportOpts(&ref, cxl2sim.ReportOptions{
-		Reps: testReps, Workers: 1, RootSeed: 5,
-	}); err != nil {
+	if err := sec.Render(&ref, cxl2sim.RunJobs(sec.Jobs, cxl2sim.JobOptions{Workers: 1, RootSeed: 5})); err != nil {
 		t.Fatalf("reference report: %v", err)
 	}
 	if !bytes.Equal(got, ref.Bytes()) {

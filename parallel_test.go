@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	cxl2sim "repro"
+	"repro/internal/experiments"
 )
 
 // These tests pin the parallel runner's suite-level guarantees through the
@@ -18,10 +19,9 @@ import (
 // reportBytes renders the report at the given worker count.
 func reportBytes(t *testing.T, workers int) string {
 	t.Helper()
+	sec := experiments.Report(30, false)
 	var buf bytes.Buffer
-	if _, err := cxl2sim.WriteReportOpts(&buf, cxl2sim.ReportOptions{
-		Reps: 30, Workers: workers,
-	}); err != nil {
+	if err := sec.Render(&buf, cxl2sim.RunJobs(sec.Jobs, cxl2sim.JobOptions{Workers: workers})); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
