@@ -1,14 +1,16 @@
 // Command benchgate is the perf-CI gate: it parses `go test -bench`
 // text output, reduces each benchmark to its median over repeated runs
-// (-count=N), and compares ns/op and allocs/op against a committed JSON
-// baseline. The build fails when the geometric-mean ns/op ratio across
-// shared benchmarks regresses by more than -threshold percent, or the
-// geomean allocs/op ratio (over benchmarks that report allocations on
-// both sides) regresses by more than -alloc-threshold percent —
+// (-count=N), and compares ns/op, allocs/op and B/op against a committed
+// JSON baseline. The build fails when the geometric-mean ns/op ratio across
+// shared benchmarks regresses by more than -threshold percent, any one
+// shared benchmark's ns/op regresses by more than 25 percent, or the
+// geomean allocs/op or B/op ratio (each over benchmarks that report it
+// on both sides) regresses by more than -alloc-threshold percent —
 // separate gates, so an allocation regression cannot hide behind a
-// wall-clock win on a noisy runner and vice versa. A benchmark in the
-// run but absent from the baseline fails too: an ungated benchmark must
-// be added with -update, not slip in unmeasured.
+// wall-clock win on a noisy runner, nor one model benchmark's regression
+// behind many fast micro-benchmarks. A benchmark in the run but absent
+// from the baseline fails too: an ungated benchmark must be added with
+// -update, not slip in unmeasured.
 //
 // The committed baseline has two forms, written together by -update:
 // the JSON this tool gates against, and the raw `go test -bench` text
@@ -59,7 +61,7 @@ func run() int {
 	baseline := flag.String("baseline", "BENCH_core.json", "committed baseline JSON to gate against")
 	raw := flag.String("raw", filepath.Join("testdata", "bench", "BENCH_core.txt"), "committed raw bench text (benchstat old side), written by -update")
 	threshold := flag.Float64("threshold", 10, "max allowed geomean ns/op regression, percent")
-	allocThreshold := flag.Float64("alloc-threshold", 10, "max allowed geomean allocs/op regression, percent")
+	allocThreshold := flag.Float64("alloc-threshold", 10, "max allowed geomean allocs/op and B/op regression, percent")
 	update := flag.Bool("update", false, "rewrite -baseline and -raw from the input instead of gating")
 	jsonOut := flag.String("json", "", "also write the current run's medians as JSON to this path")
 	flag.Usage = func() {
@@ -111,21 +113,60 @@ func run() int {
 	return gate(os.Stdout, base, cur, *threshold, *allocThreshold)
 }
 
+// benchThresholdPct is the largest ns/op regression any one benchmark may
+// show, so one model benchmark cannot regress behind many fast
+// micro-benchmarks that dominate the geomean.
+const benchThresholdPct = 25.0
+
+// geomean accumulates the log ratios of one stat over the benchmarks
+// that report it on both sides.
+type geomean struct {
+	logSum float64
+	n      int
+}
+
+// add joins base→cur to the mean when both are positive (zero-alloc and
+// pre-benchmem baseline records carry no signal about allocation
+// behavior) and returns the column text for the delta table.
+func (g *geomean) add(base, cur float64) string {
+	if base <= 0 || cur <= 0 {
+		return "-"
+	}
+	r := cur / base
+	g.logSum += math.Log(r)
+	g.n++
+	return fmt.Sprintf("%+.1f%%", 100*(r-1))
+}
+
+// check prints the geomean line for stat and reports whether it is within
+// limitPct; a stat no shared benchmark reports passes.
+func (g *geomean) check(w io.Writer, stat string, limitPct float64) bool {
+	if g.n == 0 {
+		return true
+	}
+	pct := 100 * (math.Exp(g.logSum/float64(g.n)) - 1)
+	fmt.Fprintf(w, "%s geomean over %d benchmarks: %+.1f%% (threshold +%.0f%%)\n", stat, g.n, pct, limitPct)
+	if pct > limitPct {
+		fmt.Fprintf(w, "benchgate: FAIL: geomean %s regression exceeds threshold\n", stat)
+		return false
+	}
+	return true
+}
+
 // gate prints a per-benchmark delta table and returns the exit code:
 // non-zero when a benchmark is absent from the baseline, the geomean
-// ns/op ratio exceeds thresholdPct, or the geomean allocs/op ratio
-// exceeds allocThresholdPct. The allocs gate
-// only considers benchmarks where both sides report a positive
-// allocs/op (zero-alloc and pre-benchmem baseline records carry no
-// signal about allocation behavior).
+// ns/op ratio exceeds thresholdPct, any one benchmark's ns/op ratio
+// exceeds benchThresholdPct, or the geomean allocs/op or B/op ratio
+// exceeds allocThresholdPct.
 func gate(w io.Writer, base *Baseline, cur []Record, thresholdPct, allocThresholdPct float64) int {
 	baseBy := make(map[string]Record, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
 		baseBy[r.Name] = r
 	}
-	var logSum, logSumAlloc float64
-	var shared, sharedAlloc, added int
-	fmt.Fprintf(w, "%-40s %14s %14s %8s %10s\n", "benchmark", "base ns/op", "cur ns/op", "delta", "allocs Δ")
+	var ns, allocs, bytes geomean
+	var added int
+	var slow []string
+	fmt.Fprintf(w, "%-40s %14s %14s %8s %10s %10s\n", "benchmark", "base ns/op", "cur ns/op", "delta", "allocs Δ", "B Δ")
 	for _, c := range cur {
 		b, ok := baseBy[c.Name]
 		if !ok || b.NsPerOp <= 0 || c.NsPerOp <= 0 {
@@ -133,23 +174,19 @@ func gate(w io.Writer, base *Baseline, cur []Record, thresholdPct, allocThreshol
 			added++
 			continue
 		}
-		ratio := c.NsPerOp / b.NsPerOp
-		logSum += math.Log(ratio)
-		shared++
-		allocCol := "-"
-		if b.AllocsPerOp > 0 && c.AllocsPerOp > 0 {
-			ar := c.AllocsPerOp / b.AllocsPerOp
-			logSumAlloc += math.Log(ar)
-			sharedAlloc++
-			allocCol = fmt.Sprintf("%+.1f%%", 100*(ar-1))
+		nsCol := ns.add(b.NsPerOp, c.NsPerOp)
+		if pct := 100 * (c.NsPerOp/b.NsPerOp - 1); pct > benchThresholdPct {
+			slow = append(slow, fmt.Sprintf("%s %+.1f%%", c.Name, pct))
 		}
-		fmt.Fprintf(w, "%-40s %14.1f %14.1f %+7.1f%% %10s\n", c.Name, b.NsPerOp, c.NsPerOp, 100*(ratio-1), allocCol)
+		allocCol := allocs.add(b.AllocsPerOp, c.AllocsPerOp)
+		bytesCol := bytes.add(b.BPerOp, c.BPerOp)
+		fmt.Fprintf(w, "%-40s %14.1f %14.1f %8s %10s %10s\n", c.Name, b.NsPerOp, c.NsPerOp, nsCol, allocCol, bytesCol)
 		delete(baseBy, c.Name)
 	}
 	for name := range baseBy {
 		fmt.Fprintf(w, "%-40s %14.1f %14s %8s\n", name, baseBy[name].NsPerOp, "-", "gone")
 	}
-	if shared == 0 {
+	if ns.n == 0 {
 		fmt.Fprintln(w, "benchgate: FAIL: no benchmarks shared with the baseline")
 		return 1
 	}
@@ -158,19 +195,18 @@ func gate(w io.Writer, base *Baseline, cur []Record, thresholdPct, allocThreshol
 		fmt.Fprintf(w, "benchgate: FAIL: %d benchmark(s) absent from the baseline (add them with -update)\n", added)
 		code = 1
 	}
-	geomeanPct := 100 * (math.Exp(logSum/float64(shared)) - 1)
-	fmt.Fprintf(w, "geomean over %d shared benchmarks: %+.1f%% (threshold +%.0f%%)\n", shared, geomeanPct, thresholdPct)
-	if geomeanPct > thresholdPct {
-		fmt.Fprintln(w, "benchgate: FAIL: geomean ns/op regression exceeds threshold")
+	if !ns.check(w, "ns/op", thresholdPct) {
 		code = 1
 	}
-	if sharedAlloc > 0 {
-		allocPct := 100 * (math.Exp(logSumAlloc/float64(sharedAlloc)) - 1)
-		fmt.Fprintf(w, "allocs/op geomean over %d benchmarks: %+.1f%% (threshold +%.0f%%)\n", sharedAlloc, allocPct, allocThresholdPct)
-		if allocPct > allocThresholdPct {
-			fmt.Fprintln(w, "benchgate: FAIL: geomean allocs/op regression exceeds threshold")
-			code = 1
-		}
+	if len(slow) > 0 {
+		fmt.Fprintf(w, "benchgate: FAIL: ns/op regression over +%.0f%%: %s\n", benchThresholdPct, strings.Join(slow, ", "))
+		code = 1
+	}
+	if !allocs.check(w, "allocs/op", allocThresholdPct) {
+		code = 1
+	}
+	if !bytes.check(w, "B/op", allocThresholdPct) {
+		code = 1
 	}
 	if code == 0 {
 		fmt.Fprintln(w, "benchgate: ok")

@@ -66,8 +66,18 @@ func TestGateThreshold(t *testing.T) {
 			{Name: "BenchmarkRunDense", NsPerOp: 125},
 		}, 1},
 		{"one bad one good averages out", []Record{
-			{Name: "BenchmarkSchedule", NsPerOp: 130},
+			{Name: "BenchmarkSchedule", NsPerOp: 120},
 			{Name: "BenchmarkRunDense", NsPerOp: 85},
+		}, 0},
+		// The geomean of 130 and 76 is under +10 %, but one benchmark
+		// regressing past +25 % fails on its own.
+		{"one benchmark over its threshold fails", []Record{
+			{Name: "BenchmarkSchedule", NsPerOp: 130},
+			{Name: "BenchmarkRunDense", NsPerOp: 76},
+		}, 1},
+		{"one benchmark at its threshold passes", []Record{
+			{Name: "BenchmarkSchedule", NsPerOp: 125},
+			{Name: "BenchmarkRunDense", NsPerOp: 80},
 		}, 0},
 		{"nothing shared fails", []Record{
 			{Name: "BenchmarkOther", NsPerOp: 10},
@@ -116,6 +126,47 @@ func TestGateAllocThreshold(t *testing.T) {
 		{"absent alloc stats are skipped", []Record{
 			{Name: "BenchmarkA", NsPerOp: 100},
 			{Name: "BenchmarkB", NsPerOp: 100, AllocsPerOp: 9999},
+		}, 0},
+	}
+	for _, tc := range cases {
+		var sb strings.Builder
+		if code := gate(&sb, base, tc.cur, 10, 10); code != tc.wantCode {
+			t.Errorf("%s: exit %d, want %d\n%s", tc.name, code, tc.wantCode, sb.String())
+		}
+	}
+}
+
+func TestGateBytesThreshold(t *testing.T) {
+	base := &Baseline{Benchmarks: []Record{
+		{Name: "BenchmarkA", NsPerOp: 100, BPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkB", NsPerOp: 100, BPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkC", NsPerOp: 100}, // zero-alloc: no B/op in baseline
+	}}
+	cases := []struct {
+		name     string
+		cur      []Record
+		wantCode int
+	}{
+		{"B/op regression fails with flat allocs/op", []Record{
+			{Name: "BenchmarkA", NsPerOp: 100, BPerOp: 1300, AllocsPerOp: 10},
+			{Name: "BenchmarkB", NsPerOp: 100, BPerOp: 1300, AllocsPerOp: 10},
+			{Name: "BenchmarkC", NsPerOp: 100},
+		}, 1},
+		{"B/op improvement passes", []Record{
+			{Name: "BenchmarkA", NsPerOp: 100, BPerOp: 500, AllocsPerOp: 10},
+			{Name: "BenchmarkB", NsPerOp: 100, BPerOp: 900, AllocsPerOp: 10},
+			{Name: "BenchmarkC", NsPerOp: 100},
+		}, 0},
+		{"one bad one good B/op averages out", []Record{
+			{Name: "BenchmarkA", NsPerOp: 100, BPerOp: 1300, AllocsPerOp: 10},
+			{Name: "BenchmarkB", NsPerOp: 100, BPerOp: 800, AllocsPerOp: 10},
+			{Name: "BenchmarkC", NsPerOp: 100},
+		}, 0},
+		// Bytes on one side only carry no signal, like allocs/op.
+		{"absent B/op is skipped", []Record{
+			{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: 10},
+			{Name: "BenchmarkB", NsPerOp: 100, BPerOp: 1000, AllocsPerOp: 10},
+			{Name: "BenchmarkC", NsPerOp: 100, BPerOp: 99999},
 		}, 0},
 	}
 	for _, tc := range cases {

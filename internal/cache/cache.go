@@ -84,32 +84,37 @@ const (
 
 // Cache is a set-associative cache with true-LRU replacement.
 //
-// Line storage is three-level lazy: an eager outer index of 64-set chunks
-// (small — one nil slice header per 64 sets), a chunk's per-set header
-// block allocated on the first Fill inside it, and each set's lines
-// allocated on the set's own first Fill. The paper's caches are large (a
-// 60 MB LLC is ~1M Line records) but each experiment rig touches a tiny
+// Line storage is lazy at three levels: an eager outer index of 64-set
+// chunks (small — one nil slice header per 64 sets), a chunk's per-set
+// header block allocated on the first Fill inside it, and each set's
+// lines, which grow a way at a time. The paper's caches are large (a 60
+// MB LLC is ~1M Line records) but each experiment rig touches a tiny
 // fraction of the sets, and every job of the parallel runner builds its
 // own rig — eagerly zeroing the full line array dominated both the
 // allocation volume and the construction time of the characterization
 // benchmarks, and even one eager slice header per set made cache
 // construction the single largest allocation source in BenchmarkInfer.
-// Per-set (not per-chunk) line allocation matters for scattered working
-// sets: a rig touching thousands of isolated sets must not materialize 64
-// sets of lines per touched set. Behavior is identical because missing
-// storage and Invalid lines are indistinguishable through the API. Set
-// slices never move once allocated, so *Line pointers returned by
-// Lookup/Peek/Fill stay valid across later fills.
+// A streaming burst fills one line into each of thousands of fresh sets,
+// so claiming all ways at a set's first fill cost 15 Lines per filled
+// line in the LLC; a set instead holds only the slots it has used, its
+// capacity doubling 1 → 2 → 4 → … → ways. Behavior is identical because
+// missing storage and Invalid lines are indistinguishable through the
+// API: a fill takes the first Invalid slot, else appends the next slot —
+// exactly the slot an eagerly allocated set would pick.
+//
+// Because a set moves when it grows, a *Line returned by Lookup or Peek
+// is valid only until the next Fill on the same cache. Invalidate,
+// SetState and the flushes never move a set.
 type Cache struct {
-	name     string
-	ways     int
-	sets     int
-	setMask  phys.Addr
-	chunks   [][][]Line // [chunk][set-in-chunk]lines; inner levels nil until first Fill
-	free     []Line     // slab remainder feeding per-set line storage
-	slabSets int        // sets per slab; grows geometrically toward chunkSets
-	tick     uint64
-	stats    Stats
+	name      string
+	ways      int
+	sets      int
+	setMask   phys.Addr
+	chunks    [][][]Line // [chunk][set-in-chunk]lines; inner levels nil until first Fill
+	free      []Line     // slab remainder feeding per-set line storage
+	slabLines int        // lines per slab; grows geometrically to maxSlabLines
+	tick      uint64
+	stats     Stats
 }
 
 // New creates a cache of the given total size in bytes and associativity.
@@ -174,9 +179,9 @@ func (c *Cache) set(addr phys.Addr) []Line {
 	return ch[idx&(chunkSets-1)]
 }
 
-// setAlloc returns addr's set for the fill path, allocating its chunk
-// header block and line storage on first use.
-func (c *Cache) setAlloc(addr phys.Addr) []Line {
+// setAlloc returns addr's chunk header block and the set's index in it
+// for the fill path, allocating the block on first use.
+func (c *Cache) setAlloc(addr phys.Addr) ([][]Line, int) {
 	idx := int((phys.LineAddr(addr) / phys.LineSize) & c.setMask)
 	ci := idx >> chunkShift
 	ch := c.chunks[ci]
@@ -188,33 +193,39 @@ func (c *Cache) setAlloc(addr phys.Addr) []Line {
 		ch = make([][]Line, n)
 		c.chunks[ci] = ch
 	}
-	si := idx & (chunkSets - 1)
-	s := ch[si]
-	if s == nil {
-		// Carve set storage out of a growing slab: streaming fills touch
-		// sets in bulk, and one allocation per set was a dominant slice
-		// of the figure benchmarks' allocation profile. Slabs start
-		// small and grow geometrically so short-lived rigs that touch a
-		// handful of sets don't pay for (and zero) a full chunk's worth.
-		if len(c.free) < c.ways {
-			if c.slabSets < chunkSets {
-				if c.slabSets == 0 {
-					c.slabSets = 4
-				} else {
-					c.slabSets *= 4
-				}
-			}
-			n := c.slabSets
-			if c.sets < n {
-				n = c.sets
-			}
-			c.free = make([]Line, n*c.ways)
-		}
-		s = c.free[:c.ways:c.ways]
-		c.free = c.free[c.ways:]
-		ch[si] = s
+	return ch, idx & (chunkSets - 1)
+}
+
+// Slab sizes, in lines: the first slab is small and each next one four
+// times larger, so a short-lived rig that touches a handful of sets never
+// zeroes a large slab.
+const (
+	minSlabLines = 16
+	maxSlabLines = 1024
+)
+
+// grow returns s extended by one slot. When s is at capacity its lines
+// move to storage of twice the capacity (at most ways), carved from a
+// per-cache slab: streaming fills touch sets in bulk, and one allocation
+// per set was a dominant slice of the figure benchmarks' allocations.
+func (c *Cache) grow(s []Line) []Line {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
 	}
-	return s
+	n := min(max(2*cap(s), 1), c.ways)
+	if len(c.free) < n {
+		switch {
+		case c.slabLines == 0:
+			c.slabLines = minSlabLines
+		case c.slabLines < maxSlabLines:
+			c.slabLines *= 4
+		}
+		c.free = make([]Line, max(min(c.slabLines, c.sets*c.ways), n))
+	}
+	t := c.free[: len(s)+1 : n]
+	c.free = c.free[n:]
+	copy(t, s)
+	return t
 }
 
 // Lookup finds the line holding addr, updating recency and hit/miss
@@ -277,7 +288,8 @@ func (c *Cache) Fill(addr phys.Addr, st State, data []byte) (Victim, bool) {
 		panic("cache: Fill with Invalid state")
 	}
 	tag := phys.LineAddr(addr)
-	s := c.setAlloc(addr)
+	ch, si := c.setAlloc(addr)
+	s := ch[si]
 	c.tick++
 	// Already present: update in place.
 	for i := range s {
@@ -289,13 +301,20 @@ func (c *Cache) Fill(addr phys.Addr, st State, data []byte) (Victim, bool) {
 		}
 	}
 	c.stats.Fills++
-	// Free way?
-	for i := range s {
-		if s[i].State == Invalid {
-			s[i] = Line{Tag: tag, State: st, lru: c.tick}
-			setData(&s[i], data)
-			return Victim{}, false
-		}
+	// Free way? Slots past len(s) have never been used, so the first
+	// Invalid slot, else slot len(s), is the first free way.
+	i := 0
+	for i < len(s) && s[i].State != Invalid {
+		i++
+	}
+	if i == len(s) && len(s) < c.ways {
+		s = c.grow(s)
+		ch[si] = s
+	}
+	if i < len(s) {
+		s[i] = Line{Tag: tag, State: st, lru: c.tick}
+		setData(&s[i], data)
+		return Victim{}, false
 	}
 	// Evict LRU.
 	victim := 0

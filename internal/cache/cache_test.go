@@ -2,8 +2,10 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/phys"
 )
@@ -372,11 +374,29 @@ func BenchmarkFillEvict(b *testing.B) {
 	}
 }
 
+// fillSparse is a streaming burst's access pattern: one fill into each of
+// 4096 fresh sets of the Table II LLC (60 MB, 15-way).
+func fillSparse() *Cache {
+	c := MustNew("llc", 60<<20, 15)
+	for i := 0; i < 4096; i++ {
+		c.Fill(phys.Addr(i*phys.LineSize), Exclusive, nil)
+	}
+	return c
+}
+
+func BenchmarkFillSparse(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		fillSparse()
+	}
+}
+
 // TestLazySetAllocation pins the deferred line-storage contract: a fresh
 // cache answers every read-path query (Lookup, Peek, Invalidate, the
-// whole-cache iterators) without ever materializing a set, and a Fill
-// materializes exactly the one set it touches. Sparse rigs rely on this —
-// eagerly zeroing a 60 MB LLC per parallel job dominated experiment setup.
+// whole-cache iterators) without ever materializing a set, a Fill
+// materializes only the one set it touches, and a set holds only the ways
+// it has used. Sparse rigs rely on this — eagerly zeroing a 60 MB LLC per
+// parallel job dominated experiment setup, and claiming all 15 ways of
+// each set a burst touches dominated what was left.
 func TestLazySetAllocation(t *testing.T) {
 	c := MustNew("lazy", 1<<20, 4) // 4096 sets
 	if got := testing.AllocsPerRun(10, func() {
@@ -409,5 +429,17 @@ func TestLazySetAllocation(t *testing.T) {
 	}
 	if c.CountValid() != 1 {
 		t.Fatalf("CountValid after flush = %d, want 1", c.CountValid())
+	}
+
+	// A sparse burst allocates in proportion to the lines filled, not to
+	// sets × ways.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	llc := fillSparse()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(llc)
+	budget := 4 * 4096 * uint64(unsafe.Sizeof(Line{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Fatalf("filling 4096 sets allocated %d bytes, want < %d", got, budget)
 	}
 }

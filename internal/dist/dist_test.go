@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -119,11 +120,27 @@ func TestDistributedSectionByteIdentity(t *testing.T) {
 // the survivor, and still render bytes identical to a serial run.
 func TestWorkerLossReassignsMidSection(t *testing.T) {
 	const reps = 5
-	healthy, _ := startWorker(t, nil)
+	// The healthy worker holds its run requests until the flaky one has
+	// been asked a second time, so it cannot drain the shared queue first:
+	// the flaky worker always dies holding a chunk.
+	asked := make(chan struct{})
+	var askedOnce sync.Once
+	healthy, _ := startWorker(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/dist/v1/run" {
+				select {
+				case <-asked:
+				case <-time.After(10 * time.Second):
+				}
+			}
+			next.ServeHTTP(rw, r)
+		})
+	})
 	var served atomic.Int32
 	flaky, _ := startWorker(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/dist/v1/run" && served.Add(1) > 1 {
+				askedOnce.Do(func() { close(asked) })
 				panic(http.ErrAbortHandler) // drop the connection: worker is gone
 			}
 			next.ServeHTTP(rw, r)
