@@ -265,6 +265,25 @@ func (h *HomeAgent) SnoopDevice(addr phys.Addr) (cache.State, bool) {
 	return st, ok
 }
 
+// UnheldRun reports how many consecutive lines, starting at addr's line
+// and stepping one line at a time, the directory does not track as
+// device-held — up to max. Unlike SnoopDevice it mutates nothing; with no
+// device-held lines it is O(1). Host block transfers use it to batch runs
+// that need no snoop.
+func (h *HomeAgent) UnheldRun(addr phys.Addr, max int) int {
+	if len(h.dir) == 0 {
+		return max
+	}
+	addr = phys.LineAddr(addr)
+	for i := 0; i < max; i++ {
+		if _, ok := h.dir[addr]; ok {
+			return i
+		}
+		addr += phys.LineSize
+	}
+	return max
+}
+
 // Stats reports the agent's request counters.
 func (h *HomeAgent) Stats() (d2hReads, d2hWrites, backInvals uint64) {
 	return h.d2hReads, h.d2hWrites, h.backInvalidations

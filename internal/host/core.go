@@ -83,13 +83,91 @@ func (c *Core) Access(op cxl.HostOp, addr phys.Addr, data []byte, now sim.Time) 
 	return c.access(op, addr, data, now, true)
 }
 
-// AccessTiming is Access for callers that discard the returned payload:
-// identical timing and cache/memory state transitions, but no line
-// buffer is materialized for loads. The serving hot paths issue
-// millions of timing-only line ops per run, so skipping the payload is
-// a measurable share of their allocation footprint.
-func (c *Core) AccessTiming(op cxl.HostOp, addr phys.Addr, now sim.Time) sim.Time {
-	return c.access(op, addr, nil, now, false).Done
+// NTRun issues `lines` consecutive non-temporal line ops (op is NtLd or
+// NtSt) starting at addr's line, all at now, and returns the latest
+// completion — timing only, no payload. It is exactly equivalent to
+// issuing each line through Access and discarding the results: the same
+// return value and the same core, LLC, directory, credit and channel
+// state afterwards.
+//
+// A run of lines that lies in one host-DRAM region, is not device-held
+// in the home directory and is absent from the LLC takes one identical
+// miss path per line, so it is admitted with one issue ClaimN and, for
+// loads, one credit Pipeline (stores fuse their WC-credit and
+// write-queue steps into one loop). Scanning the run ahead is sound:
+// such a line op neither fills the LLC nor touches the directory. Any
+// other line — LLC-resident, device-held, or in device memory — takes
+// the general per-line path, and the scan re-enters after it. The
+// cluster model's KV block streams issue these runs at every decode
+// step.
+func (c *Core) NTRun(op cxl.HostOp, addr phys.Addr, lines int, now sim.Time) sim.Time {
+	if op != cxl.NtLd && op != cxl.NtSt {
+		panic(fmt.Sprintf("host: NTRun of %v; want NtLd or NtSt", op))
+	}
+	p := c.h.p
+	gap := p.Host.IssueGap
+	la := phys.LineAddr(addr)
+	last := now // every completion is at or after now
+	for lines > 0 {
+		n, remoteExtra := c.ntBatchRun(la, lines)
+		if n == 0 {
+			if d := c.access(op, la, nil, now, false).Done; d > last {
+				last = d
+			}
+			la += phys.LineSize
+			lines--
+			continue
+		}
+		t := c.issue.ClaimN(now, gap, n) + p.Host.LocalLookup
+		if op == cxl.NtLd {
+			// Completions are nondecreasing along the run, so the final
+			// pipeline completion is the run's maximum.
+			if d := c.ntLoadCred.Pipeline(t, gap, p.DRAM.DDR5Read+remoteExtra, n); d > last {
+				last = d
+			}
+		} else {
+			post := p.Host.StoreIssueGap + remoteExtra/2
+			for i := 0; i < n; i++ {
+				s := c.wcCred.Acquire(t)
+				admitted := c.h.chs.PostWrite(la+phys.Addr(i*phys.LineSize), s+post)
+				c.wcCred.Complete(admitted)
+				if admitted > last {
+					last = admitted
+				}
+				t += gap
+			}
+		}
+		la += phys.Addr(n * phys.LineSize)
+		lines -= n
+	}
+	return last
+}
+
+// ntBatchRun reports how many of the (up to max) lines starting at
+// line-aligned la can take NTRun's batched miss path — in one host-DRAM
+// region, not device-held, not LLC-resident — and that region's
+// remote-socket surcharge. It reads state only.
+func (c *Core) ntBatchRun(la phys.Addr, max int) (n int, remoteExtra sim.Time) {
+	r, kind, ok := c.h.amap.Region(la)
+	if !ok || (kind != mem.KindHost0 && kind != mem.KindHost1) {
+		return 0, 0
+	}
+	n = min(max, int(uint64(r.End()-la)/phys.LineSize))
+	if n = c.h.home.UnheldRun(la, n); n > 0 {
+		n = c.h.llc.MissRun(la, n)
+	}
+	return n, c.remoteExtra(kind == mem.KindHost1)
+}
+
+// remoteExtra is the UPI round trip plus remote-home service cost a
+// socket-0 core pays over a local DRAM read to reach socket-1 memory
+// (zero for local memory).
+func (c *Core) remoteExtra(remote bool) sim.Time {
+	if !remote {
+		return 0
+	}
+	p := c.h.p
+	return max(0, 2*p.UPI.OneWay+p.UPI.RemoteDRAMRead-p.DRAM.DDR5Read)
 }
 
 func (c *Core) access(op cxl.HostOp, addr phys.Addr, data []byte, now sim.Time, wantData bool) AccessResult {
@@ -121,13 +199,7 @@ func (c *Core) accessLocal(op cxl.HostOp, addr phys.Addr, data []byte, now sim.T
 	addr = phys.LineAddr(addr)
 	start := c.issue.Claim(now, p.Host.IssueGap)
 	t := start + p.Host.LocalLookup
-	var remoteExtra sim.Time
-	if remote {
-		remoteExtra = 2*p.UPI.OneWay + p.UPI.RemoteDRAMRead - p.DRAM.DDR5Read
-		if remoteExtra < 0 {
-			remoteExtra = 0
-		}
-	}
+	remoteExtra := c.remoteExtra(remote)
 
 	// If the device holds the line (HMC), recall it first.
 	c.snoopDeviceIfNeeded(addr)

@@ -781,13 +781,7 @@ func (r *replica) accessLocal(b cblock, n int, now sim.Time, write bool) sim.Tim
 	if write {
 		op = cxl.NtSt
 	}
-	done := now
-	for off := 0; off < n; off += phys.LineSize {
-		if d := r.core.AccessTiming(op, b.addr+phys.Addr(off), now); d > done {
-			done = d
-		}
-	}
-	return done
+	return r.core.NTRun(op, b.addr, (n+phys.LineSize-1)/phys.LineSize, now)
 }
 
 // finalize folds per-shard results into the global metrics in a

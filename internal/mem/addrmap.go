@@ -82,12 +82,19 @@ func (m *Map) add(r phys.Range, k Kind) {
 
 // Resolve returns the kind backing addr; ok is false for unmapped holes.
 func (m *Map) Resolve(addr phys.Addr) (Kind, bool) {
+	_, k, ok := m.Region(addr)
+	return k, ok
+}
+
+// Region returns the mapped range containing addr and its kind; ok is
+// false for unmapped holes.
+func (m *Map) Region(addr phys.Addr) (phys.Range, Kind, bool) {
 	for _, e := range m.regions {
 		if e.r.Contains(addr) {
-			return e.k, true
+			return e.r, e.k, true
 		}
 	}
-	return 0, false
+	return phys.Range{}, 0, false
 }
 
 // IsDevice reports whether addr lives in device memory.

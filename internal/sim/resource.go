@@ -273,10 +273,14 @@ func (c *Credits) Complete(t Time) {
 
 // Pipeline admits n operations whose request times step from t0 by dt
 // (dt >= 0), each holding a credit for service time svc: operation i starts
-// at Acquire(t0+i*dt) and completes svc later. It is exactly equivalent to n
-// sequential Acquire/Complete pairs and returns the final completion time,
-// but runs the ring recurrence in one call with the state in locals — the
-// primitive block transfers use to batch a run of identical line requests.
+// at Acquire(t0+i*dt) and completes svc later. It returns the final
+// completion time and runs the ring recurrence in one call with the state in
+// locals — the primitive block transfers use to batch a run of identical
+// line requests. It is equivalent to n sequential Acquire/Complete pairs in
+// every grant and completion, in InFlight, and in InFlightAt(p) for any p at
+// or after the last request time t0+(n-1)*dt. Pipeline prunes early-retired
+// completions only on exhausted steps, so InFlightAt at an earlier probe may
+// count completions the pairwise sequence had already pruned (never fewer).
 func (c *Credits) Pipeline(t0, dt, svc Time, n int) (lastDone Time) {
 	if dt < 0 || n <= 0 {
 		panic(fmt.Sprintf("sim: credits %q pipeline dt %v, n %d", c.name, dt, n))
