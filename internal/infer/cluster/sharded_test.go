@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/sharded.golden instead of comparing")
+var update = flag.Bool("update", false, "rewrite the golden under test in testdata/ instead of comparing")
 
 // shardedGolden holds the render of every shardedCases and stressCases
 // run, each under a "== name" header line. Regenerate with:
