@@ -30,7 +30,7 @@ import (
 
 func main() {
 	reps := flag.Int("reps", experiments.ReportReps, "repetitions per microbenchmark measurement")
-	full := flag.Bool("full", false, "also run the Fig. 8 co-simulations (minutes)")
+	full := flag.Bool("full", false, "also run the Fig. 8 co-simulations (a few seconds)")
 	parallel := flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
 	serial := flag.Bool("serial", false, "run on a single worker (same as -parallel 1)")
 	seed := flag.Int64("seed", cxl2sim.DefaultRootSeed, "root seed for per-job seed derivation")

@@ -112,7 +112,8 @@ type ClusterRow struct {
 	Links    []ClusterLinkRow
 }
 
-// clusterRow runs one scenario to completion.
+// clusterRow runs one scenario to completion and returns its row and
+// the number of events the engine dispatched.
 func clusterRow(sc ClusterScenario, requests int, seed int64) (ClusterRow, uint64) {
 	m := cluster.Run(cluster.Config{
 		Seed:         seed,
@@ -153,7 +154,7 @@ func clusterRow(sc ClusterScenario, requests int, seed int64) (ClusterRow, uint6
 			BToAMB: float64(l.BABytes) * mb,
 		})
 	}
-	return row, m.Accesses
+	return row, m.Events
 }
 
 // ClusterJobs returns the section as one self-contained job: every
@@ -171,8 +172,8 @@ func ClusterJobs(cfg ClusterConfig) []runner.Job {
 		var subs []runner.SubJob
 		for _, sc := range ClusterScenarios() {
 			subs = append(subs, runner.SubJob{ID: sc.Name, Run: func(sctx *runner.Ctx) (any, error) {
-				row, accesses := clusterRow(sc, requests, seed)
-				sctx.AddEvents(accesses)
+				row, events := clusterRow(sc, requests, seed)
+				sctx.AddEvents(events)
 				return []ClusterRow{row}, nil
 			}})
 		}

@@ -15,7 +15,7 @@ const ReportReps = 400
 
 // Report is the paper-vs-measured comparison as one section: the
 // registry's fig3–fig6 sections at reps, Table IV and, with full, the
-// Fig. 8 co-simulations of workload A (minutes). It prints the paper's
+// Fig. 8 co-simulations of workload A (a few seconds). It prints the paper's
 // headline ratios, computed from fresh rows, next to the published
 // numbers. The jobs depend only on (reps, full), so dist workers rebuild
 // the identical list from the request alone.

@@ -36,8 +36,8 @@ type flink struct {
 	// occN/occT memoize the last wire-occupancy computation: transfers
 	// overwhelmingly repeat the same payload size (KV block or line), and
 	// the float round trip in timing.Serialize shows up on the serving
-	// hot path. Links are driven from a single shard's engine, so a
-	// one-entry cache needs no synchronization.
+	// hot path. Links are driven from one engine, so a one-entry cache
+	// needs no synchronization.
 	occN int
 	occT sim.Time
 }
@@ -154,25 +154,16 @@ type Fabric struct {
 
 	hostIDs, expanderIDs []string
 
-	shards *ShardSet
+	endpoints []*Endpoint
 }
 
-// Option tunes Build beyond topology and timing.
-type Option func(*buildOptions)
+// Option is a Build option; Build ignores it.
+type Option struct{}
 
-type buildOptions struct {
-	sharded bool
-}
-
-// Shards partitions the fabric for conservative-PDES execution when
-// n > 0 (the value is otherwise unused): every host becomes its own
-// shard, the switch fabric and expanders form the hub shard, and
-// zero-latency links force co-residency. ShardSet exposes the per-shard
-// engines and deterministic cross-shard messaging, and ShardSet.Run
-// steps them through lookahead windows on the calling goroutine.
-func Shards(n int) Option {
-	return func(o *buildOptions) { o.sharded = n > 0 }
-}
+// Shards is a no-op: every fabric runs on its one engine, and
+// multi-host models schedule through Endpoints. It is kept for
+// cmd/cxlperf, which passes it.
+func Shards(int) Option { return Option{} }
 
 // Build validates topo and compiles it into a Fabric under the timing
 // model p (nil takes the calibrated defaults). Direct host–device links
@@ -180,11 +171,7 @@ func Shards(n int) Option {
 // single-rig experiments always measured); host–switch, switch–switch
 // and switch–expander links compile to fabric links with the LinkSpec's
 // (defaulted) parameters.
-func Build(topo Topology, p *timing.Params, opts ...Option) (*Fabric, error) {
-	var bo buildOptions
-	for _, o := range opts {
-		o(&bo)
-	}
+func Build(topo Topology, p *timing.Params, _ ...Option) (*Fabric, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,13 +259,6 @@ func Build(topo Topology, p *timing.Params, opts ...Option) (*Fabric, error) {
 			}
 		}
 	}
-	if bo.sharded {
-		ss, err := newShardSet(f)
-		if err != nil {
-			return nil, err
-		}
-		f.shards = ss
-	}
 	return f, nil
 }
 
@@ -290,10 +270,6 @@ func MustBuild(topo Topology, p *timing.Params, opts ...Option) *Fabric {
 	}
 	return f
 }
-
-// ShardSet returns the sharded-execution state, or nil when the fabric
-// was built without the Shards option.
-func (f *Fabric) ShardSet() *ShardSet { return f.shards }
 
 // attach wires a directly-linked CXL device onto its host.
 func (f *Fabric) attach(hostID, devID string, kind NodeKind) error {

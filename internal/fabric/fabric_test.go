@@ -194,8 +194,8 @@ func TestStarTransferAccounting(t *testing.T) {
 // from every host against every expander and returns a stable rendering
 // of all completion times plus the fabric's stats — the full observable
 // surface the determinism and conservation properties quantify over.
-func randomSchedule(seed int64, ops int, opts ...Option) (render string, f *Fabric) {
-	f = MustBuild(star(3, 2), nil, opts...)
+func randomSchedule(seed int64, ops int) (render string, f *Fabric) {
+	f = MustBuild(star(3, 2), nil)
 	r := rng.New(seed)
 	hosts, exps := f.Hosts(), f.Expanders()
 	var b strings.Builder

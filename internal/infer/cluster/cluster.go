@@ -9,12 +9,12 @@
 // the fabric — so switch-port arbitration and expander bandwidth show up
 // directly in TTFT/TPOT when the shared pool is oversubscribed.
 //
-// The simulation executes on the fabric's conservative-PDES shard
-// partition (fabric.ShardSet): the switch hub and the shared expanders
-// form one shard that owns routing, admission, the block pools and every
-// fabric transfer, and each replica host is its own shard running the
-// batching loop and local-DRAM compute. The two sides interact only
-// through typed cross-shard messages:
+// The simulation runs on the fabric's one engine, split into mail
+// endpoints (fabric.Endpoint): the hub — the switch and the shared
+// expanders — owns routing, admission, the block pools and every fabric
+// transfer, and each replica host runs its batching loop and
+// local-DRAM compute. The two sides interact only through typed mail,
+// which lands one link latency per side after it is sent:
 //
 //	admit  (hub → replica)  a request with its KV blocks pre-assigned
 //	bundle (replica → hub)  one batching step's shared-memory work
@@ -24,15 +24,16 @@
 // Every per-request block is assigned at admission (local-first, shared
 // overflow), so replicas never negotiate allocation mid-flight, and the
 // attention reads for decode step k+1 are issued when step k's bundle
-// reaches the hub — a depth-1 prefetch that both overlaps fabric latency
-// with compute and gives each shard a full link latency of lookahead.
+// reaches the hub — a depth-1 prefetch that overlaps fabric latency
+// with compute.
 //
 // The whole simulation is seeded (internal/rng derived streams) and
-// replays byte-identical metrics for a fixed Config: cross-shard
-// messages merge by (timestamp, source shard, source sequence), so the
-// event order is a function of the simulation alone. The `cluster`
-// experiment section leans on that to render identically in serial and
-// parallel suite runs.
+// replays byte-identical metrics for a fixed Config: every event carries
+// its endpoint's merge key (timestamp, source endpoint, source
+// sequence), so the event order is a function of the simulation alone.
+// The `cluster` experiment section leans on that to render identically
+// in serial and parallel suite runs. Only in-flight events sit in the
+// heap: each arrival schedules the next.
 package cluster
 
 import (
@@ -94,7 +95,7 @@ type Config struct {
 	// Model is the per-token compute profile (shared with infer).
 	Model infer.ModelProfile
 
-	// Deprecated: ignored; every run is inline.
+	// Deprecated: ignored; every run is on one engine.
 	Shards int
 }
 
@@ -191,9 +192,11 @@ type Metrics struct {
 	// TopoKey is the compiled topology's canonical key: it names the
 	// fabric the run served on.
 	TopoKey string
-	// Accesses counts simulated KV block accesses (the event measure for
-	// runner accounting).
+	// Accesses counts simulated KV block accesses, local and shared.
 	Accesses uint64
+	// Events counts the events the engine dispatched: arrivals,
+	// admissions, batching steps, bundles and replies.
+	Events uint64
 }
 
 // SwitchWaited sums arbitration wait across all switch egress ports.
@@ -219,8 +222,7 @@ func (m *Metrics) PeakQueue() int {
 // creq is one in-flight request. The hub owns it from arrival through
 // admission (assigning every KV block it will ever use), the replica
 // owns it while a step computes, and the hub again while a bundle is in
-// flight — each handoff rides a cross-shard message, so ownership never
-// overlaps.
+// flight — each handoff rides mail, so ownership never overlaps.
 type creq struct {
 	id             int
 	arrival        sim.Time
@@ -276,19 +278,19 @@ func (b *bundle) reset() {
 	b.retired = b.retired[:0]
 }
 
-// replica is one serving host's shard-side state: the continuous batch
+// replica is one serving host's endpoint state: the continuous batch
 // and the compute path through the host's own memory system. Queues and
 // pools live hub-side.
 type replica struct {
 	c      *Cluster
 	idx    int
 	hostID string
-	sh     *fabric.Shard
+	ep     *fabric.Endpoint
 	core   *host.Core
 
 	pending   []*creq // admitted, joining at the next step
 	batch     []*creq
-	scheduled bool // a step event is queued on the shard engine
+	scheduled bool // a step event is queued
 	awaiting  bool // a bundle is at the hub; no step may run
 
 	bundles []*bundle // free list
@@ -315,7 +317,8 @@ type sharedSlot struct{ exp int }
 // reqOutcome is a request's final numbers, written by its owning
 // replica at reply time (indices are disjoint across replicas) and
 // folded into the global Sample in request-id order at finalize — the
-// step that makes aggregate metrics independent of shard interleaving.
+// step that makes aggregate metrics independent of how replicas
+// interleave.
 type reqOutcome struct {
 	ttft    float64
 	tpot    float64
@@ -328,11 +331,10 @@ type Cluster struct {
 	cfg        Config
 	p          *timing.Params
 	f          *fabric.Fabric
-	ss         *fabric.ShardSet
-	hub        *fabric.Shard
-	hubShard   int
+	eng        *sim.Engine
+	hub        *fabric.Endpoint
 	reps       []*replica
-	repShard   []int
+	reqs       []*creq
 	expIDs     []string
 	blockBytes int
 	m          Metrics
@@ -342,7 +344,6 @@ type Cluster struct {
 	mirrors        []mirror
 	arrivalsLeft   int
 	finishedN      int
-	totalN         int
 	sharedAccesses uint64
 
 	outcomes []reqOutcome
@@ -350,33 +351,32 @@ type Cluster struct {
 	arrivalFn, bundleFn func(any)
 }
 
-// New compiles the cluster: fabric, shard partition, replicas, pools.
+// New compiles the cluster: fabric, endpoints, replicas, pools.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	p := timing.Default()
 	c := &Cluster{
 		cfg:        cfg,
 		p:          p,
-		f:          fabric.MustBuild(cfg.Topology(), p, fabric.Shards(1)),
+		f:          fabric.MustBuild(cfg.Topology(), p),
 		blockBytes: cfg.BlockTokens * cfg.BytesPerToken,
 	}
-	c.ss = c.f.ShardSet()
+	c.eng = c.f.Engine()
 	c.expIDs = c.f.Expanders()
-	c.hubShard = c.ss.NodeShard(c.expIDs[0])
-	c.hub = c.ss.Shard(c.hubShard)
+	eps := c.f.Endpoints()
+	c.hub = eps[0]
 	c.arrivalFn = c.onArrival
 	c.bundleFn = c.onBundle
 	for i, id := range c.f.Hosts() {
 		r := &replica{
 			c: c, idx: i, hostID: id,
-			sh:   c.ss.Shard(c.ss.NodeShard(id)),
+			ep:   eps[1+i],
 			core: c.f.Host(id).Core(0),
 		}
 		r.admitFn = r.onAdmit
 		r.stepFn = r.onStep
 		r.replyFn = r.onReply
 		c.reps = append(c.reps, r)
-		c.repShard = append(c.repShard, r.sh.ID())
 		var mir mirror
 		for b := cfg.LocalBlocks - 1; b >= 0; b-- {
 			mir.localFree = append(mir.localFree,
@@ -438,25 +438,27 @@ func (c *Cluster) genRequests() []*creq {
 	return reqs
 }
 
-// run schedules the arrival stream on the hub engine and drives the
-// shard set to quiescence.
+// run schedules the first arrival on the hub and runs the engine to
+// quiescence.
 func (c *Cluster) run() {
-	reqs := c.genRequests()
-	c.outcomes = make([]reqOutcome, len(reqs))
-	c.totalN = len(reqs)
-	c.arrivalsLeft = len(reqs)
-	eng := c.hub.Engine()
-	for _, q := range reqs {
-		eng.AtCall(q.arrival, c.arrivalFn, q)
-	}
-	c.ss.Run()
-	c.finalize(reqs)
+	c.reqs = c.genRequests()
+	c.outcomes = make([]reqOutcome, len(c.reqs))
+	c.arrivalsLeft = len(c.reqs)
+	c.hub.At(c.reqs[0].arrival, c.arrivalFn, c.reqs[0])
+	c.eng.Run()
+	c.m.Events = c.eng.Executed()
+	c.finalize()
 }
 
-// onArrival routes one request (hub event at its arrival time) and
-// tries admission on the target replica.
+// onArrival routes one request (hub event at its arrival time), tries
+// admission on the target replica, and schedules the next arrival.
+// Arrivals are the hub's only local events, so scheduling them one at a
+// time gives each the merge key it would have had scheduled up front.
 func (c *Cluster) onArrival(arg any) {
 	q := arg.(*creq)
+	if n := q.id + 1; n < len(c.reqs) {
+		c.hub.At(c.reqs[n].arrival, c.arrivalFn, c.reqs[n])
+	}
 	tgt := c.cfg.Router.Route(routeView(q), c)
 	if tgt < 0 || tgt >= len(c.reps) {
 		panic(fmt.Sprintf("cluster: router %s routed to replica %d of %d",
@@ -464,7 +466,7 @@ func (c *Cluster) onArrival(arg any) {
 	}
 	c.mirrors[tgt].queue = append(c.mirrors[tgt].queue, q)
 	c.arrivalsLeft--
-	c.admitRep(tgt, c.hub.Engine().Now())
+	c.admitRep(tgt, c.eng.Now())
 	c.starveCheck()
 }
 
@@ -500,7 +502,7 @@ func (c *Cluster) admitRep(i int, now sim.Time) {
 		q.rep = c.reps[i]
 		mir.queue = mir.queue[1:]
 		mir.batchN++
-		c.hub.Send(c.repShard[i], now, c.reps[i].admitFn, q)
+		c.hub.Send(c.reps[i].ep, now, c.reps[i].admitFn, q)
 	}
 }
 
@@ -516,7 +518,7 @@ func (c *Cluster) admitAll(now sim.Time) {
 // exhausted, nothing in flight anywhere to free capacity, but requests
 // still queued.
 func (c *Cluster) starveCheck() {
-	if c.finishedN >= c.totalN || c.arrivalsLeft > 0 {
+	if c.finishedN >= len(c.reqs) || c.arrivalsLeft > 0 {
 		return
 	}
 	queued := false
@@ -540,7 +542,7 @@ func (r *replica) onAdmit(arg any) {
 	r.pending = append(r.pending, q)
 	if !r.scheduled && !r.awaiting {
 		r.scheduled = true
-		r.sh.Engine().AtCall(r.sh.Engine().Now(), r.stepFn, nil)
+		r.ep.At(r.c.eng.Now(), r.stepFn, nil)
 	}
 }
 
@@ -549,7 +551,7 @@ func (r *replica) onAdmit(arg any) {
 // the step's shared-memory work to the hub.
 func (r *replica) onStep(any) {
 	r.scheduled = false
-	e := r.sh.Engine().Now()
+	e := r.c.eng.Now()
 	r.batch = append(r.batch, r.pending...)
 	r.pending = r.pending[:0]
 	b := r.getBundle()
@@ -572,7 +574,7 @@ func (r *replica) onStep(any) {
 	}
 	r.batch = keep
 	r.awaiting = true
-	r.sh.Send(r.c.hubShard, e, r.c.bundleFn, b)
+	r.ep.Send(r.c.hub, e, r.c.bundleFn, b)
 }
 
 func (r *replica) getBundle() *bundle {
@@ -671,7 +673,7 @@ func (r *replica) decodeLocal(q *creq, e sim.Time) {
 func (c *Cluster) onBundle(arg any) {
 	b := arg.(*bundle)
 	r := b.rep
-	now := c.hub.Engine().Now()
+	now := c.eng.Now()
 	cfg := &c.cfg
 	for _, q := range b.acted {
 		if q.actPrefill {
@@ -727,7 +729,7 @@ func (c *Cluster) onBundle(arg any) {
 	mir.batchN -= len(b.retired)
 	c.admitAll(now)
 	c.starveCheck()
-	c.hub.Send(c.repShard[r.idx], now, r.replyFn, b)
+	c.hub.Send(r.ep, now, r.replyFn, b)
 }
 
 // onReply (replica event) closes the step: fold metrics in batch order,
@@ -764,11 +766,11 @@ func (r *replica) onReply(arg any) {
 	r.bundles = append(r.bundles, b)
 	if len(r.batch) > 0 || len(r.pending) > 0 {
 		at := stepEnd
-		if now := r.sh.Engine().Now(); now > at {
+		if now := c.eng.Now(); now > at {
 			at = now
 		}
 		r.scheduled = true
-		r.sh.Engine().AtCall(at, r.stepFn, nil)
+		r.ep.At(at, r.stepFn, nil)
 	}
 }
 
@@ -784,10 +786,10 @@ func (r *replica) accessLocal(b cblock, n int, now sim.Time, write bool) sim.Tim
 	return r.core.NTRun(op, b.addr, (n+phys.LineSize-1)/phys.LineSize, now)
 }
 
-// finalize folds per-shard results into the global metrics in a
-// shard-independent order: per-request outcomes by request id, replica
-// blocks by replica index, fabric stats in declaration order.
-func (c *Cluster) finalize(reqs []*creq) {
+// finalize folds per-replica results into the global metrics in a
+// fixed order: per-request outcomes by request id, replica blocks by
+// replica index, fabric stats in declaration order.
+func (c *Cluster) finalize() {
 	c.m.Accesses = c.sharedAccesses
 	for _, r := range c.reps {
 		c.m.GenTokens += r.m.GenTokens
@@ -803,7 +805,7 @@ func (c *Cluster) finalize(reqs []*creq) {
 			c.m.Elapsed = o.lastTok
 		}
 	}
-	start := reqs[0].arrival
+	start := c.reqs[0].arrival
 	if c.m.Elapsed > start {
 		c.m.Goodput = float64(c.m.GenTokens) /
 			(float64(c.m.Elapsed-start) / float64(sim.Second))

@@ -188,3 +188,17 @@ func TestUnservableStreamPanics(t *testing.T) {
 	Run(Config{Seed: 1, Replicas: 2, Requests: 4, LocalBlocks: 1, SharedBlocks: 1,
 		PromptMin: 512, PromptMax: 512})
 }
+
+// TestEventsCounted pins Metrics.Events to the engine's real dispatches:
+// every request is one arrival and one admission, and every batching
+// step is a step, a bundle and a reply.
+func TestEventsCounted(t *testing.T) {
+	m := Run(Config{Seed: 11, Replicas: 4, Requests: 48})
+	steps := m.Events - 2*48
+	if m.Events <= 2*48 || steps%3 != 0 {
+		t.Fatalf("Events = %d, want 2·48 plus a positive multiple of 3", m.Events)
+	}
+	if steps/3 < uint64(m.GenTokens)/4 {
+		t.Errorf("%d steps for %d tokens at batch 4: too few", steps/3, m.GenTokens)
+	}
+}

@@ -21,8 +21,8 @@ type shardedCase struct {
 	cfg  Config
 }
 
-// shardedCases are the pinned partitioned runs: each oversubscription
-// regime and router.
+// shardedCases are the pinned runs: each oversubscription regime and
+// router.
 func shardedCases() []shardedCase {
 	return []shardedCase{
 		{"ample", Config{Seed: 11, Replicas: 4, Requests: 48,
@@ -37,10 +37,10 @@ func shardedCases() []shardedCase {
 	}
 }
 
-// stressCases are the cross-shard ordering stress runs: a high arrival
-// rate over a tiny shared pool makes every decode step exchange
-// admit/bundle/reply messages while many same-instant fabric
-// completions land at the hub, at several seeds.
+// stressCases are the mail-ordering stress runs: a high arrival rate
+// over a tiny shared pool makes every decode step exchange
+// admit/bundle/reply mail while many same-instant fabric completions
+// land at the hub, at several seeds.
 func stressCases() []shardedCase {
 	var cases []shardedCase
 	for _, seed := range []int64{1, 7, 23, 101} {
@@ -91,60 +91,39 @@ func checkGolden(t *testing.T, cases []shardedCase) {
 	}
 }
 
-// TestShardedByteIdentity pins the partitioned execution's bytes: every
-// regime's rendered metrics must equal the golden exactly, so a change
-// to the window loop, the cross-shard merge keys or the cluster model
-// that moves any event shows up here.
+// TestShardedByteIdentity pins the cluster's bytes: every regime's
+// rendered metrics must equal the golden exactly, so a change to the
+// merge keys or the cluster model that moves any event shows up here.
 func TestShardedByteIdentity(t *testing.T) {
 	checkGolden(t, shardedCases())
 }
 
-// TestShardedStressCrossShardOrdering hammers the cross-shard merge
-// path with stressCases; each seed's render must equal the golden
-// exactly.
+// TestShardedStressCrossShardOrdering hammers the mail merge path with
+// stressCases; each seed's render must equal the golden exactly.
 func TestShardedStressCrossShardOrdering(t *testing.T) {
 	checkGolden(t, stressCases())
 }
 
-// TestShardPartitionShape pins the cluster's partition: the hub shard
-// owns the switch and expanders, each replica host its own shard, and
-// every cross-shard distance is the calibrated link latency (hosts are
-// two hops apart through the hub).
+// TestShardPartitionShape pins the cluster's endpoints: the hub first,
+// then one per replica host, with every delivery distance the
+// calibrated link latency per side (hosts are two hops apart through the
+// hub).
 func TestShardPartitionShape(t *testing.T) {
 	c := New(Config{Replicas: 3, Expanders: 2})
-	ss := c.ss
-	if got := ss.NumShards(); got != 4 {
-		t.Fatalf("NumShards = %d, want 4 (hub + 3 replicas)", got)
-	}
-	if c.hubShard != 0 {
-		t.Fatalf("hub shard = %d, want 0", c.hubShard)
-	}
-	hub := ss.Shard(0).Nodes()
-	if len(hub) != 3 { // sw0 + x0 + x1
-		t.Fatalf("hub owns %v, want switch plus both expanders", hub)
+	eps := c.f.Endpoints()
+	if len(eps) != 4 || c.hub != eps[0] {
+		t.Fatalf("%d endpoints, hub first = %v; want hub + 3 replicas", len(eps), c.hub == eps[0])
 	}
 	for i, r := range c.reps {
-		if got := ss.NodeShard(r.hostID); got != i+1 {
-			t.Fatalf("host %s on shard %d, want %d", r.hostID, got, i+1)
+		if r.ep != eps[1+i] {
+			t.Fatalf("replica %d is not endpoint %d", i, 1+i)
 		}
 	}
-	oneWay := ss.Dist(0, 1)
-	if oneWay <= 0 {
-		t.Fatalf("hub→replica distance %v, want positive lookahead", oneWay)
+	oneWay := c.hub.Dist(c.reps[0].ep)
+	if want := c.p.CXL.OneWay; oneWay != want || want <= 0 {
+		t.Fatalf("hub→replica distance %v, want the calibrated link latency %v", oneWay, want)
 	}
-	if got := ss.Dist(1, 2); got != 2*oneWay {
+	if got := c.reps[0].ep.Dist(c.reps[1].ep); got != 2*oneWay {
 		t.Fatalf("replica→replica distance %v, want %v (two hops via hub)", got, 2*oneWay)
-	}
-}
-
-// TestShardedWindowCount pins the PDES schedule itself at the cxlperf
-// cluster shape: the number of windows ShardSet.Run steps through. A
-// change that keeps the bytes but moves a window bound shows up here.
-func TestShardedWindowCount(t *testing.T) {
-	c := New(Config{Seed: 1, Replicas: 8, Expanders: 2, Requests: 2048,
-		RatePerSec: 400_000, LocalBlocks: 8, SharedBlocks: 256})
-	c.run()
-	if got, want := c.ss.Windows(), 35_659; got != want {
-		t.Fatalf("cluster run took %d windows, want %d", got, want)
 	}
 }

@@ -81,7 +81,8 @@ type event struct {
 // with a binary heap it halves tree depth, trading slightly more sibling
 // comparisons (cheap, same cache line) for fewer swap levels.
 //
-// Because (when, seq) is unique per event — seq strictly increases — the
+// Because (when, seq) is unique per event — seq strictly increases, and
+// AtCallTagged callers keep their keys unique — the
 // dispatch sequence is the total order by (when, seq) no matter how the
 // heap arranges ties internally, so replacing the binary boxed heap cannot
 // reorder dispatch: FIFO within a timestamp is preserved exactly.
@@ -141,8 +142,8 @@ func (h *eventHeap) popEvent() event {
 	return top
 }
 
-// SourceShift is the bit position of the source-ID field in an event's
-// 64-bit sequence key. The low 48 bits hold the per-source monotone
+// SourceShift is the bit position of the source-ID field in an
+// AtCallTagged sequence key. The low 48 bits hold a per-source monotone
 // counter (2^48 events ≈ 2.8e14, far beyond any run), the high 16 bits
 // the source ID, so comparing packed keys numerically is exactly
 // comparing (sourceID, perSourceSeq) lexicographically.
@@ -155,10 +156,6 @@ type Engine struct {
 	seq     uint64
 	events  eventHeap
 	stopped bool
-	// srcTag is OR-ed into every locally scheduled event's sequence key
-	// (see SetSourceID). Zero for ordinary single-engine use, in which
-	// case keys are the plain monotone counter and nothing changes.
-	srcTag uint64
 	// Executed counts events dispatched since creation, for diagnostics.
 	executed uint64
 	// pairFree recycles two-argument event records (see AtCall2). The free
@@ -174,24 +171,6 @@ func NewEngine() *Engine {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// SetSourceID brands the engine as event source id for deterministic
-// cross-engine merges: every locally scheduled event's tie-break key
-// becomes id<<SourceShift | localSeq, and events injected from another
-// engine via AtCallTagged carry that engine's id in their key. Two
-// events at the same timestamp therefore dispatch in (sourceID,
-// perSourceSeq) order no matter when the injected one arrived — the
-// property that makes a partitioned run's bytes independent of the
-// order its shards run in. Call it once, before any event is scheduled.
-func (e *Engine) SetSourceID(id int) {
-	if id < 0 || id >= 1<<16 {
-		panic(fmt.Sprintf("sim: source id %d out of range", id))
-	}
-	if len(e.events) > 0 || e.seq != 0 {
-		panic("sim: SetSourceID after events were scheduled")
-	}
-	e.srcTag = uint64(id) << SourceShift
-}
 
 // Executed reports how many events have been dispatched.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -230,18 +209,17 @@ func (e *Engine) AtCall(t Time, fn func(arg any), arg any) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.events.pushEvent(event{when: t, seq: e.srcTag | e.seq, call: fn, arg: arg})
+	e.events.pushEvent(event{when: t, seq: e.seq, call: fn, arg: arg})
 }
 
 // AtCallTagged schedules fn(arg) at absolute time t under an explicit
-// sequence key instead of the engine's own counter. It is the delivery
-// half of a cross-engine message: the sender packs key as
-// senderID<<SourceShift | senderSeq when it emits the message, and the
-// receiving engine inserts it here, so the dispatch position among
-// same-timestamp events is fixed by the sender — not by when the
-// message happened to arrive. Keys from distinct source IDs never
-// collide with local keys (the high bits differ), preserving the
-// heap's total order.
+// sequence key instead of the engine's own counter, for callers that
+// interleave several event sources on one engine: each source packs
+// key as sourceID<<SourceShift | perSourceSeq, so the dispatch position
+// among same-timestamp events is fixed by the source — not by when the
+// event happened to be scheduled. Keeping keys unique, and apart from
+// the engine's own counter if AtCall is used too, is the caller's
+// contract; it is what keeps the heap's order total.
 func (e *Engine) AtCallTagged(t Time, key uint64, fn func(arg any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling tagged event at %v before now %v", t, e.now))
@@ -337,46 +315,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		// order exactly as before, so dispatch order — and therefore every
 		// simulation outcome — is unchanged; Stop is still honored between
 		// events.
-		e.now = when
-		for {
-			ev := e.events.popEvent()
-			e.executed++
-			ev.call(ev.arg)
-			if e.stopped || len(e.events) == 0 || e.events.peek().when != when {
-				break
-			}
-		}
-	}
-	return e.now
-}
-
-// NextEventAt reports the timestamp of the earliest pending event, or
-// Forever when the queue is empty. Conservative parallel execution
-// uses it as the engine's published activation time: the engine cannot
-// originate any new work before this instant.
-func (e *Engine) NextEventAt() Time {
-	if len(e.events) == 0 {
-		return Forever
-	}
-	return e.events.peek().when
-}
-
-// RunWindow dispatches events with timestamps strictly before `until`,
-// advancing the clock to each event's time, and returns the final
-// simulated time. The strict bound is what makes it a safe conservative
-// PDES window: a peer engine whose earliest future send arrives exactly
-// at `until` cannot be overtaken, because the event at `until` has not
-// run yet. Like RunUntil, the clock is left at the last dispatched
-// event, never advanced to the window edge.
-func (e *Engine) RunWindow(until Time) Time {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		when := e.events.peek().when
-		if when >= until {
-			break
-		}
-		// Same batch dispatch as RunUntil: events a callback schedules at
-		// the current instant still satisfy when < until.
 		e.now = when
 		for {
 			ev := e.events.popEvent()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -210,12 +211,43 @@ func TestEnginePastSchedulePanics(t *testing.T) {
 	e := NewEngine()
 	e.At(100, func() {})
 	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic scheduling in the past")
-		}
-	}()
-	e.At(50, func() {})
+	for name, schedule := range map[string]func(){
+		"At":           func() { e.At(50, func() {}) },
+		"AtCallTagged": func() { e.AtCallTagged(50, 1<<SourceShift|1, func(any) {}, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic scheduling in the past", name)
+				}
+			}()
+			schedule()
+		}()
+	}
+}
+
+// TestSourceTaggedMergeOrder pins the tagged-key contract: at an equal
+// timestamp, events dispatch by (sourceID, perSourceSeq) regardless of
+// the order they were scheduled in, and the engine's own counter sorts
+// as source 0.
+func TestSourceTaggedMergeOrder(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	rec := func(arg any) { got = append(got, arg.(string)) }
+
+	e.AtCallTagged(100, 2<<SourceShift|1, rec, "src2-1")
+	e.AtCallTagged(100, 3<<SourceShift|1, rec, "src3-1")
+	e.AtCall(100, rec, "local-1")
+	// Deliberately insert the higher sequence first.
+	e.AtCallTagged(100, 1<<SourceShift|2, rec, "src1-2")
+	e.AtCallTagged(100, 1<<SourceShift|1, rec, "src1-1")
+	e.AtCall(100, rec, "local-2")
+
+	e.Run()
+	want := []string{"local-1", "local-2", "src1-1", "src1-2", "src2-1", "src3-1"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
+	}
 }
 
 // TestEngineAfterNearForeverSaturates is the regression test for the
