@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -26,6 +27,11 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	// The horizon must be positive and fit the picosecond clock.
+	if maxMs := math.MaxInt64 / int64(cxl2sim.Millisecond); *ms <= 0 || int64(*ms) > maxMs {
+		fmt.Fprintf(os.Stderr, "kvsbench: -ms must be > 0 and <= %d, got %d\n", maxMs, *ms)
+		os.Exit(2)
+	}
 
 	which := "all"
 	if flag.NArg() > 0 {

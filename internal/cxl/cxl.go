@@ -1,7 +1,7 @@
 // Package cxl defines the CXL protocol vocabulary of the model: the three
 // protocols (CXL.io, CXL.cache, CXL.mem), the D2H request types a device
-// accelerator may attach as cache hints (§IV-A), the CXL.cache/mem opcodes
-// each maps to, and device-type capability descriptions (Table I).
+// accelerator may attach as cache hints (§IV-A), and device-type capability
+// descriptions (Table I).
 package cxl
 
 import "fmt"
@@ -91,8 +91,8 @@ type D2HReq uint8
 
 // D2H request types (Table III).
 const (
-	// NCP is the write-only non-cacheable push: update HMC, write the line
-	// into host LLC, invalidate HMC — unique to CXL Type-2 (§IV-A).
+	// NCP is the write-only non-cacheable push (ItoMWr): update HMC, write
+	// the line into host LLC, invalidate HMC — unique to CXL Type-2 (§IV-A).
 	NCP D2HReq = iota
 	// NCRead is a non-cacheable read (RdCurr): no state change, no HMC fill.
 	NCRead
@@ -102,8 +102,8 @@ const (
 	// CORead is a cacheable-owned read (RdOwn): exclusive copy into HMC,
 	// host copies invalidated.
 	CORead
-	// COWrite is a cacheable-owned write: ownership grant, then write into
-	// HMC as Modified.
+	// COWrite is a cacheable-owned write (RdOwn): ownership grant, then
+	// write into HMC as Modified.
 	COWrite
 	// CSRead is a cacheable-shared read (RdShared): like NCRead but the line
 	// is allocated into HMC in Shared.
@@ -135,60 +135,6 @@ func (r D2HReq) IsWrite() bool { return r == NCP || r == NCWrite || r == COWrite
 
 // IsRead reports whether the request returns data to the accelerator.
 func (r D2HReq) IsRead() bool { return r == NCRead || r == CORead || r == CSRead }
-
-// Opcode is a CXL.cache/CXL.mem wire opcode (CXL 3.0 spec naming; the
-// subset the model exercises).
-type Opcode uint8
-
-// Opcodes.
-const (
-	// CXL.cache D2H requests.
-	OpRdCurr   Opcode = iota // current data, no state change
-	OpRdShared               // shared copy
-	OpRdOwn                  // exclusive copy
-	OpItoMWr                 // invalid-to-modified write push (used by NC-P)
-	OpWrInv                  // write-invalidate to memory
-	OpCLFlush                // flush request
-	// CXL.mem M2S requests.
-	OpMemRd
-	OpMemWr
-	OpMemInv // back-invalidate for bias management
-	// Responses.
-	OpGO   // global-observation (coherence grant)
-	OpData // data return
-	OpCmp  // completion
-)
-
-// String names the opcode.
-func (o Opcode) String() string {
-	names := [...]string{
-		"RdCurr", "RdShared", "RdOwn", "ItoMWr", "WrInv", "CLFlush",
-		"MemRd", "MemWr", "MemInv", "GO", "Data", "Cmp",
-	}
-	if int(o) < len(names) {
-		return names[o]
-	}
-	return fmt.Sprintf("Opcode(%d)", uint8(o))
-}
-
-// OpcodeFor maps a D2H request hint to the CXL.cache opcode the DCOH
-// issues toward the host (Fig. 2).
-func OpcodeFor(r D2HReq) Opcode {
-	switch r {
-	case NCP:
-		return OpItoMWr
-	case NCRead:
-		return OpRdCurr
-	case NCWrite:
-		return OpWrInv
-	case CORead, COWrite:
-		return OpRdOwn
-	case CSRead:
-		return OpRdShared
-	default:
-		panic(fmt.Sprintf("cxl: unknown D2H request %d", r))
-	}
-}
 
 // Flit sizes used by the link-occupancy model: CXL flits are 64 B slots; a
 // request/control message occupies a header's worth of a slot, a data

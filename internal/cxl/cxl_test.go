@@ -73,41 +73,6 @@ func TestD2HReqClassification(t *testing.T) {
 	}
 }
 
-func TestOpcodeMapping(t *testing.T) {
-	// Fig. 2: RdCurr / RdShared / RdOwn map to NC-rd / CS-rd / CO-*.
-	cases := map[D2HReq]Opcode{
-		NCRead:  OpRdCurr,
-		CSRead:  OpRdShared,
-		CORead:  OpRdOwn,
-		COWrite: OpRdOwn,
-		NCP:     OpItoMWr,
-		NCWrite: OpWrInv,
-	}
-	for r, want := range cases {
-		if got := OpcodeFor(r); got != want {
-			t.Errorf("OpcodeFor(%v) = %v, want %v", r, got, want)
-		}
-	}
-}
-
-func TestOpcodeForUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	OpcodeFor(D2HReq(99))
-}
-
-func TestOpcodeString(t *testing.T) {
-	if OpRdCurr.String() != "RdCurr" || OpGO.String() != "GO" {
-		t.Fatal("Opcode names wrong")
-	}
-	if Opcode(200).String() == "" {
-		t.Fatal("unknown opcode should format")
-	}
-}
-
 func TestWireBytes(t *testing.T) {
 	req, resp := WireBytes(NCRead)
 	if req != HeaderBytes || resp != DataBytes {
@@ -116,20 +81,6 @@ func TestWireBytes(t *testing.T) {
 	req, resp = WireBytes(COWrite)
 	if req != DataBytes || resp != HeaderBytes {
 		t.Fatalf("write wire bytes = %d,%d", req, resp)
-	}
-}
-
-func TestAllOpcodeNames(t *testing.T) {
-	want := map[Opcode]string{
-		OpRdCurr: "RdCurr", OpRdShared: "RdShared", OpRdOwn: "RdOwn",
-		OpItoMWr: "ItoMWr", OpWrInv: "WrInv", OpCLFlush: "CLFlush",
-		OpMemRd: "MemRd", OpMemWr: "MemWr", OpMemInv: "MemInv",
-		OpGO: "GO", OpData: "Data", OpCmp: "Cmp",
-	}
-	for op, name := range want {
-		if op.String() != name {
-			t.Errorf("%d.String() = %q, want %q", op, op.String(), name)
-		}
 	}
 }
 

@@ -176,7 +176,9 @@ func TestCOWriteDataLivesInHMCOnly(t *testing.T) {
 	if got := d.HMC().Peek(hostAddr); got == nil || got.Data[0] != 0xAB {
 		t.Fatal("CO-wr data must live in HMC")
 	}
-	if home.Store().PeekLine(hostAddr) != nil {
+	buf := make([]byte, phys.LineSize)
+	home.Store().ReadLine(hostAddr, buf)
+	if !bytes.Equal(buf, make([]byte, phys.LineSize)) {
 		t.Fatal("CO-wr must not write host memory eagerly")
 	}
 	// Recall (host snoop) delivers the data.

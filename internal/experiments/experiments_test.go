@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cxl"
 	"repro/internal/stats"
+	"repro/internal/ycsb"
 )
 
 // quick lowers repetition counts: the model is deterministic, so medians
@@ -441,6 +442,17 @@ func TestFig8Determinism(t *testing.T) {
 	if a.P99us != b.P99us || a.Served != b.Served || a.Faults != b.Faults {
 		t.Fatalf("nondeterministic co-simulation: %+v vs %+v", a, b)
 	}
+}
+
+// TestFig8BadDurationPanics: a co-simulation that cannot run must fail
+// Fig8 loudly, not return the rows that survived (an empty table).
+func TestFig8BadDurationPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Fig8 with a negative Duration returned instead of panicking")
+		}
+	}()
+	Fig8("zswap", []ycsb.Workload{ycsbA()}, Fig8Config{Duration: -5 * 1e9}) // -5 ms
 }
 
 // TestLookupMatchesSections: the single-section lookup builds exactly the

@@ -18,7 +18,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timing"
-	"repro/internal/workload"
 	"repro/internal/ycsb"
 	"repro/internal/zswap"
 )
@@ -82,42 +81,6 @@ type Fig8Config struct {
 	// KswapdBatch overrides kswapd's scheduling quantum in pages (0 takes
 	// the calibrated default of 8) — the cond_resched-granularity ablation.
 	KswapdBatch int
-	// Temporal replaces the stationary drivers with the traffic library's
-	// temporal models: request arrivals follow a rate curve oscillating
-	// around RatePerSec with burst overlays, the zswap antagonist's churn
-	// bursts arrive episodically, and ksmd's inter-batch sleeps are drawn
-	// rather than fixed. Off by default — the calibrated stationary runs
-	// stay bit-identical.
-	Temporal bool
-}
-
-// fig8ArrivalSource builds the temporal request stream for one run: a
-// four-phase curve oscillating around rate (period 100 ms, several cycles
-// inside the 300 ms horizon) with thundering-herd bursts layered on top.
-func fig8ArrivalSource(rate float64) workload.ArrivalSource {
-	curve := workload.MustNewRateCurve(100*sim.Millisecond,
-		workload.RatePoint{At: 0, RatePerSec: 0.5 * rate},
-		workload.RatePoint{At: 25 * sim.Millisecond, RatePerSec: 1.5 * rate},
-		workload.RatePoint{At: 50 * sim.Millisecond, RatePerSec: 0.75 * rate},
-		workload.RatePoint{At: 75 * sim.Millisecond, RatePerSec: 1.25 * rate},
-	)
-	return workload.NewTemporal(curve).WithBursts(workload.BurstSpec{
-		MeanGap:    40 * sim.Millisecond,
-		MeanLen:    3 * sim.Millisecond,
-		Factor:     3,
-		Cooldown:   5 * sim.Millisecond,
-		CoolFactor: 0.5,
-	})
-}
-
-// fig8LoadGen builds the run's load generator: stationary Poisson, or the
-// temporal source when cfg.Temporal is set.
-func fig8LoadGen(eng *sim.Engine, servers []*kvs.Server, gen *ycsb.Generator, cfg Fig8Config) *kvs.LoadGen {
-	if cfg.Temporal {
-		return kvs.NewLoadGenArrivals(eng, servers, gen,
-			fig8ArrivalSource(cfg.RatePerSec), cfg.Seed+seedOffFig8LoadGen)
-	}
-	return kvs.NewLoadGen(eng, servers, gen, cfg.RatePerSec, cfg.Seed+seedOffFig8LoadGen)
 }
 
 func (c Fig8Config) dist() ycsb.Distribution {
@@ -227,18 +190,6 @@ func fig8ZswapDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig
 		ant.PagesPerBurst = 8
 		ant.Interval = 500 * sim.Microsecond
 		ant.Keep = 1800 // a large cold tail: reclaim victims are mostly the antagonist's
-		if cfg.Temporal {
-			// Episodic churn: bursts of allocation pressure instead of the
-			// steady 2 kHz drumbeat, so reclaim comes in wavefronts.
-			ant.Gaps = workload.NewTemporal(workload.FlatRate(2000)).
-				WithBursts(workload.BurstSpec{
-					MeanGap:    20 * sim.Millisecond,
-					MeanLen:    4 * sim.Millisecond,
-					Factor:     4,
-					Cooldown:   8 * sim.Millisecond,
-					CoolFactor: 0.25,
-				})
-		}
 	}
 
 	pollution := func() uint64 { return 0 }
@@ -269,7 +220,7 @@ func fig8ZswapDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig
 	}
 
 	gen := ycsb.MustNewGenerator(w, cfg.dist(), uint64(scfg.Records), cfg.Seed)
-	lg := fig8LoadGen(eng, servers, gen, cfg)
+	lg := kvs.NewLoadGen(eng, servers, gen, cfg.RatePerSec, cfg.Seed+seedOffFig8LoadGen)
 	lg.Start()
 	// Requests complete synchronously within their arrival event, so the
 	// horizon is exact; the daemons (kswapd, antagonist) would reschedule
@@ -424,13 +375,6 @@ func fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8D
 		daemon.FloatCores = []*sim.Resource{
 			h.Core(0).Sched, h.Core(1).Sched, h.Core(2).Sched, h.Core(3).Sched,
 		}
-		if cfg.Temporal {
-			// Drawn inter-batch sleeps around the tuned 2.2 ms cadence: a
-			// ksmd whose pacing jitters instead of metronoming.
-			daemon.SetSleepSource(
-				workload.NewTemporal(workload.FlatRate(1/0.0022)),
-				cfg.Seed+seedOffFig8KsmSleep)
-		}
 		daemon.Start()
 	}
 
@@ -448,7 +392,7 @@ func fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8D
 	churn.Schedule(churnStep)
 
 	gen := ycsb.MustNewGenerator(w, cfg.dist(), uint64(scfg.Records), cfg.Seed)
-	lg := fig8LoadGen(eng, servers, gen, cfg)
+	lg := kvs.NewLoadGen(eng, servers, gen, cfg.RatePerSec, cfg.Seed+seedOffFig8LoadGen)
 	lg.Start()
 	eng.RunUntil(cfg.Duration)
 	lg.Stop()
@@ -499,12 +443,18 @@ func fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8D
 // Fig8 runs one feature across all variants and workloads, filling in the
 // baseline-normalized p99 like the paper's figure. It is the serial form
 // of Fig8Jobs, pinned to the calibrated seed so the legacy paths
-// (kvsbench, the calibration workflow) keep their published numbers.
+// (kvsbench, the calibration workflow) keep their published numbers. A
+// failed co-simulation (e.g. a negative Duration) panics with the first
+// job's error rather than returning the rows that survived.
 func Fig8(feature string, workloads []ycsb.Workload, cfg Fig8Config) []Fig8Row {
 	if cfg.Seed == 0 {
 		cfg.Seed = seedFig8Calibrated
 	}
-	return fig8Collect(runner.Run(Fig8Jobs(feature, workloads, cfg), runner.Options{Workers: 1}))
+	results := runner.Run(Fig8Jobs(feature, workloads, cfg), runner.Options{Workers: 1})
+	if _, err := runner.Values(results); err != nil {
+		panic(err)
+	}
+	return fig8Collect(results)
 }
 
 // Fig8Jobs returns one job per workload, each forking the baseline + the
@@ -533,8 +483,8 @@ func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runne
 					if c.Seed == 0 {
 						c.Seed = sctx.Seed
 					}
-					row, _, events := fig8RunCounted(run, v, w, c)
-					sctx.AddEvents(events)
+					row, diag := run(v, w, c)
+					sctx.AddEvents(diag.EngineEvents)
 					return []Fig8Row{row}, nil
 				}})
 			}
@@ -542,16 +492,6 @@ func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runne
 		}})
 	}
 	return jobs
-}
-
-// fig8Run is the signature shared by fig8ZswapDiag and fig8KsmDiag.
-type fig8Run = func(Fig8Variant, ycsb.Workload, Fig8Config) (Fig8Row, Fig8Diag)
-
-// fig8RunCounted runs one co-simulation and reports its engine's
-// dispatched-event count for the runner's event-rate stat.
-func fig8RunCounted(run fig8Run, v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag, uint64) {
-	row, diag := run(v, w, cfg)
-	return row, diag, diag.EngineEvents
 }
 
 // fig8Collect assembles job results (in Fig8Jobs order) into rows,

@@ -21,14 +21,13 @@ var update = flag.Bool("update", false, "rewrite testdata/fig8.golden instead of
 const fig8Golden = "testdata/fig8.golden"
 
 // renderFig8Golden runs each variant of both features on workload A
-// under the calibrated seed. zswap runs 120 ms, the shortest horizon at
-// which reclaim has begun (at 60 ms every variant still reads 0 faults);
-// ksm runs 60 ms.
+// under the calibrated seed. zswap runs 120 ms, by which reclaim has
+// begun (at 60 ms every variant still reads 0 faults); ksm runs 60 ms.
 func renderFig8Golden() string {
 	var b strings.Builder
 	for _, f := range []struct {
 		name string
-		run  fig8Run
+		run  func(Fig8Variant, ycsb.Workload, Fig8Config) (Fig8Row, Fig8Diag)
 		dur  sim.Time
 	}{
 		{"zswap", fig8ZswapDiag, 120 * sim.Millisecond},
@@ -55,9 +54,6 @@ func TestFig8Golden(t *testing.T) {
 	}
 	got := renderFig8Golden()
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(fig8Golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

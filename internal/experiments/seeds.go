@@ -19,7 +19,6 @@ const (
 	seedOffFig8LoadGen    int64 = 1 // request arrivals (kvs load generator)
 	seedOffFig8Pages      int64 = 3 // synthetic page contents
 	seedOffFig8Antagonist int64 = 7 // memory-churn co-runner
-	seedOffFig8KsmSleep   int64 = 9 // ksmd drawn sleeps (Temporal runs only)
 )
 
 // seedFig8Calibrated is the Fig8Config.Seed the calibration (and the

@@ -88,43 +88,3 @@ func TestWorkloadPrinterRendersBothTables(t *testing.T) {
 		}
 	}
 }
-
-// TestFig8TemporalDeterminism pins the temporal co-simulation wiring:
-// drawn arrival gaps, episodic antagonist bursts and drawn ksmd sleeps
-// must still reproduce run for run under a fixed seed.
-func TestFig8TemporalDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("co-simulation")
-	}
-	cfg := Fig8Config{Duration: 60 * 1e9, Temporal: true} // 60 ms
-	a := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
-	b := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
-	if a.P99us != b.P99us || a.Served != b.Served || a.Faults != b.Faults {
-		t.Fatalf("nondeterministic temporal zswap run: %+v vs %+v", a, b)
-	}
-	if !a.VerifyOK {
-		t.Fatal("data integrity lost under temporal zswap run")
-	}
-	ka := Fig8Ksm(Fig8Variant(3), ycsbA(), cfg)
-	kb := Fig8Ksm(Fig8Variant(3), ycsbA(), cfg)
-	if ka.P99us != kb.P99us || ka.Served != kb.Served || ka.Faults != kb.Faults {
-		t.Fatalf("nondeterministic temporal ksm run: %+v vs %+v", ka, kb)
-	}
-	if !ka.VerifyOK {
-		t.Fatal("data integrity lost under temporal ksm run")
-	}
-}
-
-// TestFig8TemporalChangesStream sanity-checks that the Temporal flag is
-// actually wired: the drawn-arrival run must differ from the stationary
-// one (same seed, same duration).
-func TestFig8TemporalChangesStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("co-simulation")
-	}
-	stationary := Fig8Zswap(Fig8Variant(3), ycsbA(), Fig8Config{Duration: 60 * 1e9})
-	temporal := Fig8Zswap(Fig8Variant(3), ycsbA(), Fig8Config{Duration: 60 * 1e9, Temporal: true})
-	if stationary.Served == temporal.Served && stationary.P99us == temporal.P99us {
-		t.Fatal("Temporal flag produced an identical run — wiring is dead")
-	}
-}

@@ -1,12 +1,6 @@
 package ksm
 
-import (
-	"math/rand"
-
-	"repro/internal/rng"
-	"repro/internal/sim"
-	"repro/internal/workload"
-)
+import "repro/internal/sim"
 
 // Daemon is ksmd: the periodic incremental scanner thread. Every wake it
 // scans PagesPerBatch candidate pages (pages_to_scan) and sleeps
@@ -24,11 +18,6 @@ type Daemon struct {
 	// these cores at batch boundaries — ksmd is not pinned, so over a run
 	// it disturbs every application core (§VII).
 	FloatCores []*sim.Resource
-
-	// sleepSrc, when set via SetSleepSource, replaces the fixed
-	// SleepBetween with drawn inter-batch gaps.
-	sleepSrc workload.ArrivalSource
-	sleepRng *rand.Rand
 
 	running bool
 	stopped bool
@@ -53,15 +42,6 @@ func NewDaemon(eng *sim.Engine, scanner *Scanner, core *sim.Resource) *Daemon {
 	}
 	d.stepFn = d.step
 	return d
-}
-
-// SetSleepSource replaces the fixed SleepBetween pacing with inter-batch
-// gaps drawn from src (e.g. a workload.Temporal curve modelling a tuned
-// ksmd that backs off under load). The draws consume a dedicated seeded
-// stream, so the daemon's pacing replays deterministically.
-func (d *Daemon) SetSleepSource(src workload.ArrivalSource, seed int64) {
-	d.sleepSrc = src
-	d.sleepRng = rng.New(seed)
 }
 
 // Proc exposes the daemon's process.
@@ -103,11 +83,7 @@ func (d *Daemon) step(p *sim.Proc) {
 		inBatch++
 		if inBatch >= d.PagesPerBatch {
 			d.batches++
-			sleep := d.SleepBetween
-			if d.sleepSrc != nil {
-				sleep = d.sleepSrc.GapAt(d.sleepRng, d.eng.Now())
-			}
-			p.Sleep(sleep)
+			p.Sleep(d.SleepBetween)
 			inBatch = 0
 			if len(d.FloatCores) > 0 {
 				d.coreIdx = (d.coreIdx + 1) % len(d.FloatCores)

@@ -14,24 +14,19 @@ import (
 
 // LoadGen drives a set of servers with an open-loop request stream — the
 // YCSB-client side of §VII. Arrivals come from a workload.ArrivalSource
-// (stationary Poisson by default, or a diurnal/bursty Temporal source) or
-// replay a recorded workload.Trace verbatim; either way they are scheduled
-// on the engine so request handling interleaves with kswapd/ksmd activity
-// in simulated time.
+// (stationary Poisson by default, or a diurnal/bursty Temporal source) and
+// are scheduled on the engine so request handling interleaves with
+// kswapd/ksmd activity in simulated time.
 type LoadGen struct {
 	eng      *sim.Engine
 	servers  []*Server
 	gen      *ycsb.Generator
 	rng      *rand.Rand
 	arrivals workload.ArrivalSource
-	rate     float64
-	// replay holds the trace records when the generator replays instead of
-	// drawing; base anchors record time zero at Start's engine time.
-	replay    []workload.Request
-	replayIdx int
-	base      sim.Time
-	next      int
-	stopped   bool
+	// base is Start's engine time, the source's time zero.
+	base    sim.Time
+	next    int
+	stopped bool
 }
 
 // NewLoadGen builds a Poisson load generator at ratePerSec aggregate ops/s.
@@ -39,9 +34,7 @@ func NewLoadGen(eng *sim.Engine, servers []*Server, gen *ycsb.Generator, ratePer
 	if ratePerSec <= 0 {
 		panic("kvs: positive rate required")
 	}
-	l := NewLoadGenArrivals(eng, servers, gen, workload.Poisson{RatePerSec: ratePerSec}, seed)
-	l.rate = ratePerSec
-	return l
+	return NewLoadGenArrivals(eng, servers, gen, workload.Poisson{RatePerSec: ratePerSec}, seed)
 }
 
 // NewLoadGenArrivals builds a load generator drawing gaps from src — the
@@ -62,30 +55,11 @@ func NewLoadGenArrivals(eng *sim.Engine, servers []*Server, gen *ycsb.Generator,
 	}
 }
 
-// NewLoadGenTrace builds a load generator that replays a recorded trace:
-// each record's op (Kind, Key) fires at Start time + record At, so the
-// same stream re-runs bit-for-bit regardless of the policies under test.
-func NewLoadGenTrace(eng *sim.Engine, servers []*Server, t *workload.Trace) *LoadGen {
-	if len(servers) == 0 {
-		panic("kvs: servers required")
-	}
-	if err := t.Validate(); err != nil {
-		panic(err)
-	}
-	return &LoadGen{eng: eng, servers: servers, replay: t.Requests}
-}
-
-// RatePerSec reports the configured aggregate arrival rate (0 for custom
-// sources and trace replay, which have no single stationary rate).
-func (l *LoadGen) RatePerSec() float64 { return l.rate }
-
 // Start schedules the arrival process beginning at the engine's current
-// time; it continues until Stop, the horizon passed to RunFor, or (in
-// replay mode) the end of the trace.
+// time; it continues until Stop or the engine's RunUntil horizon.
 func (l *LoadGen) Start() {
 	l.stopped = false
 	l.base = l.eng.Now()
-	l.replayIdx = 0
 	l.scheduleNext(l.eng.Now())
 }
 
@@ -93,20 +67,9 @@ func (l *LoadGen) Start() {
 func (l *LoadGen) Stop() { l.stopped = true }
 
 func (l *LoadGen) scheduleNext(now sim.Time) {
-	var at sim.Time
-	if l.replay != nil {
-		if l.replayIdx >= len(l.replay) {
-			return
-		}
-		at = l.base + l.replay[l.replayIdx].At
-		if at < now {
-			at = now
-		}
-	} else {
-		at = now + l.arrivals.GapAt(l.rng, now-l.base)
-		if at < now { // GapAt returned Forever and saturated
-			at = sim.Forever
-		}
+	at := now + l.arrivals.GapAt(l.rng, now-l.base)
+	if at < now { // GapAt returned Forever and saturated
+		at = sim.Forever
 	}
 	// Arrivals are the densest event stream in the §VII runs; carrying the
 	// generator through AtCall keeps the steady state allocation-free where
@@ -119,38 +82,11 @@ func loadGenArrive(arg any) {
 	if l.stopped {
 		return
 	}
-	var op ycsb.Op
-	if l.replay != nil {
-		rec := l.replay[l.replayIdx]
-		l.replayIdx++
-		op = ycsb.Op{Kind: ycsb.OpKind(rec.Kind), Key: rec.Key}
-	} else {
-		op = l.gen.Next()
-	}
+	op := l.gen.Next()
 	s := l.servers[l.next%len(l.servers)]
 	l.next++
 	s.Serve(op, l.eng.Now())
 	l.scheduleNext(l.eng.Now())
-}
-
-// RecordYCSB records the request stream a live generator would produce: n
-// ops with gaps drawn from src, exactly the draw order the live path uses
-// (gap first, then op), so a recorded trace replays the identical stream.
-func RecordYCSB(gen *ycsb.Generator, src workload.ArrivalSource, seed int64, n int, label string) *workload.Trace {
-	r := rng.New(seed)
-	t := &workload.Trace{Workload: label, Seed: seed, Requests: make([]workload.Request, n)}
-	now := sim.Time(0)
-	for i := 0; i < n; i++ {
-		gap := src.GapAt(r, now)
-		if now > sim.Forever-gap {
-			now = sim.Forever
-		} else {
-			now += gap
-		}
-		op := gen.Next()
-		t.Requests[i] = workload.Request{At: now, Key: op.Key, Kind: uint8(op.Kind)}
-	}
-	return t
 }
 
 // Antagonist is the memory-churning co-runner of the zswap experiment: it
@@ -165,10 +101,6 @@ type Antagonist struct {
 	// PagesPerBurst allocations happen every Interval.
 	PagesPerBurst int
 	Interval      sim.Time
-	// Gaps, when set, replaces the fixed Interval with drawn inter-burst
-	// gaps (e.g. a bursty workload.Temporal source), turning the steady
-	// churner into an episodic memory-pressure driver.
-	Gaps workload.ArrivalSource
 	// Keep bounds the working set: older pages are unmapped beyond it.
 	Keep int
 
@@ -226,10 +158,6 @@ func (a *Antagonist) step(p *sim.Proc) {
 			a.as.Unmap(a.nextVPN - uint64(a.Keep) - 1)
 		}
 	}
-	d := a.Interval
-	if a.Gaps != nil {
-		d = a.Gaps.GapAt(a.rng, a.eng.Now())
-	}
-	p.Sleep(d)
+	p.Sleep(a.Interval)
 	p.Schedule(a.stepFn)
 }

@@ -45,11 +45,6 @@ func (s *Store) ReadLine(addr phys.Addr, dst []byte) {
 	}
 }
 
-// PeekLine returns the stored line or nil if never written (zero line).
-func (s *Store) PeekLine(addr phys.Addr) []byte {
-	return s.lines[phys.LineAddr(addr)]
-}
-
 // WriteLine stores the 64-byte line containing addr.
 func (s *Store) WriteLine(addr phys.Addr, src []byte) {
 	if len(src) != phys.LineSize {
@@ -89,9 +84,6 @@ func (s *Store) Write(addr phys.Addr, src []byte) {
 		i += n
 	}
 }
-
-// LinesWritten reports how many distinct lines have ever been written.
-func (s *Store) LinesWritten() int { return len(s.lines) }
 
 // Controller models one DRAM channel's posted-write machinery: a bounded
 // write queue (32 × 64 B entries in the paper's Xeon) absorbing writes at

@@ -47,9 +47,6 @@ func (v Variant) String() string {
 	}
 }
 
-// Variants lists all four in presentation order.
-func Variants() []Variant { return []Variant{CPU, PCIeRDMA, PCIeDMA, CXL} }
-
 // Platform bundles the hardware a backend runs on.
 type Platform struct {
 	P     *timing.Params

@@ -8,39 +8,10 @@
 package pcie
 
 import (
-	"fmt"
-
 	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/timing"
 )
-
-// Mechanism enumerates the §V-D transfer mechanisms.
-type Mechanism uint8
-
-// Transfer mechanisms.
-const (
-	MMIO Mechanism = iota
-	DMA
-	RDMA
-	DOCADMA
-)
-
-// String names the mechanism as the paper does.
-func (m Mechanism) String() string {
-	switch m {
-	case MMIO:
-		return "PCIe-MMIO"
-	case DMA:
-		return "PCIe-DMA"
-	case RDMA:
-		return "PCIe-RDMA"
-	case DOCADMA:
-		return "PCIe-DOCA-DMA"
-	default:
-		return fmt.Sprintf("Mechanism(%d)", uint8(m))
-	}
-}
 
 // Transfer describes one host-device transfer's outcome.
 type Transfer struct {

@@ -149,16 +149,6 @@ func TestEnginesSerialize(t *testing.T) {
 	}
 }
 
-func TestMechanismString(t *testing.T) {
-	for m, want := range map[Mechanism]string{
-		MMIO: "PCIe-MMIO", DMA: "PCIe-DMA", RDMA: "PCIe-RDMA", DOCADMA: "PCIe-DOCA-DMA",
-	} {
-		if m.String() != want {
-			t.Errorf("%d.String() = %q", m, m.String())
-		}
-	}
-}
-
 func TestZeroSizeTransferStillCostsAWord(t *testing.T) {
 	e := newEP()
 	tr := e.MMIORead(0, 0)

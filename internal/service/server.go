@@ -156,16 +156,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// MustNew is New for callers with a known-good config (tests, examples);
-// it panics on error.
-func MustNew(cfg Config) *Server {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // run is the execution seam every endpoint goes through: it builds the
 // spec and executes its jobs in-process via the runner by default, or
 // across the dist worker fleet when a coordinator is configured. Both
@@ -234,6 +224,3 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
-
-// ListenAndServe runs the daemon until Shutdown or a listener error.
-func (s *Server) ListenAndServe() error { return s.http.ListenAndServe() }

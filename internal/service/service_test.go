@@ -28,7 +28,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
 	}
-	s := MustNew(cfg)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -543,7 +546,7 @@ func TestRetryAfterTracksRunEWMA(t *testing.T) {
 
 	// Through the handler: a queue-full rejection must carry the
 	// EWMA-derived header, rounded up to whole seconds.
-	s := MustNew(Config{})
+	s, _ := newTestServer(t, Config{})
 	s.metrics.observeSection("report", 2500*time.Millisecond)
 	rec := httptest.NewRecorder()
 	s.writeRunError(rec, errQueueFull)

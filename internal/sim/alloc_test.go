@@ -3,17 +3,17 @@ package sim
 import "testing"
 
 // These tests pin the engine's zero-allocation contract: once the event
-// heap and the pair-event pool have grown to their working size, a
+// heap and a Proc's step FIFO have grown to their working size, a
 // steady-state schedule+dispatch cycle must not allocate, for every
 // scheduling form the hot paths use. A regression here silently taxes every
 // experiment, the fuzzing harness and cxlsimd, so it fails the build rather
 // than a benchmark eyeball.
 
 // measureAllocs warms the engine with one round first so one-time capacity
-// growth (heap slice, pool records) is excluded from the steady state.
+// growth (heap slice, step FIFO) is excluded from the steady state.
 func measureAllocs(t *testing.T, name string, round func()) {
 	t.Helper()
-	round() // warm-up: grow heap capacity and pools
+	round() // warm-up: grow heap and FIFO capacity
 	if avg := testing.AllocsPerRun(100, round); avg != 0 {
 		t.Errorf("%s: %.1f allocs per steady-state round, want 0", name, avg)
 	}
@@ -27,30 +27,6 @@ func TestAtCallZeroAllocs(t *testing.T) {
 	measureAllocs(t, "AtCall", func() {
 		e.AtCall(e.Now(), fn, s)
 		e.AtCall(e.Now()+Nanosecond, fn, s)
-		e.Run()
-	})
-}
-
-func TestAtPreallocatedClosureZeroAllocs(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	fn := func() { n++ }
-	measureAllocs(t, "At", func() {
-		e.At(e.Now(), fn)
-		e.After(Nanosecond, fn)
-		e.Run()
-	})
-}
-
-func TestAtCall2ZeroAllocs(t *testing.T) {
-	e := NewEngine()
-	type a struct{ n int }
-	type b struct{ n int }
-	x, y := &a{}, &b{}
-	fn := func(p, q any) { p.(*a).n++; q.(*b).n++ }
-	measureAllocs(t, "AtCall2", func() {
-		e.AtCall2(e.Now(), fn, x, y)
-		e.AtCall2(e.Now()+Nanosecond, fn, x, y)
 		e.Run()
 	})
 }

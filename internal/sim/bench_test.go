@@ -14,11 +14,11 @@ import "testing"
 // event heap with a trivial, preallocated callback.
 func BenchmarkSchedule(b *testing.B) {
 	e := NewEngine()
-	fn := func() {}
+	fn := func(any) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.After(1, fn)
+		e.AtCall(e.Now()+1, fn, nil)
 		if e.Pending() >= 1024 {
 			e.Run()
 		}
@@ -36,22 +36,22 @@ func BenchmarkRunDense(b *testing.B) {
 	remaining := b.N
 	b.ReportAllocs()
 	b.ResetTimer()
-	for a := 0; a < actors; a++ {
-		var step func()
-		step = func() {
-			if remaining <= 0 {
-				return
-			}
-			remaining--
-			e.After(Nanosecond, step)
+	var step func(any)
+	step = func(any) {
+		if remaining <= 0 {
+			return
 		}
-		e.After(Time(a), step)
+		remaining--
+		e.AtCall(e.Now()+Nanosecond, step, nil)
+	}
+	for a := 0; a < actors; a++ {
+		e.AtCall(Time(a), step, nil)
 	}
 	e.Run()
 }
 
-// BenchmarkScheduleAtCall is BenchmarkSchedule through the
-// argument-carrying API — the form hot callers use.
+// BenchmarkScheduleAtCall is BenchmarkSchedule with a pointer argument —
+// the form hot callers use.
 func BenchmarkScheduleAtCall(b *testing.B) {
 	e := NewEngine()
 	type state struct{ n int }
@@ -69,8 +69,7 @@ func BenchmarkScheduleAtCall(b *testing.B) {
 }
 
 // BenchmarkProcChain measures a self-rescheduling process step — the
-// kswapd/ksmd/antagonist loop shape — through the pooled two-argument
-// path that Proc.Schedule uses.
+// kswapd/ksmd/antagonist loop shape — through Proc.Schedule's step FIFO.
 func BenchmarkProcChain(b *testing.B) {
 	e := NewEngine()
 	p := NewProc(e, "chain", nil)

@@ -14,12 +14,12 @@ type Proc struct {
 	// at is the process-local clock: the simulated time at which the previous
 	// step finished.
 	at Time
-	// step holds the pending callback of the typed scheduling fast path: a
-	// Proc chain has at most one outstanding step almost always, so Schedule
-	// parks fn here and the event carries only the Proc — one type assertion
-	// at dispatch instead of the pooled pair record's three. A second
-	// Schedule issued while step is occupied falls back to the pooled path.
-	step func(p *Proc)
+	// steps[head:] are the pending step callbacks in scheduling order. Each
+	// Schedule appends one and enqueues an event that carries only the
+	// Proc; the event pops the head. The slice is reset when it drains, so
+	// a chain reuses its backing array.
+	steps []func(p *Proc)
+	head  int
 }
 
 // NewProc creates a process bound to eng, optionally pinned to core (nil for
@@ -86,34 +86,35 @@ func (p *Proc) Compute(d Time) Time {
 func (p *Proc) Restart() { p.at = p.eng.Now() }
 
 // Schedule runs fn as an engine event at the process-local clock. The
-// callback receives the process so it can continue the chain.
+// callback receives the process so it can continue the chain. A
+// preallocated step function (rather than a fresh closure) costs zero
+// allocations per step.
 //
-// A chain with one outstanding step — the shape of every daemon loop in
-// the model (kswapd, ksmd, the KVS serving loop) — takes the typed fast
-// path: fn parks in the Proc and the event carries the Proc alone, so a
-// step costs a single pointer type assertion and no pool traffic. Chains
-// that somehow overlap two pending steps fall back to the pooled
-// two-argument event; either way a preallocated step function (rather
-// than a fresh closure) costs zero allocations per step.
+// Steps run in the order they were scheduled: the local clock never moves
+// back while a step is pending (Restart requires none), so the engine
+// dispatches this Proc's events in scheduling order, and each pops the
+// FIFO's head.
 func (p *Proc) Schedule(fn func(p *Proc)) {
-	if p.step == nil {
-		p.step = fn
-		p.eng.AtCall(p.at, callProcTyped, p)
-		return
+	if p.head > 0 && len(p.steps) == cap(p.steps) {
+		// Full with dispatched slots at the front: slide the pending steps
+		// down instead of growing.
+		n := copy(p.steps, p.steps[p.head:])
+		clear(p.steps[n:])
+		p.steps, p.head = p.steps[:n], 0
 	}
-	p.eng.AtCall2(p.at, callProcStep, p, fn)
+	p.steps = append(p.steps, fn)
+	p.eng.AtCall(p.at, callProcStep, p)
 }
 
-// callProcTyped dispatches the parked step of the typed fast path. The
-// slot is cleared before fn runs so the step can immediately Schedule its
-// successor back onto the fast path.
-func callProcTyped(arg any) {
+// callProcStep runs the Proc's oldest pending step. The step is popped
+// before fn runs, so fn can immediately Schedule its successor.
+func callProcStep(arg any) {
 	p := arg.(*Proc)
-	fn := p.step
-	p.step = nil
+	fn := p.steps[p.head]
+	p.steps[p.head] = nil
+	p.head++
+	if p.head == len(p.steps) {
+		p.steps, p.head = p.steps[:0], 0
+	}
 	fn(p)
 }
-
-// callProcStep reunites a scheduled step with its process (the fallback
-// path for a Proc with two pending steps).
-func callProcStep(a, b any) { b.(func(*Proc))(a.(*Proc)) }

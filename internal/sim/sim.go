@@ -63,10 +63,9 @@ func FromNanos(ns float64) Time { return Time(math.Round(ns * 1000)) }
 
 // event is a scheduled callback. seq breaks ties so that events scheduled
 // earlier at the same timestamp run first (FIFO within a timestamp), which
-// keeps the simulation deterministic. Every event is stored in the
-// argument-carrying form: the nullary At/After path wraps its func() as the
-// argument of a shared trampoline, so one representation serves both APIs
-// with no boxing (func values and pointers are interface-payload-sized).
+// keeps the simulation deterministic. Every event carries its callback's
+// state as an explicit argument, so scheduling boxes nothing (func values
+// and pointers are interface-payload-sized).
 type event struct {
 	when Time
 	seq  uint64
@@ -152,16 +151,11 @@ const SourceShift = 48
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	stopped bool
+	now    Time
+	seq    uint64
+	events eventHeap
 	// Executed counts events dispatched since creation, for diagnostics.
 	executed uint64
-	// pairFree recycles two-argument event records (see AtCall2). The free
-	// list is per-engine, not package-global, because the parallel runner
-	// drives many engines from different goroutines at once.
-	pairFree []*pairEvent
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -178,32 +172,16 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending reports how many events are scheduled but not yet dispatched.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programmer error and panics, because silently reordering time would corrupt
-// every latency measurement built on the engine.
-//
-// At itself never allocates, but a fn that captures variables is a fresh
-// closure allocated at the call site. Hot loops that schedule per simulated
-// operation should pass a preallocated func value, or use AtCall/AtCall2 to
-// carry their state as an explicit argument.
-func (e *Engine) At(t Time, fn func()) {
-	e.AtCall(t, callNullary, fn)
-}
-
-// callNullary is the trampoline that lets At share the argument-carrying
-// event representation: the scheduled func() rides in the arg slot.
-func callNullary(arg any) { arg.(func())() }
-
 // AtCall schedules fn(arg) at absolute time t. It is the zero-allocation
 // scheduling primitive: fn should be a package-level function (or any
 // preallocated func value) and arg the state it needs — typically the
 // pointer a closure would have captured. Neither boxing fn nor a
 // pointer-shaped arg allocates.
 //
-// The engine drops its reference to arg when the event dispatches; it never
-// retains arg afterwards. Callers recycling args through a free list (see
-// AtCall2's pool) must therefore return them only from inside the callback,
-// never while the event is still pending.
+// Scheduling in the past is a programmer error and panics, because
+// silently reordering time would corrupt every latency measurement built
+// on the engine. The engine drops its reference to arg when the event
+// dispatches; it never retains arg afterwards.
 func (e *Engine) AtCall(t Time, fn func(arg any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -227,71 +205,8 @@ func (e *Engine) AtCallTagged(t Time, key uint64, fn func(arg any), arg any) {
 	e.events.pushEvent(event{when: t, seq: key, call: fn, arg: arg})
 }
 
-// pairEvent carries a callback plus two payload words through AtCall's
-// single argument slot. Records recycle through the engine's free list, so
-// steady-state two-argument scheduling allocates nothing.
-type pairEvent struct {
-	eng  *Engine
-	fn   func(a, b any)
-	a, b any
-}
-
-// AtCall2 schedules fn(a, b) at absolute time t, drawing the carrier record
-// from the engine's event pool. Ownership rule: the record is reclaimed (and
-// its references cleared) when the event dispatches, before fn runs — the
-// callback receives a and b as plain values and must not assume any backing
-// record survives it.
-func (e *Engine) AtCall2(t Time, fn func(a, b any), a, b any) {
-	var pe *pairEvent
-	if n := len(e.pairFree); n > 0 {
-		pe = e.pairFree[n-1]
-		e.pairFree = e.pairFree[:n-1]
-	} else {
-		pe = &pairEvent{eng: e}
-	}
-	pe.fn, pe.a, pe.b = fn, a, b
-	e.AtCall(t, callPair, pe)
-}
-
-// callPair unpacks a pooled two-argument event, returns the record to the
-// free list, then invokes the callback. Reclaiming first is safe — the
-// payload lives in locals — and lets fn schedule again immediately, reusing
-// the very record it arrived in.
-func callPair(arg any) {
-	pe := arg.(*pairEvent)
-	eng, fn, a, b := pe.eng, pe.fn, pe.a, pe.b
-	pe.fn, pe.a, pe.b = nil, nil, nil
-	eng.pairFree = append(eng.pairFree, pe)
-	fn(a, b)
-}
-
-// After schedules fn to run d after the current time. A delay so large
-// that now+d would overflow the int64 clock saturates at Forever instead of
-// wrapping negative (which would panic blaming a scheduling-in-the-past
-// bug that does not exist); an event at Forever never fires under RunUntil
-// with an earlier deadline, which is what "effectively never" means here.
-func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	t := e.now + d
-	if t < e.now { // overflow: saturate rather than wrap
-		t = Forever
-	}
-	e.At(t, fn)
-}
-
-// Stop makes the currently executing Run/RunUntil/Advance return after the
-// event that called it completes. Stop is only meaningful from inside an
-// event callback: each RunUntil begins by clearing the flag, so a Stop
-// issued while no dispatch loop is running is deliberately discarded rather
-// than silently cancelling a future Run — pending events are not dropped,
-// and the next Run dispatches them all. (This is also what lets Run be
-// called again to resume after a Stop.)
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run dispatches events until none remain or Stop is called. It returns the
-// final simulated time.
+// Run dispatches events until none remain. It returns the final simulated
+// time.
 func (e *Engine) Run() Time {
 	return e.RunUntil(Forever)
 }
@@ -299,11 +214,9 @@ func (e *Engine) Run() Time {
 // RunUntil dispatches events with timestamps <= deadline, advancing the clock
 // to each event's time. If the event queue drains first, the clock is left at
 // the last dispatched event (not advanced to the deadline). It returns the
-// final simulated time. Any Stop from a previous (or not-yet-started)
-// dispatch loop is cleared on entry; see Stop.
+// final simulated time.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.events) > 0 {
 		when := e.events.peek().when
 		if when > deadline {
 			break
@@ -313,14 +226,13 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		// (when <= deadline covers every one of them, including events a
 		// callback schedules at the current instant). Pops follow (when, seq)
 		// order exactly as before, so dispatch order — and therefore every
-		// simulation outcome — is unchanged; Stop is still honored between
-		// events.
+		// simulation outcome — is unchanged.
 		e.now = when
 		for {
 			ev := e.events.popEvent()
 			e.executed++
 			ev.call(ev.arg)
-			if e.stopped || len(e.events) == 0 || e.events.peek().when != when {
+			if len(e.events) == 0 || e.events.peek().when != when {
 				break
 			}
 		}

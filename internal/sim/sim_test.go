@@ -50,9 +50,9 @@ func TestTimeString(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	e.AtCall(30, func(any) { order = append(order, 3) }, nil)
+	e.AtCall(10, func(any) { order = append(order, 1) }, nil)
+	e.AtCall(20, func(any) { order = append(order, 2) }, nil)
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -70,7 +70,7 @@ func TestEngineFIFOWithinTimestamp(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func() { order = append(order, i) })
+		e.AtCall(100, func(any) { order = append(order, i) }, nil)
 	}
 	e.Run()
 	for i, v := range order {
@@ -83,10 +83,10 @@ func TestEngineFIFOWithinTimestamp(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var hits []Time
-	e.At(5, func() {
+	e.AtCall(5, func(any) {
 		hits = append(hits, e.Now())
-		e.After(7, func() { hits = append(hits, e.Now()) })
-	})
+		e.AtCall(e.Now()+7, func(any) { hits = append(hits, e.Now()) }, nil)
+	}, nil)
 	e.Run()
 	if len(hits) != 2 || hits[0] != 5 || hits[1] != 12 {
 		t.Fatalf("hits = %v", hits)
@@ -97,7 +97,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var n int
 	for _, at := range []Time{10, 20, 30, 40} {
-		e.At(at, func() { n++ })
+		e.AtCall(at, func(any) { n++ }, nil)
 	}
 	e.RunUntil(25)
 	if n != 2 {
@@ -118,50 +118,35 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineAdvance(t *testing.T) {
 	e := NewEngine()
 	var n int
-	e.At(10, func() { n++ })
+	e.AtCall(10, func(any) { n++ }, nil)
 	e.Advance(50)
 	if n != 1 || e.Now() != 50 {
 		t.Fatalf("n=%d now=%v", n, e.Now())
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	var n int
-	e.At(10, func() { n++; e.Stop() })
-	e.At(20, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("n = %d after Stop", n)
-	}
-	e.Run() // resumes
-	if n != 2 {
-		t.Fatalf("n = %d after resume", n)
-	}
-}
-
-// TestEngineFIFOAcrossSchedulingForms pins that At, AtCall and AtCall2
+// TestEngineFIFOAcrossSchedulingForms pins that AtCall and Proc.Schedule
 // share one sequence counter: events at the same timestamp dispatch in
 // scheduling order regardless of which API scheduled them.
 func TestEngineFIFOAcrossSchedulingForms(t *testing.T) {
 	e := NewEngine()
+	p := NewProc(e, "p", nil)
+	p.Sleep(100)
 	var order []int
 	add := func(arg any) { order = append(order, *arg.(*int)) }
-	add2 := func(a, _ any) { order = append(order, *a.(*int)) }
 	vals := make([]int, 9)
 	for i := range vals {
 		vals[i] = i
-		switch i % 3 {
-		case 0:
-			i := i
-			e.At(100, func() { order = append(order, i) })
-		case 1:
+		if i%2 == 0 {
 			e.AtCall(100, add, &vals[i])
-		case 2:
-			e.AtCall2(100, add2, &vals[i], nil)
+		} else {
+			p.Schedule(func(*Proc) { order = append(order, i) })
 		}
 	}
 	e.Run()
+	if len(order) != len(vals) {
+		t.Fatalf("dispatched %d of %d events", len(order), len(vals))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("mixed-form same-timestamp order = %v", order)
@@ -169,50 +154,12 @@ func TestEngineFIFOAcrossSchedulingForms(t *testing.T) {
 	}
 }
 
-// TestEngineStopBeforeRunIsDiscarded pins the documented Stop semantics:
-// Stop outside a dispatch loop does not cancel the next Run — RunUntil
-// clears the flag on entry, so all pending events still dispatch.
-func TestEngineStopBeforeRunIsDiscarded(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.At(10, func() { n++ })
-	e.At(20, func() { n++ })
-	e.Stop() // no loop running: deliberately a no-op
-	if end := e.Run(); end != 20 {
-		t.Fatalf("Run ended at %v, want 20", end)
-	}
-	if n != 2 {
-		t.Fatalf("Stop before Run suppressed events: n = %d, want 2", n)
-	}
-}
-
-// TestEngineStopInsideEvent pins the complementary half: Stop from inside a
-// callback halts after that event, leaves the rest pending, and a later
-// Run resumes them.
-func TestEngineStopInsideEvent(t *testing.T) {
-	e := NewEngine()
-	var order []Time
-	e.At(10, func() { order = append(order, e.Now()); e.Stop() })
-	e.At(10, func() { order = append(order, e.Now()) }) // same timestamp, after the Stop
-	e.At(20, func() { order = append(order, e.Now()) })
-	if end := e.Run(); end != 10 {
-		t.Fatalf("Run after Stop ended at %v, want 10", end)
-	}
-	if len(order) != 1 || e.Pending() != 2 {
-		t.Fatalf("after Stop: dispatched %v, pending %d", order, e.Pending())
-	}
-	e.Run()
-	if len(order) != 3 || order[1] != 10 || order[2] != 20 {
-		t.Fatalf("resume order = %v", order)
-	}
-}
-
 func TestEnginePastSchedulePanics(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {})
+	e.AtCall(100, func(any) {}, nil)
 	e.Run()
 	for name, schedule := range map[string]func(){
-		"At":           func() { e.At(50, func() {}) },
+		"AtCall":       func() { e.AtCall(50, func(any) {}, nil) },
 		"AtCallTagged": func() { e.AtCallTagged(50, 1<<SourceShift|1, func(any) {}, nil) },
 	} {
 		func() {
@@ -250,36 +197,6 @@ func TestSourceTaggedMergeOrder(t *testing.T) {
 	}
 }
 
-// TestEngineAfterNearForeverSaturates is the regression test for the
-// After overflow: scheduling a delay near Forever from a non-zero clock
-// used to wrap e.now+d negative and panic with a misleading
-// "scheduling event in the past". The sum must saturate at Forever, and
-// the saturated event must behave like any other never-reached timeout:
-// invisible to RunUntil with an earlier deadline.
-func TestEngineAfterNearForeverSaturates(t *testing.T) {
-	e := NewEngine()
-	e.At(100, func() {})
-	e.Run() // now = 100, so now + Forever would wrap
-
-	fired := false
-	e.After(Forever, func() { fired = true })
-	e.After(Forever-1, func() {}) // any near-Forever delay, not just the exact constant
-	if got := e.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
-	}
-	if end := e.RunUntil(Forever - 1); end != 100 {
-		t.Fatalf("RunUntil dispatched a saturated event early (now = %v)", end)
-	}
-	if fired {
-		t.Fatal("saturated event fired before Forever")
-	}
-	// At the very end of time the saturated events do run, in FIFO order.
-	e.RunUntil(Forever)
-	if !fired {
-		t.Fatal("saturated event never fired at Forever")
-	}
-}
-
 func TestEngineRandomOrderProperty(t *testing.T) {
 	// Property: regardless of insertion order, dispatch order is sorted by
 	// (time, insertion sequence).
@@ -294,7 +211,7 @@ func TestEngineRandomOrderProperty(t *testing.T) {
 		var got []Time
 		for _, tm := range times {
 			tm := tm
-			e.At(tm, func() { got = append(got, tm) })
+			e.AtCall(tm, func(any) { got = append(got, tm) }, nil)
 		}
 		e.Run()
 		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] })
@@ -584,9 +501,74 @@ func TestProcSchedule(t *testing.T) {
 	}
 }
 
+// TestProcScheduleOrder pins the step FIFO: a Proc holding several pending
+// steps, at one instant and at increasing local times, runs each step's
+// own fn in scheduling order, interleaved with other AtCall events at the
+// same instants exactly as the shared sequence counter orders them.
+func TestProcScheduleOrder(t *testing.T) {
+	e := NewEngine()
+	p := NewProc(e, "p", nil)
+	var got []string
+	rec := func(arg any) { got = append(got, arg.(string)) }
+	step := func(name string) func(*Proc) {
+		return func(*Proc) { got = append(got, name) }
+	}
+
+	p.Sleep(10)
+	p.Schedule(step("s1@10"))
+	e.AtCall(10, rec, "e1@10")
+	p.Schedule(step("s2@10"))
+	p.Schedule(step("s3@10"))
+	e.AtCall(10, rec, "e2@10")
+	p.Sleep(10)
+	p.Schedule(func(p *Proc) {
+		got = append(got, "s4@20")
+		p.Schedule(step("s7@30")) // queued behind s5 and s6
+	})
+	e.AtCall(20, rec, "e3@20")
+	p.Sleep(10)
+	p.Schedule(step("s5@30"))
+	e.AtCall(30, rec, "e4@30")
+	p.Schedule(step("s6@30"))
+	e.AtCall(20, rec, "e5@20")
+	e.Run()
+
+	want := []string{"s1@10", "e1@10", "s2@10", "s3@10", "e2@10",
+		"s4@20", "e3@20", "e5@20", "s5@30", "e4@30", "s6@30", "s7@30"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
+	}
+
+	// A chain that never drains (each step schedules one successor while
+	// two more are pending) must keep its order and reuse its slots.
+	got = got[:0]
+	n := 0
+	var chain func(*Proc)
+	chain = func(p *Proc) {
+		got = append(got, fmt.Sprint(n))
+		n++
+		if n < 100 {
+			p.Sleep(1)
+			p.Schedule(chain)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		p.Schedule(chain)
+	}
+	e.Run()
+	for i, s := range got {
+		if s != fmt.Sprint(i) {
+			t.Fatalf("chain step %d ran as %s", i, s)
+		}
+	}
+	if len(got) != 102 || cap(p.steps) > 8 {
+		t.Fatalf("chain ran %d steps with FIFO capacity %d, want 102 and <= 8", len(got), cap(p.steps))
+	}
+}
+
 func TestProcRestart(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {})
+	e.AtCall(100, func(any) {}, nil)
 	p := NewProc(e, "req", nil)
 	p.Sleep(40) // local clock runs ahead: 40
 	e.Run()     // engine reaches 100
@@ -602,9 +584,10 @@ func TestProcRestart(t *testing.T) {
 
 func BenchmarkEngineDispatch(b *testing.B) {
 	e := NewEngine()
+	fn := func(any) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(1, func() {})
+		e.AtCall(e.Now()+1, fn, nil)
 		if e.Pending() > 1024 {
 			e.Run()
 		}

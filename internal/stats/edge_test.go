@@ -105,52 +105,6 @@ func TestSingleObservationSummary(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketBoundaries pins the half-open [i*w, (i+1)*w) bucket
-// convention: a value exactly on an edge belongs to the bucket above it,
-// and a value exactly at the histogram's upper limit overflows.
-func TestHistogramBucketBoundaries(t *testing.T) {
-	cases := []struct {
-		name string
-		x    float64
-		want float64 // Quantile(1.0) after adding only x; +Inf = overflow
-	}{
-		{"zero is bucket 0", 0, 10},
-		{"just below first edge", 9.999, 10},
-		{"exactly on first edge", 10, 20},
-		{"mid bucket", 25, 30},
-		{"just below the limit", 99.999, 100},
-		{"exactly at the limit overflows", 100, math.Inf(1)},
-		{"beyond the limit overflows", 1e9, math.Inf(1)},
-		{"negative clamps to bucket 0", -3, 10},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			h := NewHistogram(10, 10) // [0,100) + overflow
-			h.Add(c.x)
-			got := h.Quantile(1.0)
-			if math.IsInf(c.want, 1) {
-				if !math.IsInf(got, 1) {
-					t.Fatalf("Add(%v): Quantile = %v, want +Inf", c.x, got)
-				}
-				return
-			}
-			if got != c.want {
-				t.Fatalf("Add(%v): Quantile = %v, want %v (bucket right edge)", c.x, got, c.want)
-			}
-		})
-	}
-}
-
-// TestHistogramLowQuantileClamp: Quantile(0) must still land on the first
-// occupied bucket rather than reading rank zero.
-func TestHistogramLowQuantileClamp(t *testing.T) {
-	h := NewHistogram(10, 10)
-	h.Add(55)
-	if got := h.Quantile(0); got != 60 {
-		t.Fatalf("Quantile(0) = %v, want 60 (right edge of the only occupied bucket)", got)
-	}
-}
-
 // TestStdDevOfConstant guards the sumSq formulation against catastrophic
 // cancellation flipping the variance negative.
 func TestStdDevOfConstant(t *testing.T) {

@@ -159,65 +159,6 @@ func (s *Sample) Summarize() Summary {
 	}
 }
 
-// Histogram is a fixed-width-bucket latency histogram with an overflow
-// bucket, for cheap online tail tracking in long KVS runs.
-type Histogram struct {
-	bucketWidth float64
-	counts      []uint64
-	overflow    uint64
-	n           uint64
-}
-
-// NewHistogram creates a histogram covering [0, bucketWidth*buckets) with an
-// overflow bucket beyond.
-func NewHistogram(bucketWidth float64, buckets int) *Histogram {
-	if bucketWidth <= 0 || buckets <= 0 {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{bucketWidth: bucketWidth, counts: make([]uint64, buckets)}
-}
-
-// Add records one observation (negative values clamp to bucket 0).
-func (h *Histogram) Add(x float64) {
-	h.n++
-	if x < 0 {
-		h.counts[0]++
-		return
-	}
-	i := int(x / h.bucketWidth)
-	if i >= len(h.counts) {
-		h.overflow++
-		return
-	}
-	h.counts[i]++
-}
-
-// N reports the number of observations.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Quantile reports an upper bound for the q-quantile (the right edge of the
-// bucket containing it). Overflowed quantiles return +Inf.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		panic("stats: quantile of empty histogram")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of range")
-	}
-	target := uint64(math.Ceil(q * float64(h.n)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			return float64(i+1) * h.bucketWidth
-		}
-	}
-	return math.Inf(1)
-}
-
 // Ratio returns a/b, guarding against a zero denominator.
 func Ratio(a, b float64) float64 {
 	if b == 0 {

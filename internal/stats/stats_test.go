@@ -157,72 +157,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 10) // [0,100) + overflow
-	for i := 0; i < 99; i++ {
-		h.Add(float64(i))
-	}
-	h.Add(500) // overflow
-	if h.N() != 100 {
-		t.Fatalf("N = %d", h.N())
-	}
-	q50 := h.Quantile(0.5)
-	if q50 < 40 || q50 > 60 {
-		t.Fatalf("Q50 = %v", q50)
-	}
-	if !math.IsInf(h.Quantile(1.0), 1) {
-		t.Fatalf("Q100 should overflow to +Inf, got %v", h.Quantile(1.0))
-	}
-}
-
-func TestHistogramNegativeClamps(t *testing.T) {
-	h := NewHistogram(1, 4)
-	h.Add(-5)
-	if got := h.Quantile(0.5); got != 1 {
-		t.Fatalf("Quantile = %v", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	mustPanic(t, func() { NewHistogram(0, 5) })
-	mustPanic(t, func() { NewHistogram(1, 0) })
-	h := NewHistogram(1, 1)
-	mustPanic(t, func() { h.Quantile(0.5) })
-	h.Add(0)
-	mustPanic(t, func() { h.Quantile(2) })
-}
-
-func TestHistogramQuantileBoundProperty(t *testing.T) {
-	// Property: the histogram quantile is an upper bound of the order
-	// statistic at rank ceil(q*n) (its own rank convention) and within one
-	// bucket width of it (when not overflowed).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := NewHistogram(5, 100) // covers [0,500)
-		xs := make([]float64, 300)
-		for i := range xs {
-			xs[i] = rng.Float64() * 400
-			h.Add(xs[i])
-		}
-		sort.Float64s(xs)
-		for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-			rank := int(math.Ceil(q * float64(len(xs))))
-			if rank == 0 {
-				rank = 1
-			}
-			exact := xs[rank-1]
-			approx := h.Quantile(q)
-			if approx < exact-1e-9 || approx > exact+5+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRatioHelpers(t *testing.T) {
 	if got := Ratio(10, 4); got != 2.5 {
 		t.Fatalf("Ratio = %v", got)

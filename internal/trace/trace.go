@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -69,9 +68,7 @@ type Tracer interface {
 // WriteCSV and Reset must all run on the same goroutine (or under
 // external synchronization). That contract matches its use inside a
 // single simulation — the engines are single-threaded per System — but
-// is silently violated the moment a buffer is shared across goroutines,
-// e.g. when a server exposes per-request traces. Wrap it with Locked for
-// any cross-goroutine use.
+// is silently violated the moment a buffer is shared across goroutines.
 type Buffer struct {
 	cap    int
 	events []Event
@@ -184,39 +181,4 @@ func FormatSummary(sums []Summary) string {
 		fmt.Fprintf(&sb, "%-5s %-8s %-6s %8d %12.2f\n", s.Kind, s.Op, s.Where, s.Count, s.MeanNs)
 	}
 	return sb.String()
-}
-
-// Nop is a Tracer that drops everything (the default when tracing is off).
-type Nop struct{}
-
-// Record implements Tracer.
-func (Nop) Record(Event) {}
-
-// LockedTracer serializes all access to a wrapped Tracer with a mutex —
-// the adapter for sharing a Buffer (or any single-goroutine Tracer)
-// across goroutines, e.g. a service exposing per-request traces while
-// the simulation still records into them.
-type LockedTracer struct {
-	mu sync.Mutex
-	t  Tracer
-}
-
-// Locked wraps t so Record and With are safe to call concurrently.
-func Locked(t Tracer) *LockedTracer { return &LockedTracer{t: t} }
-
-// Record implements Tracer under the lock.
-func (l *LockedTracer) Record(e Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.t.Record(e)
-}
-
-// With runs fn with exclusive access to the wrapped tracer — the safe
-// window for reads like Buffer.Events, Summarize or WriteCSV. fn must
-// not retain the tracer (or interior pointers such as Events' backing
-// array of a future Record) past its return.
-func (l *LockedTracer) With(fn func(Tracer)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fn(l.t)
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -113,11 +112,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestNop(t *testing.T) {
-	var n Nop
-	n.Record(Event{}) // must not panic
-}
-
 func TestBadCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -125,37 +119,4 @@ func TestBadCapacityPanics(t *testing.T) {
 		}
 	}()
 	NewBuffer(0)
-}
-
-// TestLockedTracerConcurrent: the Locked wrapper makes a Buffer safe for
-// concurrent Record/read — the single-goroutine contract delegated to a
-// mutex. Run under -race this is the regression test for the wrapper.
-func TestLockedTracerConcurrent(t *testing.T) {
-	b := NewBuffer(64)
-	lt := Locked(b)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				lt.Record(Event{Kind: D2H, Op: "CS-rd", Where: "mem"})
-				if i%50 == 0 {
-					lt.With(func(tr Tracer) {
-						if _, ok := tr.(*Buffer); !ok {
-							t.Errorf("With handed %T, want *Buffer", tr)
-						}
-						_ = tr.(*Buffer).Events()
-						_ = tr.(*Buffer).Summarize()
-					})
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	lt.With(func(tr Tracer) {
-		if got := tr.(*Buffer).Total(); got != 800 {
-			t.Fatalf("Total = %d, want 800", got)
-		}
-	})
 }

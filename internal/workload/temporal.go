@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -131,58 +130,6 @@ func (c RateCurve) RateAt(t sim.Time) float64 {
 	}
 	span := (c.Period - last.At) + pts[0].At
 	return lerpRate(last.RatePerSec, pts[0].RatePerSec, t-last.At, span)
-}
-
-// Compose layers a slow periodic envelope over the curve: the result's
-// rate at t is c.RateAt(t) * envelope.RateAt(t), so a dimensionless
-// weekly multiplier curve over a diurnal base yields the weekly-over-
-// diurnal product profile. Both curves must be periodic and
-// envelope.Period must be an integer multiple of c.Period; the result's
-// period is envelope.Period. The product of two piecewise-linear curves
-// is piecewise-quadratic, so the result anchors the product at the union
-// of both curves' anchor offsets (base anchors replicated once per base
-// period) and interpolates linearly between them: RateAt is exact at
-// every anchor of either input — including both curves' wrap seams —
-// and a secant approximation inside segments.
-func (c RateCurve) Compose(envelope RateCurve) (RateCurve, error) {
-	if c.Period <= 0 || len(c.Points) == 0 {
-		return RateCurve{}, fmt.Errorf("workload: Compose needs a periodic base curve (period %v)", c.Period)
-	}
-	if envelope.Period <= 0 || len(envelope.Points) == 0 {
-		return RateCurve{}, fmt.Errorf("workload: Compose needs a periodic envelope (period %v)", envelope.Period)
-	}
-	if envelope.Period%c.Period != 0 {
-		return RateCurve{}, fmt.Errorf("workload: envelope period %v is not an integer multiple of the base period %v",
-			envelope.Period, c.Period)
-	}
-	reps := envelope.Period / c.Period
-	anchors := make([]sim.Time, 0, int(reps)*len(c.Points)+len(envelope.Points))
-	for k := sim.Time(0); k < reps; k++ {
-		for _, p := range c.Points {
-			anchors = append(anchors, k*c.Period+p.At)
-		}
-	}
-	for _, p := range envelope.Points {
-		anchors = append(anchors, p.At)
-	}
-	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
-	points := make([]RatePoint, 0, len(anchors))
-	for _, at := range anchors {
-		if n := len(points); n > 0 && points[n-1].At == at {
-			continue // base and envelope anchor coincide
-		}
-		points = append(points, RatePoint{At: at, RatePerSec: c.RateAt(at) * envelope.RateAt(at)})
-	}
-	return NewRateCurve(envelope.Period, points...)
-}
-
-// MustCompose is Compose for static configurations.
-func (c RateCurve) MustCompose(envelope RateCurve) RateCurve {
-	out, err := c.Compose(envelope)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // MaxRate reports the curve's peak rate (the thinning envelope).

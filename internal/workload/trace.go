@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 
 	"repro/internal/sim"
 	"repro/internal/xxhash"
@@ -150,80 +148,6 @@ func DecodeTrace(data []byte) (*Trace, error) {
 		decodeRecord(body[i*traceRecordLen:], &t.Requests[i])
 	}
 	return t, nil
-}
-
-// TraceReader streams records out of an encoded trace without holding
-// them all in memory — the replay path for traces far larger than RAM.
-type TraceReader struct {
-	r         *bufio.Reader
-	workload  string
-	seed      int64
-	remaining uint32
-	rec       [traceRecordLen]byte
-}
-
-// NewTraceReader reads and validates the header, leaving the reader
-// positioned at the first record.
-func NewTraceReader(r io.Reader) (*TraceReader, error) {
-	br := bufio.NewReader(r)
-	var hdr [18]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("workload: trace header: %w", err)
-	}
-	if string(hdr[:4]) != traceMagic {
-		return nil, fmt.Errorf("workload: bad trace magic %q", hdr[:4])
-	}
-	if v := readU16(hdr[4:]); v != TraceVersion {
-		return nil, fmt.Errorf("workload: unsupported trace version %d (have %d)", v, TraceVersion)
-	}
-	if f := readU16(hdr[6:]); f != 0 {
-		return nil, fmt.Errorf("workload: reserved trace flags %#x set", f)
-	}
-	wlen := int(readU16(hdr[16:]))
-	if wlen > maxTraceLabel {
-		return nil, fmt.Errorf("workload: trace label %d bytes exceeds %d", wlen, maxTraceLabel)
-	}
-	label := make([]byte, wlen)
-	if _, err := io.ReadFull(br, label); err != nil {
-		return nil, fmt.Errorf("workload: trace label: %w", err)
-	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("workload: trace count: %w", err)
-	}
-	return &TraceReader{
-		r:         br,
-		workload:  string(label),
-		seed:      int64(readU64(hdr[8:])),
-		remaining: readU32(cnt[:]),
-	}, nil
-}
-
-// Workload reports the stream label.
-func (t *TraceReader) Workload() string { return t.workload }
-
-// Seed reports the recorded generator seed.
-func (t *TraceReader) Seed() int64 { return t.seed }
-
-// Remaining reports how many records are left.
-func (t *TraceReader) Remaining() int { return int(t.remaining) }
-
-// Next returns the next record, or io.EOF after the declared count. A
-// stream shorter than its count returns io.ErrUnexpectedEOF.
-func (t *TraceReader) Next() (Request, error) {
-	if t.remaining == 0 {
-		return Request{}, io.EOF
-	}
-	if _, err := io.ReadFull(t.r, t.rec[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Request{}, fmt.Errorf("workload: trace record: %w", err)
-	}
-	t.remaining--
-	var req Request
-	decodeRecord(t.rec[:], &req)
-	return req, nil
 }
 
 // ---- little-endian primitives ----------------------------------------

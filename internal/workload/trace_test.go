@@ -2,8 +2,6 @@ package workload_test
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"reflect"
 	"testing"
 
@@ -112,49 +110,4 @@ func TestTraceEncodePanicsOnHugeLabel(t *testing.T) {
 		}
 	}()
 	tr.Encode()
-}
-
-func TestTraceReaderStreams(t *testing.T) {
-	src := sampleTrace()
-	r, err := workload.NewTraceReader(bytes.NewReader(src.Encode()))
-	if err != nil {
-		t.Fatalf("reader: %v", err)
-	}
-	if r.Workload() != src.Workload || r.Seed() != src.Seed {
-		t.Fatalf("header = (%q, %d), want (%q, %d)", r.Workload(), r.Seed(), src.Workload, src.Seed)
-	}
-	if r.Remaining() != len(src.Requests) {
-		t.Fatalf("remaining = %d, want %d", r.Remaining(), len(src.Requests))
-	}
-	for i := range src.Requests {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if rec != src.Requests[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, rec, src.Requests[i])
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("after last record: %v, want io.EOF", err)
-	}
-}
-
-func TestTraceReaderShortStream(t *testing.T) {
-	enc := sampleTrace().Encode()
-	r, err := workload.NewTraceReader(bytes.NewReader(enc[:len(enc)-5]))
-	if err != nil {
-		t.Fatalf("reader: %v", err)
-	}
-	var last error
-	for {
-		_, err := r.Next()
-		if err != nil {
-			last = err
-			break
-		}
-	}
-	if !errors.Is(last, io.ErrUnexpectedEOF) {
-		t.Fatalf("short stream: %v, want io.ErrUnexpectedEOF", last)
-	}
 }
