@@ -47,7 +47,7 @@ func RunFig8(feature string, workloads []Workload, cfg Fig8Config) []Fig8Row {
 func PrintFig8(w io.Writer, rows []Fig8Row) { experiments.PrintFig8(w, rows) }
 
 // InferConfig tunes the serving experiment (zero values take the default
-// 48-request runs with the job's derived seed).
+// 48-request runs with the section seed derived from the root seed).
 type InferConfig = experiments.InferConfig
 
 // Workloads lists the YCSB core workloads A–D.

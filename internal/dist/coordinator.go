@@ -18,23 +18,25 @@ import (
 
 // CoordinatorConfig shapes a Coordinator.
 type CoordinatorConfig struct {
-	// ChunkSize is how many job indices ride one run request (default 1;
-	// jobs here are seconds-scale simulations, so fine-grained dispatch
-	// buys balance and cheap reassignment for negligible overhead).
-	ChunkSize int
-	// Window bounds in-flight run requests per worker (default 2): one
-	// executing, one queued on the worker's semaphore, so a finishing
-	// worker never idles waiting on a scheduler round trip.
-	Window int
 	// StaleAfter is how long after its last registration a worker is
 	// presumed dead (default 3 heartbeat intervals = 6s).
 	StaleAfter time.Duration
-	// Workers sizes the local runner pool used when no remote workers are
-	// live (0 = GOMAXPROCS).
+	// Workers sizes the local runner pool that drains the queue when no
+	// remote workers are live (0 = GOMAXPROCS).
 	Workers int
 	// Log receives operational messages; nil discards them.
 	Log *log.Logger
 }
+
+const (
+	// chunkSize is how many job indices ride one run request: one job per
+	// request buys balance and cheap reassignment.
+	chunkSize = 1
+	// window bounds in-flight run requests per worker: one executing, one
+	// queued on the worker's semaphore, so a finishing worker never idles
+	// waiting on a scheduler round trip.
+	window = 2
+)
 
 // workerState tracks one registered worker.
 type workerState struct {
@@ -69,12 +71,6 @@ type Coordinator struct {
 
 // NewCoordinator builds a Coordinator with no workers registered yet.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = 1
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 2
-	}
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 6 * time.Second
 	}
@@ -233,8 +229,8 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) (
 	var resMu sync.Mutex
 
 	var chunks []chunk
-	for lo := 0; lo < len(jobs); lo += c.cfg.ChunkSize {
-		hi := min(lo+c.cfg.ChunkSize, len(jobs))
+	for lo := 0; lo < len(jobs); lo += chunkSize {
+		hi := min(lo+chunkSize, len(jobs))
 		idx := make([]int, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			idx = append(idx, i)
@@ -260,21 +256,6 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) (
 		remMu.Unlock()
 	}
 
-	runLocal := func(ch chunk) {
-		sub := make([]runner.Job, len(ch.indices))
-		for i, idx := range ch.indices {
-			sub[i] = jobs[idx]
-		}
-		rs := runner.Run(sub, runner.Options{Workers: c.cfg.Workers, RootSeed: opts.RootSeed, Context: ctx})
-		resMu.Lock()
-		for i, r := range rs {
-			r.Index = ch.indices[i]
-			results[ch.indices[i]] = r
-		}
-		resMu.Unlock()
-		finish(1)
-	}
-
 	for {
 		remMu.Lock()
 		left := remaining
@@ -284,14 +265,27 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) (
 		}
 		live := c.liveWorkers()
 		if len(live) == 0 || ctx.Err() != nil {
-			// Degraded (or cancelled) mode: drain the queue in-process.
-			// Under cancellation runner.Run marks the jobs Cancelled, so
-			// the caller still gets a full, classifiable result set.
+			// Degraded (or cancelled) mode: drain the whole queue in one
+			// in-process pool run. No lane is running, so every pending
+			// chunk is on the queue. Under cancellation runner.Run marks
+			// the jobs Cancelled, so the caller still gets a full,
+			// classifiable result set.
 			c.count(func(m *Metrics) { m.LocalFallbacks++ })
 			c.cfg.Log.Printf("coordinator: no live workers; running %d chunk(s) locally", left)
+			var idx []int
+			var local []runner.Job
 			for i := 0; i < left; i++ {
-				runLocal(<-pending)
+				for _, j := range (<-pending).indices {
+					idx = append(idx, j)
+					local = append(local, jobs[j])
+				}
 			}
+			rs := runner.Run(local, runner.Options{Workers: c.cfg.Workers, RootSeed: opts.RootSeed, Context: ctx})
+			for i, r := range rs {
+				r.Index = idx[i]
+				results[idx[i]] = r
+			}
+			finish(left)
 			continue
 		}
 
@@ -299,7 +293,7 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) (
 		for _, addr := range live {
 			quit := make(chan struct{}) // closed on this worker's first failure
 			var quitOnce sync.Once
-			for lane := 0; lane < c.cfg.Window; lane++ {
+			for lane := 0; lane < window; lane++ {
 				wg.Add(1)
 				go func(addr string) {
 					defer wg.Done()

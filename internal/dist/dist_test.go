@@ -172,21 +172,27 @@ func TestWorkerLossReassignsMidSection(t *testing.T) {
 
 // TestLocalFallbackWithNoWorkers: an empty fleet degrades to in-process
 // execution with identical output — the coordinator alone IS the daemon.
+// The fallback drains every pending chunk in one pool run, so a section
+// of one-scenario jobs (cluster) runs as parallel as it does in-process.
 func TestLocalFallbackWithNoWorkers(t *testing.T) {
 	const reps = 6
-	c, _ := newCoordinator(t)
-	spec := dist.Spec{Kind: "section", Section: "fig3", Reps: reps}
-	jobs, err := spec.BuildJobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := renderSection(t, "fig3", reps, runner.Run(jobs, runner.Options{Workers: 1}))
-	local := renderSection(t, "fig3", reps, run(t, c, spec))
-	if !bytes.Equal(serial, local) {
-		t.Fatal("local-fallback render differs from serial")
-	}
-	if m := c.Snapshot(); m.LocalFallbacks == 0 {
-		t.Fatalf("fallback not counted: %+v", m)
+	for _, section := range []string{"fig3", "cluster"} {
+		spec := dist.Spec{Kind: "section", Section: section, Reps: reps}
+		jobs, err := spec.BuildJobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := renderSection(t, section, reps, runner.Run(jobs, runner.Options{Workers: 1}))
+		for _, workers := range []int{1, 4} {
+			c := dist.NewCoordinator(dist.CoordinatorConfig{Workers: workers, StaleAfter: time.Hour})
+			local := renderSection(t, section, reps, run(t, c, spec))
+			if !bytes.Equal(serial, local) {
+				t.Fatalf("%s at %d workers: local-fallback render differs from serial", section, workers)
+			}
+			if m := c.Snapshot(); m.LocalFallbacks != 1 {
+				t.Fatalf("%s at %d workers: want one fallback drain: %+v", section, workers, m)
+			}
+		}
 	}
 }
 

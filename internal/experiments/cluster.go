@@ -25,7 +25,8 @@ type ClusterConfig struct {
 	// Reps scales the request count (Requests = Reps/2, clamped to
 	// [12, 96]); 0 keeps the default of 48 requests per scenario.
 	Reps int
-	// Seed overrides the workload seed; 0 uses the job's derived seed.
+	// Seed overrides the workload seed; 0 uses the section seed
+	// rng.DeriveSeed(root seed, "cluster").
 	Seed int64
 }
 
@@ -157,28 +158,22 @@ func clusterRow(sc ClusterScenario, requests int, seed int64) (ClusterRow, uint6
 	return row, m.Events
 }
 
-// ClusterJobs returns the section as one self-contained job: every
-// scenario must serve the same request stream for the sweep to compare
-// like with like, so they all share the job's derived seed, and the
-// independent cluster simulations fan out as Fork sub-jobs over the pool
-// — byte-identical to the inline loop, whatever the worker count.
+// ClusterJobs returns one job per scenario, ID "cluster/<scenario>".
+// Every scenario must serve the same request stream for the sweep to
+// compare like with like, so each job uses the section seed
+// rng.DeriveSeed(root, "cluster"). Scenarios carry router constructors,
+// not routers, so the list can be built once and run many times.
 func ClusterJobs(cfg ClusterConfig) []runner.Job {
 	requests := cfg.requests()
-	return []runner.Job{{ID: "cluster", Run: func(ctx *runner.Ctx) (any, error) {
-		seed := ctx.Seed
-		if cfg.Seed != 0 {
-			seed = cfg.Seed
-		}
-		var subs []runner.SubJob
-		for _, sc := range ClusterScenarios() {
-			subs = append(subs, runner.SubJob{ID: sc.Name, Run: func(sctx *runner.Ctx) (any, error) {
-				row, events := clusterRow(sc, requests, seed)
-				sctx.AddEvents(events)
-				return []ClusterRow{row}, nil
-			}})
-		}
-		return forkRows[ClusterRow](ctx, subs)
-	}}}
+	var jobs []runner.Job
+	for _, sc := range ClusterScenarios() {
+		jobs = append(jobs, runner.Job{ID: "cluster/" + sc.Name, Run: func(ctx *runner.Ctx) (any, error) {
+			row, events := clusterRow(sc, requests, sectionSeed(ctx, "cluster", cfg.Seed))
+			ctx.AddEvents(events)
+			return []ClusterRow{row}, nil
+		}})
+	}
+	return jobs
 }
 
 // printClusterTable is printTable with a wider first column: cluster row

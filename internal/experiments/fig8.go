@@ -457,13 +457,12 @@ func Fig8(feature string, workloads []ycsb.Workload, cfg Fig8Config) []Fig8Row {
 	return fig8Collect(results)
 }
 
-// Fig8Jobs returns one job per workload, each forking the baseline + the
-// four backend co-simulations as sub-jobs — baseline first, in the paper's
-// order — so a single workload's five variants spread across the pool even
-// when fig8 is the only section running. When cfg.Seed is zero each
-// variant runs under its derived seed (rootSeed × "fig8/feature/workload"
-// × variant through internal/rng); a non-zero cfg.Seed pins every run,
-// which is what the calibration uses.
+// Fig8Jobs returns one job per co-simulation, ID
+// "fig8/<feature>/<workload>/<variant>": within each workload the
+// baseline comes first, then the four backends in the paper's order. When
+// cfg.Seed is zero each variant runs under
+// rng.DeriveSeed(rng.DeriveSeed(root, "fig8/<feature>/<workload>"), variant);
+// a non-zero cfg.Seed pins every run, which is what the calibration uses.
 func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runner.Job {
 	if len(workloads) == 0 {
 		workloads = ycsb.Workloads()
@@ -474,22 +473,18 @@ func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runne
 	}
 	var jobs []runner.Job
 	for _, w := range workloads {
-		id := fmt.Sprintf("fig8/%s/%s", feature, w)
-		jobs = append(jobs, runner.Job{ID: id, Run: func(ctx *runner.Ctx) (any, error) {
-			var subs []runner.SubJob
-			for _, v := range Fig8Variants() {
-				subs = append(subs, runner.SubJob{ID: v.String(), Run: func(sctx *runner.Ctx) (any, error) {
-					c := cfg
-					if c.Seed == 0 {
-						c.Seed = sctx.Seed
-					}
-					row, diag := run(v, w, c)
-					sctx.AddEvents(diag.EngineEvents)
-					return []Fig8Row{row}, nil
-				}})
-			}
-			return forkRows[Fig8Row](ctx, subs)
-		}})
+		group := fmt.Sprintf("fig8/%s/%s", feature, w)
+		for _, v := range Fig8Variants() {
+			jobs = append(jobs, runner.Job{ID: group + "/" + v.String(), Run: func(ctx *runner.Ctx) (any, error) {
+				c := cfg
+				if c.Seed == 0 {
+					c.Seed = rng.DeriveSeed(rng.DeriveSeed(ctx.Root, group), v.String())
+				}
+				row, diag := run(v, w, c)
+				ctx.AddEvents(diag.EngineEvents)
+				return []Fig8Row{row}, nil
+			}})
+		}
 	}
 	return jobs
 }
@@ -528,11 +523,11 @@ func PrintFig8(w io.Writer, rows []Fig8Row) {
 }
 
 // fig8Find locates a row.
-func fig8Find(rows []Fig8Row, v Fig8Variant, w ycsb.Workload) Fig8Row {
+func fig8Find(rows []Fig8Row, feature string, v Fig8Variant, w ycsb.Workload) Fig8Row {
 	for _, r := range rows {
-		if r.Variant == v && r.Workload == w {
+		if r.Feature == feature && r.Variant == v && r.Workload == w {
 			return r
 		}
 	}
-	panic(fmt.Sprintf("experiments: no Fig8 row %v/%v", v, w))
+	panic(fmt.Sprintf("experiments: no Fig8 row %s/%v/%v", feature, v, w))
 }

@@ -23,7 +23,8 @@ type InferConfig struct {
 	// Reps scales the request count (Requests = Reps/2, clamped to
 	// [12, 96]); 0 keeps the default of 48 requests per scenario.
 	Reps int
-	// Seed overrides the workload seed; 0 uses the job's derived seed.
+	// Seed overrides the workload seed; 0 uses the section seed
+	// rng.DeriveSeed(root seed, "infer").
 	Seed int64
 	// Trace, when set, replays the recorded request stream through every
 	// scenario instead of generating one from the seed — the record/replay
@@ -122,32 +123,24 @@ func inferRow(sc InferScenario, requests int, seed int64, trace *workload.Trace)
 	}
 }
 
-// InferJobs returns the section as one self-contained job: every scenario
-// must serve the *same* request stream for the tier comparison to mean
-// anything, and the only root-seed-deterministic value the scenarios can
-// share is a single job's derived seed. Within the job the scenarios are
-// independent serving simulations, so they fan out as sub-jobs over the
-// pool; each closure-captures the job-resolved stream seed (the sub's own
-// derived seed is deliberately unused) so the rows — and therefore the
-// rendered section — are byte-identical to the inline loop.
+// InferJobs returns one job per scenario, ID "infer/<scenario>". Every
+// scenario must serve the *same* request stream for the tier comparison to
+// mean anything, so each job uses the section seed
+// rng.DeriveSeed(root, "infer") rather than its own derived seed.
+// Scenarios hold only stateless policies, so the list can be built once
+// and run many times.
 func InferJobs(cfg InferConfig) []runner.Job {
 	requests := cfg.requests()
 	// Rough event credit per scenario: tokens × resident blocks × lines.
 	perScenario := requests * 30 * 5 * 16
-	return []runner.Job{{ID: "infer", Run: func(ctx *runner.Ctx) (any, error) {
-		seed := ctx.Seed
-		if cfg.Seed != 0 {
-			seed = cfg.Seed
-		}
-		var subs []runner.SubJob
-		for _, sc := range InferScenarios() {
-			subs = append(subs, runner.SubJob{ID: sc.Name, Run: func(sctx *runner.Ctx) (any, error) {
-				sctx.AddEvents(uint64(perScenario))
-				return []InferRow{inferRow(sc, requests, seed, cfg.Trace)}, nil
-			}})
-		}
-		return forkRows[InferRow](ctx, subs)
-	}}}
+	var jobs []runner.Job
+	for _, sc := range InferScenarios() {
+		jobs = append(jobs, runner.Job{ID: "infer/" + sc.Name, Run: func(ctx *runner.Ctx) (any, error) {
+			ctx.AddEvents(uint64(perScenario))
+			return []InferRow{inferRow(sc, requests, sectionSeed(ctx, "infer", cfg.Seed), cfg.Trace)}, nil
+		}})
+	}
+	return jobs
 }
 
 // InferTrace records the request stream the infer section would serve
@@ -157,9 +150,9 @@ func InferJobs(cfg InferConfig) []runner.Job {
 func InferTrace(rootSeed int64, cfg InferConfig) *workload.Trace {
 	seed := cfg.Seed
 	if seed == 0 {
-		// The section is one job with ID "infer"; mirror the runner's
-		// seed derivation (including its zero-means-default root seed) so
-		// the recorded stream matches a live run.
+		// Mirror the section seed its jobs derive (including the
+		// runner's zero-means-default root seed) so the recorded stream
+		// matches a live run.
 		if rootSeed == 0 {
 			rootSeed = runner.DefaultRootSeed
 		}

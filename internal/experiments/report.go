@@ -20,18 +20,7 @@ const ReportReps = 400
 // numbers. The jobs depend only on (reps, full), so dist workers rebuild
 // the identical list from the request alone.
 func Report(reps int, full bool) Section {
-	var parts []Section
-	for _, name := range []string{"fig3", "fig4", "fig5", "fig6"} {
-		sec, _ := Lookup(name, SectionOptions{Reps: reps})
-		parts = append(parts, sec)
-	}
-	parts = append(parts, Section{Name: "table4", Jobs: Table4Jobs()})
-	if full {
-		a := []ycsb.Workload{ycsb.A}
-		parts = append(parts,
-			Section{Name: "fig8zswap", Jobs: Fig8Jobs("zswap", a, Fig8Config{})},
-			Section{Name: "fig8ksm", Jobs: Fig8Jobs("ksm", a, Fig8Config{})})
-	}
+	parts := reportParts(reps, full)
 	var jobs []runner.Job
 	for _, p := range parts {
 		jobs = append(jobs, p.Jobs...)
@@ -57,10 +46,28 @@ func Report(reps int, full bool) Section {
 		r.fig6(Rows[Fig6Row](by["fig6"]))
 		r.table4(Rows[Table4Row](by["table4"]))
 		if full {
-			r.fig8(fig8Collect(by["fig8zswap"]), fig8Collect(by["fig8ksm"]))
+			r.fig8(fig8Collect(by["fig8"]))
 		}
 		return r.err
 	}}
+}
+
+// reportParts lists the report's parts in render order. Each part is named
+// after the group of its job IDs (the ID prefix before the first '/'), so
+// per-job stats group the report's jobs by the experiment they belong to.
+func reportParts(reps int, full bool) []Section {
+	var parts []Section
+	for _, name := range []string{"fig3", "fig4", "fig5", "fig6"} {
+		sec, _ := Lookup(name, SectionOptions{Reps: reps})
+		parts = append(parts, sec)
+	}
+	parts = append(parts, Section{Name: "table4", Jobs: Table4Jobs()})
+	if full {
+		a := []ycsb.Workload{ycsb.A}
+		fig8 := append(Fig8Jobs("zswap", a, Fig8Config{}), Fig8Jobs("ksm", a, Fig8Config{})...)
+		parts = append(parts, Section{Name: "fig8", Jobs: fig8})
+	}
+	return parts
 }
 
 // reporter accumulates the first write error so the report functions can
@@ -166,16 +173,16 @@ func (r *reporter) table4(rows []Table4Row) {
 	r.row("Table IV", "cxl vs dma", "−37 %", pct(cxlT, dma))
 }
 
-func (r *reporter) fig8(zw, km []Fig8Row) {
-	norm := func(rows []Fig8Row, v Fig8Variant) float64 {
-		return fig8Find(rows, v, ycsb.A).NormP99
+func (r *reporter) fig8(rows []Fig8Row) {
+	norm := func(feature string, v Fig8Variant) float64 {
+		return fig8Find(rows, feature, v, ycsb.A).NormP99
 	}
-	r.row("Fig. 8", "cpu-zswap p99", "5.1–10.3×", fmt.Sprintf("%.1f×", norm(zw, 0)))
-	r.row("Fig. 8", "pcie-rdma-zswap p99", "1.29–1.49×", fmt.Sprintf("%.2f×", norm(zw, 1)))
-	r.row("Fig. 8", "pcie-dma-zswap p99", "1.18–1.93×", fmt.Sprintf("%.2f×", norm(zw, 2)))
-	r.row("Fig. 8", "cxl-zswap p99", "1.14–1.26×", fmt.Sprintf("%.2f×", norm(zw, 3)))
-	r.row("Fig. 8", "cpu-ksm p99", "4.5–7.6×", fmt.Sprintf("%.1f×", norm(km, 0)))
-	r.row("Fig. 8", "pcie-rdma-ksm p99", "1.17–1.32×", fmt.Sprintf("%.2f×", norm(km, 1)))
-	r.row("Fig. 8", "pcie-dma-ksm p99", "1.16–1.35×", fmt.Sprintf("%.2f×", norm(km, 2)))
-	r.row("Fig. 8", "cxl-ksm p99", "1.16–1.30×", fmt.Sprintf("%.2f×", norm(km, 3)))
+	r.row("Fig. 8", "cpu-zswap p99", "5.1–10.3×", fmt.Sprintf("%.1f×", norm("zswap", 0)))
+	r.row("Fig. 8", "pcie-rdma-zswap p99", "1.29–1.49×", fmt.Sprintf("%.2f×", norm("zswap", 1)))
+	r.row("Fig. 8", "pcie-dma-zswap p99", "1.18–1.93×", fmt.Sprintf("%.2f×", norm("zswap", 2)))
+	r.row("Fig. 8", "cxl-zswap p99", "1.14–1.26×", fmt.Sprintf("%.2f×", norm("zswap", 3)))
+	r.row("Fig. 8", "cpu-ksm p99", "4.5–7.6×", fmt.Sprintf("%.1f×", norm("ksm", 0)))
+	r.row("Fig. 8", "pcie-rdma-ksm p99", "1.17–1.32×", fmt.Sprintf("%.2f×", norm("ksm", 1)))
+	r.row("Fig. 8", "pcie-dma-ksm p99", "1.16–1.35×", fmt.Sprintf("%.2f×", norm("ksm", 2)))
+	r.row("Fig. 8", "cxl-ksm p99", "1.16–1.30×", fmt.Sprintf("%.2f×", norm("ksm", 3)))
 }

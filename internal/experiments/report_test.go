@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/runner"
+	"repro/internal/ycsb"
 )
 
 func jobIDs(jobs []runner.Job) []string {
@@ -34,7 +35,9 @@ func TestReportComposition(t *testing.T) {
 	if got := jobIDs(Report(reps, false).Jobs); !slices.Equal(got, want) {
 		t.Errorf("Report(%d, false) jobs = %v\nwant %v", reps, got, want)
 	}
-	want = append(want, "fig8/zswap/A", "fig8/ksm/A")
+	a := []ycsb.Workload{ycsb.A}
+	want = append(want, jobIDs(Fig8Jobs("zswap", a, Fig8Config{}))...)
+	want = append(want, jobIDs(Fig8Jobs("ksm", a, Fig8Config{}))...)
 	if got := jobIDs(Report(reps, true).Jobs); !slices.Equal(got, want) {
 		t.Errorf("Report(%d, true) jobs = %v\nwant %v", reps, got, want)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/workload"
 )
@@ -36,23 +37,15 @@ func sliceJob[T any](id string, ops int, cell func() []T) runner.Job {
 	}}
 }
 
-// forkRows fans subs out through ctx.Fork — intra-job parallelism for the
-// big slice sections — and concatenates their []T fragments in submission
-// order, surfacing the first sub-job failure (captured panics included) as
-// the job's error. Because Fork merges in submission order and every sub's
-// randomness is resolved from seeds rather than scheduling, the
-// concatenation is byte-identical to running the cells inline.
-func forkRows[T any](ctx *runner.Ctx, subs []runner.SubJob) ([]T, error) {
-	var rows []T
-	for _, r := range ctx.Fork(subs) {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		if frag, ok := r.Value.([]T); ok {
-			rows = append(rows, frag...)
-		}
+// sectionSeed is the seed every job of a section shares when its rows must
+// compare runs over one stream: the override when non-zero, else
+// rng.DeriveSeed(root, section) — the seed a single job named after the
+// section would get.
+func sectionSeed(ctx *runner.Ctx, section string, override int64) int64 {
+	if override != 0 {
+		return override
 	}
-	return rows, nil
+	return rng.DeriveSeed(ctx.Root, section)
 }
 
 // Rows concatenates the per-job []T row fragments of a finished run in

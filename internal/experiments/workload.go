@@ -25,7 +25,8 @@ type WorkloadConfig struct {
 	// Reps scales the per-model request count (Requests = 32*Reps clamped
 	// to [512, 8192]); 0 keeps the default of 2048.
 	Reps int
-	// Seed overrides the stream seed; 0 uses the job's derived seed.
+	// Seed overrides the seed the streams derive from; 0 uses the section
+	// seed rng.DeriveSeed(root seed, "workload").
 	Seed int64
 }
 
@@ -169,57 +170,55 @@ func cohortRows(mix *workload.Mix, seed int64, n int) []WorkloadRow {
 	return rows
 }
 
-// WorkloadJobs returns the section as one self-contained job (all rows
-// share one derived seed, like the infer section). The three arrival
-// models and the cohort reduction are independent streams — each already
-// derives its own sub-seed from the shared one — so they fan out as
-// sub-jobs over the pool; every sub closure-captures the job-resolved seed
-// and the merged rows are byte-identical to the inline loop. The replay
-// round-trip rides in the diurnal+burst sub-job because it must re-decode
-// that sub's recorded trace.
+// WorkloadJobs returns one job per stream: the three arrival models
+// ("workload/poisson", "workload/diurnal", "workload/diurnal+burst") and
+// the cohort reduction ("workload/cohorts"). Each derives its own stream
+// seed from the section seed rng.DeriveSeed(root, "workload"). Temporal
+// sources carry their position in the curve, so every job builds its
+// source inside Run: a section built once stays replayable. The replay
+// round-trip rides in the diurnal+burst job because it must re-decode
+// that job's recorded trace.
 func WorkloadJobs(cfg WorkloadConfig) []runner.Job {
 	n := cfg.requests()
-	return []runner.Job{{ID: "workload", Run: func(ctx *runner.Ctx) (any, error) {
-		seed := ctx.Seed
-		if cfg.Seed != 0 {
-			seed = cfg.Seed
+	arrivalJob := func(name string, src func() workload.ArrivalSource, withReplay bool) runner.Job {
+		ops := n
+		if withReplay {
+			ops = 2 * n
 		}
-		curve := workloadCurve()
-		peak := curve.MaxRate()
-		arrivalSub := func(name string, src workload.ArrivalSource, withReplay bool) runner.SubJob {
-			ops := n
+		return runner.Job{ID: "workload/" + name, Run: func(ctx *runner.Ctx) (any, error) {
+			ctx.AddEvents(uint64(ops))
+			seed := sectionSeed(ctx, "workload", cfg.Seed)
+			t := recordArrivals(src(), rng.DeriveSeed(seed, "workload/"+name), n, name)
+			rows := []WorkloadRow{arrivalRow(name, t)}
 			if withReplay {
-				ops = 2 * n
-			}
-			return runner.SubJob{ID: name, Run: func(sctx *runner.Ctx) (any, error) {
-				sctx.AddEvents(uint64(ops))
-				t := recordArrivals(src, rng.DeriveSeed(seed, "workload/"+name), n, name)
-				rows := []WorkloadRow{arrivalRow(name, t)}
-				if withReplay {
-					// Round-trip the burstiest stream through the binary
-					// format and reduce the decoded records: the replay row
-					// must match its source row column for column, hash
-					// included.
-					replayed, err := workload.DecodeTrace(t.Encode())
-					if err != nil {
-						return nil, err
-					}
-					rows = append(rows, arrivalRow("replay(burst)", replayed))
+				// Round-trip the burstiest stream through the binary
+				// format and reduce the decoded records: the replay row
+				// must match its source row column for column, hash
+				// included.
+				replayed, err := workload.DecodeTrace(t.Encode())
+				if err != nil {
+					return nil, err
 				}
-				return rows, nil
-			}}
-		}
-		subs := []runner.SubJob{
-			arrivalSub("poisson", workload.Poisson{RatePerSec: peak / 2}, false),
-			arrivalSub("diurnal", workload.NewTemporal(curve), false),
-			arrivalSub("diurnal+burst", workload.NewTemporal(curve).WithBursts(workloadBursts()), true),
-			{ID: "cohorts", Run: func(sctx *runner.Ctx) (any, error) {
-				sctx.AddEvents(uint64(n))
-				return cohortRows(WorkloadCohorts(), seed, n), nil
-			}},
-		}
-		return forkRows[WorkloadRow](ctx, subs)
-	}}}
+				rows = append(rows, arrivalRow("replay(burst)", replayed))
+			}
+			return rows, nil
+		}}
+	}
+	return []runner.Job{
+		arrivalJob("poisson", func() workload.ArrivalSource {
+			return workload.Poisson{RatePerSec: workloadCurve().MaxRate() / 2}
+		}, false),
+		arrivalJob("diurnal", func() workload.ArrivalSource {
+			return workload.NewTemporal(workloadCurve())
+		}, false),
+		arrivalJob("diurnal+burst", func() workload.ArrivalSource {
+			return workload.NewTemporal(workloadCurve()).WithBursts(workloadBursts())
+		}, true),
+		{ID: "workload/cohorts", Run: func(ctx *runner.Ctx) (any, error) {
+			ctx.AddEvents(uint64(n))
+			return cohortRows(WorkloadCohorts(), sectionSeed(ctx, "workload", cfg.Seed), n), nil
+		}},
+	}
 }
 
 // printWorkload renders the arrival-model and cohort tables.

@@ -126,19 +126,11 @@ type Config struct {
 	DecodeMin, DecodeMax int
 	// MaxBatch bounds the continuous batch size.
 	MaxBatch int
-	// Arrivals optionally replaces the stationary Poisson process (e.g. a
-	// workload.Temporal diurnal/burst source). Nil keeps Poisson at
-	// RatePerSec — the legacy stream, bit-for-bit.
-	Arrivals workload.ArrivalSource
-	// Cohorts optionally draws each request's prompt/decode shape from a
-	// weighted client-cohort mix instead of the global Prompt*/Decode*
-	// bounds. Nil keeps the single-population legacy draw.
-	Cohorts *workload.Mix
 	// Trace, when set, replays a recorded request stream verbatim:
 	// arrivals and shapes come from the trace records and the generator
-	// knobs above (Seed's arrival/shape streams, Requests, RatePerSec,
-	// Arrivals, Cohorts) are ignored. Run panics on a trace CheckTrace
-	// rejects.
+	// knobs above (Seed's arrival/shape streams, Requests, RatePerSec and
+	// the prompt/decode bounds) are ignored. Run panics on a trace
+	// CheckTrace rejects.
 	Trace *workload.Trace
 	// BlockTokens is the paged-KV block granule in tokens.
 	BlockTokens int
@@ -294,10 +286,9 @@ func Run(cfg Config) Metrics {
 	return s.m
 }
 
-// genRequests draws the request stream: open-loop arrivals (Poisson or a
-// temporal source), zipfian-skewed prompt and decode lengths (most
-// requests short, a heavy tail long), optionally per client cohort — or a
-// trace replayed verbatim.
+// genRequests draws the request stream: open-loop Poisson arrivals and
+// zipfian-skewed prompt and decode lengths (most requests short, a heavy
+// tail long) — or a trace replayed verbatim.
 func (s *Sim) genRequests() []*request {
 	cfg := s.cfg
 	if cfg.Trace != nil {
@@ -305,11 +296,8 @@ func (s *Sim) genRequests() []*request {
 	}
 	arrRng := rng.Derive(cfg.Seed, "infer/arrivals")
 	shapeRng := rng.Derive(cfg.Seed, "infer/shape")
-	arrivals := cfg.Arrivals
-	if arrivals == nil {
-		arrivals = workload.Poisson{RatePerSec: cfg.RatePerSec}
-	}
-	shapes := workload.NewShapes(cfg.Cohorts, workload.Cohort{PromptMin: cfg.PromptMin, PromptMax: cfg.PromptMax,
+	arrivals := workload.Poisson{RatePerSec: cfg.RatePerSec}
+	shapes := workload.NewShapes(nil, workload.Cohort{PromptMin: cfg.PromptMin, PromptMax: cfg.PromptMax,
 		DecodeMin: cfg.DecodeMin, DecodeMax: cfg.DecodeMax})
 	reqs := make([]*request, cfg.Requests)
 	now := sim.Time(0)

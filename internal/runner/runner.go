@@ -1,7 +1,10 @@
 // Package runner executes experiment jobs on a bounded worker pool with
 // shared-nothing semantics: every job constructs its own simulation engine
 // and topology, so jobs never share mutable state and per-engine
-// determinism is preserved while the suite scales with host cores.
+// determinism is preserved while the suite scales with host cores. The
+// pool is the only scheduler: a job is one leaf co-simulation, and jobs
+// that must share a seed with the rest of their section derive it from
+// the run's root seed (Ctx.Root).
 //
 // Three invariants make a parallel run indistinguishable from a serial
 // one:
@@ -23,7 +26,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/rng"
@@ -41,119 +43,19 @@ type Job struct {
 
 // Ctx is the per-job context handed to Run.
 type Ctx struct {
-	// Seed is the job's derived seed: rng.DeriveSeed(rootSeed, jobID) for a
-	// top-level job, rng.DeriveSeed(parentSeed, subID) for a sub-job.
+	// Seed is the job's derived seed: rng.DeriveSeed(Root, jobID).
 	Seed int64
+	// Root is the run's effective root seed. Jobs that must share one
+	// seed with the rest of their section (every scenario serving the same
+	// request stream) derive it from Root and the section's name.
+	Root int64
 	// events accumulates the job's simulated work for the event-rate stat.
 	events uint64
-	// sem is the pool-wide CPU-slot semaphore Fork recruits helpers from;
-	// nil in serial mode, where Fork runs sub-jobs inline.
-	sem chan struct{}
 }
 
 // AddEvents records n simulated events (engine dispatches, or simulated
 // accesses for engine-less microbenchmark rigs) attributable to this job.
 func (c *Ctx) AddEvents(n uint64) { c.events += n }
-
-// SubJob is one independent co-simulation inside a job: a slice scenario,
-// an offload variant, a workload model. Like Job.ID, ID roots the sub-job's
-// seed derivation (rng.DeriveSeed(parentSeed, subID)) and must be unique
-// within one Fork call and stable across code motion.
-type SubJob struct {
-	ID  string
-	Run func(ctx *Ctx) (any, error)
-}
-
-// Fork runs subs — independent co-simulations within the calling job — and
-// returns their results in submission order. The determinism contract
-// matches the top-level pool exactly:
-//
-//   - each sub-job's Ctx.Seed derives from (parent seed, sub ID), never
-//     from scheduling order;
-//   - results are merged in submission order, so output rendered from them
-//     is byte-identical whether the subs ran inline or spread across the
-//     pool;
-//   - a panicking sub-job becomes a failed Result (Panicked=true) without
-//     taking down its siblings or the parent.
-//
-// In serial mode (Workers == 1) the subs run inline on the calling
-// goroutine. In parallel mode the parent works through the subs itself and
-// opportunistically recruits helper goroutines, each holding one of the
-// pool's CPU slots — the same slots top-level workers occupy — so total
-// concurrency never exceeds Options.Workers: a saturated pool simply means
-// the subs all run on the parent. Recruitment never blocks, so Fork cannot
-// deadlock however jobs and sub-jobs are nested.
-//
-// After the subs complete, their simulated-event counts are folded into the
-// parent's (see Result.Events), keeping suite event totals and rates
-// truthful under intra-job parallelism.
-func (c *Ctx) Fork(subs []SubJob) []Result {
-	seen := make(map[string]struct{}, len(subs))
-	for _, s := range subs {
-		if _, dup := seen[s.ID]; dup {
-			panic(fmt.Sprintf("runner: duplicate sub-job ID %q", s.ID))
-		}
-		seen[s.ID] = struct{}{}
-	}
-
-	results := make([]Result, len(subs))
-	if c.sem == nil {
-		for i := range subs {
-			results[i] = runSub(c, subs[i], i)
-		}
-	} else {
-		var next atomic.Int64
-		work := func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(subs) {
-					return
-				}
-				results[i] = runSub(c, subs[i], i)
-			}
-		}
-		var wg sync.WaitGroup
-		for n := 1; n < len(subs); n++ {
-			select {
-			case c.sem <- struct{}{}:
-				wg.Add(1)
-				go func() {
-					defer func() { <-c.sem; wg.Done() }()
-					work()
-				}()
-				continue
-			default:
-			}
-			break // pool saturated: the parent covers the rest
-		}
-		work()
-		wg.Wait()
-	}
-
-	for i := range results {
-		c.events += results[i].Events
-	}
-	return results
-}
-
-// runSub executes a single sub-job on a child Ctx, converting a panic into
-// a failed Result exactly as runOne does for top-level jobs.
-func runSub(parent *Ctx, s SubJob, index int) (res Result) {
-	ctx := &Ctx{Seed: rng.DeriveSeed(parent.Seed, s.ID), sem: parent.sem}
-	res = Result{ID: s.ID, Index: index}
-	start := time.Now()
-	defer func() {
-		res.Wall = time.Since(start)
-		res.Events = ctx.events
-		if r := recover(); r != nil {
-			res.Value = nil
-			res.Panicked = true
-			res.Err = fmt.Errorf("runner: sub-job %q panicked: %v\n%s", s.ID, r, debug.Stack())
-		}
-	}()
-	res.Value, res.Err = s.Run(ctx)
-	return res
-}
 
 // Result is one job's outcome in submission order.
 type Result struct {
@@ -246,17 +148,11 @@ func Run(jobs []Job, opts Options) []Result {
 				cancelFrom(results, jobs, i, err)
 				return results
 			}
-			results[i] = runOne(jobs[i], i, opts.RootSeed, nil)
+			results[i] = runOne(jobs[i], i, opts.RootSeed)
 		}
 		return results
 	}
 
-	// sem holds one token per CPU slot. A top-level worker occupies a slot
-	// for each job it runs; Ctx.Fork recruits helper goroutines from the
-	// remaining slots (idle workers hold no token), so top-level jobs and
-	// intra-job sub-jobs together never exceed Workers concurrent
-	// simulations.
-	sem := make(chan struct{}, opts.Workers)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
@@ -264,9 +160,7 @@ func Run(jobs []Job, opts Options) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				sem <- struct{}{}
-				results[i] = runOne(jobs[i], i, opts.RootSeed, sem)
-				<-sem
+				results[i] = runOne(jobs[i], i, opts.RootSeed)
 			}
 		}()
 	}
@@ -318,8 +212,8 @@ func CancelledCount(results []Result) int {
 }
 
 // runOne executes a single job, converting a panic into a failed Result.
-func runOne(j Job, index int, rootSeed int64, sem chan struct{}) (res Result) {
-	ctx := &Ctx{Seed: rng.DeriveSeed(rootSeed, j.ID), sem: sem}
+func runOne(j Job, index int, rootSeed int64) (res Result) {
+	ctx := &Ctx{Seed: rng.DeriveSeed(rootSeed, j.ID), Root: rootSeed}
 	res = Result{ID: j.ID, Index: index}
 	start := time.Now()
 	defer func() {

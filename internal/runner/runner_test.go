@@ -190,139 +190,31 @@ func TestWriteStatsJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// forkJob builds a job that forks n sub-jobs; each sub records subEvents
-// simulated events and returns its derived seed, and the parent itself
-// records parentEvents before forking.
-func forkJob(id string, n int, parentEvents, subEvents uint64) Job {
-	return Job{ID: id, Run: func(ctx *Ctx) (any, error) {
-		ctx.AddEvents(parentEvents)
-		subs := make([]SubJob, n)
-		for i := 0; i < n; i++ {
-			subs[i] = SubJob{ID: fmt.Sprintf("sub%d", i), Run: func(sctx *Ctx) (any, error) {
-				sctx.AddEvents(subEvents)
-				return sctx.Seed, nil
-			}}
-		}
-		seeds := make([]int64, n)
-		for i, r := range ctx.Fork(subs) {
-			if r.Err != nil {
-				return nil, r.Err
-			}
-			seeds[i] = r.Value.(int64)
-		}
-		return seeds, nil
-	}}
-}
-
-// TestForkEventAggregation: a parent job's Result.Events must include the
-// events its sub-jobs recorded, in serial and parallel mode alike —
-// intra-job parallelism must not leak simulated work out of the suite's
-// event accounting.
-func TestForkEventAggregation(t *testing.T) {
-	const parentEvents, subEvents, subs = 7, 100, 5
-	for _, workers := range []int{1, 3} {
-		results := Run([]Job{forkJob("fork/events", subs, parentEvents, subEvents)},
-			Options{Workers: workers, RootSeed: 3})
-		if err := results[0].Err; err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		want := uint64(parentEvents + subs*subEvents)
-		if got := results[0].Events; got != want {
-			t.Errorf("workers=%d: parent Events = %d, want %d (parent %d + %d subs × %d)",
-				workers, got, want, parentEvents, subs, subEvents)
-		}
+// TestCtxRootIsEffectiveRootSeed: every job sees the run's effective root
+// seed (the default when Options.RootSeed is zero), whatever the worker
+// count — the value sections derive their shared seed from.
+func TestCtxRootIsEffectiveRootSeed(t *testing.T) {
+	jobs := make([]Job, 6)
+	for i := range jobs {
+		jobs[i] = Job{ID: fmt.Sprintf("root/job%d", i), Run: func(ctx *Ctx) (any, error) {
+			return ctx.Root, nil
+		}}
 	}
-}
-
-// TestForkSeedsAndMergeOrder: sub-job seeds derive from (parent seed,
-// sub ID) and results come back in submission order, for every worker
-// count — the determinism contract of Ctx.Fork.
-func TestForkSeedsAndMergeOrder(t *testing.T) {
-	const n = 9
-	for _, workers := range []int{1, 2, 8} {
-		results := Run([]Job{forkJob("fork/seeds", n, 0, 1)},
-			Options{Workers: workers, RootSeed: 11})
-		if err := results[0].Err; err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, root := range []int64{0, 42} {
+		want := root
+		if want == 0 {
+			want = DefaultRootSeed
 		}
-		parentSeed := rng.DeriveSeed(11, "fork/seeds")
-		seeds := results[0].Value.([]int64)
-		for i, got := range seeds {
-			if want := rng.DeriveSeed(parentSeed, fmt.Sprintf("sub%d", i)); got != want {
-				t.Errorf("workers=%d: sub %d seed = %d, want %d", workers, i, got, want)
+		for _, workers := range []int{1, 3} {
+			vals, err := Values(Run(jobs, Options{Workers: workers, RootSeed: root}))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// TestForkSubPanicIsolation: a planted panic in one sub-job becomes a
-// failed Result with the panic value and stack; sibling subs and the
-// parent job complete normally.
-func TestForkSubPanicIsolation(t *testing.T) {
-	job := Job{ID: "fork/panic", Run: func(ctx *Ctx) (any, error) {
-		subs := []SubJob{
-			{ID: "ok0", Run: func(*Ctx) (any, error) { return "fine", nil }},
-			{ID: "boom", Run: func(*Ctx) (any, error) { panic("planted sub failure") }},
-			{ID: "ok1", Run: func(*Ctx) (any, error) { return "fine", nil }},
-		}
-		return ctx.Fork(subs), nil
-	}}
-	for _, workers := range []int{1, 4} {
-		results := Run([]Job{job}, Options{Workers: workers})
-		if results[0].Err != nil {
-			t.Fatalf("workers=%d: parent failed: %v", workers, results[0].Err)
-		}
-		subResults := results[0].Value.([]Result)
-		for i, r := range subResults {
-			if i == 1 {
-				if !r.Panicked || r.Err == nil ||
-					!strings.Contains(r.Err.Error(), "planted sub failure") ||
-					!strings.Contains(r.Err.Error(), "runner_test.go") {
-					t.Errorf("workers=%d: planted sub panic not captured: %+v", workers, r)
+			for i, v := range vals {
+				if v != want {
+					t.Fatalf("root=%d workers=%d: job %d saw Root %v, want %d", root, workers, i, v, want)
 				}
-				continue
 			}
-			if r.Err != nil || r.Value != "fine" {
-				t.Errorf("workers=%d: sibling sub %q affected: %+v", workers, r.ID, r)
-			}
-		}
-	}
-}
-
-// TestForkDuplicateSubIDPanics: duplicate sub IDs would alias derived
-// seeds, so Fork refuses up front exactly as Run does for jobs.
-func TestForkDuplicateSubIDPanics(t *testing.T) {
-	job := Job{ID: "fork/dup", Run: func(ctx *Ctx) (any, error) {
-		noop := func(*Ctx) (any, error) { return nil, nil }
-		ctx.Fork([]SubJob{{ID: "a", Run: noop}, {ID: "a", Run: noop}})
-		return nil, nil
-	}}
-	r := Run([]Job{job}, Options{Workers: 1})[0]
-	if !r.Panicked || !strings.Contains(r.Err.Error(), "duplicate sub-job ID") {
-		t.Fatalf("result = %+v, want captured duplicate-sub-ID panic", r)
-	}
-}
-
-// TestForkNested: Fork inside a sub-job must complete (recruitment never
-// blocks) and keep the same seed-derivation chain.
-func TestForkNested(t *testing.T) {
-	job := Job{ID: "fork/nested", Run: func(ctx *Ctx) (any, error) {
-		outer := []SubJob{{ID: "mid", Run: func(mctx *Ctx) (any, error) {
-			inner := []SubJob{{ID: "leaf", Run: func(lctx *Ctx) (any, error) {
-				return lctx.Seed, nil
-			}}}
-			return mctx.Fork(inner)[0].Value, nil
-		}}}
-		return ctx.Fork(outer)[0].Value, nil
-	}}
-	for _, workers := range []int{1, 2} {
-		r := Run([]Job{job}, Options{Workers: workers, RootSeed: 5})[0]
-		if r.Err != nil {
-			t.Fatalf("workers=%d: %v", workers, r.Err)
-		}
-		want := rng.DeriveSeed(rng.DeriveSeed(rng.DeriveSeed(5, "fork/nested"), "mid"), "leaf")
-		if r.Value != want {
-			t.Errorf("workers=%d: leaf seed = %v, want %v", workers, r.Value, want)
 		}
 	}
 }
