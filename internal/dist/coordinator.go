@@ -28,15 +28,10 @@ type CoordinatorConfig struct {
 	Log *log.Logger
 }
 
-const (
-	// chunkSize is how many job indices ride one run request: one job per
-	// request buys balance and cheap reassignment.
-	chunkSize = 1
-	// window bounds in-flight run requests per worker: one executing, one
-	// queued on the worker's semaphore, so a finishing worker never idles
-	// waiting on a scheduler round trip.
-	window = 2
-)
+// window is the number of lanes per worker, each holding at most one run
+// request in flight: one executing, one queued on the worker's semaphore,
+// so a finishing worker never idles waiting on a scheduler round trip.
+const window = 2
 
 // workerState tracks one registered worker.
 type workerState struct {
@@ -201,22 +196,40 @@ func (c *Coordinator) count(f func(*Metrics)) {
 // buffer.
 const maxReplyBytes = 8 << 20
 
-// chunk is one dispatch unit: a contiguous slice of job indices.
+// chunk is one dispatch unit: the job indices one run request carries.
 type chunk struct{ indices []int }
+
+// stride cuts n job indices into min(n, k) chunks, index i into chunk
+// i mod k (k >= 1): chunk sizes differ by at most one, and adjacent jobs
+// land in different chunks.
+func stride(n, k int) []chunk {
+	chunks := make([]chunk, min(n, k))
+	for i := range n {
+		c := &chunks[i%len(chunks)]
+		c.indices = append(c.indices, i)
+	}
+	return chunks
+}
 
 // Run builds the Spec's job list, executes it across the live fleet and
 // returns one result per job, in submission order — the same contract as
 // runner.Run. opts supplies RootSeed and Context; the error is the Spec's
 // own (Build's), never a job's.
 //
-// Scheduling: indices are chunked onto a shared queue; each live worker
-// gets Window lanes pulling from it. A lane that fails marks its worker
-// dead, requeues the chunk, and exits — surviving lanes absorb the work.
-// When a round ends with chunks still pending (every lane exited), the
-// fleet is re-snapshotted: new or resurrected workers join the next round,
-// and an empty fleet drains the queue locally. The invariant that makes
-// this safe: a chunk is either completed exactly once into its result
-// slots, or back on the queue.
+// Scheduling: each live worker gets window lanes, and the job list is cut
+// into one strided chunk per lane, so a run costs each lane one round trip
+// rather than one per job. Static chunks still balance: a section's heavy
+// jobs sit next to each other (its co-simulation scenarios, the Fig. 8
+// variants), striding deals them out to different lanes, and each worker
+// runs a chunk's jobs in parallel on its own pool. The chunks sit on a
+// shared queue. A lane whose run fails marks its worker dead, requeues its
+// chunk and exits — surviving lanes absorb the work. A lane whose run
+// fails because the run's context ended requeues its chunk without
+// blaming the worker. When a round ends with chunks still pending (every
+// lane exited), the fleet is re-snapshotted: new or resurrected workers
+// join the next round, and an empty fleet (or an ended context) drains the
+// queue locally. The invariant that makes this safe: a chunk is either
+// completed exactly once into its result slots, or back on the queue.
 func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) ([]runner.Result, error) {
 	jobs, err := spec.BuildJobs()
 	if err != nil || len(jobs) == 0 {
@@ -228,15 +241,8 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) (
 	results := make([]runner.Result, len(jobs))
 	var resMu sync.Mutex
 
-	var chunks []chunk
-	for lo := 0; lo < len(jobs); lo += chunkSize {
-		hi := min(lo+chunkSize, len(jobs))
-		idx := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			idx = append(idx, i)
-		}
-		chunks = append(chunks, chunk{indices: idx})
-	}
+	live := c.liveWorkers()
+	chunks := stride(len(jobs), window*max(len(live), 1))
 	// Buffered to total capacity so a failing lane can always requeue
 	// without blocking — that non-blocking requeue is what upholds the
 	// completed-or-queued invariant.
@@ -263,7 +269,6 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) (
 		if left == 0 {
 			return results, nil
 		}
-		live := c.liveWorkers()
 		if len(live) == 0 || ctx.Err() != nil {
 			// Degraded (or cancelled) mode: drain the whole queue in one
 			// in-process pool run. No lane is running, so every pending
@@ -271,7 +276,8 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) (
 			// the jobs Cancelled, so the caller still gets a full,
 			// classifiable result set.
 			c.count(func(m *Metrics) { m.LocalFallbacks++ })
-			c.cfg.Log.Printf("coordinator: no live workers; running %d chunk(s) locally", left)
+			c.cfg.Log.Printf("coordinator: running %d chunk(s) locally (%d live workers, context: %v)",
+				left, len(live), ctx.Err())
 			var idx []int
 			var local []runner.Job
 			for i := 0; i < left; i++ {
@@ -309,10 +315,12 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) (
 							c.count(func(m *Metrics) { m.ChunksDispatched++ })
 							rs, err := c.runRemote(ctx, addr, spec, ch.indices, opts.RootSeed)
 							if err != nil {
-								c.markDead(addr, err)
-								quitOnce.Do(func() { close(quit) })
+								if ctx.Err() == nil { // the worker failed, not the run
+									c.markDead(addr, err)
+									quitOnce.Do(func() { close(quit) })
+									c.count(func(m *Metrics) { m.ChunksReassigned++ })
+								}
 								pending <- ch
-								c.count(func(m *Metrics) { m.ChunksReassigned++ })
 								return
 							}
 							resMu.Lock()
@@ -330,13 +338,12 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) (
 		wg.Wait()
 		// Round over: either done, or failures left chunks on the queue
 		// and the loop re-snapshots the fleet for reassignment.
+		live = c.liveWorkers()
 	}
 }
 
 // runRemote ships one chunk to one worker and decodes its results. Any
-// transport or protocol failure is returned for the lane to handle; the
-// response is validated index-by-index so a confused worker can never
-// scribble outside its assignment.
+// transport or protocol failure is returned for the lane to handle.
 func (c *Coordinator) runRemote(ctx context.Context, addr string, spec Spec, indices []int, seed int64) ([]runner.Result, error) {
 	body, err := json.Marshal(runRequest{
 		Version: ProtocolVersion(), Spec: spec, Indices: indices, Seed: seed,
@@ -359,14 +366,25 @@ func (c *Coordinator) runRemote(ctx context.Context, addr string, spec Spec, ind
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("worker %s: status %d: %s", addr, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	// A reply past the cap fails the decode like garbage does, and the
-	// lane requeues the chunk.
+	rs, err := decodeReply(resp.Body, indices)
+	if err != nil {
+		return nil, fmt.Errorf("worker %s: %w", addr, err)
+	}
+	return rs, nil
+}
+
+// decodeReply decodes one worker's reply to the chunk of the given
+// indices. A reply past maxReplyBytes fails the decode like garbage does,
+// and the results are validated index by index, so a confused worker can
+// never scribble outside its assignment: on a nil error every assigned
+// index appears exactly once.
+func decodeReply(r io.Reader, indices []int) ([]runner.Result, error) {
 	var wire runResponse
-	if err := gob.NewDecoder(io.LimitReader(resp.Body, maxReplyBytes)).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("worker %s: decode: %w", addr, err)
+	if err := gob.NewDecoder(io.LimitReader(r, maxReplyBytes)).Decode(&wire); err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
 	}
 	if len(wire.Results) != len(indices) {
-		return nil, fmt.Errorf("worker %s: %d results for %d indices", addr, len(wire.Results), len(indices))
+		return nil, fmt.Errorf("%d results for %d indices", len(wire.Results), len(indices))
 	}
 	want := make(map[int]bool, len(indices))
 	for _, idx := range indices {
@@ -375,7 +393,7 @@ func (c *Coordinator) runRemote(ctx context.Context, addr string, spec Spec, ind
 	rs := fromWire(wire.Results)
 	for _, r := range rs {
 		if !want[r.Index] {
-			return nil, fmt.Errorf("worker %s: unassigned result index %d", addr, r.Index)
+			return nil, fmt.Errorf("unassigned or repeated result index %d", r.Index)
 		}
 		delete(want, r.Index)
 	}

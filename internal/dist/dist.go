@@ -13,10 +13,10 @@
 //
 // Topology: one coordinator (the cxlsimd front end) and N workers. Workers
 // register with the coordinator and re-register on a heartbeat interval;
-// the coordinator shards job indices into chunks, keeps a bounded
-// per-worker in-flight window, reassigns chunks when a worker dies
-// mid-run, and falls back to local execution when the fleet is gone — a
-// degraded coordinator is exactly the single-process daemon.
+// the coordinator deals job indices out in one strided chunk per lane
+// (a bounded in-flight window of lanes per worker), reassigns chunks when
+// a worker dies mid-run, and falls back to local execution when the fleet
+// is gone — a degraded coordinator is exactly the single-process daemon.
 //
 // Mixed-version fleets are refused at registration and again on every run
 // request: the compatibility token combines the canonical cache-key schema

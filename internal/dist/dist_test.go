@@ -21,7 +21,7 @@ import (
 // startWorker serves a dist worker over httptest and returns its dialable
 // addr plus the server handle (Close kills it abruptly — the "worker
 // died" primitive the reassignment tests use).
-func startWorker(t *testing.T, wrap func(http.Handler) http.Handler) (string, *httptest.Server) {
+func startWorker(t testing.TB, wrap func(http.Handler) http.Handler) (string, *httptest.Server) {
 	t.Helper()
 	w := dist.NewWorker(dist.WorkerConfig{Workers: 1, MaxConcurrent: 4})
 	h := http.Handler(w.Handler())
@@ -35,7 +35,7 @@ func startWorker(t *testing.T, wrap func(http.Handler) http.Handler) (string, *h
 
 // newCoordinator builds a coordinator with its control plane served over
 // httptest, registers the given worker addrs, and returns both.
-func newCoordinator(t *testing.T, addrs ...string) (*dist.Coordinator, *httptest.Server) {
+func newCoordinator(t testing.TB, addrs ...string) (*dist.Coordinator, *httptest.Server) {
 	t.Helper()
 	c := dist.NewCoordinator(dist.CoordinatorConfig{Workers: 1, StaleAfter: time.Hour})
 	mux := http.NewServeMux()
@@ -48,7 +48,7 @@ func newCoordinator(t *testing.T, addrs ...string) (*dist.Coordinator, *httptest
 	return c, srv
 }
 
-func register(t *testing.T, coord, addr, version string, wantStatus int) {
+func register(t testing.TB, coord, addr, version string, wantStatus int) {
 	t.Helper()
 	body, _ := json.Marshal(map[string]string{"addr": addr, "version": version})
 	resp, err := http.Post(coord+"/dist/v1/register", "application/json", bytes.NewReader(body))
@@ -63,7 +63,7 @@ func register(t *testing.T, coord, addr, version string, wantStatus int) {
 
 // run executes spec through the coordinator, failing the test on a spec
 // error.
-func run(t *testing.T, c *dist.Coordinator, spec dist.Spec) []runner.Result {
+func run(t testing.TB, c *dist.Coordinator, spec dist.Spec) []runner.Result {
 	t.Helper()
 	results, err := c.Run(context.Background(), spec, runner.Options{})
 	if err != nil {
@@ -122,7 +122,7 @@ func TestWorkerLossReassignsMidSection(t *testing.T) {
 	const reps = 5
 	// The healthy worker holds its run requests until the flaky one has
 	// been asked a second time, so it cannot drain the shared queue first:
-	// the flaky worker always dies holding a chunk.
+	// the flaky worker always dies holding a chunk of several jobs.
 	asked := make(chan struct{})
 	var askedOnce sync.Once
 	healthy, _ := startWorker(t, func(next http.Handler) http.Handler {
@@ -136,10 +136,13 @@ func TestWorkerLossReassignsMidSection(t *testing.T) {
 			next.ServeHTTP(rw, r)
 		})
 	})
-	var served atomic.Int32
+	var served, lost atomic.Int32 // lost: jobs in the first chunk it dies holding
 	flaky, _ := startWorker(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/dist/v1/run" && served.Add(1) > 1 {
+				var req struct{ Indices []int }
+				_ = json.NewDecoder(r.Body).Decode(&req)
+				lost.CompareAndSwap(0, int32(len(req.Indices)))
 				askedOnce.Do(func() { close(asked) })
 				panic(http.ErrAbortHandler) // drop the connection: worker is gone
 			}
@@ -167,6 +170,71 @@ func TestWorkerLossReassignsMidSection(t *testing.T) {
 	}
 	if m.WorkersDead == 0 {
 		t.Fatalf("dead worker still counted live: %+v", m)
+	}
+	if lost.Load() < 2 {
+		t.Fatalf("the flaky worker died holding %d job(s), want a multi-job chunk", lost.Load())
+	}
+}
+
+// TestCancelledRunKeepsWorkersLive: a run whose context ends while its
+// workers still hold their chunks blames no worker — the fleet stays in
+// rotation for the next request — and still returns a full result set,
+// every job classified Cancelled.
+func TestCancelledRunKeepsWorkersLive(t *testing.T) {
+	release := make(chan struct{})
+	hold := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/dist/v1/run" {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			next.ServeHTTP(rw, r)
+		})
+	}
+	a, _ := startWorker(t, hold)
+	b, _ := startWorker(t, hold)
+	c, _ := newCoordinator(t, a, b)
+	defer close(release)
+
+	spec := dist.Spec{Kind: "section", Section: "fig4", Reps: 1}
+	jobs, err := spec.BuildJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	results, err := c.Run(ctx, spec, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(jobs) || runner.CancelledCount(results) != len(jobs) {
+		t.Fatalf("%d results, %d cancelled; want all %d cancelled",
+			len(results), runner.CancelledCount(results), len(jobs))
+	}
+	for i, r := range results {
+		if r.ID != jobs[i].ID || r.Index != i {
+			t.Fatalf("result %d is %s at index %d, want %s", i, r.ID, r.Index, jobs[i].ID)
+		}
+	}
+	if m := c.Snapshot(); m.WorkersDead != 0 || m.WorkersLive != 2 || m.ChunksReassigned != 0 {
+		t.Fatalf("a cancelled run blamed its workers: %+v", m)
+	}
+}
+
+// BenchmarkDistSection times one fig4 section at reps 1 — 24 jobs in one
+// strided chunk per lane — through a coordinator with two loopback
+// workers: the dist layer's run round trips plus the jobs they carry.
+func BenchmarkDistSection(b *testing.B) {
+	w1, _ := startWorker(b, nil)
+	w2, _ := startWorker(b, nil)
+	c, _ := newCoordinator(b, w1, w2)
+	spec := dist.Spec{Kind: "section", Section: "fig4", Reps: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(b, c, spec)
 	}
 }
 
