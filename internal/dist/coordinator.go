@@ -274,8 +274,11 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, opts runner.Options) (
 			// in-process pool run. No lane is running, so every pending
 			// chunk is on the queue. Under cancellation runner.Run marks
 			// the jobs Cancelled, so the caller still gets a full,
-			// classifiable result set.
-			c.count(func(m *Metrics) { m.LocalFallbacks++ })
+			// classifiable result set. Only an empty fleet is a fallback:
+			// a cancelled run with live workers runs nothing locally.
+			if len(live) == 0 {
+				c.count(func(m *Metrics) { m.LocalFallbacks++ })
+			}
 			c.cfg.Log.Printf("coordinator: running %d chunk(s) locally (%d live workers, context: %v)",
 				left, len(live), ctx.Err())
 			var idx []int

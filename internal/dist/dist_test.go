@@ -178,8 +178,8 @@ func TestWorkerLossReassignsMidSection(t *testing.T) {
 
 // TestCancelledRunKeepsWorkersLive: a run whose context ends while its
 // workers still hold their chunks blames no worker — the fleet stays in
-// rotation for the next request — and still returns a full result set,
-// every job classified Cancelled.
+// rotation for the next request — counts no local fallback, and still
+// returns a full result set, every job classified Cancelled.
 func TestCancelledRunKeepsWorkersLive(t *testing.T) {
 	release := make(chan struct{})
 	hold := func(next http.Handler) http.Handler {
@@ -219,7 +219,7 @@ func TestCancelledRunKeepsWorkersLive(t *testing.T) {
 			t.Fatalf("result %d is %s at index %d, want %s", i, r.ID, r.Index, jobs[i].ID)
 		}
 	}
-	if m := c.Snapshot(); m.WorkersDead != 0 || m.WorkersLive != 2 || m.ChunksReassigned != 0 {
+	if m := c.Snapshot(); m.WorkersDead != 0 || m.WorkersLive != 2 || m.ChunksReassigned != 0 || m.LocalFallbacks != 0 {
 		t.Fatalf("a cancelled run blamed its workers: %+v", m)
 	}
 }

@@ -66,6 +66,12 @@ type port struct {
 	claims   uint64
 	waited   sim.Time
 	peakQ    int
+	// busy[head:] holds, sorted, the released completion times later than
+	// every claim since their release: the transfers an observer at the
+	// port still sees in flight. The pool cannot answer that, since an
+	// exhausted Acquire consumes a completion before it has passed.
+	busy []sim.Time
+	head int
 }
 
 // claim admits a transfer arriving at the port at now; the returned time
@@ -73,13 +79,21 @@ type port struct {
 // switch's store-and-forward latency). release must be called with the
 // transfer's wire completion time.
 func (p *port) claim(now sim.Time) sim.Time {
-	// Transfers still in flight at now, plus this one, is the queue depth
-	// an observer would see at the port. Credits.InFlightAt answers that
-	// exactly — including slots an exhausted Acquire consumed early — so
-	// the port no longer shadows the pool with its own completion ring.
-	if d := p.credits.InFlightAt(now) + 1; d > p.peakQ {
+	// Completions at or before now leave the record; the rest, plus this
+	// transfer, is the queue depth an observer sees at the port.
+	q, i := p.busy, p.head
+	for i < len(q) && q[i] <= now {
+		i++
+	}
+	if d := len(q) - i + 1; d > p.peakQ {
 		p.peakQ = d
 	}
+	if 2*i >= len(q) {
+		// The dead prefix dominates: compact, so the backing array stays
+		// bounded by twice the live record.
+		q, i = q[:copy(q, q[i:])], 0
+	}
+	p.busy, p.head = q, i
 	start := p.credits.Acquire(now)
 	p.waited += start - now
 	p.claims++
@@ -88,6 +102,15 @@ func (p *port) claim(now sim.Time) sim.Time {
 
 func (p *port) release(done sim.Time) {
 	p.credits.Complete(done)
+	// Wire completions through one port leave in order in every model
+	// path; an earlier one shifts later entries up to keep busy sorted.
+	q := append(p.busy, done)
+	i := len(q) - 1
+	for ; i > p.head && q[i-1] > done; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = done
+	p.busy = q
 }
 
 // Expander is a compiled switch-attached Type-3 node: pooled memory every

@@ -44,8 +44,8 @@ func TestProcScheduleZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestCreditsChurnZeroAllocs pins the Acquire/Complete cycle of a saturated
-// pool: the timeHeap must recycle its backing array.
+// TestCreditsChurnZeroAllocs pins the Acquire/Complete cycle and the
+// Pipeline run of a saturated pool: both work in the fixed ring.
 func TestCreditsChurnZeroAllocs(t *testing.T) {
 	c := NewCredits("alloc", 4)
 	now := Time(0)
@@ -55,5 +55,9 @@ func TestCreditsChurnZeroAllocs(t *testing.T) {
 			s := c.Acquire(now)
 			c.Complete(s + 100)
 		}
+	})
+	p := NewCredits("alloc", 4)
+	measureAllocs(t, "Credits Pipeline", func() {
+		now = p.Pipeline(now, 10, 100, 16)
 	})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -33,11 +34,9 @@ func TestClaimNMatchesClaims(t *testing.T) {
 // TestPipelineMatchesAcquireComplete checks Pipeline against the
 // Acquire/Complete sequence it batches, on twin pools with random
 // capacities and pre-filled rings. Pre-fill service times reach past the
-// run's completions, so some steps take Pipeline's out-of-order Complete
-// fallback. Compared: the returned completion (the run's maximum),
-// InFlight, InFlightAt at probes from the run's last request time on
-// (earlier probes may differ; see Pipeline), and the starts of follow-up
-// Acquires.
+// run's completions, so some steps take Pipeline's out-of-order insert.
+// Compared: the returned completion (the run's maximum), InFlight, the
+// outstanding completions, and the starts of follow-up Acquires.
 func TestPipelineMatchesAcquireComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 3000; trial++ {
@@ -69,12 +68,10 @@ func TestPipelineMatchesAcquireComplete(t *testing.T) {
 		if a.InFlight() != b.InFlight() {
 			t.Fatalf("trial %d: InFlight %d / %d", trial, a.InFlight(), b.InFlight())
 		}
-		tLast := t0 + Time(n-1)*dt
-		for p := tLast; p <= got+1; p += 1 + Time(rng.Intn(10)) {
-			if x, y := a.InFlightAt(p), b.InFlightAt(p); x != y {
-				t.Fatalf("trial %d: InFlightAt(%v) = %d / %d (last request at %v)", trial, p, x, y, tLast)
-			}
+		if x, y := a.held(), b.held(); !slices.Equal(x, y) {
+			t.Fatalf("trial %d: outstanding %v / %v", trial, x, y)
 		}
+		tLast := t0 + Time(n-1)*dt
 		for i := 0; i < 20; i++ {
 			tm := tLast + Time(rng.Intn(300))
 			if x, y := a.Acquire(tm), b.Acquire(tm); x != y {

@@ -86,32 +86,23 @@ func (r *Resource) Reset() { r.nextFree, r.busy, r.claims = 0, 0, 0 }
 // time and releases it when the tracked operation completes; when the pool is
 // empty the acquire time is pushed to the earliest release.
 //
-// Internally it keeps the multiset of outstanding completion times; acquiring
-// beyond capacity waits for the earliest completion. This is exact for the
-// in-order issue patterns used throughout the model.
+// The pool keeps the completion times of in-flight operations in a fixed
+// ring, sorted from head. Acquire retires the prefix at or before now and,
+// when every credit is still held, consumes the earliest completion: the
+// new operation starts the instant the old one finishes. Issue is monotone
+// in time for every user in the model, so Complete almost always writes
+// the tail; the rare out-of-order completion shifts later entries up one
+// slot to keep the ring sorted, preserving exact extract-earliest
+// semantics for any call pattern. Every caller pairs Acquire with
+// Complete, so the ring never holds more than capacity entries; a Complete
+// without a matching Acquire (the API allows it) grows the ring.
 type Credits struct {
 	name     string
 	capacity int
-	// outstanding[head:] holds the completion times of in-flight operations
-	// as a sorted ring: issue is monotone in time for every user in the
-	// model, so Complete almost always appends and the retire scan in
-	// Acquire just advances head — O(1) amortized where the previous
-	// min-heap paid a sift per retire. The rare out-of-order completion
-	// binary-inserts to keep the ring sorted, preserving exact
-	// extract-earliest semantics for any call pattern.
-	outstanding []Time
-	head        int
-	// earlyRetired holds completion times that an exhausted Acquire (or
-	// Pipeline step) consumed from the ring before they had actually
-	// expired: the grant `start = q[head]; head++` hands the credit to
-	// the new operation at the instant the old one completes, but the
-	// old operation is still in flight at any earlier instant.
-	// InFlightAt needs those times to answer "how deep is the queue at
-	// now" exactly; the plain InFlight (ring length) cannot see them.
-	// Kept sorted; earlyRetired[retiredHead:] is live, and pruning compacts
-	// the dead prefix only once it dominates (O(1) amortized, like the ring).
-	earlyRetired []Time
-	retiredHead  int
+	// ring[head], ring[head+1], … (mod len(ring)) are the n outstanding
+	// completion times in nondecreasing order.
+	ring    []Time
+	head, n int
 }
 
 // NewCredits returns a pool with the given capacity (> 0).
@@ -119,216 +110,114 @@ func NewCredits(name string, capacity int) *Credits {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: credits %q capacity %d", name, capacity))
 	}
-	// The ring oscillates between capacity and ~2x capacity entries between
-	// reclaims; preallocating that span means steady-state Complete never
-	// grows the backing array.
-	return &Credits{name: name, capacity: capacity, outstanding: make([]Time, 0, 2*capacity+1)}
+	return &Credits{name: name, capacity: capacity, ring: make([]Time, capacity)}
 }
 
 // Name returns the diagnostic name given at construction.
 func (c *Credits) Name() string { return c.name }
 
 // InFlight reports the number of credits currently held (not yet completed
-// relative to the most recent Acquire's start time). Because retirement is
-// lazy — completions leave the ring only when a later Acquire scans past
-// them — this can overcount the operations genuinely outstanding at a
-// given instant; use InFlightAt for an exact point-in-time depth.
-func (c *Credits) InFlight() int { return len(c.outstanding) - c.head }
+// relative to the most recent Acquire's start time). Retirement is lazy —
+// completions leave the ring only when a later Acquire scans past them —
+// so this can overcount the operations genuinely outstanding at a given
+// instant.
+func (c *Credits) InFlight() int { return c.n }
 
-// InFlightAt reports exactly how many operations are still in flight at
-// `now`: completions strictly after now, including those an exhausted
-// Acquire already consumed from the ring (see earlyRetired). It never
-// mutates pool state, so observers may probe at any time — including
-// times earlier than the latest Acquire — without disturbing grant
-// order.
-func (c *Credits) InFlightAt(now Time) int {
-	// Both lists are sorted: count the suffix strictly after now in each.
-	q := c.outstanding[c.head:]
-	lo, hi := 0, len(q)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q[mid] <= now {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	n := len(q) - lo
-	for i := len(c.earlyRetired) - 1; i >= c.retiredHead && c.earlyRetired[i] > now; i-- {
-		n++
-	}
-	return n
-}
-
-// Acquire obtains a credit for an operation that starts at now and completes
-// at completesAt. If the pool is exhausted, the start is delayed to the
-// earliest outstanding completion, and the returned start reflects that. The
-// caller must compute its own completion relative to the returned start and
-// then call Complete with the final completion time.
+// Acquire obtains a credit for an operation requested at now. If the pool
+// is exhausted, the start is delayed to the earliest outstanding
+// completion, and the returned start reflects that. The caller must
+// compute its own completion relative to the returned start and then call
+// Complete with the final completion time.
 func (c *Credits) Acquire(now Time) (start Time) {
-	start = now
-	q := c.outstanding
-	h := c.head
-	// Retire completions that have already finished by `now`: the ring is
-	// sorted, so retiring is advancing head past the prefix <= start.
-	for h < len(q) && q[h] <= start {
-		h++
-	}
-	if len(q)-h >= c.capacity {
-		// Pool exhausted. Every remaining completion is strictly after
-		// `start` (the scan above retired the rest), so the earliest one is
-		// the exact moment a credit frees: service is delayed to it, and
-		// consuming it hands that credit to this operation. The consumed
-		// operation remains observable in flight until then.
-		c.recordEarlyRetire(q[h])
-		start = q[h]
-		h++
-	}
-	c.head = h
-	// Drop early-retired entries at or before the requested time — the
-	// same criterion the ring retire scan uses — keeping the list bounded
-	// by the live window.
-	c.pruneEarlyRetired(now)
-	// Reclaim the retired prefix once it dominates the ring: the live window
-	// is at most `capacity` entries, so this keeps the backing array bounded
-	// by ~2x capacity and the copy cost O(1) amortized per operation.
-	if h >= c.capacity && 2*h >= len(q) {
-		n := copy(q, q[h:])
-		c.outstanding = q[:n]
-		c.head = 0
-	}
+	start, c.head, c.n = c.grant(c.head, c.n, now)
 	return start
 }
 
-// recordEarlyRetire notes that an exhausted grant consumed completion
-// time t from the ring before it expired (see earlyRetired). Consumed
-// minima are non-decreasing under monotone issue, so this is almost
-// always an append; the rare out-of-order case binary-inserts.
-func (c *Credits) recordEarlyRetire(t Time) {
-	q := c.earlyRetired
-	n := len(q)
-	if n == 0 || t >= q[n-1] {
-		c.earlyRetired = append(q, t)
-		return
-	}
-	lo, hi := c.retiredHead, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
+// grant runs Acquire on the ring state (h, n) and returns the start and
+// the new state; Pipeline keeps that state in locals across its steps.
+func (c *Credits) grant(h, n int, now Time) (start Time, _, _ int) {
+	q := c.ring
+	for n > 0 && q[h] <= now {
+		if h++; h == len(q) {
+			h = 0
 		}
+		n--
 	}
-	q = append(q, 0)
-	copy(q[lo+1:], q[lo:])
-	q[lo] = t
-	c.earlyRetired = q
-}
-
-// pruneEarlyRetired drops early-retired completions at or before now.
-func (c *Credits) pruneEarlyRetired(now Time) {
-	q, i := c.earlyRetired, c.retiredHead
-	for i < len(q) && q[i] <= now {
-		i++
+	if n < c.capacity {
+		return now, h, n
 	}
-	if 2*i >= len(q) {
-		n := copy(q, q[i:])
-		q, i = q[:n], 0
+	// Pool exhausted. Every remaining completion is strictly after now (the
+	// scan above retired the rest), so the earliest one is the exact moment
+	// a credit frees: service is delayed to it, and consuming it hands that
+	// credit to this operation.
+	start = q[h]
+	if h++; h == len(q) {
+		h = 0
 	}
-	c.earlyRetired, c.retiredHead = q, i
+	return start, h, n - 1
 }
 
 // Complete records that the operation admitted by a prior Acquire finishes at
 // t, holding its credit until then.
 func (c *Credits) Complete(t Time) {
-	if c.head == len(c.outstanding) {
-		// Ring empty: restart it at the front, recycling the backing array.
-		c.outstanding = c.outstanding[:0]
-		c.head = 0
+	if c.n == len(c.ring) {
+		// More completions than grants: unwrap into a ring twice the size.
+		g := make([]Time, 2*len(c.ring))
+		copy(g[copy(g, c.ring[c.head:]):], c.ring[:c.head])
+		c.ring, c.head = g, 0
 	}
-	q := c.outstanding
-	n := len(q)
-	if n == 0 || t >= q[n-1] {
-		c.outstanding = append(q, t)
-		return
+	c.n = insert(c.ring, c.head, c.n, t)
+}
+
+// insert writes t into the sorted ring q of n entries from head (n <
+// len(q)) and returns the new count. The slot after the tail takes t
+// directly when t is not earlier than the tail, the in-order case every
+// model caller produces; otherwise later entries move up one slot.
+func insert(q []Time, head, n int, t Time) int {
+	i := head + n
+	if i >= len(q) {
+		i -= len(q)
 	}
-	// Out-of-order completion (no current caller issues one, but the API
-	// allows it): binary-insert within the live window to keep the ring
-	// sorted.
-	lo, hi := c.head, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for k := n; k > 0; k-- {
+		j := i - 1
+		if j < 0 {
+			j = len(q) - 1
 		}
+		if q[j] <= t {
+			break
+		}
+		q[i] = q[j]
+		i = j
 	}
-	q = append(q, 0)
-	copy(q[lo+1:], q[lo:])
-	q[lo] = t
-	c.outstanding = q
+	q[i] = t
+	return n + 1
 }
 
 // Pipeline admits n operations whose request times step from t0 by dt
 // (dt >= 0), each holding a credit for service time svc: operation i starts
 // at Acquire(t0+i*dt) and completes svc later. It returns the final
-// completion time and runs the ring recurrence in one call with the state in
-// locals — the primitive block transfers use to batch a run of identical
-// line requests. It is equivalent to n sequential Acquire/Complete pairs in
-// every grant and completion, in InFlight, and in InFlightAt(p) for any p at
-// or after the last request time t0+(n-1)*dt. Pipeline prunes early-retired
-// completions only on exhausted steps, so InFlightAt at an earlier probe may
-// count completions the pairwise sequence had already pruned (never fewer).
+// completion time and runs the ring recurrence in one call with the ring
+// state in locals — the primitive block transfers use to batch a run of
+// identical line requests. It is equivalent to n sequential
+// Acquire/Complete pairs in every grant, every completion and InFlight.
 func (c *Credits) Pipeline(t0, dt, svc Time, n int) (lastDone Time) {
 	if dt < 0 || n <= 0 {
 		panic(fmt.Sprintf("sim: credits %q pipeline dt %v, n %d", c.name, dt, n))
 	}
-	q, h := c.outstanding, c.head
-	t := t0
-	for i := 0; i < n; i++ {
-		for h < len(q) && q[h] <= t {
-			h++
-		}
-		start := t
-		if len(q)-h >= c.capacity {
-			c.pruneEarlyRetired(t)
-			c.recordEarlyRetire(q[h])
-			start = q[h]
-			h++
-		}
-		done := start + svc
-		if h == len(q) {
-			q, h = q[:0], 0
-		} else if last := len(q) - 1; done < q[last] {
-			// Completions already outstanding finish later than this one
-			// (possible only when mixed with callers using a larger svc):
-			// fall back to the general insert to keep the ring sorted.
-			c.outstanding, c.head = q, h
-			c.Complete(done)
-			q, h = c.outstanding, c.head
-			t += dt
-			lastDone = done
-			continue
-		}
-		q = append(q, done)
-		// Same bounded-ring reclaim as Acquire.
-		if h >= c.capacity && 2*h >= len(q) {
-			m := copy(q, q[h:])
-			q, h = q[:m], 0
-		}
+	h, m := c.head, c.n
+	for t := t0; n > 0; n-- {
+		var start Time
+		start, h, m = c.grant(h, m, t)
+		// A credit is free, so the ring has a slot for the completion; it
+		// lands at the tail unless outstanding completions from callers
+		// with a larger svc finish later.
+		lastDone = start + svc
+		m = insert(c.ring, h, m, lastDone)
 		t += dt
-		lastDone = done
 	}
-	c.outstanding, c.head = q, h
+	c.head, c.n = h, m
 	return lastDone
 }
 
 // Reset empties the pool accounting.
-func (c *Credits) Reset() {
-	c.outstanding = c.outstanding[:0]
-	c.head = 0
-	c.earlyRetired = c.earlyRetired[:0]
-	c.retiredHead = 0
-}
+func (c *Credits) Reset() { c.head, c.n = 0, 0 }
