@@ -38,7 +38,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	var rows []experiments.Fig3Row
 	for i := 0; i < b.N; i++ {
-		rows = runRows[experiments.Fig3Row](experiments.Fig3Jobs(experiments.Fig3Config{Reps: benchReps}))
+		rows = runRows[experiments.Fig3Row](experiments.Fig3Jobs(benchReps))
 	}
 	cs := experiments.Fig3Find(rows, "CS-rd", true, true)
 	ld := experiments.Fig3Find(rows, "ld", false, true)
@@ -115,7 +115,7 @@ func BenchmarkClusterScale(b *testing.B) {
 // traffic library as the suite exercises it.
 func BenchmarkWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := runRows[experiments.WorkloadRow](experiments.WorkloadJobs(experiments.WorkloadConfig{Reps: 1000}))
+		rows := runRows[experiments.WorkloadRow](experiments.WorkloadJobs(1000))
 		if len(rows) != 7 {
 			b.Fatalf("workload section has %d rows, want 7", len(rows))
 		}
@@ -125,7 +125,7 @@ func BenchmarkWorkload(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	var rows []experiments.Fig4Row
 	for i := 0; i < b.N; i++ {
-		rows = runRows[experiments.Fig4Row](experiments.Fig4Jobs(experiments.Fig4Config{Reps: benchReps}))
+		rows = runRows[experiments.Fig4Row](experiments.Fig4Jobs(benchReps))
 	}
 	hb := experiments.Fig4Find(rows, "CO-wr", false, true, false)
 	db := experiments.Fig4Find(rows, "CO-wr", false, true, true)
@@ -135,7 +135,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	var rows []experiments.Fig5Row
 	for i := 0; i < b.N; i++ {
-		rows = runRows[experiments.Fig5Row](experiments.Fig5Jobs(experiments.Fig5Config{Reps: benchReps}))
+		rows = runRows[experiments.Fig5Row](experiments.Fig5Jobs(benchReps))
 	}
 	t2 := experiments.Fig5Find(rows, cxl.Ld, experiments.CaseT2Miss)
 	t3 := experiments.Fig5Find(rows, cxl.Ld, experiments.CaseT3)

@@ -8,7 +8,9 @@
 // Experiments run as self-contained jobs over a shared-nothing worker
 // pool (-parallel, default GOMAXPROCS workers); per-job seeds derive from
 // -seed and the job ID, so output is byte-identical for any worker count.
-// Per-job wall-clock and sim-event-rate stats print to stderr at the end.
+// Per-job wall-clock and sim-event-rate stats print to stderr at the end;
+// only jobs that run an event engine (the cluster scenarios) report
+// events.
 //
 // Usage:
 //

@@ -8,7 +8,8 @@
 // pool (-parallel, default GOMAXPROCS workers); per-job seeds derive from
 // -seed and the job ID, so the report is byte-identical for any worker
 // count. Per-job wall-clock and sim-event-rate stats print to stderr at
-// the end.
+// the end; only jobs that run an event engine (the cluster scenarios and
+// the Fig. 8 co-simulations) report events.
 //
 // Usage:
 //

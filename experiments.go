@@ -33,8 +33,9 @@ func PrintTable4(w io.Writer, rows []Table4Row) { experiments.PrintTable4(w, row
 // Fig8Row is one bar of Fig. 8 (Redis p99 under kernel-feature variants).
 type Fig8Row = experiments.Fig8Row
 
-// Fig8Config tunes the co-simulation (zero values take calibrated
-// defaults: 300 ms horizon, 60k ops/s).
+// Fig8Config tunes the co-simulation (zero values take the calibrated
+// 300 ms horizon and seed). The request rate is not a knob: every run
+// offers the calibrated 60k ops/s.
 type Fig8Config = experiments.Fig8Config
 
 // RunFig8 runs one feature ("zswap" or "ksm") across the baseline and all

@@ -541,84 +541,6 @@ func TestType3HasNoCaches(t *testing.T) {
 	}
 }
 
-func TestAccelCompressRoundTrip(t *testing.T) {
-	p := timing.Default()
-	a := NewAccel(p)
-	page := bytes.Repeat([]byte("cxl-zswap!"), 410)[:4096]
-	comp, done1 := a.Compress(page, 0)
-	if len(comp) >= len(page) {
-		t.Fatalf("compressible page grew: %d", len(comp))
-	}
-	out, done2, err := a.Decompress(comp, 4096, done1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, page) {
-		t.Fatal("accel round trip mismatch")
-	}
-	if done2 <= done1 || done1 <= 0 {
-		t.Fatal("accel must consume time")
-	}
-	// The IP is 1.8–2.8× faster than the host CPU for a 4 KB page (§VI-A).
-	speedup := float64(p.SW.HostCompress4K) / float64(done1)
-	if speedup < 1.8 || speedup > 2.8 {
-		t.Fatalf("compress IP speedup = %.2f", speedup)
-	}
-}
-
-func TestAccelHashMatchesSoftware(t *testing.T) {
-	p := timing.Default()
-	a := NewAccel(p)
-	page := bytes.Repeat([]byte{0x5C}, 4096)
-	h1, done := a.Hash(page, 0)
-	if done <= 0 {
-		t.Fatal("hash must take time")
-	}
-	h2, _ := a.Hash(page, done)
-	if h1 != h2 {
-		t.Fatal("hash not deterministic")
-	}
-}
-
-func TestAccelCompareEarlyOut(t *testing.T) {
-	p := timing.Default()
-	a := NewAccel(p)
-	x := make([]byte, 4096)
-	y := make([]byte, 4096)
-	idx, dEq := a.Compare(x, y, 0)
-	if idx != 4096 {
-		t.Fatalf("equal pages: idx = %d", idx)
-	}
-	y[10] = 1
-	aFresh := NewAccel(p) // fresh engine: the shared one queues calls
-	idx, dNeq := aFresh.Compare(x, y, 0)
-	if idx != 10 {
-		t.Fatalf("first diff = %d", idx)
-	}
-	// Early-out must be cheaper than the full comparison.
-	if dNeq >= dEq {
-		t.Fatalf("early-out compare (%v) should beat full compare (%v)", dNeq, dEq)
-	}
-}
-
-func TestAccelEngineSerializes(t *testing.T) {
-	p := timing.Default()
-	a := NewAccel(p)
-	page := make([]byte, 4096)
-	_, d1 := a.Compress(page, 0)
-	_, d2 := a.Compress(page, 0) // queued behind the first
-	if d2 < 2*d1-sim.Nanosecond {
-		t.Fatalf("second compression at %v should queue behind first at %v", d2, d1)
-	}
-}
-
-func TestAccelDecompressCorrupt(t *testing.T) {
-	a := NewAccel(timing.Default())
-	if _, _, err := a.Decompress([]byte{0xF0}, 64, 0); err == nil {
-		t.Fatal("corrupt input must error")
-	}
-}
-
 func TestBiasModeString(t *testing.T) {
 	if HostBias.String() != "host-bias" || DeviceBias.String() != "device-bias" {
 		t.Fatal("BiasMode names wrong")

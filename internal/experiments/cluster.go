@@ -20,20 +20,6 @@ import (
 // traffic that explains it: with ample local pools the fabric is silent;
 // oversubscribed, the switch egress toward the expander queues visibly.
 
-// ClusterConfig tunes the cluster section.
-type ClusterConfig struct {
-	// Reps scales the request count (Requests = Reps/2, clamped to
-	// [12, 96]); 0 keeps the default of 48 requests per scenario.
-	Reps int
-	// Seed overrides the workload seed; 0 uses the section seed
-	// rng.DeriveSeed(root seed, "cluster").
-	Seed int64
-}
-
-func (c ClusterConfig) requests() int {
-	return InferConfig{Reps: c.Reps}.requests()
-}
-
 // clusterRate is the arrival rate every scenario serves: high enough
 // that replicas queue and batches fill — contention is the object of
 // study, and an idle cluster shows none.
@@ -161,14 +147,15 @@ func clusterRow(sc ClusterScenario, requests int, seed int64) (ClusterRow, uint6
 // ClusterJobs returns one job per scenario, ID "cluster/<scenario>".
 // Every scenario must serve the same request stream for the sweep to
 // compare like with like, so each job uses the section seed
-// rng.DeriveSeed(root, "cluster"). Scenarios carry router constructors,
-// not routers, so the list can be built once and run many times.
-func ClusterJobs(cfg ClusterConfig) []runner.Job {
-	requests := cfg.requests()
+// rng.DeriveSeed(root, "cluster"). reps scales the request count as in
+// the infer section. Scenarios carry router constructors, not routers, so
+// the list can be built once and run many times.
+func ClusterJobs(reps int) []runner.Job {
+	requests := servingRequests(reps)
 	var jobs []runner.Job
 	for _, sc := range ClusterScenarios() {
 		jobs = append(jobs, runner.Job{ID: "cluster/" + sc.Name, Run: func(ctx *runner.Ctx) (any, error) {
-			row, events := clusterRow(sc, requests, sectionSeed(ctx, "cluster", cfg.Seed))
+			row, events := clusterRow(sc, requests, sectionSeed(ctx, "cluster"))
 			ctx.AddEvents(events)
 			return []ClusterRow{row}, nil
 		}})

@@ -12,14 +12,12 @@ import (
 
 // quick lowers repetition counts: the model is deterministic, so medians
 // converge immediately; the paper's 1K repetitions matter on real hardware.
-var quick3 = Fig3Config{Reps: 120}
-var quick4 = Fig4Config{Reps: 120}
-var quick5 = Fig5Config{Reps: 120}
+const quickReps = 120
 
 // ---------- Fig. 3 ----------
 
 func TestFig3LatencyRatios(t *testing.T) {
-	rows := runRows[Fig3Row](Fig3Jobs(quick3))
+	rows := runRows[Fig3Row](Fig3Jobs(quickReps))
 	cases := []struct {
 		trueLbl, emuLbl string
 		llcHit          bool
@@ -46,7 +44,7 @@ func TestFig3LatencyRatios(t *testing.T) {
 }
 
 func TestFig3BandwidthRelations(t *testing.T) {
-	rows := runRows[Fig3Row](Fig3Jobs(quick3))
+	rows := runRows[Fig3Row](Fig3Jobs(quickReps))
 	// §V-A: CXL reads beat emulated reads by ~1.8–2.2× when latency is
 	// comparable (LLC-0). Our model lands at 1.67–2.2 (see EXPERIMENTS.md).
 	cs := Fig3Find(rows, "CS-rd", true, false)
@@ -77,7 +75,7 @@ func TestFig3BandwidthRelations(t *testing.T) {
 // ---------- Fig. 4 ----------
 
 func TestFig4BiasModes(t *testing.T) {
-	rows := runRows[Fig4Row](Fig4Jobs(quick4))
+	rows := runRows[Fig4Row](Fig4Jobs(quickReps))
 	// Writes hitting DMC: device-bias ~60 % lower latency (§V-B).
 	for _, wr := range []string{"NC-wr", "CO-wr"} {
 		hb := Fig4Find(rows, wr, false, true, false)
@@ -118,7 +116,7 @@ func TestFig4BiasModes(t *testing.T) {
 // ---------- Fig. 5 ----------
 
 func TestFig5TypePenalties(t *testing.T) {
-	rows := runRows[Fig5Row](Fig5Jobs(quick5))
+	rows := runRows[Fig5Row](Fig5Jobs(quickReps))
 	for _, op := range []cxl.HostOp{cxl.Ld, cxl.NtLd, cxl.St, cxl.NtSt} {
 		t2 := Fig5Find(rows, op, CaseT2Miss)
 		t3 := Fig5Find(rows, op, CaseT3)
@@ -148,7 +146,7 @@ func TestFig5TypePenalties(t *testing.T) {
 }
 
 func TestFig5NCPInsight4(t *testing.T) {
-	rows := runRows[Fig5Row](Fig5Jobs(quick5))
+	rows := runRows[Fig5Row](Fig5Jobs(quickReps))
 	for _, op := range []cxl.HostOp{cxl.Ld, cxl.St} {
 		push := Fig5Find(rows, op, CaseT2Pushed)
 		miss := Fig5Find(rows, op, CaseT2Miss)
@@ -164,7 +162,7 @@ func TestFig5NCPInsight4(t *testing.T) {
 }
 
 func TestFig5NtStBandwidthDominance(t *testing.T) {
-	rows := runRows[Fig5Row](Fig5Jobs(quick5))
+	rows := runRows[Fig5Row](Fig5Jobs(quickReps))
 	ntst := Fig5Find(rows, cxl.NtSt, CaseT2Miss).BandwidthGBs
 	ratios := map[string]float64{
 		"nt-ld": ntst / Fig5Find(rows, cxl.NtLd, CaseT2Miss).BandwidthGBs, // paper 12.2
@@ -396,9 +394,9 @@ func TestFig8KsmShape(t *testing.T) {
 
 func TestPrintersDoNotPanic(t *testing.T) {
 	var sb strings.Builder
-	printFig3(&sb, runRows[Fig3Row](Fig3Jobs(Fig3Config{Reps: 4, Burst: 4})))
-	printFig4(&sb, runRows[Fig4Row](Fig4Jobs(Fig4Config{Reps: 4, Burst: 64})))
-	printFig5(&sb, runRows[Fig5Row](Fig5Jobs(Fig5Config{Reps: 4, Burst: 4})))
+	printFig3(&sb, runRows[Fig3Row](Fig3Jobs(4)))
+	printFig4(&sb, runRows[Fig4Row](Fig4Jobs(4)))
+	printFig5(&sb, runRows[Fig5Row](Fig5Jobs(4)))
 	printFig6(&sb, runRows[Fig6Row](Fig6Jobs()))
 	PrintTable3(&sb, runRows[Table3Row](Table3Jobs()))
 	PrintTable4(&sb, runRows[Table4Row](Table4Jobs()))
@@ -414,8 +412,8 @@ func TestPrintersDoNotPanic(t *testing.T) {
 // TestDeterminism: identical configurations reproduce identical rows — the
 // property that makes the recorded EXPERIMENTS.md numbers exact.
 func TestDeterminism(t *testing.T) {
-	a := runRows[Fig3Row](Fig3Jobs(Fig3Config{Reps: 40}))
-	b := runRows[Fig3Row](Fig3Jobs(Fig3Config{Reps: 40}))
+	a := runRows[Fig3Row](Fig3Jobs(40))
+	b := runRows[Fig3Row](Fig3Jobs(40))
 	if len(a) != len(b) {
 		t.Fatal("row counts differ")
 	}

@@ -29,24 +29,6 @@ type Fig3Row struct {
 	BandwidthGBs float64
 }
 
-// Fig3Config tunes the experiment; zero values take the paper's settings.
-type Fig3Config struct {
-	// Reps is the repetition count (paper: >= 1000).
-	Reps int
-	// Burst is the number of back-to-back accesses in the bandwidth
-	// measurement (paper: 16 × 64 B).
-	Burst int
-}
-
-func (c *Fig3Config) setDefaults() {
-	if c.Reps == 0 {
-		c.Reps = 1000
-	}
-	if c.Burst == 0 {
-		c.Burst = 16
-	}
-}
-
 // trueD2HOps pairs the paper's D2H hints with their emulated host ops.
 var trueD2HOps = []struct {
 	req cxl.D2HReq
@@ -63,9 +45,10 @@ var trueD2HOps = []struct {
 // device LSU versus nt-ld/ld/nt-st/st issued by a remote-socket core, each
 // against LLC-resident (LLC-1) and LLC-absent (LLC-0) lines. It returns one
 // self-contained job per cell, in presentation order; each job builds its
-// own rig, so jobs are shared-nothing.
-func Fig3Jobs(cfg Fig3Config) []runner.Job {
-	cfg.setDefaults()
+// own rig, so jobs are shared-nothing. reps is the repetition count (0
+// takes the paper's 1000).
+func Fig3Jobs(reps int) []runner.Job {
+	reps = orPaperReps(reps)
 	var jobs []runner.Job
 	for _, llcHit := range []bool{true, false} {
 		llc := "LLC-0"
@@ -75,10 +58,10 @@ func Fig3Jobs(cfg Fig3Config) []runner.Job {
 		for _, pair := range trueD2HOps {
 			req, op, hit := pair.req, pair.op, llcHit
 			jobs = append(jobs,
-				cellJob(fmt.Sprintf("fig3/%s/%s", llc, req), cfg.Reps+cfg.Burst,
-					func() Fig3Row { return measureTrueD2H(req, hit, cfg) }),
-				cellJob(fmt.Sprintf("fig3/%s/%s", llc, op), cfg.Reps+cfg.Burst,
-					func() Fig3Row { return measureEmuD2H(op, hit, cfg) }))
+				cellJob(fmt.Sprintf("fig3/%s/%s", llc, req),
+					func() Fig3Row { return measureTrueD2H(req, hit, reps) }),
+				cellJob(fmt.Sprintf("fig3/%s/%s", llc, op),
+					func() Fig3Row { return measureEmuD2H(op, hit, reps) }))
 		}
 	}
 	return jobs
@@ -95,11 +78,11 @@ func primeLLC(r *Rig, addr phys.Addr, hit bool) {
 	}
 }
 
-func measureTrueD2H(req cxl.D2HReq, llcHit bool, cfg Fig3Config) Fig3Row {
+func measureTrueD2H(req cxl.D2HReq, llcHit bool, reps int) Fig3Row {
 	r := NewRig(cxl.Type2)
 	row := Fig3Row{Label: req.String(), True: true, LLCHit: llcHit}
 	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: cfg.Reps, Burst: cfg.Burst,
+		Reps: reps, Burst: paperBurst,
 		Line:  r.hostLine,
 		Prime: func(addr phys.Addr) { primeLLC(r, addr, llcHit) },
 		Reset: r.Host.ResetTiming,
@@ -111,11 +94,11 @@ func measureTrueD2H(req cxl.D2HReq, llcHit bool, cfg Fig3Config) Fig3Row {
 	return row
 }
 
-func measureEmuD2H(op cxl.HostOp, llcHit bool, cfg Fig3Config) Fig3Row {
+func measureEmuD2H(op cxl.HostOp, llcHit bool, reps int) Fig3Row {
 	r := NewRig(cxl.Type2)
 	row := Fig3Row{Label: op.String(), LLCHit: llcHit}
 	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: cfg.Reps, Burst: cfg.Burst,
+		Reps: reps, Burst: paperBurst,
 		Line:  r.hostLine,
 		Prime: func(addr phys.Addr) { primeLLC(r, addr, llcHit) },
 		Reset: func() {

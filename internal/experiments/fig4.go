@@ -23,29 +23,17 @@ type Fig4Row struct {
 	BandwidthGBs float64
 }
 
-// Fig4Config tunes the experiment.
-type Fig4Config struct {
-	Reps  int
-	Burst int
-}
-
-func (c *Fig4Config) setDefaults() {
-	if c.Reps == 0 {
-		c.Reps = 1000
-	}
-	if c.Burst == 0 {
-		// D2D bandwidth is measured in steady state over a stream that
-		// still fits the 512-line DMC, so DMC-1 cases stay hits.
-		c.Burst = 480
-	}
-}
+// fig4Burst is the bandwidth stream's length: D2D bandwidth is measured
+// in steady state over a stream that still fits the 512-line DMC, so
+// DMC-1 cases stay hits.
+const fig4Burst = 480
 
 // Fig4Jobs measures D2D accesses in host- and device-bias modes against
 // DMC hits and misses, alongside the NUMA-emulated equivalents: one
-// self-contained job per Fig. 4 cell, in presentation order.
-func Fig4Jobs(cfg Fig4Config) []runner.Job {
-	cfg.setDefaults()
-	ops := cfg.Reps + cfg.Burst
+// self-contained job per Fig. 4 cell, in presentation order. reps is the
+// repetition count (0 takes the paper's 1000).
+func Fig4Jobs(reps int) []runner.Job {
+	reps = orPaperReps(reps)
 	var jobs []runner.Job
 	for _, dmcHit := range []bool{true, false} {
 		dmc := "DMC-0"
@@ -59,11 +47,11 @@ func Fig4Jobs(cfg Fig4Config) []runner.Job {
 				if devBias {
 					bias = "device-bias"
 				}
-				jobs = append(jobs, cellJob(fmt.Sprintf("fig4/%s/%s/%s", dmc, req, bias), ops,
-					func() Fig4Row { return measureD2D(req, hit, db, cfg) }))
+				jobs = append(jobs, cellJob(fmt.Sprintf("fig4/%s/%s/%s", dmc, req, bias),
+					func() Fig4Row { return measureD2D(req, hit, db, reps) }))
 			}
-			jobs = append(jobs, cellJob(fmt.Sprintf("fig4/%s/%s", dmc, op), ops,
-				func() Fig4Row { return measureEmuD2D(op, hit, cfg) }))
+			jobs = append(jobs, cellJob(fmt.Sprintf("fig4/%s/%s", dmc, op),
+				func() Fig4Row { return measureEmuD2D(op, hit, reps) }))
 		}
 	}
 	return jobs
@@ -79,16 +67,16 @@ func primeDMC(r *Rig, addr phys.Addr, hit bool) {
 	}
 }
 
-// The Fig. 4 cells measure steady-state bandwidth: the first Burst/8
+// The Fig. 4 cells measure steady-state bandwidth: the first fig4Burst/8
 // accesses fill the pipeline and are not counted (Probe.Warm).
-func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, cfg Fig4Config) Fig4Row {
+func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, reps int) Fig4Row {
 	r := NewRig(cxl.Type2)
 	if devBias {
 		r.Dev.EnterDeviceBias(phys.Range{Base: r.devLine(0) &^ 0xFFFFFFF, Size: 1 << 28}, 0)
 	}
 	row := Fig4Row{Label: req.String(), DMCHit: dmcHit, DeviceBias: devBias}
 	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: cfg.Reps, Burst: cfg.Burst, Warm: cfg.Burst / 8,
+		Reps: reps, Burst: fig4Burst, Warm: fig4Burst / 8,
 		Line:  r.devLine,
 		Prime: func(addr phys.Addr) { primeDMC(r, addr, dmcHit) },
 		Reset: r.Host.ResetTiming,
@@ -103,11 +91,11 @@ func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, cfg Fig4Config) Fig4Row {
 // measureEmuD2D times the local core whose L1 stands in for DMC; its
 // placement is a flag of the access, so lines are neither primed nor
 // addressed.
-func measureEmuD2D(op cxl.HostOp, dmcHit bool, cfg Fig4Config) Fig4Row {
+func measureEmuD2D(op cxl.HostOp, dmcHit bool, reps int) Fig4Row {
 	r := NewRig(cxl.Type2)
 	row := Fig4Row{Label: op.String(), Emulated: true, DMCHit: dmcHit}
 	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: cfg.Reps, Burst: cfg.Burst, Warm: cfg.Burst / 8,
+		Reps: reps, Burst: fig4Burst, Warm: fig4Burst / 8,
 		Line:  r.devLine,
 		Reset: r.Emu.ResetTiming,
 		Access: func(phys.Addr) (sim.Time, sim.Time) {

@@ -59,33 +59,18 @@ type Fig5Row struct {
 	BandwidthGBs float64
 }
 
-// Fig5Config tunes the experiment.
-type Fig5Config struct {
-	Reps  int
-	Burst int
-}
-
-func (c *Fig5Config) setDefaults() {
-	if c.Reps == 0 {
-		c.Reps = 1000
-	}
-	if c.Burst == 0 {
-		c.Burst = 16
-	}
-}
-
 // Fig5Jobs measures H2D accesses (host core ld/nt-ld/st/nt-st to device
 // memory) across device personalities and DMC states: one self-contained
-// job per Fig. 5 cell, in presentation order.
-func Fig5Jobs(cfg Fig5Config) []runner.Job {
-	cfg.setDefaults()
-	ops := cfg.Reps + cfg.Burst
+// job per Fig. 5 cell, in presentation order. reps is the repetition
+// count (0 takes the paper's 1000).
+func Fig5Jobs(reps int) []runner.Job {
+	reps = orPaperReps(reps)
 	var jobs []runner.Job
 	for _, op := range []cxl.HostOp{cxl.Ld, cxl.NtLd, cxl.St, cxl.NtSt} {
 		for _, cs := range Fig5Cases() {
 			op, cs := op, cs
-			jobs = append(jobs, cellJob(fmt.Sprintf("fig5/%s/%s", op, cs), ops,
-				func() Fig5Row { return measureH2D(op, cs, cfg) }))
+			jobs = append(jobs, cellJob(fmt.Sprintf("fig5/%s/%s", op, cs),
+				func() Fig5Row { return measureH2D(op, cs, reps) }))
 		}
 	}
 	return jobs
@@ -117,12 +102,12 @@ func primeFig5(r *Rig, cs Fig5Case, addr phys.Addr) {
 	}
 }
 
-func measureH2D(op cxl.HostOp, cs Fig5Case, cfg Fig5Config) Fig5Row {
+func measureH2D(op cxl.HostOp, cs Fig5Case, reps int) Fig5Row {
 	r := fig5Rig(cs)
 	core := r.Host.Core(0)
 	row := Fig5Row{Op: op, Case: cs}
 	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: cfg.Reps, Burst: cfg.Burst,
+		Reps: reps, Burst: paperBurst,
 		Line:  r.devLine,
 		Prime: func(addr phys.Addr) { primeFig5(r, cs, addr) },
 		Reset: r.Host.ResetTiming,

@@ -88,7 +88,7 @@ func Fig6Jobs() []runner.Job {
 				continue // DSA is a host-side engine
 			}
 			mech, d2h := mech, d2h
-			jobs = append(jobs, sliceJob(fmt.Sprintf("fig6/%s/%s", dir, mech), len(Fig6Sizes()),
+			jobs = append(jobs, sliceJob(fmt.Sprintf("fig6/%s/%s", dir, mech),
 				func() []Fig6Row {
 					var rows []Fig6Row
 					for _, size := range Fig6Sizes() {

@@ -66,13 +66,14 @@ type Fig8Row struct {
 	VerifyOK bool
 }
 
+// fig8Rate is the calibrated aggregate request rate over all servers.
+const fig8Rate = 60_000
+
 // Fig8Config shapes the co-simulation; zero values take calibrated
 // defaults.
 type Fig8Config struct {
 	Duration sim.Time
 	Seed     int64
-	// RatePerSec is the aggregate request rate over all servers.
-	RatePerSec float64
 	// Zipfian switches the key distribution from the paper's uniform to
 	// YCSB's zipfian chooser — an extension beyond the paper: skew keeps
 	// the hot set resident, so reclaim falls on cold pages and tails
@@ -96,9 +97,6 @@ func (c *Fig8Config) setDefaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.RatePerSec == 0 {
-		c.RatePerSec = 60_000
 	}
 }
 
@@ -220,7 +218,7 @@ func fig8ZswapDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig
 	}
 
 	gen := ycsb.MustNewGenerator(w, cfg.dist(), uint64(scfg.Records), cfg.Seed)
-	lg := kvs.NewLoadGen(eng, servers, gen, cfg.RatePerSec, cfg.Seed+seedOffFig8LoadGen)
+	lg := kvs.NewLoadGen(eng, servers, gen, fig8Rate, cfg.Seed+seedOffFig8LoadGen)
 	lg.Start()
 	// Requests complete synchronously within their arrival event, so the
 	// horizon is exact; the daemons (kswapd, antagonist) would reschedule
@@ -392,7 +390,7 @@ func fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8D
 	churn.Schedule(churnStep)
 
 	gen := ycsb.MustNewGenerator(w, cfg.dist(), uint64(scfg.Records), cfg.Seed)
-	lg := kvs.NewLoadGen(eng, servers, gen, cfg.RatePerSec, cfg.Seed+seedOffFig8LoadGen)
+	lg := kvs.NewLoadGen(eng, servers, gen, fig8Rate, cfg.Seed+seedOffFig8LoadGen)
 	lg.Start()
 	eng.RunUntil(cfg.Duration)
 	lg.Stop()

@@ -34,18 +34,13 @@ type InferConfig struct {
 	Trace *workload.Trace
 }
 
-func (c InferConfig) requests() int {
-	if c.Reps == 0 {
+// servingRequests is the per-scenario request count of the infer and
+// cluster sections: reps/2 clamped to [12, 96], or 48 when reps is 0.
+func servingRequests(reps int) int {
+	if reps == 0 {
 		return 48
 	}
-	n := c.Reps / 2
-	if n < 12 {
-		n = 12
-	}
-	if n > 96 {
-		n = 96
-	}
-	return n
+	return min(max(reps/2, 12), 96)
 }
 
 // InferScenario is one placement scenario of the section.
@@ -130,14 +125,15 @@ func inferRow(sc InferScenario, requests int, seed int64, trace *workload.Trace)
 // Scenarios hold only stateless policies, so the list can be built once
 // and run many times.
 func InferJobs(cfg InferConfig) []runner.Job {
-	requests := cfg.requests()
-	// Rough event credit per scenario: tokens × resident blocks × lines.
-	perScenario := requests * 30 * 5 * 16
+	requests := servingRequests(cfg.Reps)
 	var jobs []runner.Job
 	for _, sc := range InferScenarios() {
 		jobs = append(jobs, runner.Job{ID: "infer/" + sc.Name, Run: func(ctx *runner.Ctx) (any, error) {
-			ctx.AddEvents(uint64(perScenario))
-			return []InferRow{inferRow(sc, requests, sectionSeed(ctx, "infer", cfg.Seed), cfg.Trace)}, nil
+			seed := cfg.Seed
+			if seed == 0 {
+				seed = sectionSeed(ctx, "infer")
+			}
+			return []InferRow{inferRow(sc, requests, seed, cfg.Trace)}, nil
 		}})
 	}
 	return jobs
@@ -158,7 +154,7 @@ func InferTrace(rootSeed int64, cfg InferConfig) *workload.Trace {
 		}
 		seed = rng.DeriveSeed(rootSeed, "infer")
 	}
-	return infer.GenTrace(infer.Config{Seed: seed, Requests: cfg.requests()})
+	return infer.GenTrace(infer.Config{Seed: seed, Requests: servingRequests(cfg.Reps)})
 }
 
 // CheckInferTrace reports whether every placement scenario of the section

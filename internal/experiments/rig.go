@@ -48,6 +48,22 @@ func NewRig(devType cxl.DeviceType) *Rig {
 	return &Rig{P: f.Params(), Host: h, Dev: h.Dev, Emu: h.NewEmuCore()}
 }
 
+// paperReps is the §V repetition count (the paper: >= 1000), taken by
+// the Fig. 3–5 sections when reps is 0.
+const paperReps = 1000
+
+// orPaperReps returns reps, or paperReps when reps is 0.
+func orPaperReps(reps int) int {
+	if reps == 0 {
+		return paperReps
+	}
+	return reps
+}
+
+// paperBurst is the number of back-to-back accesses in a Fig. 3 or
+// Fig. 5 bandwidth measurement (paper: 16 × 64 B).
+const paperBurst = 16
+
 // Probe is the paper's §V measurement loop, shared by the Fig. 3–5 cells
 // and the public System.Measure* API. Latency: Reps times, prime a fresh
 // line, reset timing and time one access; the median and standard

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/runner"
@@ -101,6 +102,29 @@ func TestJobGroupsMatchSectionNames(t *testing.T) {
 			if js.Group != sec.Name {
 				t.Errorf("section %s: job %q groups as %q", sec.Name, js.ID, js.Group)
 			}
+		}
+	}
+}
+
+// TestOnlyEngineJobsCountEvents: a job's Events is the count of events an
+// engine dispatched, never an estimate. Of the built sections only the
+// cluster scenarios run an engine, so every cluster job must record a
+// positive count and every other job none.
+func TestOnlyEngineJobsCountEvents(t *testing.T) {
+	var jobs []runner.Job
+	for _, sec := range Sections(SectionOptions{Reps: 4}) {
+		jobs = append(jobs, sec.Jobs...)
+	}
+	for _, r := range runner.Run(jobs, runner.Options{Workers: 1}) {
+		if r.Err != nil {
+			t.Fatalf("job %s: %v", r.ID, r.Err)
+		}
+		engine := strings.HasPrefix(r.ID, "cluster/")
+		if engine && r.Events == 0 {
+			t.Errorf("job %s recorded no events", r.ID)
+		}
+		if !engine && r.Events != 0 {
+			t.Errorf("job %s recorded %d estimated events, want 0", r.ID, r.Events)
 		}
 	}
 }

@@ -17,34 +17,27 @@ import (
 // seed.
 
 // cellJob wraps one measurement cell as a runner job: the cell returns one
-// typed row; ops is the simulated access count credited to the event-rate
-// stat (the microbenchmark rigs have no central event queue, so accesses
-// are the honest unit). Cells draw no per-job randomness, so they take
-// no seed.
-func cellJob[T any](id string, ops int, cell func() T) runner.Job {
-	return runner.Job{ID: id, Run: func(ctx *runner.Ctx) (any, error) {
-		ctx.AddEvents(uint64(ops))
+// typed row. The microbenchmark rigs have no event engine, so the job
+// records no events. Cells draw no per-job randomness, so they take no
+// seed.
+func cellJob[T any](id string, cell func() T) runner.Job {
+	return runner.Job{ID: id, Run: func(*runner.Ctx) (any, error) {
 		return []T{cell()}, nil
 	}}
 }
 
 // sliceJob wraps a cell producing several rows at once (e.g. one Fig. 6
 // mechanism across all sizes).
-func sliceJob[T any](id string, ops int, cell func() []T) runner.Job {
-	return runner.Job{ID: id, Run: func(ctx *runner.Ctx) (any, error) {
-		ctx.AddEvents(uint64(ops))
+func sliceJob[T any](id string, cell func() []T) runner.Job {
+	return runner.Job{ID: id, Run: func(*runner.Ctx) (any, error) {
 		return cell(), nil
 	}}
 }
 
 // sectionSeed is the seed every job of a section shares when its rows must
-// compare runs over one stream: the override when non-zero, else
-// rng.DeriveSeed(root, section) — the seed a single job named after the
-// section would get.
-func sectionSeed(ctx *runner.Ctx, section string, override int64) int64 {
-	if override != 0 {
-		return override
-	}
+// compare runs over one stream: rng.DeriveSeed(root, section), the seed a
+// single job named after the section would get.
+func sectionSeed(ctx *runner.Ctx, section string) int64 {
 	return rng.DeriveSeed(ctx.Root, section)
 }
 
@@ -91,16 +84,16 @@ var registry = []struct {
 	render func(io.Writer, []runner.Result) error
 }{
 	{"table3", func(SectionOptions) []runner.Job { return Table3Jobs() }, renderRows(PrintTable3)},
-	{"fig3", func(o SectionOptions) []runner.Job { return Fig3Jobs(Fig3Config{Reps: o.Reps}) }, renderRows(printFig3)},
-	{"fig4", func(o SectionOptions) []runner.Job { return Fig4Jobs(Fig4Config{Reps: o.Reps}) }, renderRows(printFig4)},
-	{"fig5", func(o SectionOptions) []runner.Job { return Fig5Jobs(Fig5Config{Reps: o.Reps}) }, renderRows(printFig5)},
+	{"fig3", func(o SectionOptions) []runner.Job { return Fig3Jobs(o.Reps) }, renderRows(printFig3)},
+	{"fig4", func(o SectionOptions) []runner.Job { return Fig4Jobs(o.Reps) }, renderRows(printFig4)},
+	{"fig5", func(o SectionOptions) []runner.Job { return Fig5Jobs(o.Reps) }, renderRows(printFig5)},
 	{"fig6", func(SectionOptions) []runner.Job { return Fig6Jobs() }, renderRows(printFig6)},
 	{"wqsweep", func(SectionOptions) []runner.Job { return WriteQueueSweepJobs(nil) }, renderRows(PrintWriteQueueSweep)},
 	{"infer", func(o SectionOptions) []runner.Job {
 		return InferJobs(InferConfig{Reps: o.Reps, Trace: o.Trace})
 	}, renderRows(PrintInfer)},
-	{"workload", func(o SectionOptions) []runner.Job { return WorkloadJobs(WorkloadConfig{Reps: o.Reps}) }, renderRows(printWorkload)},
-	{"cluster", func(o SectionOptions) []runner.Job { return ClusterJobs(ClusterConfig{Reps: o.Reps}) }, renderRows(printCluster)},
+	{"workload", func(o SectionOptions) []runner.Job { return WorkloadJobs(o.Reps) }, renderRows(printWorkload)},
+	{"cluster", func(o SectionOptions) []runner.Job { return ClusterJobs(o.Reps) }, renderRows(printCluster)},
 }
 
 // renderRows adapts a figure printer into a section renderer: it fails on

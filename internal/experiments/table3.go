@@ -28,7 +28,7 @@ func Table3Jobs() []runner.Job {
 	var jobs []runner.Job
 	for _, req := range reqs {
 		req := req
-		jobs = append(jobs, sliceJob("table3/"+req.String(), 3,
+		jobs = append(jobs, sliceJob("table3/"+req.String(),
 			func() []Table3Row { return table3Req(req) }))
 	}
 	return jobs

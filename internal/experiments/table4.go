@@ -38,7 +38,7 @@ func Table4Jobs() []runner.Job {
 	var jobs []runner.Job
 	for _, v := range []offload.Variant{offload.PCIeRDMA, offload.PCIeDMA, offload.CXL} {
 		v := v
-		jobs = append(jobs, cellJob("table4/"+v.String(), 1,
+		jobs = append(jobs, cellJob("table4/"+v.String(),
 			func() Table4Row { return table4Backend(v) }))
 	}
 	return jobs
@@ -116,7 +116,7 @@ func WriteQueueSweepJobs(ns []int) []runner.Job {
 	var jobs []runner.Job
 	for _, n := range ns {
 		n := n
-		jobs = append(jobs, sliceJob(fmt.Sprintf("wqsweep/N%d", n), 4*n,
+		jobs = append(jobs, sliceJob(fmt.Sprintf("wqsweep/N%d", n),
 			func() []WriteQueueRow { return writeQueuePoint(n) }))
 	}
 	return jobs

@@ -20,28 +20,13 @@ import (
 // report renders byte-identically in serial and parallel suite runs like
 // every other section.
 
-// WorkloadConfig tunes the workload section.
-type WorkloadConfig struct {
-	// Reps scales the per-model request count (Requests = 32*Reps clamped
-	// to [512, 8192]); 0 keeps the default of 2048.
-	Reps int
-	// Seed overrides the seed the streams derive from; 0 uses the section
-	// seed rng.DeriveSeed(root seed, "workload").
-	Seed int64
-}
-
-func (c WorkloadConfig) requests() int {
-	if c.Reps == 0 {
+// workloadRequests is the per-model request count: 32*reps clamped to
+// [512, 8192], or 2048 when reps is 0.
+func workloadRequests(reps int) int {
+	if reps == 0 {
 		return 2048
 	}
-	n := 32 * c.Reps
-	if n < 512 {
-		n = 512
-	}
-	if n > 8192 {
-		n = 8192
-	}
-	return n
+	return min(max(32*reps, 512), 8192)
 }
 
 // WorkloadRow is one row of the section: an arrival model's realized
@@ -177,17 +162,12 @@ func cohortRows(mix *workload.Mix, seed int64, n int) []WorkloadRow {
 // sources carry their position in the curve, so every job builds its
 // source inside Run: a section built once stays replayable. The replay
 // round-trip rides in the diurnal+burst job because it must re-decode
-// that job's recorded trace.
-func WorkloadJobs(cfg WorkloadConfig) []runner.Job {
-	n := cfg.requests()
+// that job's recorded trace. reps scales the per-model request count.
+func WorkloadJobs(reps int) []runner.Job {
+	n := workloadRequests(reps)
 	arrivalJob := func(name string, src func() workload.ArrivalSource, withReplay bool) runner.Job {
-		ops := n
-		if withReplay {
-			ops = 2 * n
-		}
 		return runner.Job{ID: "workload/" + name, Run: func(ctx *runner.Ctx) (any, error) {
-			ctx.AddEvents(uint64(ops))
-			seed := sectionSeed(ctx, "workload", cfg.Seed)
+			seed := sectionSeed(ctx, "workload")
 			t := recordArrivals(src(), rng.DeriveSeed(seed, "workload/"+name), n, name)
 			rows := []WorkloadRow{arrivalRow(name, t)}
 			if withReplay {
@@ -215,8 +195,7 @@ func WorkloadJobs(cfg WorkloadConfig) []runner.Job {
 			return workload.NewTemporal(workloadCurve()).WithBursts(workloadBursts())
 		}, true),
 		{ID: "workload/cohorts", Run: func(ctx *runner.Ctx) (any, error) {
-			ctx.AddEvents(uint64(n))
-			return cohortRows(WorkloadCohorts(), sectionSeed(ctx, "workload", cfg.Seed), n), nil
+			return cohortRows(WorkloadCohorts(), sectionSeed(ctx, "workload"), n), nil
 		}},
 	}
 }

@@ -55,7 +55,20 @@ import (
 // of the regions the figures use (same base as infer's near pool).
 const localPoolBase = phys.Addr(4 << 30)
 
-// Config parameterizes one cluster serving simulation.
+// sessions is how many distinct client sessions the stream draws from
+// (zipf-skewed: a few sessions dominate), the signal the affinity router
+// exploits.
+const sessions = 12
+
+// portCredits sizes the switch's per-egress-port credit pool: a modest
+// store-and-forward buffer, so a few replicas hammering one expander
+// link queue visibly at the port instead of vanishing into deep
+// buffering.
+const portCredits = 2
+
+// Config parameterizes one cluster serving simulation. Decode lengths,
+// the paged-KV geometry and the per-token compute are infer's serving
+// shape (infer.DecodeMin, infer.BlockTokens, infer.PrefillPerToken, …).
 type Config struct {
 	// Seed drives every random stream (arrivals, shapes, sessions)
 	// through derived internal/rng streams.
@@ -67,18 +80,11 @@ type Config struct {
 	// arrival rate of the open stream.
 	Requests   int
 	RatePerSec float64
-	// PromptMin/Max and DecodeMin/Max bound request shapes (tokens),
-	// zipf-skewed toward the minimum like the single-instance model.
+	// PromptMin/Max bound prompt lengths (tokens), zipf-skewed toward
+	// the minimum like the single-instance model.
 	PromptMin, PromptMax int
-	DecodeMin, DecodeMax int
-	// Sessions is how many distinct client sessions the stream draws
-	// from (zipf-skewed: a few sessions dominate), the signal the
-	// affinity router exploits.
-	Sessions int
 	// MaxBatch bounds each replica's continuous batch.
 	MaxBatch int
-	// BlockTokens and BytesPerToken shape the paged KV cache.
-	BlockTokens, BytesPerToken int
 	// LocalBlocks sizes each replica's local DRAM pool; SharedBlocks
 	// sizes each expander's shared pool. Replicas spill to the shared
 	// pool when local runs out, so LocalBlocks < working set puts
@@ -87,13 +93,6 @@ type Config struct {
 	// Router spreads requests across replicas. Routers are stateful and
 	// single-use: construct a fresh one per Run. Nil means round-robin.
 	Router Router
-	// PortCredits sizes the switch's per-egress-port credit pool. The
-	// cluster default is 2 — a modest store-and-forward buffer, so a few
-	// replicas hammering one expander link queue visibly at the port
-	// instead of vanishing into deep buffering.
-	PortCredits int
-	// Model is the per-token compute profile (shared with infer).
-	Model infer.ModelProfile
 
 	// Deprecated: ignored; every run is on one engine.
 	Shards int
@@ -112,31 +111,16 @@ func (c Config) withDefaults() Config {
 		c.Requests = 64
 	}
 	if c.RatePerSec == 0 {
-		c.RatePerSec = 25_000
+		c.RatePerSec = infer.RatePerSec
 	}
 	if c.PromptMin == 0 {
-		c.PromptMin = 24
+		c.PromptMin = infer.PromptMin
 	}
 	if c.PromptMax == 0 {
-		c.PromptMax = 64
-	}
-	if c.DecodeMin == 0 {
-		c.DecodeMin = 8
-	}
-	if c.DecodeMax == 0 {
-		c.DecodeMax = 24
-	}
-	if c.Sessions == 0 {
-		c.Sessions = 12
+		c.PromptMax = infer.PromptMax
 	}
 	if c.MaxBatch == 0 {
-		c.MaxBatch = 4
-	}
-	if c.BlockTokens == 0 {
-		c.BlockTokens = 16
-	}
-	if c.BytesPerToken == 0 {
-		c.BytesPerToken = 32
+		c.MaxBatch = infer.MaxBatch
 	}
 	if c.LocalBlocks == 0 {
 		c.LocalBlocks = 16
@@ -144,14 +128,8 @@ func (c Config) withDefaults() Config {
 	if c.SharedBlocks == 0 {
 		c.SharedBlocks = 256
 	}
-	if c.PortCredits == 0 {
-		c.PortCredits = 2
-	}
 	if c.Router == nil {
 		c.Router = NewRoundRobin()
-	}
-	if c.Model == (infer.ModelProfile{}) {
-		c.Model = infer.DefaultModel()
 	}
 	return c
 }
@@ -162,7 +140,7 @@ func (c Config) Topology() fabric.Topology {
 	c = c.withDefaults()
 	return fabric.Star(c.Replicas, c.Expanders,
 		fabric.NodeSpec{LLCBytes: 1 << 20, LLCWays: 16, Cores: 4},
-		fabric.NodeSpec{PortCredits: c.PortCredits},
+		fabric.NodeSpec{PortCredits: portCredits},
 		fabric.LinkSpec{})
 }
 
@@ -328,16 +306,15 @@ type reqOutcome struct {
 
 // Cluster is one compiled cluster simulation.
 type Cluster struct {
-	cfg        Config
-	p          *timing.Params
-	f          *fabric.Fabric
-	eng        *sim.Engine
-	hub        *fabric.Endpoint
-	reps       []*replica
-	reqs       []*creq
-	expIDs     []string
-	blockBytes int
-	m          Metrics
+	cfg    Config
+	p      *timing.Params
+	f      *fabric.Fabric
+	eng    *sim.Engine
+	hub    *fabric.Endpoint
+	reps   []*replica
+	reqs   []*creq
+	expIDs []string
+	m      Metrics
 
 	// Hub-owned coordinator state, touched only inside hub events.
 	sharedFree     []sharedSlot
@@ -356,10 +333,9 @@ func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	p := timing.Default()
 	c := &Cluster{
-		cfg:        cfg,
-		p:          p,
-		f:          fabric.MustBuild(cfg.Topology(), p),
-		blockBytes: cfg.BlockTokens * cfg.BytesPerToken,
+		cfg: cfg,
+		p:   p,
+		f:   fabric.MustBuild(cfg.Topology(), p),
 	}
 	c.eng = c.f.Engine()
 	c.expIDs = c.f.Expanders()
@@ -380,7 +356,7 @@ func New(cfg Config) *Cluster {
 		var mir mirror
 		for b := cfg.LocalBlocks - 1; b >= 0; b-- {
 			mir.localFree = append(mir.localFree,
-				localPoolBase+phys.Addr(b*c.blockBytes))
+				localPoolBase+phys.Addr(b*infer.BlockBytes))
 		}
 		c.mirrors = append(c.mirrors, mir)
 	}
@@ -416,8 +392,8 @@ func (c *Cluster) genRequests() []*creq {
 	shapeRng := rng.Derive(cfg.Seed, "cluster/shape")
 	sessRng := rng.Derive(cfg.Seed, "cluster/session")
 	shapes := workload.NewShapes(nil, workload.Cohort{PromptMin: cfg.PromptMin, PromptMax: cfg.PromptMax,
-		DecodeMin: cfg.DecodeMin, DecodeMax: cfg.DecodeMax})
-	sZipf := workload.NewZipf(uint64(cfg.Sessions), 0.99)
+		DecodeMin: infer.DecodeMin, DecodeMax: infer.DecodeMax})
+	sZipf := workload.NewZipf(sessions, 0.99)
 	arrivals := workload.Poisson{RatePerSec: cfg.RatePerSec}
 	capacity := cfg.LocalBlocks + cfg.SharedBlocks*cfg.Expanders
 	reqs := make([]*creq, cfg.Requests)
@@ -427,10 +403,10 @@ func (c *Cluster) genRequests() []*creq {
 		r := &creq{
 			id:      i,
 			arrival: now,
-			session: uint32(sZipf.Next(sessRng) % uint64(cfg.Sessions)),
+			session: uint32(sZipf.Next(sessRng) % sessions),
 		}
 		_, r.prompt, r.decode = shapes.Sample(shapeRng)
-		if w := c.blocksFor(r.prompt + r.decode); w > capacity {
+		if w := infer.BlocksFor(r.prompt + r.decode); w > capacity {
 			panic(fmt.Sprintf("cluster: request needs %d KV blocks, pools hold %d", w, capacity))
 		}
 		reqs[i] = r
@@ -480,7 +456,7 @@ func (c *Cluster) admitRep(i int, now sim.Time) {
 	mir := &c.mirrors[i]
 	for len(mir.queue) > 0 && mir.batchN < cfg.MaxBatch {
 		q := mir.queue[0]
-		w := c.blocksFor(q.prompt + q.decode)
+		w := infer.BlocksFor(q.prompt + q.decode)
 		l := min(len(mir.localFree), w)
 		s := w - l
 		if len(c.sharedFree) < s {
@@ -591,13 +567,12 @@ func (r *replica) getBundle() *bundle {
 // assignment spills to shared blocks, the handoff time is recorded and
 // the hub continues the chain over the fabric.
 func (r *replica) prefillLocal(q *creq, e sim.Time) {
-	cfg := &r.c.cfg
-	t := e + sim.Time(q.prompt)*cfg.Model.PrefillPerToken
+	t := e + sim.Time(q.prompt)*infer.PrefillPerToken
 	q.actPrefill = true
 	q.shFrom = -1
-	remaining := q.prompt * cfg.BytesPerToken
+	remaining := q.prompt * infer.BytesPerToken
 	for i := 0; remaining > 0; i++ {
-		n := min(remaining, r.c.blockBytes)
+		n := min(remaining, infer.BlockBytes)
 		blk := q.blocks[i]
 		if blk.shared {
 			q.shFrom = i
@@ -608,10 +583,10 @@ func (r *replica) prefillLocal(q *creq, e sim.Time) {
 		t = r.accessLocal(blk, n, t, true)
 		remaining -= n
 	}
-	q.resident = r.c.blocksFor(q.prompt)
-	q.tokensInLast = q.prompt % cfg.BlockTokens
+	q.resident = infer.BlocksFor(q.prompt)
+	q.tokensInLast = q.prompt % infer.BlockTokens
 	if q.tokensInLast == 0 && q.prompt > 0 {
-		q.tokensInLast = cfg.BlockTokens
+		q.tokensInLast = infer.BlockTokens
 	}
 	q.prefilled = true
 	q.generated = 1
@@ -626,7 +601,6 @@ func (r *replica) prefillLocal(q *creq, e sim.Time) {
 // already in flight since the previous bundle (sharedReady) — compute
 // runs, and the token's KV appends to the tail block.
 func (r *replica) decodeLocal(q *creq, e sim.Time) {
-	cfg := &r.c.cfg
 	q.actPrefill = false
 	// Local attention reads issue concurrently at step start; compute
 	// waits for the slowest of them and for the prefetched shared reads.
@@ -636,18 +610,18 @@ func (r *replica) decodeLocal(q *creq, e sim.Time) {
 	t := e
 	for _, blk := range q.blocks[:q.resident] {
 		if blk.shared {
-			r.m.SharedBytes += uint64(r.c.blockBytes)
+			r.m.SharedBytes += uint64(infer.BlockBytes)
 			continue
 		}
-		if done := r.accessLocal(blk, r.c.blockBytes, e, false); done > t {
+		if done := r.accessLocal(blk, infer.BlockBytes, e, false); done > t {
 			t = done
 		}
 	}
 	if q.sharedReady > t {
 		t = q.sharedReady
 	}
-	t += cfg.Model.DecodePerToken
-	if q.tokensInLast == cfg.BlockTokens {
+	t += infer.DecodePerToken
+	if q.tokensInLast == infer.BlockTokens {
 		q.resident++
 		q.tokensInLast = 0
 	}
@@ -655,10 +629,10 @@ func (r *replica) decodeLocal(q *creq, e sim.Time) {
 	if tail.shared {
 		q.tailWrite = true
 		q.tailStart = t
-		r.m.SharedBytes += uint64(cfg.BytesPerToken)
+		r.m.SharedBytes += uint64(infer.BytesPerToken)
 	} else {
 		q.tailWrite = false
-		t = r.accessLocal(tail, cfg.BytesPerToken, t, true)
+		t = r.accessLocal(tail, infer.BytesPerToken, t, true)
 		q.stepDone = t
 		q.lastTok = t
 	}
@@ -674,16 +648,15 @@ func (c *Cluster) onBundle(arg any) {
 	b := arg.(*bundle)
 	r := b.rep
 	now := c.eng.Now()
-	cfg := &c.cfg
 	for _, q := range b.acted {
 		if q.actPrefill {
 			if q.shFrom < 0 {
 				continue
 			}
 			t := q.shStart
-			remaining := q.prompt*cfg.BytesPerToken - q.shFrom*c.blockBytes
+			remaining := q.prompt*infer.BytesPerToken - q.shFrom*infer.BlockBytes
 			for i := q.shFrom; remaining > 0; i++ {
-				n := min(remaining, c.blockBytes)
+				n := min(remaining, infer.BlockBytes)
 				c.sharedAccesses++
 				t = c.f.WriteShared(r.hostID, c.expIDs[q.blocks[i].exp], n, t)
 				remaining -= n
@@ -692,7 +665,7 @@ func (c *Cluster) onBundle(arg any) {
 		} else if q.tailWrite {
 			c.sharedAccesses++
 			done := c.f.WriteShared(r.hostID,
-				c.expIDs[q.blocks[q.resident-1].exp], cfg.BytesPerToken, q.tailStart)
+				c.expIDs[q.blocks[q.resident-1].exp], infer.BytesPerToken, q.tailStart)
 			q.stepDone = done
 			q.lastTok = done
 		}
@@ -710,7 +683,7 @@ func (c *Cluster) onBundle(arg any) {
 				continue
 			}
 			c.sharedAccesses++
-			if done := c.f.ReadShared(r.hostID, c.expIDs[blk.exp], c.blockBytes, now); done > q.sharedReady {
+			if done := c.f.ReadShared(r.hostID, c.expIDs[blk.exp], infer.BlockBytes, now); done > q.sharedReady {
 				q.sharedReady = done
 			}
 		}
@@ -815,9 +788,4 @@ func (c *Cluster) finalize() {
 	}
 	c.m.Links = c.f.LinkStats()
 	c.m.Ports = c.f.PortStats()
-}
-
-// blocksFor returns how many KV blocks tokens occupy.
-func (c *Cluster) blocksFor(tokens int) int {
-	return (tokens + c.cfg.BlockTokens - 1) / c.cfg.BlockTokens
 }

@@ -87,27 +87,39 @@ func (t Tier) String() string {
 // Tiers lists the placement tiers in presentation order.
 func Tiers() []Tier { return []Tier{TierDRAM, TierT2Dev, TierT2Host, TierT3, TierPCIe} }
 
-// ModelProfile is the compute side of the model: per-token busy time for
-// each phase. These are deliberately *not* timing.Params entries — they
-// describe the workload, not the platform, and adding them to the
-// canonical parameter set would shift its hash.
-type ModelProfile struct {
-	// PrefillPerToken is compute per prompt token (prefill is
-	// compute-bound; the whole prompt processes in one step).
-	PrefillPerToken sim.Time
-	// DecodePerToken is compute per generated token (decode is
-	// memory-bound; the KV reads dominate on slow tiers).
-	DecodePerToken sim.Time
-}
+// The serving shape: every infer and cluster run serves this request
+// shape, paged-KV geometry and model. These are deliberately *not*
+// timing.Params entries — they describe the workload, not the platform,
+// and adding them to the canonical parameter set would shift its hash.
+const (
+	// RatePerSec is the Poisson arrival rate of the generated stream.
+	RatePerSec = 25_000
+	// PromptMin/PromptMax bound prompt lengths (tokens); the draw is
+	// zipfian-skewed toward PromptMin, like production traces.
+	PromptMin, PromptMax = 24, 64
+	// DecodeMin/DecodeMax bound generation lengths (tokens).
+	DecodeMin, DecodeMax = 8, 24
+	// MaxBatch bounds the continuous batch size.
+	MaxBatch = 4
+	// BlockTokens is the paged-KV block granule in tokens.
+	BlockTokens = 16
+	// BytesPerToken is the KV footprint of one token.
+	BytesPerToken = 32
+	// BlockBytes is the KV footprint of one block.
+	BlockBytes = BlockTokens * BytesPerToken
+	// PrefillPerToken and DecodePerToken are the small model's compute
+	// per prompt token (prefill is compute-bound; the whole prompt
+	// processes in one step) and per generated token (decode is
+	// memory-bound; the KV reads dominate on slow tiers). They keep
+	// prefill compute and decode KV traffic the same order of magnitude,
+	// so tier placement is visible in TPOT without drowning TTFT.
+	PrefillPerToken = 120 * sim.Nanosecond
+	DecodePerToken  = 600 * sim.Nanosecond
+)
 
-// DefaultModel is a small model profile that keeps prefill compute and
-// decode KV traffic the same order of magnitude, so tier placement is
-// visible in TPOT without drowning TTFT.
-func DefaultModel() ModelProfile {
-	return ModelProfile{
-		PrefillPerToken: 120 * sim.Nanosecond,
-		DecodePerToken:  600 * sim.Nanosecond,
-	}
+// BlocksFor returns how many KV blocks tokens occupy.
+func BlocksFor(tokens int) int {
+	return (tokens + BlockTokens - 1) / BlockTokens
 }
 
 // Config parameterizes one serving simulation.
@@ -117,25 +129,12 @@ type Config struct {
 	Seed int64
 	// Requests is how many requests arrive in total.
 	Requests int
-	// RatePerSec is the Poisson arrival rate.
-	RatePerSec float64
-	// PromptMin/PromptMax bound prompt lengths (tokens); the draw is
-	// zipfian-skewed toward PromptMin, like production traces.
-	PromptMin, PromptMax int
-	// DecodeMin/DecodeMax bound generation lengths (tokens).
-	DecodeMin, DecodeMax int
-	// MaxBatch bounds the continuous batch size.
-	MaxBatch int
 	// Trace, when set, replays a recorded request stream verbatim:
 	// arrivals and shapes come from the trace records and the generator
-	// knobs above (Seed's arrival/shape streams, Requests, RatePerSec and
-	// the prompt/decode bounds) are ignored. Run panics on a trace
-	// CheckTrace rejects.
+	// (Seed's arrival/shape streams, Requests, RatePerSec and the
+	// prompt/decode bounds) is ignored. Run panics on a trace CheckTrace
+	// rejects.
 	Trace *workload.Trace
-	// BlockTokens is the paged-KV block granule in tokens.
-	BlockTokens int
-	// BytesPerToken is the KV footprint of one token.
-	BytesPerToken int
 	// DRAMBlocks and FarBlocks size the two block pools.
 	DRAMBlocks, FarBlocks int
 	// Far selects the far tier backing FarBlocks; TierDRAM means no far
@@ -144,8 +143,6 @@ type Config struct {
 	// Policy places new blocks and may migrate existing ones. Defaults
 	// to AllDRAM.
 	Policy Policy
-	// Model is the compute profile.
-	Model ModelProfile
 	// TraceCap, when positive, attaches a device trace ring of that
 	// capacity; the buffer is returned in Metrics.Trace.
 	TraceCap int
@@ -156,30 +153,6 @@ func (c Config) withDefaults() Config {
 	if c.Requests == 0 {
 		c.Requests = 48
 	}
-	if c.RatePerSec == 0 {
-		c.RatePerSec = 25_000
-	}
-	if c.PromptMin == 0 {
-		c.PromptMin = 24
-	}
-	if c.PromptMax == 0 {
-		c.PromptMax = 64
-	}
-	if c.DecodeMin == 0 {
-		c.DecodeMin = 8
-	}
-	if c.DecodeMax == 0 {
-		c.DecodeMax = 24
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 4
-	}
-	if c.BlockTokens == 0 {
-		c.BlockTokens = 16
-	}
-	if c.BytesPerToken == 0 {
-		c.BytesPerToken = 32
-	}
 	if c.DRAMBlocks == 0 {
 		c.DRAMBlocks = 512
 	}
@@ -188,9 +161,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == nil {
 		c.Policy = AllDRAM{}
-	}
-	if c.Model == (ModelProfile{}) {
-		c.Model = DefaultModel()
 	}
 	return c
 }
@@ -234,7 +204,6 @@ type request struct {
 // Sim is one serving simulation over a freshly built platform.
 type Sim struct {
 	cfg   Config
-	p     *timing.Params
 	host  *host.Host
 	dev   *device.Device
 	ep    *pcie.Endpoint
@@ -261,7 +230,7 @@ func New(cfg Config) *Sim {
 	if _, err := h.Attach(dcfg); err != nil {
 		panic(err)
 	}
-	s := &Sim{cfg: cfg, p: p, host: h, dev: h.Dev, ep: pcie.NewEndpoint(p), dsa: h.NewDSA()}
+	s := &Sim{cfg: cfg, host: h, dev: h.Dev, ep: pcie.NewEndpoint(p), dsa: h.NewDSA()}
 	s.cache = newKVCache(cfg)
 	if cfg.Far == TierT2Dev {
 		// Pin the far pool in device bias once, up front: the decode loop
@@ -296,9 +265,9 @@ func (s *Sim) genRequests() []*request {
 	}
 	arrRng := rng.Derive(cfg.Seed, "infer/arrivals")
 	shapeRng := rng.Derive(cfg.Seed, "infer/shape")
-	arrivals := workload.Poisson{RatePerSec: cfg.RatePerSec}
-	shapes := workload.NewShapes(nil, workload.Cohort{PromptMin: cfg.PromptMin, PromptMax: cfg.PromptMax,
-		DecodeMin: cfg.DecodeMin, DecodeMax: cfg.DecodeMax})
+	arrivals := workload.Poisson{RatePerSec: RatePerSec}
+	shapes := workload.NewShapes(nil, workload.Cohort{PromptMin: PromptMin, PromptMax: PromptMax,
+		DecodeMin: DecodeMin, DecodeMax: DecodeMax})
 	reqs := make([]*request, cfg.Requests)
 	now := sim.Time(0)
 	for i := range reqs {
@@ -325,7 +294,7 @@ func CheckTrace(t *workload.Trace, cfg Config) error {
 		if rec.Prompt == 0 || rec.Decode == 0 {
 			return fmt.Errorf("infer: trace record %d has empty prompt/decode", i)
 		}
-		if n := cfg.blocksFor(int(rec.Prompt) + int(rec.Decode)); n > capacity {
+		if n := BlocksFor(int(rec.Prompt) + int(rec.Decode)); n > capacity {
 			return fmt.Errorf("infer: trace record %d needs %d KV blocks, pools hold %d", i, n, capacity)
 		}
 	}
@@ -376,7 +345,6 @@ type Trace = workload.Trace
 // lasts, prefill new sequences, then decode one token per running
 // sequence per step.
 func (s *Sim) serve() {
-	cfg := s.cfg
 	reqs := s.genRequests()
 	var batch []*request
 	nextArrival := 0
@@ -386,12 +354,12 @@ func (s *Sim) serve() {
 		// Admission: a request enters the batch only when the pools can
 		// hold its worst-case block count, so decode never deadlocks on
 		// allocation.
-		for nextArrival < len(reqs) && len(batch) < cfg.MaxBatch {
+		for nextArrival < len(reqs) && len(batch) < MaxBatch {
 			r := reqs[nextArrival]
 			if r.arrival > now {
 				break
 			}
-			if !s.cache.canFit(s.cfg.blocksFor(r.prompt + r.decode)) {
+			if !s.cache.canFit(BlocksFor(r.prompt + r.decode)) {
 				break
 			}
 			batch = append(batch, r)
@@ -420,7 +388,7 @@ func (s *Sim) serve() {
 		keep := batch[:0]
 		for _, r := range batch {
 			if r.prefilled && r.generated >= r.decode {
-				s.retire(r, stepEnd)
+				s.retire(r)
 				finished++
 				continue
 			}
@@ -437,19 +405,18 @@ func (s *Sim) serve() {
 // prompt's KV blocks, stream them out through their tiers, and emit the
 // first token.
 func (s *Sim) prefill(r *request, now sim.Time) sim.Time {
-	cfg := s.cfg
-	t := now + sim.Time(r.prompt)*cfg.Model.PrefillPerToken
-	remaining := r.prompt * cfg.BytesPerToken
+	t := now + sim.Time(r.prompt)*PrefillPerToken
+	remaining := r.prompt * BytesPerToken
 	for remaining > 0 {
-		n := min(remaining, s.cache.blockBytes)
+		n := min(remaining, BlockBytes)
 		b := s.alloc(Prefill, len(r.blocks), t)
 		r.blocks = append(r.blocks, b)
 		t = s.writeBlock(b, n, t)
 		remaining -= n
 	}
-	r.tokensInLast = r.prompt % cfg.BlockTokens
+	r.tokensInLast = r.prompt % BlockTokens
 	if r.tokensInLast == 0 && r.prompt > 0 {
-		r.tokensInLast = cfg.BlockTokens
+		r.tokensInLast = BlockTokens
 	}
 	r.prefilled = true
 	r.generated = 1 // prefill emits the first token
@@ -464,19 +431,18 @@ func (s *Sim) prefill(r *request, now sim.Time) sim.Time {
 // every resident KV block through its tier, compute runs, and the new
 // token's KV appends to the tail block.
 func (s *Sim) decodeOne(r *request, now sim.Time) sim.Time {
-	cfg := s.cfg
 	t := now
 	for _, b := range r.blocks {
-		t = s.readBlock(b, s.cache.blockBytes, t)
+		t = s.readBlock(b, BlockBytes, t)
 	}
-	t += cfg.Model.DecodePerToken
-	if r.tokensInLast == cfg.BlockTokens {
+	t += DecodePerToken
+	if r.tokensInLast == BlockTokens {
 		b := s.alloc(Decode, len(r.blocks), t)
 		r.blocks = append(r.blocks, b)
 		r.tokensInLast = 0
 	}
 	tail := r.blocks[len(r.blocks)-1]
-	t = s.writeBlock(tail, cfg.BytesPerToken, t)
+	t = s.writeBlock(tail, BytesPerToken, t)
 	r.tokensInLast++
 	r.generated++
 	s.m.GenTokens++
@@ -485,7 +451,7 @@ func (s *Sim) decodeOne(r *request, now sim.Time) sim.Time {
 }
 
 // retire frees a finished request's blocks and folds in its TPOT.
-func (s *Sim) retire(r *request, now sim.Time) {
+func (s *Sim) retire(r *request) {
 	for _, b := range r.blocks {
 		s.cache.release(b)
 	}
@@ -497,7 +463,6 @@ func (s *Sim) retire(r *request, now sim.Time) {
 	if r.lastTok > s.m.Elapsed {
 		s.m.Elapsed = r.lastTok
 	}
-	_ = now
 }
 
 // finalize computes the aggregate metrics.
@@ -507,11 +472,6 @@ func (s *Sim) finalize(reqs []*request) {
 	if s.m.Elapsed > start {
 		s.m.Goodput = float64(s.m.GenTokens) / (float64(s.m.Elapsed-start) / float64(sim.Second))
 	}
-}
-
-// blocksFor returns how many blocks tokens occupy.
-func (c Config) blocksFor(tokens int) int {
-	return (tokens + c.BlockTokens - 1) / c.BlockTokens
 }
 
 // farBlocks is the far pool's size: none when serving is all-DRAM.
@@ -601,11 +561,11 @@ func (s *Sim) migrate(b *block, now sim.Time) bool {
 	if !ok {
 		return false
 	}
-	_, _ = s.dsa.Copy(b.addr, dst, s.cache.blockBytes, now, false)
+	_, _ = s.dsa.Copy(b.addr, dst, BlockBytes, now, false)
 	s.cache.near.releaseAddr(b.addr)
 	b.tier = s.cache.far.tier
 	b.addr = dst
 	s.m.Migrations++
-	s.m.MigratedBytes += uint64(s.cache.blockBytes)
+	s.m.MigratedBytes += uint64(BlockBytes)
 	return true
 }

@@ -76,7 +76,7 @@ func TestTierByteAccounting(t *testing.T) {
 		t.Fatalf("split-0 policy leaked KV traffic into DRAM: %+v", m)
 	}
 	// Every generated token appends BytesPerToken to its tail block.
-	wantDecodeWrites := uint64((m.GenTokens - m.Requests) * 32) // decode tokens only
+	wantDecodeWrites := uint64((m.GenTokens - m.Requests) * BytesPerToken) // decode tokens only
 	if m.WriteBytes[TierT3] < wantDecodeWrites {
 		t.Fatalf("write bytes %d below decode-token floor %d", m.WriteBytes[TierT3], wantDecodeWrites)
 	}
@@ -143,7 +143,7 @@ func TestTraceCaptureD2D(t *testing.T) {
 }
 
 func TestBlockPoolReuse(t *testing.T) {
-	c := newKVCache(Config{BlockTokens: 16, BytesPerToken: 32, DRAMBlocks: 2, FarBlocks: 2, Far: TierT3}.withDefaults())
+	c := newKVCache(Config{DRAMBlocks: 2, FarBlocks: 2, Far: TierT3}.withDefaults())
 	a, _ := c.alloc(Near)
 	b, _ := c.alloc(Near)
 	if _, ok := c.alloc(Near); !ok {

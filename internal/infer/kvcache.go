@@ -18,15 +18,14 @@ type block struct {
 // range. The free list is LIFO and every operation is deterministic, so
 // block addresses replay exactly for a fixed request schedule.
 type pool struct {
-	tier       Tier
-	base       phys.Addr
-	blockBytes int
-	total      int
-	free       []int32
+	tier  Tier
+	base  phys.Addr
+	total int
+	free  []int32
 }
 
-func newPool(tier Tier, base phys.Addr, blockBytes, total int) pool {
-	p := pool{tier: tier, base: base, blockBytes: blockBytes, total: total}
+func newPool(tier Tier, base phys.Addr, total int) pool {
+	p := pool{tier: tier, base: base, total: total}
 	p.free = make([]int32, total)
 	// Descending push order so the first allocations come from the low
 	// end of the range.
@@ -39,7 +38,7 @@ func newPool(tier Tier, base phys.Addr, blockBytes, total int) pool {
 // span is the pool's physical range (used to pin bias for the whole far
 // pool in one PTU walk).
 func (p *pool) span() phys.Range {
-	return phys.Range{Base: p.base, Size: uint64(p.total * p.blockBytes)}
+	return phys.Range{Base: p.base, Size: uint64(p.total * BlockBytes)}
 }
 
 func (p *pool) allocAddr() (phys.Addr, bool) {
@@ -48,11 +47,11 @@ func (p *pool) allocAddr() (phys.Addr, bool) {
 	}
 	slot := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
-	return p.base + phys.Addr(int(slot)*p.blockBytes), true
+	return p.base + phys.Addr(int(slot)*BlockBytes), true
 }
 
 func (p *pool) releaseAddr(a phys.Addr) {
-	p.free = append(p.free, int32(int(a-p.base)/p.blockBytes))
+	p.free = append(p.free, int32(int(a-p.base)/BlockBytes))
 }
 
 func (p *pool) freeBlocks() int { return len(p.free) }
@@ -61,9 +60,8 @@ func (p *pool) freeBlocks() int { return len(p.free) }
 // far pool in the configured tier, and the registry of live blocks the
 // placement policies scan.
 type KVCache struct {
-	blockBytes int
-	near, far  pool
-	live       []*block
+	near, far pool
+	live      []*block
 }
 
 // Pool bases: clear of everything else the simulation maps (the host pool
@@ -74,11 +72,10 @@ const nearPoolBase = phys.Addr(4 << 30)
 var farPoolBase = mem.RegionDevice.Base + phys.Addr(1<<30)
 
 func newKVCache(cfg Config) *KVCache {
-	bb := cfg.BlockTokens * cfg.BytesPerToken
-	c := &KVCache{blockBytes: bb}
-	c.near = newPool(TierDRAM, nearPoolBase, bb, cfg.DRAMBlocks)
-	c.far = newPool(cfg.Far, farPoolBase, bb, cfg.farBlocks())
-	return c
+	return &KVCache{
+		near: newPool(TierDRAM, nearPoolBase, cfg.DRAMBlocks),
+		far:  newPool(cfg.Far, farPoolBase, cfg.farBlocks()),
+	}
 }
 
 // canFit reports whether n more blocks fit across both pools — the

@@ -49,11 +49,10 @@ func (v Variant) String() string {
 
 // Platform bundles the hardware a backend runs on.
 type Platform struct {
-	P     *timing.Params
-	Host  *host.Host
-	Dev   *device.Device
-	Accel *device.Accel
-	EP    *pcie.Endpoint
+	P    *timing.Params
+	Host *host.Host
+	Dev  *device.Device
+	EP   *pcie.Endpoint
 	// MailboxAddr is the shared doorbell region in device memory (Fig. 7
 	// step 1).
 	MailboxAddr phys.Addr
@@ -68,7 +67,6 @@ func NewPlatform(h *host.Host) *Platform {
 		P:           h.Params(),
 		Host:        h,
 		Dev:         h.Dev,
-		Accel:       device.NewAccel(h.Params()),
 		EP:          pcie.NewEndpoint(h.Params()),
 		MailboxAddr: mem.RegionDevice.Base, // first lines of device memory
 	}

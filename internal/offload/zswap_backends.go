@@ -16,11 +16,11 @@ import (
 func NewZswapBackend(v Variant, pl *Platform) zswap.Backend {
 	switch v {
 	case CPU:
-		return &cpuZswap{pl: pl}
+		return &cpuZswap{hostPool{pl}}
 	case PCIeRDMA:
-		return &rdmaZswap{pl: pl}
+		return &rdmaZswap{hostPool{pl}}
 	case PCIeDMA:
-		return &dmaZswap{pl: pl}
+		return &dmaZswap{hostPool{pl}}
 	case CXL:
 		return &cxlZswap{pl: pl}
 	default:
@@ -28,15 +28,34 @@ func NewZswapBackend(v Variant, pl *Platform) zswap.Backend {
 	}
 }
 
+// hostPool is the functional zpool of the backends that keep it in host
+// memory: cpu, pcie-rdma and pcie-dma.
+type hostPool struct{ pl *Platform }
+
+func (h hostPool) PoolInDeviceMemory() bool              { return false }
+func (h hostPool) PoolWrite(addr phys.Addr, data []byte) { h.pl.Host.Store().Write(addr, data) }
+func (h hostPool) PoolRead(addr phys.Addr, dst []byte)   { h.pl.Host.Store().Read(addr, dst) }
+
+// decompress reads the compLen-byte compressed image at src out of b's
+// zpool and inflates it, panicking on a corrupt image.
+func decompress(b zswap.Backend, src phys.Addr, compLen int) []byte {
+	comp := make([]byte, compLen)
+	b.PoolRead(src, comp)
+	page := make([]byte, phys.PageSize)
+	if _, err := lzc.Decompress(page, comp); err != nil {
+		panic(fmt.Sprintf("offload: %s zpool corruption at %v: %v", b.Name(), src, err))
+	}
+	return page
+}
+
 // ---------- cpu-zswap ----------
 
 // cpuZswap runs compression on the reclaiming CPU itself — the kernel's
 // stock zswap. Every cycle and every cache line it touches is stolen from
 // co-running applications.
-type cpuZswap struct{ pl *Platform }
+type cpuZswap struct{ hostPool }
 
-func (b *cpuZswap) Name() string             { return "cpu-zswap" }
-func (b *cpuZswap) PoolInDeviceMemory() bool { return false }
+func (b *cpuZswap) Name() string { return "cpu-zswap" }
 
 func (b *cpuZswap) Store(page []byte, src, dst phys.Addr, now sim.Time) zswap.StoreResult {
 	p := b.pl.P
@@ -57,7 +76,7 @@ func (b *cpuZswap) Store(page []byte, src, dst phys.Addr, now sim.Time) zswap.St
 
 func (b *cpuZswap) Load(src phys.Addr, compLen int, dst phys.Addr, now sim.Time) zswap.LoadResult {
 	p := b.pl.P
-	page := b.decompress(src, compLen)
+	page := decompress(b, src, compLen)
 	cost := p.SW.HostDecompress4K
 	return zswap.LoadResult{
 		Page:          page,
@@ -67,28 +86,14 @@ func (b *cpuZswap) Load(src phys.Addr, compLen int, dst phys.Addr, now sim.Time)
 	}
 }
 
-func (b *cpuZswap) PoolWrite(addr phys.Addr, data []byte) { b.pl.Host.Store().Write(addr, data) }
-func (b *cpuZswap) PoolRead(addr phys.Addr, dst []byte)   { b.pl.Host.Store().Read(addr, dst) }
-
-func (b *cpuZswap) decompress(src phys.Addr, compLen int) []byte {
-	comp := make([]byte, compLen)
-	b.PoolRead(src, comp)
-	page := make([]byte, phys.PageSize)
-	if _, err := lzc.Decompress(page, comp); err != nil {
-		panic(fmt.Sprintf("offload: zpool corruption at %v: %v", src, err))
-	}
-	return page
-}
-
 // ---------- pcie-rdma-zswap (STYX-style, BF-3) ----------
 
 // rdmaZswap offloads to the SNIC's Arm cores: the device RDMA-reads the
 // page, compresses in Arm software, RDMA-writes the result back to a host-
 // memory zpool, and interrupts the host (§VI, [32] reimplemented on BF-3).
-type rdmaZswap struct{ pl *Platform }
+type rdmaZswap struct{ hostPool }
 
-func (b *rdmaZswap) Name() string             { return "pcie-rdma-zswap" }
-func (b *rdmaZswap) PoolInDeviceMemory() bool { return false }
+func (b *rdmaZswap) Name() string { return "pcie-rdma-zswap" }
 
 func (b *rdmaZswap) Store(page []byte, src, dst phys.Addr, now sim.Time) zswap.StoreResult {
 	p := b.pl.P
@@ -122,7 +127,7 @@ func (b *rdmaZswap) Store(page []byte, src, dst phys.Addr, now sim.Time) zswap.S
 
 func (b *rdmaZswap) Load(src phys.Addr, compLen int, dst phys.Addr, now sim.Time) zswap.LoadResult {
 	p := b.pl.P
-	page := b.decompress(src, compLen)
+	page := decompress(b, src, compLen)
 	// The faulting process posts the WQE and then polls for completion —
 	// the synchronous fault path cannot afford an interrupt round trip.
 	t := now + p.PCIe.RDMAPost
@@ -138,29 +143,15 @@ func (b *rdmaZswap) Load(src phys.Addr, compLen int, dst phys.Addr, now sim.Time
 	}
 }
 
-func (b *rdmaZswap) PoolWrite(addr phys.Addr, data []byte) { b.pl.Host.Store().Write(addr, data) }
-func (b *rdmaZswap) PoolRead(addr phys.Addr, dst []byte)   { b.pl.Host.Store().Read(addr, dst) }
-
-func (b *rdmaZswap) decompress(src phys.Addr, compLen int) []byte {
-	comp := make([]byte, compLen)
-	b.PoolRead(src, comp)
-	page := make([]byte, phys.PageSize)
-	if _, err := lzc.Decompress(page, comp); err != nil {
-		panic(fmt.Sprintf("offload: zpool corruption at %v: %v", src, err))
-	}
-	return page
-}
-
 // ---------- pcie-dma-zswap (Agilex as a PCIe device) ----------
 
 // dmaZswap offloads to the FPGA compression IP over plain PCIe DMA — the
 // paper emulates this configuration by rate-matching CXL transfers to the
 // measured PCIe-DMA latencies (§VII methodology); we model the DMA engine
 // directly.
-type dmaZswap struct{ pl *Platform }
+type dmaZswap struct{ hostPool }
 
-func (b *dmaZswap) Name() string             { return "pcie-dma-zswap" }
-func (b *dmaZswap) PoolInDeviceMemory() bool { return false }
+func (b *dmaZswap) Name() string { return "pcie-dma-zswap" }
 
 func (b *dmaZswap) Store(page []byte, src, dst phys.Addr, now sim.Time) zswap.StoreResult {
 	p := b.pl.P
@@ -188,7 +179,7 @@ func (b *dmaZswap) Store(page []byte, src, dst phys.Addr, now sim.Time) zswap.St
 
 func (b *dmaZswap) Load(src phys.Addr, compLen int, dst phys.Addr, now sim.Time) zswap.LoadResult {
 	p := b.pl.P
-	page := b.decompress(src, compLen)
+	page := decompress(b, src, compLen)
 	in := b.pl.EP.DMATransfer(compLen, now, false)
 	compute := p.Device.CompressStartup + timing.Streaming(phys.PageSize, p.Device.DecompressBytesPerSec)
 	out := b.pl.EP.DMATransfer(phys.PageSize, in.Done+compute, false)
@@ -199,19 +190,6 @@ func (b *dmaZswap) Load(src phys.Addr, compLen int, dst phys.Addr, now sim.Time)
 		HostCPU:       in.HostCPU + out.HostCPU + p.PCIe.InterruptCost + p.PCIe.DMAStackCost,
 		PollutedLines: phys.LinesPerPage,
 	}
-}
-
-func (b *dmaZswap) PoolWrite(addr phys.Addr, data []byte) { b.pl.Host.Store().Write(addr, data) }
-func (b *dmaZswap) PoolRead(addr phys.Addr, dst []byte)   { b.pl.Host.Store().Read(addr, dst) }
-
-func (b *dmaZswap) decompress(src phys.Addr, compLen int) []byte {
-	comp := make([]byte, compLen)
-	b.PoolRead(src, comp)
-	page := make([]byte, phys.PageSize)
-	if _, err := lzc.Decompress(page, comp); err != nil {
-		panic(fmt.Sprintf("offload: zpool corruption at %v: %v", src, err))
-	}
-	return page
 }
 
 // ---------- cxl-zswap (Fig. 7) ----------
@@ -273,7 +251,7 @@ func (b *cxlZswap) Store(page []byte, src, dst phys.Addr, now sim.Time) zswap.St
 
 func (b *cxlZswap) Load(src phys.Addr, compLen int, dst phys.Addr, now sim.Time) zswap.LoadResult {
 	p := b.pl.P
-	page := b.decompress(src, compLen)
+	page := decompress(b, src, compLen)
 
 	cmdAt, hostCPU := b.pl.doorbell(now)
 	// ② D2D CS-read of the compressed image from the zpool, pipelined with
@@ -302,13 +280,3 @@ func (b *cxlZswap) Load(src phys.Addr, compLen int, dst phys.Addr, now sim.Time)
 
 func (b *cxlZswap) PoolWrite(addr phys.Addr, data []byte) { b.pl.Dev.WriteDevMemDirect(addr, data) }
 func (b *cxlZswap) PoolRead(addr phys.Addr, dst []byte)   { b.pl.Dev.ReadDevMemDirect(addr, dst) }
-
-func (b *cxlZswap) decompress(src phys.Addr, compLen int) []byte {
-	comp := make([]byte, compLen)
-	b.PoolRead(src, comp)
-	page := make([]byte, phys.PageSize)
-	if _, err := lzc.Decompress(page, comp); err != nil {
-		panic(fmt.Sprintf("offload: device zpool corruption at %v: %v", src, err))
-	}
-	return page
-}

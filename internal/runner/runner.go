@@ -53,8 +53,9 @@ type Ctx struct {
 	events uint64
 }
 
-// AddEvents records n simulated events (engine dispatches, or simulated
-// accesses for engine-less microbenchmark rigs) attributable to this job.
+// AddEvents records n events that a sim.Engine dispatched for this job
+// (Engine.Executed). Jobs without an engine record none: an estimate of
+// their work would be a rate no one measured.
 func (c *Ctx) AddEvents(n uint64) { c.events += n }
 
 // Result is one job's outcome in submission order.

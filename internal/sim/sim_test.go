@@ -601,11 +601,3 @@ func BenchmarkResourceClaim(b *testing.B) {
 		r.Claim(Time(i), 1)
 	}
 }
-
-func BenchmarkCreditsAcquire(b *testing.B) {
-	c := NewCredits("bench", 16)
-	for i := 0; i < b.N; i++ {
-		s := c.Acquire(Time(i))
-		c.Complete(s + 100)
-	}
-}

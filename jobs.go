@@ -98,35 +98,27 @@ func CollectFig6Rows(results []JobResult) []Fig6Row { return experiments.Rows[Fi
 // builds a fresh System from cfg, so the job is safe to execute on any
 // worker alongside any other job.
 func MeasureD2HJob(id string, cfg Config, req D2HReq, spec MeasureSpec) Job {
-	return measureJob(id, cfg, spec, func(s *System, sp MeasureSpec) (Measurement, error) {
-		return s.MeasureD2H(req, sp)
-	})
+	return measureJob(id, cfg, func(s *System) (Measurement, error) { return s.MeasureD2H(req, spec) })
 }
 
 // MeasureD2DJob wraps System.MeasureD2D as a self-contained job.
 func MeasureD2DJob(id string, cfg Config, req D2HReq, spec MeasureSpec) Job {
-	return measureJob(id, cfg, spec, func(s *System, sp MeasureSpec) (Measurement, error) {
-		return s.MeasureD2D(req, sp)
-	})
+	return measureJob(id, cfg, func(s *System) (Measurement, error) { return s.MeasureD2D(req, spec) })
 }
 
 // MeasureH2DJob wraps System.MeasureH2D as a self-contained job.
 func MeasureH2DJob(id string, cfg Config, op HostOp, spec MeasureSpec) Job {
-	return measureJob(id, cfg, spec, func(s *System, sp MeasureSpec) (Measurement, error) {
-		return s.MeasureH2D(op, sp)
-	})
+	return measureJob(id, cfg, func(s *System) (Measurement, error) { return s.MeasureH2D(op, spec) })
 }
 
-func measureJob(id string, cfg Config, spec MeasureSpec,
-	measure func(*System, MeasureSpec) (Measurement, error)) Job {
-	return Job{ID: id, Run: func(ctx *JobCtx) (any, error) {
+// measureJob runs measure on a fresh System. The System has no event
+// engine, so the job records no events.
+func measureJob(id string, cfg Config, measure func(*System) (Measurement, error)) Job {
+	return Job{ID: id, Run: func(*JobCtx) (any, error) {
 		s, err := NewSystem(cfg)
 		if err != nil {
 			return nil, err
 		}
-		sp := spec
-		sp.setDefaults()
-		ctx.AddEvents(uint64(sp.Reps + sp.Burst))
-		return measure(s, sp)
+		return measure(s)
 	}}
 }
