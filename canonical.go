@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/device"
-	"repro/internal/host"
 	"repro/internal/xxhash"
 )
 
@@ -18,33 +16,17 @@ import (
 
 // CanonicalKey renders the Config as a stable, self-delimiting string.
 // Two Configs produce equal keys iff NewSystem builds observationally
-// identical systems from them: zero-valued fields are normalized to the
-// defaults NewSystem would substitute before rendering, and the timing
-// model is folded in as a 64-bit hash of its canonical JSON, so a custom
-// parameter file keys distinctly from the calibrated defaults while an
-// explicit DefaultParams() keys identically to nil.
+// identical systems from them: zero-valued fields are normalized by
+// withDefaults, the step NewSystem builds from, before rendering, and
+// the timing model is folded in as a 64-bit hash of its canonical JSON,
+// so a custom parameter file keys distinctly from the calibrated
+// defaults while an explicit DefaultParams() keys identically to nil.
 func (c Config) CanonicalKey() string {
-	p := c.Params
-	if p == nil {
-		p = DefaultParams()
-	}
-	pj, err := json.Marshal(p)
+	c = c.withDefaults()
+	pj, err := json.Marshal(c.Params)
 	if err != nil {
 		// Params is a tree of plain numeric structs; Marshal cannot fail.
 		panic(fmt.Sprintf("cxl2sim: marshal params: %v", err))
-	}
-	hc := host.DefaultConfig()
-	if c.LLCBytes == 0 {
-		c.LLCBytes = hc.LLCBytes
-	}
-	if c.LLCWays == 0 {
-		c.LLCWays = hc.LLCWays
-	}
-	if c.Cores == 0 {
-		c.Cores = hc.Cores
-	}
-	if c.DeviceType == 0 {
-		c.DeviceType = device.DefaultConfig().Type
 	}
 	return fmt.Sprintf("cfg{params=%016x,type=%d,llc=%d/%d,cores=%d,snc=%t}",
 		xxhash.Sum64(pj, 0), c.DeviceType, c.LLCBytes, c.LLCWays, c.Cores, c.SNC)

@@ -149,31 +149,39 @@ type System struct {
 	P *Params
 }
 
-// NewSystem builds a host + device pair.
-func NewSystem(cfg Config) (*System, error) {
-	if cfg.Params == nil {
-		cfg.Params = DefaultParams()
+// withDefaults returns the Config with every zero field replaced by the
+// value NewSystem builds with: DefaultParams, a Type-2 device and the
+// Table II host.
+func (c Config) withDefaults() Config {
+	if c.Params == nil {
+		c.Params = DefaultParams()
+	}
+	if c.DeviceType == 0 {
+		c.DeviceType = Type2
 	}
 	hc := host.DefaultConfig()
-	if cfg.LLCBytes != 0 {
-		hc.LLCBytes = cfg.LLCBytes
+	if c.LLCBytes == 0 {
+		c.LLCBytes = hc.LLCBytes
 	}
-	if cfg.LLCWays != 0 {
-		hc.LLCWays = cfg.LLCWays
+	if c.LLCWays == 0 {
+		c.LLCWays = hc.LLCWays
 	}
-	if cfg.Cores != 0 {
-		hc.Cores = cfg.Cores
+	if c.Cores == 0 {
+		c.Cores = hc.Cores
 	}
-	hc.SNC = cfg.SNC
-	h, err := host.New(cfg.Params, hc)
+	return c
+}
+
+// NewSystem builds a host + device pair.
+func NewSystem(cfg Config) (*System, error) {
+	cfg = cfg.withDefaults()
+	h, err := host.New(cfg.Params, host.Config{
+		LLCBytes: cfg.LLCBytes, LLCWays: cfg.LLCWays, Cores: cfg.Cores, SNC: cfg.SNC,
+	})
 	if err != nil {
 		return nil, err
 	}
-	dc := device.DefaultConfig()
-	if cfg.DeviceType != 0 {
-		dc.Type = cfg.DeviceType
-	}
-	if _, err := h.Attach(dc); err != nil {
+	if _, err := h.Attach(cfg.DeviceType); err != nil {
 		return nil, err
 	}
 	return &System{Host: h, Dev: h.Dev, P: cfg.Params}, nil

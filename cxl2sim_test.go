@@ -29,6 +29,44 @@ func TestNewSystemDefaults(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeyNormalizesAsNewSystem pins the key's contract: the
+// zero Config keys equal to the explicit Table II system with
+// DefaultParams, which is what NewSystem builds from it, and changing
+// any one of the six fields gives a distinct key.
+func TestCanonicalKeyNormalizesAsNewSystem(t *testing.T) {
+	explicit := Config{Params: DefaultParams(), DeviceType: Type2,
+		LLCBytes: 60 << 20, LLCWays: 15, Cores: 32}
+	if a, b := (Config{}).CanonicalKey(), explicit.CanonicalKey(); a != b {
+		t.Fatalf("zero Config keys %s, explicit defaults %s", a, b)
+	}
+	s := MustNewSystem(Config{})
+	if llc := s.Host.LLC(); llc.SizeBytes() != explicit.LLCBytes || llc.Ways() != explicit.LLCWays ||
+		s.Host.NumCores() != explicit.Cores || s.Dev.Type() != explicit.DeviceType {
+		t.Fatalf("NewSystem(Config{}) built LLC %d B/%d ways, %d cores, %v; want %+v",
+			llc.SizeBytes(), llc.Ways(), s.Host.NumCores(), s.Dev.Type(), explicit)
+	}
+	slow := DefaultParams()
+	slow.CXL.OneWay *= 2
+	seen := map[string]string{explicit.CanonicalKey(): "defaults"}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"params", Config{Params: slow}},
+		{"device type", Config{DeviceType: Type3}},
+		{"llc bytes", Config{LLCBytes: 30 << 20}},
+		{"llc ways", Config{LLCWays: 16}},
+		{"cores", Config{Cores: 8}},
+		{"snc", Config{SNC: true}},
+	} {
+		k := c.cfg.CanonicalKey()
+		if prev, dup := seen[k]; dup {
+			t.Errorf("changing %s keys equal to %s: %s", c.name, prev, k)
+		}
+		seen[k] = c.name
+	}
+}
+
 func TestNewSystemRejectsBadParams(t *testing.T) {
 	p := DefaultParams()
 	p.Host.CoreGHz = 0

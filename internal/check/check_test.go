@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cxl"
-	"repro/internal/device"
 	"repro/internal/host"
 	"repro/internal/mem"
 	"repro/internal/phys"
@@ -18,7 +17,7 @@ import (
 func newPlatform(t testing.TB) *host.Host {
 	t.Helper()
 	h := host.MustNew(timing.Default(), host.Config{LLCBytes: 1 << 20, LLCWays: 16, Cores: 4})
-	if _, err := h.Attach(device.DefaultConfig()); err != nil {
+	if _, err := h.Attach(cxl.Type2); err != nil {
 		t.Fatal(err)
 	}
 	return h

@@ -14,6 +14,22 @@ import (
 // converge immediately; the paper's 1K repetitions matter on real hardware.
 const quickReps = 120
 
+// TestNewRigAttachesPersonality pins the §V rig: one host (8 MiB,
+// 16-way LLC, 8 cores) with one directly attached device of the asked
+// personality.
+func TestNewRigAttachesPersonality(t *testing.T) {
+	for _, typ := range []cxl.DeviceType{cxl.Type2, cxl.Type3} {
+		r := NewRig(typ)
+		if r.Dev == nil || r.Host.Dev != r.Dev || r.Dev.Type() != typ {
+			t.Fatalf("NewRig(%v) did not attach a %v device to its host", typ, typ)
+		}
+		if llc := r.Host.LLC(); llc.SizeBytes() != 8<<20 || llc.Ways() != 16 || r.Host.NumCores() != 8 {
+			t.Errorf("NewRig(%v) host: LLC %d B/%d ways, %d cores", typ,
+				llc.SizeBytes(), llc.Ways(), r.Host.NumCores())
+		}
+	}
+}
+
 // ---------- Fig. 3 ----------
 
 func TestFig3LatencyRatios(t *testing.T) {

@@ -82,8 +82,8 @@ func measureTrueD2H(req cxl.D2HReq, llcHit bool, reps int) Fig3Row {
 	r := NewRig(cxl.Type2)
 	row := Fig3Row{Label: req.String(), True: true, LLCHit: llcHit}
 	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: reps, Burst: paperBurst,
-		Line:  r.hostLine,
+		Reps: reps, Burst: PaperBurst,
+		Line:  HostLine,
 		Prime: func(addr phys.Addr) { primeLLC(r, addr, llcHit) },
 		Reset: r.Host.ResetTiming,
 		Access: func(addr phys.Addr) (sim.Time, sim.Time) {
@@ -98,8 +98,8 @@ func measureEmuD2H(op cxl.HostOp, llcHit bool, reps int) Fig3Row {
 	r := NewRig(cxl.Type2)
 	row := Fig3Row{Label: op.String(), LLCHit: llcHit}
 	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: reps, Burst: paperBurst,
-		Line:  r.hostLine,
+		Reps: reps, Burst: PaperBurst,
+		Line:  HostLine,
 		Prime: func(addr phys.Addr) { primeLLC(r, addr, llcHit) },
 		Reset: func() {
 			r.Host.ResetTiming()

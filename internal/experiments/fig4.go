@@ -72,12 +72,12 @@ func primeDMC(r *Rig, addr phys.Addr, hit bool) {
 func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, reps int) Fig4Row {
 	r := NewRig(cxl.Type2)
 	if devBias {
-		r.Dev.EnterDeviceBias(phys.Range{Base: r.devLine(0) &^ 0xFFFFFFF, Size: 1 << 28}, 0)
+		r.Dev.EnterDeviceBias(phys.Range{Base: DevLine(0) &^ 0xFFFFFFF, Size: 1 << 28}, 0)
 	}
 	row := Fig4Row{Label: req.String(), DMCHit: dmcHit, DeviceBias: devBias}
 	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
 		Reps: reps, Burst: fig4Burst, Warm: fig4Burst / 8,
-		Line:  r.devLine,
+		Line:  DevLine,
 		Prime: func(addr phys.Addr) { primeDMC(r, addr, dmcHit) },
 		Reset: r.Host.ResetTiming,
 		Access: func(addr phys.Addr) (sim.Time, sim.Time) {
@@ -96,7 +96,7 @@ func measureEmuD2D(op cxl.HostOp, dmcHit bool, reps int) Fig4Row {
 	row := Fig4Row{Label: op.String(), Emulated: true, DMCHit: dmcHit}
 	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
 		Reps: reps, Burst: fig4Burst, Warm: fig4Burst / 8,
-		Line:  r.devLine,
+		Line:  DevLine,
 		Reset: r.Emu.ResetTiming,
 		Access: func(phys.Addr) (sim.Time, sim.Time) {
 			done := r.Emu.D2D(op, dmcHit, 0)

@@ -107,8 +107,8 @@ func measureH2D(op cxl.HostOp, cs Fig5Case, reps int) Fig5Row {
 	core := r.Host.Core(0)
 	row := Fig5Row{Op: op, Case: cs}
 	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: reps, Burst: paperBurst,
-		Line:  r.devLine,
+		Reps: reps, Burst: PaperBurst,
+		Line:  DevLine,
 		Prime: func(addr phys.Addr) { primeFig5(r, cs, addr) },
 		Reset: r.Host.ResetTiming,
 		Access: func(addr phys.Addr) (sim.Time, sim.Time) {

@@ -110,17 +110,17 @@ func measureFig6(mech Fig6Mechanism, d2h bool, size int) Fig6Row {
 		if d2h {
 			done = measureCXLD2HRead(r, size)
 		} else {
-			done = measureCXLH2DLoad(r, size)
+			done = measureCXLH2D(r, cxl.Ld, size)
 		}
 	case MechCXLSt:
 		if d2h {
 			done = measureCXLD2HPush(r, size)
 		} else {
-			done = measureCXLH2DStore(r, size)
+			done = r.Host.Core(0).FenceCXL(measureCXLH2D(r, cxl.NtSt, size))
 		}
 	case MechCXLDSA:
 		dsa := r.Host.NewDSA()
-		_, done = dsa.Copy(r.hostLine(0), r.devLine(0), size, 0, false)
+		_, done = dsa.Copy(HostLine(0), DevLine(0), size, 0, false)
 	case MechPCIeMMIO:
 		if d2h {
 			// The device reads host memory through its PCIe requester: same
@@ -156,31 +156,16 @@ func measureFig6(mech Fig6Mechanism, d2h bool, size int) Fig6Row {
 	}
 }
 
-// measureCXLH2DStore times a host-initiated block write with nt-st (write
-// combining) followed by a fence — the H2D CXL-ST curve.
-func measureCXLH2DStore(r *Rig, size int) sim.Time {
+// measureCXLH2D times a host-initiated block transfer of device memory,
+// one op per line, and returns the last completion. With demand loads it
+// is the H2D CXL-LD curve, which the limited LD queue makes the slowest
+// CXL option beyond ~1 KB (the bottleneck CXL-DSA addresses, §V-D); with
+// nt-st (write combining) followed by a fence it is the H2D CXL-ST curve.
+func measureCXLH2D(r *Rig, op cxl.HostOp, size int) sim.Time {
 	core := r.Host.Core(0)
 	var last sim.Time
 	for off := 0; off < size; off += phys.LineSize {
-		res := core.Access(cxl.NtSt, r.devLine(off/phys.LineSize), nil, 0)
-		if res.Done > last {
-			last = res.Done
-		}
-	}
-	return core.FenceCXL(last)
-}
-
-// measureCXLH2DLoad times a host-initiated block read with demand loads —
-// the H2D CXL-LD curve, which the limited LD queue makes the slowest CXL
-// option beyond ~1 KB (the bottleneck CXL-DSA addresses, §V-D).
-func measureCXLH2DLoad(r *Rig, size int) sim.Time {
-	core := r.Host.Core(0)
-	var last sim.Time
-	for off := 0; off < size; off += phys.LineSize {
-		res := core.Access(cxl.Ld, r.devLine(off/phys.LineSize), nil, 0)
-		if res.Done > last {
-			last = res.Done
-		}
+		last = max(last, core.Access(op, DevLine(off/phys.LineSize), nil, 0).Done)
 	}
 	return last
 }
@@ -188,14 +173,14 @@ func measureCXLH2DLoad(r *Rig, size int) sim.Time {
 // measureCXLD2HRead times a device-initiated block read of host memory with
 // NC-read — the D2H CXL-LD curve (what cxl-zswap uses for its page pull).
 func measureCXLD2HRead(r *Rig, size int) sim.Time {
-	return r.Dev.ReadHostBlock(cxl.NCRead, r.hostLine(0), size, nil, 0)
+	return r.Dev.ReadHostBlock(cxl.NCRead, HostLine(0), size, nil, 0)
 }
 
 // measureCXLD2HPush times a device-initiated block write into host LLC with
 // NC-P — the D2H CXL-ST curve (the paper uses NC-P because DMA/RDMA write
 // to host LLC via DDIO, §V-D).
 func measureCXLD2HPush(r *Rig, size int) sim.Time {
-	return r.Dev.WriteHostBlock(cxl.NCP, r.hostLine(0), nil, size, 0)
+	return r.Dev.WriteHostBlock(cxl.NCP, HostLine(0), nil, size, 0)
 }
 
 // printFig6 renders the rows.

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/device"
+	"repro/internal/cxl"
 	"repro/internal/host"
 	"repro/internal/kernel"
 	"repro/internal/ksm"
@@ -106,7 +106,7 @@ func (c *Fig8Config) setDefaults() {
 func fig8Host() (*host.Host, *offload.Platform) {
 	p := timing.Default()
 	h := host.MustNew(p, host.Config{LLCBytes: 4 << 20, LLCWays: 16, Cores: 16, SNC: true})
-	if _, err := h.Attach(device.DefaultConfig()); err != nil {
+	if _, err := h.Attach(cxl.Type2); err != nil {
 		panic(err)
 	}
 	return h, offload.NewPlatform(h)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cxl"
 	"repro/internal/device"
-	"repro/internal/fabric"
 	"repro/internal/host"
 	"repro/internal/mem"
 	"repro/internal/phys"
@@ -30,39 +29,35 @@ type Rig struct {
 	Emu  *host.EmuCore
 }
 
-// NewRig builds a rig with the given device personality (cxl.Type2 or
-// cxl.Type3). A smaller-than-real LLC keeps rig construction cheap;
+// NewRig builds a rig: one host with one directly attached CXL device of
+// the given personality (cxl.Type2 or cxl.Type3), the paper's §V
+// testbed. A smaller-than-real LLC keeps rig construction cheap;
 // capacity effects are not what the microbenchmarks measure.
-//
-// A rig is the compiled 1×1 topology preset: one host directly attached
-// to one CXL device (fabric.OneToOne), the degenerate case of the same
-// Build path that wires multi-host clusters.
 func NewRig(devType cxl.DeviceType) *Rig {
-	kind := fabric.Type2
-	if devType == cxl.Type3 {
-		kind = fabric.Type3
+	p := timing.Default()
+	h := host.MustNew(p, host.Config{LLCBytes: 8 << 20, LLCWays: 16, Cores: 8})
+	if _, err := h.Attach(devType); err != nil {
+		panic(err)
 	}
-	topo := fabric.OneToOne(kind, fabric.NodeSpec{LLCBytes: 8 << 20, LLCWays: 16, Cores: 8})
-	f := fabric.MustBuild(topo, nil)
-	h := f.Host("h0")
-	return &Rig{P: f.Params(), Host: h, Dev: h.Dev, Emu: h.NewEmuCore()}
+	return &Rig{P: p, Host: h, Dev: h.Dev, Emu: h.NewEmuCore()}
 }
 
-// paperReps is the §V repetition count (the paper: >= 1000), taken by
-// the Fig. 3–5 sections when reps is 0.
-const paperReps = 1000
+// PaperReps is the §V repetition count (the paper: >= 1000), taken by
+// the Fig. 3–5 sections and System.Measure* when reps is 0.
+const PaperReps = 1000
 
-// orPaperReps returns reps, or paperReps when reps is 0.
+// orPaperReps returns reps, or PaperReps when reps is 0.
 func orPaperReps(reps int) int {
 	if reps == 0 {
-		return paperReps
+		return PaperReps
 	}
 	return reps
 }
 
-// paperBurst is the number of back-to-back accesses in a Fig. 3 or
-// Fig. 5 bandwidth measurement (paper: 16 × 64 B).
-const paperBurst = 16
+// PaperBurst is the number of back-to-back accesses in a Fig. 3 or
+// Fig. 5 bandwidth measurement (paper: 16 × 64 B), and System.Measure*'s
+// default burst.
+const PaperBurst = 16
 
 // Probe is the paper's §V measurement loop, shared by the Fig. 3–5 cells
 // and the public System.Measure* API. Latency: Reps times, prime a fresh
@@ -121,16 +116,16 @@ func (p Probe) Run() (medianNs, stdNs, gbs float64) {
 	return lat.Median(), lat.StdDev(), gbs
 }
 
-// hostLine returns the i-th distinct host-memory line of a random-ish
+// HostLine returns the i-th distinct host-memory line of a random-ish
 // stream, line-aligned (the paper measures random accesses).
-func (r *Rig) hostLine(i int) phys.Addr {
+func HostLine(i int) phys.Addr {
 	// A large-stride permutation avoids set conflicts while staying
 	// deterministic.
 	return phys.Addr(0x100000) + phys.Addr((i*2654435761)%(1<<20))*phys.LineSize
 }
 
-// devLine returns the i-th device-memory line.
-func (r *Rig) devLine(i int) phys.Addr {
+// DevLine returns the i-th device-memory line.
+func DevLine(i int) phys.Addr {
 	return mem.RegionDevice.Base + phys.Addr(1<<20) + phys.Addr((i*2654435761)%(1<<18))*phys.LineSize
 }
 

@@ -39,7 +39,7 @@ func table3Req(req cxl.D2HReq) []Table3Row {
 	var rows []Table3Row
 	for _, initial := range []string{"HMC hit", "LLC hit", "LLC miss"} {
 		r := NewRig(cxl.Type2)
-		addr := r.hostLine(1)
+		addr := HostLine(1)
 		r.Host.Store().WriteLine(addr, make([]byte, phys.LineSize))
 		switch initial {
 		case "HMC hit":

@@ -5,15 +5,12 @@ import (
 	"io"
 
 	"repro/internal/cxl"
-	"repro/internal/device"
-	"repro/internal/host"
 	"repro/internal/lzc"
 	"repro/internal/offload"
 	"repro/internal/phys"
 	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/timing"
 	"repro/internal/zswap"
 )
 
@@ -45,10 +42,7 @@ func Table4Jobs() []runner.Job {
 }
 
 func table4Backend(v offload.Variant) Table4Row {
-	h := host.MustNew(timing.Default(), host.Config{LLCBytes: 8 << 20, LLCWays: 16, Cores: 8})
-	if _, err := h.Attach(device.DefaultConfig()); err != nil {
-		panic(err)
-	}
+	h := NewRig(cxl.Type2).Host
 	pl := offload.NewPlatform(h)
 	page := lzc.SyntheticPage(rng.New(SeedTable4Page), phys.PageSize, 0.7)
 	src := phys.Addr(0x40000)
@@ -133,7 +127,7 @@ func writeQueuePoint(n int) []WriteQueueRow {
 		r.Host.ResetTiming()
 		var last sim.Time
 		for i := 0; i < n; i++ {
-			res := r.Dev.D2H(pair.req, r.hostLine(i), nil, 0)
+			res := r.Dev.D2H(pair.req, HostLine(i), nil, 0)
 			if res.Done > last {
 				last = res.Done
 			}
@@ -147,7 +141,7 @@ func writeQueuePoint(n int) []WriteQueueRow {
 		r := NewRig(cxl.Type2)
 		var last sim.Time
 		for i := 0; i < n; i++ {
-			done := r.Emu.D2H(op, r.hostLine(i), 0)
+			done := r.Emu.D2H(op, HostLine(i), 0)
 			if done > last {
 				last = done
 			}

@@ -7,8 +7,7 @@ import (
 )
 
 // Endpoint is one source of events on the fabric's engine: the hub (the
-// switches and their expanders) or one host (with any directly attached
-// device, which rides the host's home agent). Endpoints interact only
+// switches and their expanders) or one host. Endpoints interact only
 // by mail, and mail crosses the sender's and the receiver's links to the
 // switch: it lands up[src] + up[dst] after it is sent, where up is a
 // host's cheapest one-way switch link and 0 for the hub.
@@ -43,8 +42,8 @@ func (f *Fabric) Endpoints() []*Endpoint {
 	eps := []*Endpoint{{eng: f.eng}}
 	for _, h := range f.hostIDs {
 		ep := &Endpoint{eng: f.eng, tag: uint64(len(eps)) << sim.SourceShift, up: sim.Forever}
-		// Every fabric link touching a host joins it to a switch: direct
-		// devices compile to no link, and Validate forbids host–host links.
+		// Every link touching a host joins it to a switch: Validate
+		// forbids host–host and host–Type3 links.
 		for _, l := range f.links {
 			if l.a == h || l.b == h {
 				ep.up = min(ep.up, l.spec.OneWay)

@@ -14,10 +14,10 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/ping.golden instead of comparing")
 
 // TestShardPartitionGenericTopology pins the endpoints of a topology
-// that exercises every placement rule at once: the hub first, then one
-// endpoint per host, directly attached devices (Type2 or Type3) riding
-// their host; delivery distances are zero to self, positive, symmetric,
-// and host to host exactly through the hub.
+// with per-link latencies: the hub first (the switch and every expander
+// behind it), then one endpoint per host; delivery distances are zero
+// to self, positive, symmetric, and host to host exactly through the
+// hub.
 func TestShardPartitionGenericTopology(t *testing.T) {
 	topo := Topology{
 		Nodes: []NodeSpec{
@@ -25,15 +25,13 @@ func TestShardPartitionGenericTopology(t *testing.T) {
 			{ID: "h1", Kind: Host},
 			{ID: "sw0", Kind: Switch},
 			{ID: "x0", Kind: Type3},
-			{ID: "d0", Kind: Type2},
 			{ID: "x1", Kind: Type3},
 		},
 		Links: []LinkSpec{
 			{A: "h0", B: "sw0", OneWay: 90 * sim.Nanosecond},
 			{A: "h1", B: "sw0"},
 			{A: "sw0", B: "x0", OneWay: 10 * sim.Nanosecond},
-			{A: "h0", B: "d0"},
-			{A: "h1", B: "x1"},
+			{A: "x1", B: "sw0", OneWay: 5 * sim.Nanosecond},
 		},
 	}
 	f := MustBuild(topo, nil)

@@ -3,8 +3,6 @@ package fabric
 import (
 	"fmt"
 
-	"repro/internal/cxl"
-	"repro/internal/device"
 	"repro/internal/host"
 	"repro/internal/sim"
 	"repro/internal/timing"
@@ -169,7 +167,6 @@ type Fabric struct {
 
 	kinds     map[string]NodeKind
 	hosts     map[string]*host.Host
-	devices   map[string]*device.Device
 	expanders map[string]*Expander
 	links     []*flink
 	adj       map[string][]adjEdge
@@ -189,11 +186,9 @@ type Option struct{}
 func Shards(int) Option { return Option{} }
 
 // Build validates topo and compiles it into a Fabric under the timing
-// model p (nil takes the calibrated defaults). Direct host–device links
-// use the host's built-in calibrated CXL attach path (exactly what the
-// single-rig experiments always measured); host–switch, switch–switch
-// and switch–expander links compile to fabric links with the LinkSpec's
-// (defaulted) parameters.
+// model p (nil takes the calibrated defaults). Every link — host–switch,
+// switch–switch or switch–expander — compiles to a fabric link with the
+// LinkSpec's (defaulted) parameters.
 func Build(topo Topology, p *timing.Params, _ ...Option) (*Fabric, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
@@ -207,7 +202,6 @@ func Build(topo Topology, p *timing.Params, _ ...Option) (*Fabric, error) {
 		eng:       sim.NewEngine(),
 		kinds:     make(map[string]NodeKind, len(topo.Nodes)),
 		hosts:     map[string]*host.Host{},
-		devices:   map[string]*device.Device{},
 		expanders: map[string]*Expander{},
 		adj:       map[string][]adjEdge{},
 		paths:     map[[2]string][]pathHop{},
@@ -230,20 +224,6 @@ func Build(topo Topology, p *timing.Params, _ ...Option) (*Fabric, error) {
 	}
 	for _, l := range topo.Links {
 		ka, kb := f.kinds[l.A], f.kinds[l.B]
-		// Direct host–device attach: the device rides the host's home
-		// agent and calibrated CXL link; no fabric link is created.
-		if ka == Host && (kb == Type2 || kb == Type3) {
-			if err := f.attach(l.A, l.B, kb); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if kb == Host && (ka == Type2 || ka == Type3) {
-			if err := f.attach(l.B, l.A, ka); err != nil {
-				return nil, err
-			}
-			continue
-		}
 		spec := l.normalized(p)
 		fl := &flink{spec: spec, a: l.A, b: l.B}
 		for d := 0; d < 2; d++ {
@@ -265,7 +245,7 @@ func Build(topo Topology, p *timing.Params, _ ...Option) (*Fabric, error) {
 		f.links = append(f.links, fl)
 		f.adj[l.A] = append(f.adj[l.A], adjEdge{peer: l.B, l: fl, d: dirAB})
 		f.adj[l.B] = append(f.adj[l.B], adjEdge{peer: l.A, l: fl, d: dirBA})
-		// A switch-attached Type-3 node compiles to a shared expander.
+		// A Type-3 node compiles to a shared expander.
 		for _, end := range []struct {
 			id   string
 			kind NodeKind
@@ -294,26 +274,6 @@ func MustBuild(topo Topology, p *timing.Params, opts ...Option) *Fabric {
 	return f
 }
 
-// attach wires a directly-linked CXL device onto its host.
-func (f *Fabric) attach(hostID, devID string, kind NodeKind) error {
-	h := f.hosts[hostID]
-	if h.Dev != nil {
-		return fmt.Errorf("fabric: host %q already has a directly attached device", hostID)
-	}
-	cfg := device.DefaultConfig()
-	if kind == Type3 {
-		cfg.Type = cxl.Type3
-	} else {
-		cfg.Type = cxl.Type2
-	}
-	d, err := h.Attach(cfg)
-	if err != nil {
-		return fmt.Errorf("fabric: attach %q to %q: %w", devID, hostID, err)
-	}
-	f.devices[devID] = d
-	return nil
-}
-
 // Engine returns the fabric's shared event engine.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
 
@@ -332,18 +292,7 @@ func (f *Fabric) Host(id string) *host.Host {
 	return h
 }
 
-// Device returns the attached device of a directly-linked Type2/Type3
-// node.
-func (f *Fabric) Device(id string) *device.Device {
-	d, ok := f.devices[id]
-	if !ok {
-		panic(fmt.Sprintf("fabric: no directly attached device node %q", id))
-	}
-	return d
-}
-
-// Expander returns the compiled shared expander of a switch-attached
-// Type3 node.
+// Expander returns the compiled shared expander of a Type3 node.
 func (f *Fabric) Expander(id string) *Expander {
 	x, ok := f.expanders[id]
 	if !ok {
@@ -352,8 +301,8 @@ func (f *Fabric) Expander(id string) *Expander {
 	return x
 }
 
-// Hosts lists host node IDs in declaration order; Expanders lists
-// switch-attached Type3 node IDs in link-declaration order.
+// Hosts lists host node IDs in declaration order; Expanders lists Type3
+// node IDs in link-declaration order.
 func (f *Fabric) Hosts() []string     { return f.hostIDs }
 func (f *Fabric) Expanders() []string { return f.expanderIDs }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cxl"
 	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -21,7 +20,7 @@ func TestValidateErrors(t *testing.T) {
 	h := NodeSpec{ID: "h0", Kind: Host}
 	h1 := NodeSpec{ID: "h1", Kind: Host}
 	sw := NodeSpec{ID: "sw0", Kind: Switch}
-	d := NodeSpec{ID: "d0", Kind: Type2}
+	sw1 := NodeSpec{ID: "sw1", Kind: Switch}
 	x := NodeSpec{ID: "x0", Kind: Type3}
 	cases := []struct {
 		name string
@@ -35,24 +34,25 @@ func TestValidateErrors(t *testing.T) {
 			Links: []LinkSpec{{A: "h0", B: "ghost"}}}, "undeclared node"},
 		{"self link", Topology{Nodes: []NodeSpec{h},
 			Links: []LinkSpec{{A: "h0", B: "h0"}}}, "self-link"},
-		{"dup link", Topology{Nodes: []NodeSpec{h, d},
-			Links: []LinkSpec{{A: "h0", B: "d0"}, {A: "d0", B: "h0"}}}, "duplicate link"},
+		{"dup link", Topology{Nodes: []NodeSpec{h, sw},
+			Links: []LinkSpec{{A: "h0", B: "sw0"}, {A: "sw0", B: "h0"}}}, "duplicate link"},
 		{"host-host", Topology{Nodes: []NodeSpec{h, h1},
 			Links: []LinkSpec{{A: "h0", B: "h1"}}}, "host-host"},
 		{"device-device", Topology{Nodes: []NodeSpec{x, {ID: "x1", Kind: Type3}},
-			Links: []LinkSpec{{A: "x0", B: "x1"}}}, "device-device"},
-		{"type2 on switch", Topology{Nodes: []NodeSpec{h, sw, d},
-			Links: []LinkSpec{{A: "h0", B: "sw0"}, {A: "sw0", B: "d0"}}},
-			"must attach directly to a host"},
-		{"type3 two links", Topology{Nodes: []NodeSpec{h, sw, x},
-			Links: []LinkSpec{{A: "h0", B: "sw0"}, {A: "sw0", B: "x0"}, {A: "h0", B: "x0"}}},
+			Links: []LinkSpec{{A: "x0", B: "x1"}}}, "must attach to a switch"},
+		{"type3 on host", Topology{Nodes: []NodeSpec{h, x},
+			Links: []LinkSpec{{A: "h0", B: "x0"}}}, "must attach to a switch"},
+		{"type3 two links", Topology{Nodes: []NodeSpec{h, sw, sw1, x},
+			Links: []LinkSpec{{A: "h0", B: "sw0"}, {A: "sw0", B: "x0"}, {A: "sw1", B: "x0"}}},
 			"want exactly 1"},
-		{"device no link", Topology{Nodes: []NodeSpec{h, d, x},
-			Links: []LinkSpec{{A: "h0", B: "d0"}}}, "want exactly 1"},
-		{"disconnected", Topology{Nodes: []NodeSpec{h, sw, h1, {ID: "sw1", Kind: Switch}},
+		{"device no link", Topology{Nodes: []NodeSpec{h, sw, x},
+			Links: []LinkSpec{{A: "h0", B: "sw0"}}}, "want exactly 1"},
+		{"disconnected", Topology{Nodes: []NodeSpec{h, sw, h1, sw1},
 			Links: []LinkSpec{{A: "h0", B: "sw0"}, {A: "h1", B: "sw1"}}}, "disconnected"},
-		{"negative param", Topology{Nodes: []NodeSpec{h, d},
-			Links: []LinkSpec{{A: "h0", B: "d0", OneWay: -1}}}, "negative parameter"},
+		{"negative param", Topology{Nodes: []NodeSpec{h, sw},
+			Links: []LinkSpec{{A: "h0", B: "sw0", OneWay: -1}}}, "negative parameter"},
+		{"negative node knob", Topology{Nodes: []NodeSpec{h, {ID: "sw0", Kind: Switch, PortCredits: -1}},
+			Links: []LinkSpec{{A: "h0", B: "sw0"}}}, "negative parameter on node"},
 	}
 	for _, tc := range cases {
 		err := tc.topo.Validate()
@@ -66,9 +66,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := star(4, 2).Validate(); err != nil {
 		t.Fatalf("Star(4,2).Validate() = %v", err)
-	}
-	if err := OneToOne(Type2, NodeSpec{}).Validate(); err != nil {
-		t.Fatalf("OneToOne(Type2).Validate() = %v", err)
 	}
 }
 
@@ -106,33 +103,6 @@ func TestCanonicalKeyStable(t *testing.T) {
 	narrow.Nodes[0].PortCredits = 1
 	if star(2, 1).CanonicalKey(p) == narrow.CanonicalKey(p) {
 		t.Error("key ignores switch port credits")
-	}
-}
-
-func TestOneToOneBuild(t *testing.T) {
-	for _, kind := range []NodeKind{Type2, Type3} {
-		f := MustBuild(OneToOne(kind, NodeSpec{LLCBytes: 8 << 20, LLCWays: 16, Cores: 8}), nil)
-		h := f.Host("h0")
-		d := f.Device("d0")
-		if h == nil || d == nil || h.Dev != d {
-			t.Fatalf("%v: OneToOne did not attach the device to the host", kind)
-		}
-		want := cxl.Type2
-		if kind == Type3 {
-			want = cxl.Type3
-		}
-		if d.Type() != want {
-			t.Errorf("device type = %v, want %v", d.Type(), want)
-		}
-		if got := f.Hosts(); len(got) != 1 || got[0] != "h0" {
-			t.Errorf("Hosts() = %v", got)
-		}
-		if len(f.Expanders()) != 0 {
-			t.Errorf("OneToOne grew expanders: %v", f.Expanders())
-		}
-		if len(f.LinkStats()) != 0 {
-			t.Errorf("direct attach should not create fabric links: %v", f.LinkStats())
-		}
 	}
 }
 

@@ -1,17 +1,16 @@
 // Package fabric models a multi-host CXL fabric as a declarative typed
-// topology graph — host, Type-2 accelerator, Type-3 expander and switch
-// nodes joined by links with per-link latency/bandwidth/credit
-// parameters — that compiles (Build) into wired simulation components:
-// one host.Host per host node, attached device.Devices for
-// directly-linked CXL devices, shared-memory Expanders for
-// switch-attached Type-3 nodes, and switch egress ports arbitrated FIFO
-// over the engine's Credits primitive so fabric congestion is
-// first-class, observable and deterministic.
+// topology graph — host, Type-3 expander and switch nodes joined by links
+// with per-link latency/bandwidth/credit parameters — that compiles
+// (Build) into wired simulation components: one host.Host per host node,
+// shared-memory Expanders for the switch-attached Type-3 nodes, and
+// switch egress ports arbitrated FIFO over the engine's Credits primitive
+// so fabric congestion is first-class, observable and deterministic.
 //
-// The single-host rigs of internal/experiments are the 1×1 preset
-// (OneToOne); cluster-scale serving (internal/infer/cluster) builds a
-// Star of N hosts sharing pooled expanders behind one switch. Everything
-// the compiled components do is resolved from explicit claim order, so a
+// The fabric models pooled memory behind switches: cluster-scale serving
+// (internal/infer/cluster) builds a Star of N hosts sharing pooled
+// expanders behind one switch. A single host with its directly attached
+// device is host.New plus Host.Attach, not a topology. Everything the
+// compiled components do is resolved from explicit claim order, so a
 // fixed sequence of Transfer calls replays with identical timing on
 // every run — the same determinism contract the rest of the simulator
 // keeps.
@@ -33,13 +32,9 @@ type NodeKind uint8
 const (
 	// Host is a CPU socket with its own LLC, memory and cores.
 	Host NodeKind = iota
-	// Type2 is a CXL Type-2 accelerator (cache + memory, D2D/D2H ops).
-	// A Type2 node must link directly to a Host: the accelerator model
-	// rides the host's home agent.
-	Type2
-	// Type3 is a CXL Type-3 memory expander. Linked to a Host it is the
-	// classic direct-attach expander; linked to a Switch it compiles to a
-	// shared pooled-memory Expander every host can reach.
+	// Type3 is a CXL Type-3 memory expander. It links to exactly one
+	// Switch and compiles to a shared pooled-memory Expander every host
+	// can reach.
 	Type3
 	// Switch is a CXL switch: it forwards traffic between its links, and
 	// each egress port is a contended, FIFO-arbitrated resource.
@@ -51,8 +46,6 @@ func (k NodeKind) String() string {
 	switch k {
 	case Host:
 		return "host"
-	case Type2:
-		return "type2"
 	case Type3:
 		return "type3"
 	case Switch:
@@ -69,7 +62,8 @@ type NodeSpec struct {
 	Kind NodeKind
 
 	// Host shape (Kind == Host): LLC geometry and core count.
-	// Zero values take the small-host defaults NewRig-scale sims use.
+	// Zero values take small-host defaults that keep cluster-scale
+	// sims cheap.
 	LLCBytes, LLCWays, Cores int
 
 	// Switch shape (Kind == Switch): PortCredits bounds the transfers a
@@ -152,13 +146,12 @@ func (l LinkSpec) normalized(p *timing.Params) LinkSpec {
 
 // Validate checks the topology's structural rules:
 //
-//   - node IDs are unique and non-empty;
+//   - node IDs are unique and non-empty, and no node knob is negative;
 //   - links join two distinct, declared nodes, at most one link per pair;
-//   - no host–host or device–device direct links (traffic between hosts
-//     or devices crosses a switch, as in a real fabric);
-//   - Type2 nodes link exactly once, directly to a Host (the accelerator
-//     model rides its host's home agent);
-//   - Type3 nodes link exactly once, to a Host or a Switch;
+//   - no host–host direct links (traffic between hosts crosses a
+//     switch, as in a real fabric);
+//   - Type3 nodes link exactly once, to a Switch (a host's directly
+//     attached device is Host.Attach, not a fabric node);
 //   - the graph is connected.
 func (t Topology) Validate() error {
 	if len(t.Nodes) == 0 {
@@ -174,6 +167,9 @@ func (t Topology) Validate() error {
 		}
 		if n.Kind > Switch {
 			return fmt.Errorf("fabric: node %q has unknown kind %d", n.ID, n.Kind)
+		}
+		if n.LLCBytes < 0 || n.LLCWays < 0 || n.Cores < 0 || n.PortCredits < 0 || n.Forward < 0 {
+			return fmt.Errorf("fabric: negative parameter on node %q", n.ID)
 		}
 		byID[n.ID] = n
 	}
@@ -197,11 +193,8 @@ func (t Topology) Validate() error {
 		if a.Kind == Host && b.Kind == Host {
 			return fmt.Errorf("fabric: host-host link %s-%s (route through a switch)", l.A, l.B)
 		}
-		if a.Kind != Host && a.Kind != Switch && b.Kind != Host && b.Kind != Switch {
-			return fmt.Errorf("fabric: device-device link %s-%s (route through a switch)", l.A, l.B)
-		}
-		if a.Kind == Type2 && b.Kind != Host || b.Kind == Type2 && a.Kind != Host {
-			return fmt.Errorf("fabric: Type2 node in link %s-%s must attach directly to a host", l.A, l.B)
+		if a.Kind == Type3 && b.Kind != Switch || b.Kind == Type3 && a.Kind != Switch {
+			return fmt.Errorf("fabric: Type3 node in link %s-%s must attach to a switch", l.A, l.B)
 		}
 		if l.OneWay < 0 || l.BytesPerSec < 0 || l.Credits < 0 {
 			return fmt.Errorf("fabric: negative parameter on link %s-%s", l.A, l.B)
@@ -212,12 +205,9 @@ func (t Topology) Validate() error {
 		adj[l.B] = append(adj[l.B], l.A)
 	}
 	for _, n := range t.Nodes {
-		switch n.Kind {
-		case Type2, Type3:
-			if degree[n.ID] != 1 {
-				return fmt.Errorf("fabric: %s node %q has %d links, want exactly 1",
-					n.Kind, n.ID, degree[n.ID])
-			}
+		if n.Kind == Type3 && degree[n.ID] != 1 {
+			return fmt.Errorf("fabric: %s node %q has %d links, want exactly 1",
+				n.Kind, n.ID, degree[n.ID])
 		}
 	}
 	if len(t.Nodes) > 1 {
@@ -276,22 +266,6 @@ func (t Topology) CanonicalKey(p *timing.Params) string {
 	sort.Strings(links)
 	return fmt.Sprintf("topo{nodes=[%s],links=[%s]}",
 		strings.Join(nodes, ";"), strings.Join(links, ";"))
-}
-
-// OneToOne is the classic single-host rig as a topology: one host
-// directly attached to one CXL device of the given kind (Type2 or
-// Type3). The host shape is taken from the spec fields of hostShape
-// (zero values default like any NodeSpec). Node IDs are "h0" and "d0".
-func OneToOne(devKind NodeKind, hostShape NodeSpec) Topology {
-	if devKind != Type2 && devKind != Type3 {
-		panic(fmt.Sprintf("fabric: OneToOne device kind %v", devKind))
-	}
-	hostShape.ID = "h0"
-	hostShape.Kind = Host
-	return Topology{
-		Nodes: []NodeSpec{hostShape, {ID: "d0", Kind: devKind}},
-		Links: []LinkSpec{{A: "h0", B: "d0"}},
-	}
 }
 
 // Star is the pooled-memory cluster topology: hosts h0..h(n-1) and

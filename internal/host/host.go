@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
+	"repro/internal/cxl"
 	"repro/internal/device"
 	"repro/internal/interconnect"
 	"repro/internal/mem"
@@ -104,9 +105,12 @@ func MustNew(p *timing.Params, cfg Config) *Host {
 	return h
 }
 
-// Attach connects a CXL device built over this host's home agent and CXL
-// link.
-func (h *Host) Attach(cfg device.Config) (*device.Device, error) {
+// Attach connects a CXL device of personality t, with the paper's DCOH
+// and device-memory geometry (device.DefaultConfig), over this host's
+// home agent and CXL link.
+func (h *Host) Attach(t cxl.DeviceType) (*device.Device, error) {
+	cfg := device.DefaultConfig()
+	cfg.Type = t
 	d, err := device.New(h.p, cfg, h.home, h.CXLLink)
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cxl"
-	"repro/internal/device"
 	"repro/internal/mem"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -15,7 +14,7 @@ import (
 func fixture(t testing.TB) *Host {
 	t.Helper()
 	h := MustNew(timing.Default(), Config{LLCBytes: 1 << 20, LLCWays: 16, Cores: 4})
-	if _, err := h.Attach(device.DefaultConfig()); err != nil {
+	if _, err := h.Attach(cxl.Type2); err != nil {
 		t.Fatal(err)
 	}
 	return h

@@ -307,7 +307,6 @@ type reqOutcome struct {
 // Cluster is one compiled cluster simulation.
 type Cluster struct {
 	cfg    Config
-	p      *timing.Params
 	f      *fabric.Fabric
 	eng    *sim.Engine
 	hub    *fabric.Endpoint
@@ -332,11 +331,7 @@ type Cluster struct {
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	p := timing.Default()
-	c := &Cluster{
-		cfg: cfg,
-		p:   p,
-		f:   fabric.MustBuild(cfg.Topology(), p),
-	}
+	c := &Cluster{cfg: cfg, f: fabric.MustBuild(cfg.Topology(), p)}
 	c.eng = c.f.Engine()
 	c.expIDs = c.f.Expanders()
 	eps := c.f.Endpoints()

@@ -120,7 +120,7 @@ func TestShardPartitionShape(t *testing.T) {
 		}
 	}
 	oneWay := c.hub.Dist(c.reps[0].ep)
-	if want := c.p.CXL.OneWay; oneWay != want || want <= 0 {
+	if want := c.f.Params().CXL.OneWay; oneWay != want || want <= 0 {
 		t.Fatalf("hub→replica distance %v, want the calibrated link latency %v", oneWay, want)
 	}
 	if got := c.reps[0].ep.Dist(c.reps[1].ep); got != 2*oneWay {

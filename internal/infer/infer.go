@@ -217,17 +217,14 @@ type Sim struct {
 func New(cfg Config) *Sim {
 	cfg = cfg.withDefaults()
 	p := timing.Default()
-	hcfg := host.Config{LLCBytes: 1 << 20, LLCWays: 16, Cores: 4}
-	dcfg := device.DefaultConfig()
 	// Host-load tiers (T3) need the Type-3 personality; the D2D tiers
 	// need Type-2. PCIe and all-DRAM don't touch the CXL device.
+	devType := cxl.Type2
 	if cfg.Far == TierT3 {
-		dcfg.Type = cxl.Type3
-	} else {
-		dcfg.Type = cxl.Type2
+		devType = cxl.Type3
 	}
-	h := host.MustNew(p, hcfg)
-	if _, err := h.Attach(dcfg); err != nil {
+	h := host.MustNew(p, host.Config{LLCBytes: 1 << 20, LLCWays: 16, Cores: 4})
+	if _, err := h.Attach(devType); err != nil {
 		panic(err)
 	}
 	s := &Sim{cfg: cfg, host: h, dev: h.Dev, ep: pcie.NewEndpoint(p), dsa: h.NewDSA()}
@@ -521,20 +518,12 @@ func (s *Sim) access(tier Tier, addr phys.Addr, n int, now sim.Time, write bool)
 		// Streaming host accesses: KV attention is read-once-per-step, so
 		// non-temporal ops model it without turning the LLC into a cheat
 		// (a temporal load would make every tier an LLC hit after first
-		// touch). For T3 the same loop rides CXL.mem to the expander.
-		core := s.host.Core(0)
+		// touch). For T3 the same run rides CXL.mem to the expander.
 		op := cxl.NtLd
 		if write {
 			op = cxl.NtSt
 		}
-		done := now
-		for off := 0; off < n; off += phys.LineSize {
-			r := core.Access(op, addr+phys.Addr(off), nil, now)
-			if r.Done > done {
-				done = r.Done
-			}
-		}
-		return done
+		return s.host.Core(0).NTRun(op, addr, (n+phys.LineSize-1)/phys.LineSize, now)
 	case TierT2Dev, TierT2Host:
 		// Near-memory D2D: the device's LSU streams the block out of its
 		// own DRAM. Under host bias every line pays the bias check.

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/device"
+	"repro/internal/cxl"
 	"repro/internal/host"
 	"repro/internal/kernel"
 	"repro/internal/lzc"
@@ -20,7 +20,7 @@ import (
 func platform(t testing.TB) *Platform {
 	t.Helper()
 	h := host.MustNew(timing.Default(), host.Config{LLCBytes: 4 << 20, LLCWays: 16, Cores: 4})
-	if _, err := h.Attach(device.DefaultConfig()); err != nil {
+	if _, err := h.Attach(cxl.Type2); err != nil {
 		t.Fatal(err)
 	}
 	return NewPlatform(h)

@@ -56,35 +56,24 @@ type Measurement struct {
 }
 
 // MeasureSpec configures a measurement; zero values take the paper's
-// settings (1000 reps, 16-access bursts).
+// settings (experiments.PaperReps reps, experiments.PaperBurst-access
+// bursts).
 type MeasureSpec struct {
 	Reps  int
 	Burst int
 	Place Placement
 }
 
-func (m *MeasureSpec) setDefaults() {
-	if m.Reps == 0 {
-		m.Reps = 1000
-	}
-	if m.Burst == 0 {
-		m.Burst = 16
-	}
-}
-
-// hostProbe returns the i-th distinct host line of the measurement stream.
-func hostProbe(i int) Addr {
-	return Addr(0x0400_0000) + Addr((i*2654435761)%(1<<20))*LineSize
-}
-
-// devProbe returns the i-th distinct device line.
-func devProbe(i int) Addr {
-	return DeviceMemoryBase + Addr(2<<20) + Addr((i*2654435761)%(1<<18))*LineSize
-}
-
 // measure runs the §V loop (experiments.Probe) over the given address
-// stream, priming each line with prime and timing it with access.
+// stream (experiments.HostLine or DevLine, the Fig. 3–5 streams),
+// priming each line with prime and timing it with access.
 func (s *System) measure(spec MeasureSpec, line func(int) Addr, prime func(Addr), access func(Addr) Time) Measurement {
+	if spec.Reps == 0 {
+		spec.Reps = experiments.PaperReps
+	}
+	if spec.Burst == 0 {
+		spec.Burst = experiments.PaperBurst
+	}
 	m := Measurement{Reps: spec.Reps, Burst: spec.Burst}
 	m.MedianNs, m.StdDevNs, m.BandwidthGBs = experiments.Probe{
 		Reps: spec.Reps, Burst: spec.Burst,
@@ -101,7 +90,6 @@ func (s *System) measure(spec MeasureSpec, line func(int) Addr, prime func(Addr)
 // given placement (PlaceCold, PlaceLLC or PlaceHMC). D2H needs a device
 // with CXL.cache (Type-2).
 func (s *System) MeasureD2H(req D2HReq, spec MeasureSpec) (Measurement, error) {
-	spec.setDefaults()
 	if spec.Place == PlaceDMC {
 		return Measurement{}, fmt.Errorf("cxl2sim: PlaceDMC does not apply to D2H")
 	}
@@ -121,7 +109,7 @@ func (s *System) MeasureD2H(req D2HReq, spec MeasureSpec) (Measurement, error) {
 			s.Host.LLC().Invalidate(addr)
 		}
 	}
-	return s.measure(spec, hostProbe, prime, func(addr Addr) Time {
+	return s.measure(spec, experiments.HostLine, prime, func(addr Addr) Time {
 		return s.Dev.D2H(req, addr, nil, 0).Done
 	}), nil
 }
@@ -130,7 +118,6 @@ func (s *System) MeasureD2H(req D2HReq, spec MeasureSpec) (Measurement, error) {
 // given placement (PlaceCold or PlaceDMC). D2D needs a Type-2 device and
 // a request other than NC-P, which targets host LLC.
 func (s *System) MeasureD2D(req D2HReq, spec MeasureSpec) (Measurement, error) {
-	spec.setDefaults()
 	if spec.Place != PlaceCold && spec.Place != PlaceDMC {
 		return Measurement{}, fmt.Errorf("cxl2sim: D2D placement must be PlaceCold or PlaceDMC")
 	}
@@ -147,7 +134,7 @@ func (s *System) MeasureD2D(req D2HReq, spec MeasureSpec) (Measurement, error) {
 			s.Dev.DMC().Invalidate(addr)
 		}
 	}
-	return s.measure(spec, devProbe, prime, func(addr Addr) Time {
+	return s.measure(spec, experiments.DevLine, prime, func(addr Addr) Time {
 		return s.Dev.D2D(req, addr, nil, 0).Done
 	}), nil
 }
@@ -156,7 +143,6 @@ func (s *System) MeasureD2D(req D2HReq, spec MeasureSpec) (Measurement, error) {
 // placement (PlaceCold or PlaceDMC; PlaceLLC measures the NC-P-pushed fast
 // path). PlaceDMC and PlaceLLC need a device with a cache (Type-2).
 func (s *System) MeasureH2D(op HostOp, spec MeasureSpec) (Measurement, error) {
-	spec.setDefaults()
 	if spec.Place == PlaceHMC {
 		return Measurement{}, fmt.Errorf("cxl2sim: PlaceHMC does not apply to H2D")
 	}
@@ -173,7 +159,7 @@ func (s *System) MeasureH2D(op HostOp, spec MeasureSpec) (Measurement, error) {
 		}
 	}
 	core := s.Host.Core(0)
-	return s.measure(spec, devProbe, prime, func(addr Addr) Time {
+	return s.measure(spec, experiments.DevLine, prime, func(addr Addr) Time {
 		return core.Access(op, addr, nil, 0).Done
 	}), nil
 }
