@@ -155,7 +155,7 @@ func TestZswapStackEndToEnd(t *testing.T) {
 		t.Fatal("zswap never engaged")
 	}
 	// The CXL variant pools in device memory.
-	if !st.Zswap.Backend().PoolInDeviceMemory() {
+	if st.Zswap.Backend().PoolBase() < DeviceMemoryBase {
 		t.Fatal("cxl pool should live in device memory")
 	}
 }

@@ -76,7 +76,7 @@ func runVariant(v cxl2sim.OffloadVariant, seed int64) {
 	mm := stack.MM.Stats()
 	ratio := float64(zs.UncompressedBytes) / float64(max64(zs.CompressedBytes, 1))
 	poolMem := "host-DRAM"
-	if stack.Zswap.Backend().PoolInDeviceMemory() {
+	if stack.Zswap.Backend().PoolBase() >= cxl2sim.DeviceMemoryBase {
 		poolMem = "device-mem"
 	}
 	fmt.Printf("%-12s %-12d %-12v %-12.2f %-10s %-8v\n",

@@ -364,9 +364,9 @@ func TestFig8ZswapShape(t *testing.T) {
 		t.Skip("co-simulation experiment")
 	}
 	cfg := Fig8Config{Duration: shortDuration()}
-	base := Fig8Zswap(Baseline, ycsbA(), cfg)
-	cpu := Fig8Zswap(Fig8Variant(0), ycsbA(), cfg)
-	cxlR := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
+	base, _ := Fig8Zswap(Baseline, ycsbA(), cfg)
+	cpu, _ := Fig8Zswap(Fig8Variant(0), ycsbA(), cfg)
+	cxlR, _ := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
 	if !base.VerifyOK || !cpu.VerifyOK || !cxlR.VerifyOK {
 		t.Fatal("data integrity lost under co-simulation")
 	}
@@ -391,9 +391,9 @@ func TestFig8KsmShape(t *testing.T) {
 		t.Skip("co-simulation experiment")
 	}
 	cfg := Fig8Config{Duration: shortDuration()}
-	base := Fig8Ksm(Baseline, ycsbA(), cfg)
-	cpu := Fig8Ksm(Fig8Variant(0), ycsbA(), cfg)
-	cxlR := Fig8Ksm(Fig8Variant(3), ycsbA(), cfg)
+	base, _ := Fig8Ksm(Baseline, ycsbA(), cfg)
+	cpu, _ := Fig8Ksm(Fig8Variant(0), ycsbA(), cfg)
+	cxlR, _ := Fig8Ksm(Fig8Variant(3), ycsbA(), cfg)
 	if !base.VerifyOK || !cpu.VerifyOK || !cxlR.VerifyOK {
 		t.Fatal("data integrity lost under ksm co-simulation")
 	}
@@ -451,8 +451,8 @@ func TestFig8Determinism(t *testing.T) {
 		t.Skip("co-simulation")
 	}
 	cfg := Fig8Config{Duration: 60 * 1e9} // 60 ms
-	a := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
-	b := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
+	a, _ := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
+	b, _ := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
 	if a.P99us != b.P99us || a.Served != b.Served || a.Faults != b.Faults {
 		t.Fatalf("nondeterministic co-simulation: %+v vs %+v", a, b)
 	}

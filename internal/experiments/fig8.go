@@ -10,7 +10,6 @@ import (
 	"repro/internal/ksm"
 	"repro/internal/kvs"
 	"repro/internal/lzc"
-	"repro/internal/mem"
 	"repro/internal/offload"
 	"repro/internal/phys"
 	"repro/internal/rng"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timing"
+	"repro/internal/workload"
 	"repro/internal/ycsb"
 	"repro/internal/zswap"
 )
@@ -96,23 +96,15 @@ func (c *Fig8Config) setDefaults() {
 		c.Duration = 300 * sim.Millisecond
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = seedFig8Calibrated
 	}
-}
-
-// fig8Host builds the half-system host of the §VII methodology (SNC mode:
-// 16 cores, 4 memory channels). A reduced LLC keeps the model light; cache
-// pressure is represented through the pollution channel.
-func fig8Host() (*host.Host, *offload.Platform) {
-	p := timing.Default()
-	h := host.MustNew(p, host.Config{LLCBytes: 4 << 20, LLCWays: 16, Cores: 16, SNC: true})
-	if _, err := h.Attach(cxl.Type2); err != nil {
-		panic(err)
-	}
-	return h, offload.NewPlatform(h)
 }
 
 const fig8FrameBase = phys.Addr(0x2000_0000)
+
+// fig8Records sizes every server's dataset: 500 pages per server, so the
+// hot set stays mostly resident.
+const fig8Records = 8000
 
 // Fig8Diag carries extra observability for scenario tuning and the §VII
 // cycle/LLC analyses.
@@ -128,20 +120,100 @@ type Fig8Diag struct {
 	EngineEvents uint64
 }
 
-// Fig8Zswap runs the zswap scenario: 2 Redis servers + kswapd sharing a
-// core + a memory antagonist, under one backend variant (§VII methodology).
-func Fig8Zswap(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) Fig8Row {
-	row, _ := fig8ZswapDiag(v, w, cfg)
-	return row
+// fig8Bed is one §VII co-simulation: the half-system host (SNC mode: 16
+// cores, 4 memory channels) with its offload platform, an MM over the
+// scenario's page frames, and the Redis servers the load generator
+// drives. A reduced LLC keeps the model light; cache pressure is
+// represented through the pollution channel.
+type fig8Bed struct {
+	cfg     Fig8Config
+	eng     *sim.Engine
+	h       *host.Host
+	pl      *offload.Platform
+	mm      *kernel.MM
+	loader  *sim.Proc
+	servers []*kvs.Server
 }
 
-// fig8ZswapDiag is Fig8Zswap with diagnostics.
-func fig8ZswapDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag) {
+// newFig8Bed builds the bed with totalPages of managed RAM.
+func newFig8Bed(cfg Fig8Config, totalPages int) *fig8Bed {
 	cfg.setDefaults()
+	h := host.MustNew(timing.Default(), host.Config{LLCBytes: 4 << 20, LLCWays: 16, Cores: 16, SNC: true})
+	if _, err := h.Attach(cxl.Type2); err != nil {
+		panic(err)
+	}
 	eng := sim.NewEngine()
-	h, pl := fig8Host()
-	p := h.Params()
+	return &fig8Bed{
+		cfg:    cfg,
+		eng:    eng,
+		h:      h,
+		pl:     offload.NewPlatform(h),
+		mm:     kernel.NewMM(h.Params(), h.Store(), fig8FrameBase, totalPages),
+		loader: sim.NewProc(eng, "loader", nil),
+	}
+}
 
+// core returns core i's scheduler.
+func (b *fig8Bed) core(i int) *sim.Resource { return b.h.Core(i).Sched }
+
+// startServers builds n servers of fig8Records records each, server i on
+// core i in address space i+1, and loads their datasets.
+func (b *fig8Bed) startServers(n int, scfg kvs.Config, pollution func() uint64) {
+	scfg.Records = fig8Records
+	for i := 0; i < n; i++ {
+		srv, err := kvs.NewServer(b.eng, scfg, b.core(i), b.mm.NewAddressSpace(i+1), pollution)
+		if err != nil {
+			panic(err)
+		}
+		if err := srv.LoadDataset(b.loader); err != nil {
+			panic(err)
+		}
+		b.servers = append(b.servers, srv)
+	}
+}
+
+// serve drives the servers with the YCSB load for cfg.Duration and fills
+// the row and diagnostics fields every scenario shares. Requests complete
+// synchronously within their arrival event, so the horizon is exact; the
+// daemons (kswapd, ksmd, the antagonist, the churn) would reschedule
+// forever and are simply cut off at the horizon.
+func (b *fig8Bed) serve(feature string, v Fig8Variant, w ycsb.Workload) (Fig8Row, Fig8Diag) {
+	gen := ycsb.MustNewGenerator(w, b.cfg.dist(), fig8Records, b.cfg.Seed)
+	lg := kvs.NewLoadGen(b.eng, b.servers, gen, workload.Poisson{RatePerSec: fig8Rate}, b.cfg.Seed+seedOffFig8LoadGen)
+	lg.Start()
+	b.eng.RunUntil(b.cfg.Duration)
+	lg.Stop()
+
+	row := Fig8Row{Feature: feature, Variant: v, Workload: w, VerifyOK: true}
+	for _, s := range b.servers {
+		row.Served += s.Served()
+		row.Faults += s.Faults()
+		row.VerifyOK = row.VerifyOK && s.VerifyOK()
+	}
+	all := b.merged((*kvs.Server).Latencies)
+	row.P50us, row.P99us, row.P999us = all.Median(), all.P99(), all.Quantile(0.999)
+	return row, Fig8Diag{
+		P99Core0:      b.servers[0].P99(),
+		P99Core1:      b.servers[1].P99(),
+		KswapdBusyPct: 100 * float64(b.core(0).Busy()) / float64(b.cfg.Duration),
+		EngineEvents:  b.eng.Executed(),
+	}
+}
+
+// merged pools one per-server latency sample over the fleet.
+func (b *fig8Bed) merged(sample func(*kvs.Server) *stats.Sample) *stats.Sample {
+	all := stats.NewSample(4096)
+	for _, s := range b.servers {
+		for _, x := range sample(s).Values() {
+			all.Add(x)
+		}
+	}
+	return all
+}
+
+// Fig8Zswap runs the zswap scenario: 2 Redis servers + kswapd sharing a
+// core + a memory antagonist, under one backend variant (§VII methodology).
+func Fig8Zswap(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag) {
 	// Memory sizing: with the feature active the working sets exceed RAM so
 	// reclaim runs continuously; the baseline ("Redis running alone") has
 	// headroom.
@@ -149,180 +221,90 @@ func fig8ZswapDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig
 	if v == Baseline {
 		totalPages = 8000
 	}
-	mm := kernel.NewMM(p, h.Store(), fig8FrameBase, totalPages)
+	b := newFig8Bed(cfg, totalPages)
 	backing := kernel.NewBackingSwap(18*sim.Microsecond, 22*sim.Microsecond)
-
 	var z *zswap.Zswap
 	if v == Baseline {
-		mm.SetSwap(backing)
+		b.mm.SetSwap(backing)
 	} else {
-		poolBase := phys.Addr(0x8000_0000)
-		backend := offload.NewZswapBackend(offload.Variant(v), pl)
-		if backend.PoolInDeviceMemory() {
-			poolBase = mem.RegionDevice.Base + (64 << 20)
-		}
-		z = zswap.MustNew(zswap.Config{
-			MaxPoolPercent: 20,
-			TotalRAMPages:  totalPages,
-			PoolBase:       poolBase,
-			PoolPages:      1024,
-		}, backend, backing)
-		mm.SetSwap(z)
+		z = zswap.MustNew(zswap.Config{MaxPoolPercent: 20, TotalRAMPages: totalPages, PoolPages: 1024},
+			offload.NewZswapBackend(offload.Variant(v), b.pl), backing)
+		b.mm.SetSwap(z)
 	}
 
 	// kswapd shares core 0 with the first Redis server — kernel threads
 	// float onto application cores.
-	kswapd := kernel.NewKswapd(eng, mm, h.Core(0).Sched)
+	kswapd := kernel.NewKswapd(b.eng, b.mm, b.core(0))
 	kswapd.BatchSize = 8
-	if cfg.KswapdBatch > 0 {
-		kswapd.BatchSize = cfg.KswapdBatch
+	if b.cfg.KswapdBatch > 0 {
+		kswapd.BatchSize = b.cfg.KswapdBatch
 	}
 
 	// The antagonist churns memory on core 2, keeping kswapd busy; its page
 	// streams also displace LLC lines, which every non-baseline
 	// configuration suffers ("Redis running alone" is the clean baseline).
 	var ant *kvs.Antagonist
-	if v != Baseline {
-		antAS := mm.NewAddressSpace(99)
-		ant = kvs.NewAntagonist(eng, antAS, h.Core(2).Sched, cfg.Seed+seedOffFig8Antagonist)
+	pollution := func() uint64 { return 0 }
+	if z != nil {
+		ant = kvs.NewAntagonist(b.eng, b.mm.NewAddressSpace(99), b.core(2), b.cfg.Seed+seedOffFig8Antagonist)
 		ant.PagesPerBurst = 8
 		ant.Interval = 500 * sim.Microsecond
 		ant.Keep = 1800 // a large cold tail: reclaim victims are mostly the antagonist's
-	}
-
-	pollution := func() uint64 { return 0 }
-	if z != nil {
 		pollution = func() uint64 { return z.Stats().PollutedLines + ant.PollutedLines() }
 	}
 
 	// Two Redis servers on cores 0 and 1 (the paper runs 2 servers + 6
 	// clients on 8 cores; clients are the load generator here).
-	scfg := kvs.DefaultConfig()
-	scfg.Records = 8000 // 500 pages per server: the hot set stays mostly resident
-	servers := make([]*kvs.Server, 2)
-	loader := sim.NewProc(eng, "loader", nil)
-	for i := range servers {
-		as := mm.NewAddressSpace(i + 1)
-		srv, err := kvs.NewServer(eng, scfg, h.Core(i).Sched, as, pollution)
-		if err != nil {
-			panic(err)
-		}
-		if err := srv.LoadDataset(loader); err != nil {
-			panic(err)
-		}
-		servers[i] = srv
-	}
-
+	b.startServers(2, kvs.DefaultConfig(), pollution)
 	if ant != nil {
 		ant.Start()
 	}
+	row, diag := b.serve("zswap", v, w)
 
-	gen := ycsb.MustNewGenerator(w, cfg.dist(), uint64(scfg.Records), cfg.Seed)
-	lg := kvs.NewLoadGen(eng, servers, gen, fig8Rate, cfg.Seed+seedOffFig8LoadGen)
-	lg.Start()
-	// Requests complete synchronously within their arrival event, so the
-	// horizon is exact; the daemons (kswapd, antagonist) would reschedule
-	// forever and are simply cut off at the horizon.
-	eng.RunUntil(cfg.Duration)
-	lg.Stop()
-
-	all := stats.NewSample(int(servers[0].Served() + servers[1].Served()))
-	var served, faults uint64
-	verify := true
-	for _, s := range servers {
-		for _, x := range s.Latencies().Values() {
-			all.Add(x)
-		}
-		served += s.Served()
-		faults += s.Faults()
-		verify = verify && s.VerifyOK()
+	mst := b.mm.Stats()
+	diag.SwapOuts, diag.MajorFaults = mst.SwapOuts, mst.MajorFaults
+	if s := b.merged((*kvs.Server).FaultLatencies); s.N() > 0 {
+		diag.FaultP99 = s.P99()
 	}
-
-	row := Fig8Row{
-		Feature:  "zswap",
-		Variant:  v,
-		Workload: w,
-		P50us:    all.Median(),
-		P99us:    all.P99(),
-		P999us:   all.Quantile(0.999),
-		Served:   served,
-		Faults:   faults,
-		VerifyOK: verify,
+	if s := b.merged((*kvs.Server).CleanLatencies); s.N() > 0 {
+		diag.NoFaultP99 = s.P99()
 	}
 	if z != nil {
 		st := z.Stats()
 		row.PollutedLines = st.PollutedLines
 		// Feature CPU: zswap data plane + reclaim/fault control plane,
 		// over the three cores the feature touches.
-		ctl := sim.Time(mm.Stats().SwapOuts)*p.SW.KswapdControlPlane +
-			sim.Time(mm.Stats().MajorFaults)*p.SW.PageFaultBase
-		row.FeatureCPUPct = 100 * float64(st.HostCPU+ctl) / float64(3*cfg.Duration)
-	}
-	diag := Fig8Diag{
-		P99Core0:      servers[0].P99(),
-		P99Core1:      servers[1].P99(),
-		KswapdBusyPct: 100 * float64(h.Core(0).Sched.Busy()) / float64(cfg.Duration),
-		SwapOuts:      mm.Stats().SwapOuts,
-		MajorFaults:   mm.Stats().MajorFaults,
-		EngineEvents:  eng.Executed(),
-	}
-	faultAll := stats.NewSample(256)
-	cleanAll := stats.NewSample(4096)
-	for _, s := range servers {
-		for _, x := range s.FaultLatencies().Values() {
-			faultAll.Add(x)
-		}
-		for _, x := range s.CleanLatencies().Values() {
-			cleanAll.Add(x)
-		}
-	}
-	if faultAll.N() > 0 {
-		diag.FaultP99 = faultAll.P99()
-	}
-	if cleanAll.N() > 0 {
-		diag.NoFaultP99 = cleanAll.P99()
-	}
-	if z != nil {
-		diag.Writebacks = z.Stats().Writebacks
-		diag.BackingLoads = z.Stats().BackingLoads
+		sw := b.h.Params().SW
+		ctl := sim.Time(mst.SwapOuts)*sw.KswapdControlPlane + sim.Time(mst.MajorFaults)*sw.PageFaultBase
+		row.FeatureCPUPct = 100 * float64(st.HostCPU+ctl) / float64(3*b.cfg.Duration)
+		diag.Writebacks, diag.BackingLoads = st.Writebacks, st.BackingLoads
 	}
 	return row, diag
 }
 
 // Fig8Ksm runs the ksm scenario: 16 VMs (4 serving Redis), ksmd sharing a
 // serving core, scanning mergeable VM pages (§VII methodology).
-func Fig8Ksm(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) Fig8Row {
-	row, _ := fig8KsmDiag(v, w, cfg)
-	return row
-}
+func Fig8Ksm(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag) {
+	b := newFig8Bed(cfg, 16000)
+	b.mm.SetSwap(kernel.NewBackingSwap(18*sim.Microsecond, 22*sim.Microsecond))
 
-// fig8KsmDiag is Fig8Ksm with diagnostics.
-func fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag) {
-	cfg.setDefaults()
-	eng := sim.NewEngine()
-	h, pl := fig8Host()
-	p := h.Params()
-
-	mm := kernel.NewMM(p, h.Store(), fig8FrameBase, 16000)
-	mm.SetSwap(kernel.NewBackingSwap(18*sim.Microsecond, 22*sim.Microsecond))
+	var scanner *ksm.Scanner
+	pollution := func() uint64 { return 0 }
+	if v != Baseline {
+		scanner = ksm.NewScanner(b.mm, offload.NewKsmBackend(offload.Variant(v), b.pl))
+		pollution = func() uint64 { return scanner.Stats().Polluted }
+	}
 
 	// 12 client VMs hold mergeable pages: a shared set of template pages
 	// (OS image / common libraries) plus private pages.
-	rng := rng.New(cfg.Seed + seedOffFig8Pages)
+	rng := rng.New(b.cfg.Seed + seedOffFig8Pages)
 	templates := make([][]byte, 64)
 	for i := range templates {
 		templates[i] = lzc.SyntheticPage(rng, phys.PageSize, 0.5)
 	}
-	loader := sim.NewProc(eng, "loader", nil)
-
-	var scanner *ksm.Scanner
-	var daemon *ksm.Daemon
-	if v != Baseline {
-		scanner = ksm.NewScanner(mm, offload.NewKsmBackend(offload.Variant(v), pl))
-	}
 	clientVMs := make([]*kernel.AddressSpace, 12)
 	for i := range clientVMs {
-		as := mm.NewAddressSpace(100 + i)
+		as := b.mm.NewAddressSpace(100 + i)
 		for vpn := uint64(0); vpn < 160; vpn++ {
 			var page []byte
 			if vpn%2 == 0 {
@@ -330,7 +312,7 @@ func fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8D
 			} else {
 				page = lzc.SyntheticPage(rng, phys.PageSize, 0.5) // private
 			}
-			if err := as.Map(vpn, page, loader); err != nil {
+			if err := as.Map(vpn, page, b.loader); err != nil {
 				panic(err)
 			}
 		}
@@ -340,45 +322,27 @@ func fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8D
 		clientVMs[i] = as
 	}
 
-	pollution := func() uint64 { return 0 }
-	if scanner != nil {
-		pollution = func() uint64 { return scanner.Stats().Polluted }
-	}
-
-	// 4 Redis server VMs pinned to cores 0–3; ksmd shares core 0.
-	scfg := kvs.DefaultConfig()
-	scfg.Records = 8000
-	// ksm displaces far fewer lines per op than zswap's page streams; the
+	// 4 Redis server VMs pinned to cores 0–3; ksmd shares core 0. ksm
+	// displaces far fewer lines per op than zswap's page streams; the
 	// refill penalty is correspondingly lighter.
+	scfg := kvs.DefaultConfig()
 	scfg.PollutionPenaltyPerLine = 15 * sim.Nanosecond
 	scfg.PollutionCap = 2500 * sim.Nanosecond
-	servers := make([]*kvs.Server, 4)
-	for i := range servers {
-		as := mm.NewAddressSpace(i + 1)
-		srv, err := kvs.NewServer(eng, scfg, h.Core(i).Sched, as, pollution)
-		if err != nil {
-			panic(err)
-		}
-		if err := srv.LoadDataset(loader); err != nil {
-			panic(err)
-		}
-		servers[i] = srv
-	}
+	b.startServers(4, scfg, pollution)
 
+	var daemon *ksm.Daemon
 	if scanner != nil {
-		daemon = ksm.NewDaemon(eng, scanner, h.Core(0).Sched)
+		daemon = ksm.NewDaemon(b.eng, scanner, b.core(0))
 		daemon.PagesPerBatch = 110
 		daemon.SleepBetween = 2200 * sim.Microsecond
 		// ksmd floats: over the run it lands on every serving core.
-		daemon.FloatCores = []*sim.Resource{
-			h.Core(0).Sched, h.Core(1).Sched, h.Core(2).Sched, h.Core(3).Sched,
-		}
+		daemon.FloatCores = []*sim.Resource{b.core(0), b.core(1), b.core(2), b.core(3)}
 		daemon.Start()
 	}
 
 	// Client VMs churn a little so ksmd always has work (checksum changes,
 	// CoW breaks).
-	churn := sim.NewProc(eng, "churn", h.Core(4).Sched)
+	churn := sim.NewProc(b.eng, "churn", b.core(4))
 	var churnStep func(pr *sim.Proc)
 	churnStep = func(pr *sim.Proc) {
 		vm := clientVMs[rng.Intn(len(clientVMs))]
@@ -389,48 +353,12 @@ func fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8D
 	}
 	churn.Schedule(churnStep)
 
-	gen := ycsb.MustNewGenerator(w, cfg.dist(), uint64(scfg.Records), cfg.Seed)
-	lg := kvs.NewLoadGen(eng, servers, gen, fig8Rate, cfg.Seed+seedOffFig8LoadGen)
-	lg.Start()
-	eng.RunUntil(cfg.Duration)
-	lg.Stop()
-	if daemon != nil {
-		daemon.Stop()
-	}
-
-	all := stats.NewSample(4096)
-	var served, faults uint64
-	verify := true
-	for _, s := range servers {
-		for _, x := range s.Latencies().Values() {
-			all.Add(x)
-		}
-		served += s.Served()
-		faults += s.Faults()
-		verify = verify && s.VerifyOK()
-	}
-	row := Fig8Row{
-		Feature:  "ksm",
-		Variant:  v,
-		Workload: w,
-		P50us:    all.Median(),
-		P99us:    all.P99(),
-		P999us:   all.Quantile(0.999),
-		Served:   served,
-		Faults:   faults,
-		VerifyOK: verify,
-	}
-	diag := Fig8Diag{
-		P99Core0:      servers[0].P99(),
-		P99Core1:      servers[1].P99(),
-		KswapdBusyPct: 100 * float64(h.Core(0).Sched.Busy()) / float64(cfg.Duration),
-		EngineEvents:  eng.Executed(),
-	}
+	row, diag := b.serve("ksm", v, w)
 	if scanner != nil {
 		st := scanner.Stats()
 		row.PollutedLines = st.Polluted
-		ctl := sim.Time(st.PagesScanned) * p.SW.KsmControlPlane
-		row.FeatureCPUPct = 100 * float64(st.HostCPU+ctl) / float64(5*cfg.Duration)
+		ctl := sim.Time(st.PagesScanned) * b.h.Params().SW.KsmControlPlane
+		row.FeatureCPUPct = 100 * float64(st.HostCPU+ctl) / float64(5*b.cfg.Duration)
 		diag.SwapOuts = st.PagesScanned
 		diag.Writebacks = st.PagesMerged + st.NewStable
 		diag.BackingLoads = uint64(daemon.Batches())
@@ -465,9 +393,9 @@ func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runne
 	if len(workloads) == 0 {
 		workloads = ycsb.Workloads()
 	}
-	run := fig8ZswapDiag
+	run := Fig8Zswap
 	if feature == "ksm" {
-		run = fig8KsmDiag
+		run = Fig8Ksm
 	}
 	var jobs []runner.Job
 	for _, w := range workloads {

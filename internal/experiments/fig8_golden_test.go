@@ -30,8 +30,8 @@ func renderFig8Golden() string {
 		run  func(Fig8Variant, ycsb.Workload, Fig8Config) (Fig8Row, Fig8Diag)
 		dur  sim.Time
 	}{
-		{"zswap", fig8ZswapDiag, 120 * sim.Millisecond},
-		{"ksm", fig8KsmDiag, 60 * sim.Millisecond},
+		{"zswap", Fig8Zswap, 120 * sim.Millisecond},
+		{"ksm", Fig8Ksm, 60 * sim.Millisecond},
 	} {
 		cfg := Fig8Config{Duration: f.dur, Seed: seedFig8Calibrated}
 		for _, v := range Fig8Variants() {

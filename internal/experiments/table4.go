@@ -116,40 +116,26 @@ func WriteQueueSweepJobs(ns []int) []runner.Job {
 	return jobs
 }
 
-// writeQueuePoint measures all four access kinds at one burst length.
+// writeQueuePoint measures all four access kinds at one burst length,
+// each on a fresh rig.
 func writeQueuePoint(n int) []WriteQueueRow {
-	var rows []WriteQueueRow
-	for _, pair := range []struct {
-		req    cxl.D2HReq
-		isTrue bool
-	}{{cxl.COWrite, true}, {cxl.NCWrite, true}} {
+	burst := func(label string, isTrue bool, write func(r *Rig, a phys.Addr) sim.Time) WriteQueueRow {
 		r := NewRig(cxl.Type2)
-		r.Host.ResetTiming()
 		var last sim.Time
 		for i := 0; i < n; i++ {
-			res := r.Dev.D2H(pair.req, HostLine(i), nil, 0)
-			if res.Done > last {
-				last = res.Done
-			}
+			last = max(last, write(r, HostLine(i)))
 		}
-		rows = append(rows, WriteQueueRow{
-			Label: pair.req.String(), N: n, IsTrue: true,
-			BWGBs: float64(n*phys.LineSize) / last.Seconds() / 1e9,
-		})
+		return WriteQueueRow{Label: label, N: n, IsTrue: isTrue,
+			BWGBs: float64(n*phys.LineSize) / last.Seconds() / 1e9}
+	}
+	var rows []WriteQueueRow
+	for _, req := range []cxl.D2HReq{cxl.COWrite, cxl.NCWrite} {
+		rows = append(rows, burst(req.String(), true,
+			func(r *Rig, a phys.Addr) sim.Time { return r.Dev.D2H(req, a, nil, 0).Done }))
 	}
 	for _, op := range []cxl.HostOp{cxl.St, cxl.NtSt} {
-		r := NewRig(cxl.Type2)
-		var last sim.Time
-		for i := 0; i < n; i++ {
-			done := r.Emu.D2H(op, HostLine(i), 0)
-			if done > last {
-				last = done
-			}
-		}
-		rows = append(rows, WriteQueueRow{
-			Label: op.String(), N: n,
-			BWGBs: float64(n*phys.LineSize) / last.Seconds() / 1e9,
-		})
+		rows = append(rows, burst(op.String(), false,
+			func(r *Rig, a phys.Addr) sim.Time { return r.Emu.D2H(op, a, 0) }))
 	}
 	return rows
 }

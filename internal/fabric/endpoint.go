@@ -28,29 +28,25 @@ import (
 type Endpoint struct {
 	eng      *sim.Engine
 	tag      uint64   // id<<SourceShift
-	up       sim.Time // cheapest one-way switch link; 0 for the hub
+	up       sim.Time // one-way latency of the host's switch link; 0 for the hub
 	seq, out uint64
 }
 
 // Endpoints returns the fabric's mail endpoints: the hub first, then one
-// per host in Hosts order. Every host must link to a switch. Repeated
-// calls return the same endpoints.
+// per host in Hosts order. Repeated calls return the same endpoints.
 func (f *Fabric) Endpoints() []*Endpoint {
 	if f.endpoints != nil {
 		return f.endpoints
 	}
 	eps := []*Endpoint{{eng: f.eng}}
 	for _, h := range f.hostIDs {
-		ep := &Endpoint{eng: f.eng, tag: uint64(len(eps)) << sim.SourceShift, up: sim.Forever}
-		// Every link touching a host joins it to a switch: Validate
-		// forbids host–host and host–Type3 links.
+		ep := &Endpoint{eng: f.eng, tag: uint64(len(eps)) << sim.SourceShift}
+		// Validate gives every host exactly one link, and it joins the
+		// host to a switch.
 		for _, l := range f.links {
 			if l.a == h || l.b == h {
-				ep.up = min(ep.up, l.spec.OneWay)
+				ep.up = l.spec.OneWay
 			}
-		}
-		if ep.up == sim.Forever {
-			panic(fmt.Sprintf("fabric: host %q has no switch link", h))
 		}
 		if len(eps) >= 1<<(64-sim.SourceShift) {
 			panic(fmt.Sprintf("fabric: %d hosts overflow the merge key's source field", len(f.hostIDs)))

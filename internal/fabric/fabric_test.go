@@ -47,6 +47,10 @@ func TestValidateErrors(t *testing.T) {
 			"want exactly 1"},
 		{"device no link", Topology{Nodes: []NodeSpec{h, sw, x},
 			Links: []LinkSpec{{A: "h0", B: "sw0"}}}, "want exactly 1"},
+		{"host on two switches", Topology{Nodes: []NodeSpec{h1, sw, h, sw1, x},
+			Links: []LinkSpec{{A: "h1", B: "sw0"}, {A: "sw0", B: "h0"}, {A: "h0", B: "sw1"}, {A: "sw1", B: "x0"}}},
+			"host node \"h0\" has 2 links"},
+		{"lone host", Topology{Nodes: []NodeSpec{h}}, "host node \"h0\" has 0 links"},
 		{"disconnected", Topology{Nodes: []NodeSpec{h, sw, h1, sw1},
 			Links: []LinkSpec{{A: "h0", B: "sw0"}, {A: "h1", B: "sw1"}}}, "disconnected"},
 		{"negative param", Topology{Nodes: []NodeSpec{h, sw},

@@ -150,8 +150,10 @@ func (l LinkSpec) normalized(p *timing.Params) LinkSpec {
 //   - links join two distinct, declared nodes, at most one link per pair;
 //   - no host–host direct links (traffic between hosts crosses a
 //     switch, as in a real fabric);
-//   - Type3 nodes link exactly once, to a Switch (a host's directly
-//     attached device is Host.Attach, not a fabric node);
+//   - Type3 nodes link only to a Switch (a host's directly attached
+//     device is Host.Attach, not a fabric node);
+//   - every host and Type3 node has exactly one link, so fabric traffic
+//     never transits a host and every host reaches a switch;
 //   - the graph is connected.
 func (t Topology) Validate() error {
 	if len(t.Nodes) == 0 {
@@ -205,7 +207,7 @@ func (t Topology) Validate() error {
 		adj[l.B] = append(adj[l.B], l.A)
 	}
 	for _, n := range t.Nodes {
-		if n.Kind == Type3 && degree[n.ID] != 1 {
+		if n.Kind != Switch && degree[n.ID] != 1 {
 			return fmt.Errorf("fabric: %s node %q has %d links, want exactly 1",
 				n.Kind, n.ID, degree[n.ID])
 		}

@@ -64,6 +64,9 @@ func New(p *timing.Params, cfg Config) (*Host, error) {
 	if msg := p.Validate(); msg != "" {
 		return nil, fmt.Errorf("host: %s", msg)
 	}
+	if cfg.Cores < 1 {
+		return nil, fmt.Errorf("host: Cores = %d, want at least 1", cfg.Cores)
+	}
 	llc, err := cache.New("llc", cfg.LLCBytes, cfg.LLCWays)
 	if err != nil {
 		return nil, err

@@ -50,6 +50,16 @@ func TestSNCHalvesChannels(t *testing.T) {
 	}
 }
 
+func TestNewRejectsNoCores(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		cfg := DefaultConfig()
+		cfg.Cores = n
+		if _, err := New(timing.Default(), cfg); err == nil {
+			t.Errorf("Cores = %d accepted", n)
+		}
+	}
+}
+
 func TestNewRejectsBadParams(t *testing.T) {
 	p := timing.Default()
 	p.Host.CoreGHz = 0

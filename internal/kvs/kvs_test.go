@@ -7,6 +7,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/timing"
+	"repro/internal/workload"
 	"repro/internal/ycsb"
 )
 
@@ -173,7 +174,7 @@ func TestCoreContentionRaisesTail(t *testing.T) {
 func TestLoadGenPoissonArrivals(t *testing.T) {
 	f := newFix(t, 256, smallCfg(), nil)
 	gen := ycsb.MustNewGenerator(ycsb.B, ycsb.Uniform, 1024, 5)
-	lg := NewLoadGen(f.eng, []*Server{f.srv}, gen, 50_000, 6)
+	lg := NewLoadGen(f.eng, []*Server{f.srv}, gen, workload.Poisson{RatePerSec: 50_000}, 6)
 	lg.Start()
 	f.eng.RunUntil(100 * sim.Millisecond)
 	lg.Stop()

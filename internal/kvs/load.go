@@ -14,7 +14,7 @@ import (
 
 // LoadGen drives a set of servers with an open-loop request stream — the
 // YCSB-client side of §VII. Arrivals come from a workload.ArrivalSource
-// (stationary Poisson by default, or a diurnal/bursty Temporal source) and
+// (stationary Poisson, or a diurnal/bursty Temporal source) and
 // are scheduled on the engine so request handling interleaves with
 // kswapd/ksmd activity in simulated time.
 type LoadGen struct {
@@ -29,17 +29,10 @@ type LoadGen struct {
 	stopped bool
 }
 
-// NewLoadGen builds a Poisson load generator at ratePerSec aggregate ops/s.
-func NewLoadGen(eng *sim.Engine, servers []*Server, gen *ycsb.Generator, ratePerSec float64, seed int64) *LoadGen {
-	if ratePerSec <= 0 {
-		panic("kvs: positive rate required")
-	}
-	return NewLoadGenArrivals(eng, servers, gen, workload.Poisson{RatePerSec: ratePerSec}, seed)
-}
-
-// NewLoadGenArrivals builds a load generator drawing gaps from src — the
-// temporal-model entry point (diurnal curves, burst modulation).
-func NewLoadGenArrivals(eng *sim.Engine, servers []*Server, gen *ycsb.Generator, src workload.ArrivalSource, seed int64) *LoadGen {
+// NewLoadGen builds a load generator drawing gaps from src: stationary
+// Poisson (workload.Poisson) or a temporal model (diurnal curves, burst
+// modulation).
+func NewLoadGen(eng *sim.Engine, servers []*Server, gen *ycsb.Generator, src workload.ArrivalSource, seed int64) *LoadGen {
 	if len(servers) == 0 {
 		panic("kvs: servers required")
 	}

@@ -48,7 +48,7 @@ func TestLoadGenTemporalDeterministic(t *testing.T) {
 	}
 	run := func() serveStats {
 		return driveLoad(t, func(f *fix, gen *ycsb.Generator) *LoadGen {
-			return NewLoadGenArrivals(f.eng, []*Server{f.srv}, gen, src(), 11)
+			return NewLoadGen(f.eng, []*Server{f.srv}, gen, src(), 11)
 		})
 	}
 	a, b := run(), run()

@@ -63,8 +63,8 @@ func TestOnlyCXLPoolsInDeviceMemory(t *testing.T) {
 	pl := platform(t)
 	for _, v := range variants {
 		b := NewZswapBackend(v, pl)
-		if got := b.PoolInDeviceMemory(); got != (v == CXL) {
-			t.Errorf("%v: PoolInDeviceMemory = %v", v, got)
+		if got := mem.RegionDevice.Contains(b.PoolBase()); got != (v == CXL) {
+			t.Errorf("%v: pool at %v in device memory = %v", v, b.PoolBase(), got)
 		}
 	}
 }
@@ -299,7 +299,6 @@ func TestZswapIntegrationWithCXLBackend(t *testing.T) {
 	z := zswap.MustNew(zswap.Config{
 		MaxPoolPercent: 50,
 		TotalRAMPages:  1000,
-		PoolBase:       mem.RegionDevice.Base + 1<<24,
 		PoolPages:      64,
 	}, NewZswapBackend(CXL, pl), backing)
 	page := testPage(11)

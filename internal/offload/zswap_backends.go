@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cxl"
 	"repro/internal/lzc"
+	"repro/internal/mem"
 	"repro/internal/pcie"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -29,10 +30,10 @@ func NewZswapBackend(v Variant, pl *Platform) zswap.Backend {
 }
 
 // hostPool is the functional zpool of the backends that keep it in host
-// memory: cpu, pcie-rdma and pcie-dma.
+// DRAM at 2 GiB: cpu, pcie-rdma and pcie-dma.
 type hostPool struct{ pl *Platform }
 
-func (h hostPool) PoolInDeviceMemory() bool              { return false }
+func (h hostPool) PoolBase() phys.Addr                   { return 0x8000_0000 }
 func (h hostPool) PoolWrite(addr phys.Addr, data []byte) { h.pl.Host.Store().Write(addr, data) }
 func (h hostPool) PoolRead(addr phys.Addr, dst []byte)   { h.pl.Host.Store().Read(addr, dst) }
 
@@ -200,8 +201,10 @@ func (b *dmaZswap) Load(src phys.Addr, compLen int, dst phys.Addr, now sim.Time)
 // near-zero host-CPU involvement.
 type cxlZswap struct{ pl *Platform }
 
-func (b *cxlZswap) Name() string             { return "cxl-zswap" }
-func (b *cxlZswap) PoolInDeviceMemory() bool { return true }
+func (b *cxlZswap) Name() string { return "cxl-zswap" }
+
+// PoolBase places the zpool in device memory, 64 MiB in (§VI-A).
+func (b *cxlZswap) PoolBase() phys.Addr { return mem.RegionDevice.Base + 64<<20 }
 
 // zpoolScratch is a representative device-memory region used to model the
 // timing of pool writes (the functional deposit goes to the allocator's

@@ -337,6 +337,7 @@ func TestMeasureEndpoint(t *testing.T) {
 		{"unknown op", `{"kind":"d2h","op":"mov"}`},
 		{"unknown place", `{"kind":"d2h","op":"CS-rd","place":"L2-1"}`},
 		{"bad device type", `{"kind":"h2d","op":"ld","config":{"device_type":"type9"}}`},
+		{"negative cores", `{"kind":"h2d","op":"ld","config":{"cores":-1}}`},
 		{"place/kind mismatch", `{"kind":"d2h","op":"CS-rd","place":"DMC-1","reps":10}`},
 		{"NC-P on D2D", `{"kind":"d2d","op":"NC-P","reps":10}`},
 		{"D2H on type3", `{"kind":"d2h","op":"CS-rd","reps":10,"config":{"device_type":"type3"}}`},

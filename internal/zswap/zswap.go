@@ -64,9 +64,9 @@ type Backend interface {
 	// Load reads the compLen-byte compressed image at src from pool storage
 	// and delivers the decompressed page toward dst in host memory.
 	Load(src phys.Addr, compLen int, dst phys.Addr, now sim.Time) LoadResult
-	// PoolInDeviceMemory reports where the pool storage lives — only the
-	// CXL Type-2 backend can place it in device memory (§VI-A).
-	PoolInDeviceMemory() bool
+	// PoolBase is the first address of the pool storage: host DRAM, or
+	// device memory, which only the CXL Type-2 backend can use (§VI-A).
+	PoolBase() phys.Addr
 	// PoolWrite and PoolRead are the functional (untimed) data movers for
 	// pool storage; Store/Load model the timing of the same movement.
 	PoolWrite(addr phys.Addr, data []byte)
@@ -80,9 +80,7 @@ type Config struct {
 	MaxPoolPercent int
 	// TotalRAMPages is the machine RAM size the percentage applies to.
 	TotalRAMPages int
-	// PoolBase/PoolPages locate the pool storage region (host or device
-	// memory depending on the backend).
-	PoolBase  phys.Addr
+	// PoolPages sizes the pool storage region; the backend places it.
 	PoolPages int
 }
 
@@ -223,7 +221,7 @@ func (z *Zswap) allocZbud(compLen int) (idx int, addr phys.Addr, first bool, ok 
 		zp := &z.zbud[zi]
 		if zp.spare() >= compLen {
 			z.unbuddied = append(z.unbuddied[:i], z.unbuddied[i+1:]...)
-			base := z.cfg.PoolBase + phys.Addr(zi)*phys.PageSize
+			base := z.backend.PoolBase() + phys.Addr(zi)*phys.PageSize
 			if zp.firstLen == 0 {
 				zp.firstLen = compLen
 				return zi, base, true, true
@@ -243,7 +241,7 @@ func (z *Zswap) allocZbud(compLen int) (idx int, addr phys.Addr, first bool, ok 
 	if compLen < phys.PageSize {
 		z.unbuddied = append(z.unbuddied, zi)
 	}
-	return zi, z.cfg.PoolBase + phys.Addr(zi)*phys.PageSize, true, true
+	return zi, z.backend.PoolBase() + phys.Addr(zi)*phys.PageSize, true, true
 }
 
 func (z *Zswap) freeZbud(e *entry) {

@@ -27,8 +27,8 @@ func newFake() *fakeBackend {
 	return &fakeBackend{pool: mem.NewStore("pool"), storeLat: 3 * sim.Microsecond, loadLat: 2 * sim.Microsecond}
 }
 
-func (f *fakeBackend) Name() string             { return "fake" }
-func (f *fakeBackend) PoolInDeviceMemory() bool { return false }
+func (f *fakeBackend) Name() string        { return "fake" }
+func (f *fakeBackend) PoolBase() phys.Addr { return 0x100000 }
 
 func (f *fakeBackend) Store(page []byte, src, dst phys.Addr, now sim.Time) StoreResult {
 	f.stores++
@@ -62,7 +62,6 @@ func fixture(t *testing.T, poolPages, maxPct int) (*Zswap, *fakeBackend, *kernel
 	z := MustNew(Config{
 		MaxPoolPercent: maxPct,
 		TotalRAMPages:  1000,
-		PoolBase:       0x100000,
 		PoolPages:      poolPages,
 	}, fb, backing)
 	return z, fb, backing
@@ -258,7 +257,7 @@ func TestKernelIntegrationThroughSwapOps(t *testing.T) {
 	// End to end: MM reclaim drives zswap; faults restore data.
 	fb := newFake()
 	backing := kernel.NewBackingSwap(20*sim.Microsecond, 25*sim.Microsecond)
-	z := MustNew(Config{MaxPoolPercent: 50, TotalRAMPages: 8, PoolBase: 0x200000, PoolPages: 16}, fb, backing)
+	z := MustNew(Config{MaxPoolPercent: 50, TotalRAMPages: 8, PoolPages: 16}, fb, backing)
 	eng := sim.NewEngine()
 	mm := kernel.NewMM(timing.Default(), mem.NewStore("host"), 0, 8)
 	mm.SetSwap(z)

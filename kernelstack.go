@@ -6,7 +6,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/ksm"
 	"repro/internal/kvs"
-	"repro/internal/mem"
 	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/zswap"
@@ -63,20 +62,13 @@ func (s *System) NewZswapStack(eng *Engine, v OffloadVariant, totalPages, maxPoo
 	if totalPages <= 0 {
 		return nil, fmt.Errorf("cxl2sim: totalPages must be positive")
 	}
-	pl := offload.NewPlatform(s.Host)
-	backend := offload.NewZswapBackend(v, pl)
-	poolBase := Addr(0x8000_0000)
-	if backend.PoolInDeviceMemory() {
-		poolBase = mem.RegionDevice.Base + (64 << 20)
-	}
 	mm := kernel.NewMM(s.P, s.Host.Store(), Addr(0x2000_0000), totalPages)
 	backing := kernel.NewBackingSwap(18*Microsecond, 22*Microsecond)
 	z, err := zswap.New(zswap.Config{
 		MaxPoolPercent: maxPoolPercent,
 		TotalRAMPages:  totalPages,
-		PoolBase:       poolBase,
 		PoolPages:      totalPages / 2,
-	}, backend, backing)
+	}, offload.NewZswapBackend(v, offload.NewPlatform(s.Host)), backing)
 	if err != nil {
 		return nil, err
 	}
