@@ -187,8 +187,8 @@ func fig8Bench(b *testing.B, feature string, v experiments.Fig8Variant) {
 	}
 	var norm float64
 	for i := 0; i < b.N; i++ {
-		base, _ := run(experiments.Baseline, ycsb.A, cfg)
-		row, _ := run(v, ycsb.A, cfg)
+		base, _ := run(experiments.Baseline, ycsb.A, cfg, 1)
+		row, _ := run(v, ycsb.A, cfg, 1)
 		if !row.VerifyOK {
 			b.Fatal("data integrity lost")
 		}
@@ -351,8 +351,8 @@ func BenchmarkAblationKswapdQuantum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j, batch := range batches {
 			cfg := experiments.Fig8Config{Duration: 120 * sim.Millisecond, KswapdBatch: batch}
-			base, _ := experiments.Fig8Zswap(experiments.Baseline, ycsb.A, cfg)
-			row, _ := experiments.Fig8Zswap(experiments.Fig8Variant(0), ycsb.A, cfg)
+			base, _ := experiments.Fig8Zswap(experiments.Baseline, ycsb.A, cfg, 1)
+			row, _ := experiments.Fig8Zswap(experiments.Fig8Variant(0), ycsb.A, cfg, 1)
 			norms[j] = row.P99us / base.P99us
 		}
 	}

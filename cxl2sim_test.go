@@ -207,7 +207,6 @@ func TestExperimentRunnersSmoke(t *testing.T) {
 	if _, err := RunExperimentSections(&sb, []ExperimentSection{fig3, table3}, JobOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	PrintTable4(&sb, RunTable4())
 	if !strings.Contains(sb.String(), "Fig. 3") || !strings.Contains(sb.String(), "Table III") {
 		t.Fatal("runner output incomplete")
 	}

@@ -150,14 +150,14 @@ func (sp Spec) Key(seed int64, format string) (string, error) {
 		if sp.Reps < 0 {
 			return "", errNegativeReps
 		}
-		return fmt.Sprintf("v1/report|reps=%d|full=%t|seed=%d", sp.Reps, sp.Full, seed), nil
+		return fmt.Sprintf("%s/report|reps=%d|full=%t|seed=%d", experiments.CacheKeyVersion, sp.Reps, sp.Full, seed), nil
 	case "measure":
 		_, cfg, err := sp.measure()
 		if err != nil {
 			return "", err
 		}
 		m := sp.Measure
-		return fmt.Sprintf("v1/measure|%s|%s|%s|reps=%d|burst=%d|seed=%d|%s",
+		return fmt.Sprintf("%s/measure|%s|%s|%s|reps=%d|burst=%d|seed=%d|%s", experiments.CacheKeyVersion,
 			m.MeasureKind, m.Op, m.Place, m.Reps, m.Burst, seed, cfg.CanonicalKey()), nil
 	default:
 		return "", fmt.Errorf("unknown spec kind %q", sp.Kind)

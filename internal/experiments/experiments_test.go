@@ -6,8 +6,9 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cxl"
+	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/ycsb"
 )
 
 // quick lowers repetition counts: the model is deterministic, so medians
@@ -364,9 +365,9 @@ func TestFig8ZswapShape(t *testing.T) {
 		t.Skip("co-simulation experiment")
 	}
 	cfg := Fig8Config{Duration: shortDuration()}
-	base, _ := Fig8Zswap(Baseline, ycsbA(), cfg)
-	cpu, _ := Fig8Zswap(Fig8Variant(0), ycsbA(), cfg)
-	cxlR, _ := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
+	base, _ := Fig8Zswap(Baseline, ycsbA(), cfg, 1)
+	cpu, _ := Fig8Zswap(Fig8Variant(0), ycsbA(), cfg, 1)
+	cxlR, _ := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg, 1)
 	if !base.VerifyOK || !cpu.VerifyOK || !cxlR.VerifyOK {
 		t.Fatal("data integrity lost under co-simulation")
 	}
@@ -391,9 +392,9 @@ func TestFig8KsmShape(t *testing.T) {
 		t.Skip("co-simulation experiment")
 	}
 	cfg := Fig8Config{Duration: shortDuration()}
-	base, _ := Fig8Ksm(Baseline, ycsbA(), cfg)
-	cpu, _ := Fig8Ksm(Fig8Variant(0), ycsbA(), cfg)
-	cxlR, _ := Fig8Ksm(Fig8Variant(3), ycsbA(), cfg)
+	base, _ := Fig8Ksm(Baseline, ycsbA(), cfg, 1)
+	cpu, _ := Fig8Ksm(Fig8Variant(0), ycsbA(), cfg, 1)
+	cxlR, _ := Fig8Ksm(Fig8Variant(3), ycsbA(), cfg, 1)
 	if !base.VerifyOK || !cpu.VerifyOK || !cxlR.VerifyOK {
 		t.Fatal("data integrity lost under ksm co-simulation")
 	}
@@ -451,22 +452,23 @@ func TestFig8Determinism(t *testing.T) {
 		t.Skip("co-simulation")
 	}
 	cfg := Fig8Config{Duration: 60 * 1e9} // 60 ms
-	a, _ := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
-	b, _ := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg)
+	a, _ := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg, 1)
+	b, _ := Fig8Zswap(Fig8Variant(3), ycsbA(), cfg, 1)
 	if a.P99us != b.P99us || a.Served != b.Served || a.Faults != b.Faults {
 		t.Fatalf("nondeterministic co-simulation: %+v vs %+v", a, b)
 	}
 }
 
-// TestFig8BadDurationPanics: a co-simulation that cannot run must fail
-// Fig8 loudly, not return the rows that survived (an empty table).
+// TestFig8BadDurationPanics: a co-simulation that cannot run panics
+// inside its job, and the runner turns that into a failed result, so the
+// Fig. 8 section's Render returns the error instead of an empty table.
 func TestFig8BadDurationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Fig8 with a negative Duration returned instead of panicking")
-		}
-	}()
-	Fig8("zswap", []ycsb.Workload{ycsbA()}, Fig8Config{Duration: -5 * 1e9}) // -5 ms
+	sec := fig8Section("zswap", Fig8Config{Duration: -5 * sim.Millisecond})
+	var sb strings.Builder
+	err := sec.Render(&sb, runner.Run(sec.Jobs, runner.Options{Workers: 1}))
+	if err == nil || sb.Len() != 0 {
+		t.Fatalf("Render = %v after writing %q; want an error and no output", err, sb.String())
+	}
 }
 
 // TestLookupMatchesSections: the single-section lookup builds exactly the

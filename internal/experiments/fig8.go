@@ -70,10 +70,11 @@ type Fig8Row struct {
 const fig8Rate = 60_000
 
 // Fig8Config shapes the co-simulation; zero values take calibrated
-// defaults.
+// defaults. The seed is not a knob here: Fig8Jobs derives one per
+// (feature, workload) group, and a direct Fig8Zswap/Fig8Ksm call passes
+// its own.
 type Fig8Config struct {
 	Duration sim.Time
-	Seed     int64
 	// Zipfian switches the key distribution from the paper's uniform to
 	// YCSB's zipfian chooser — an extension beyond the paper: skew keeps
 	// the hot set resident, so reclaim falls on cold pages and tails
@@ -94,9 +95,6 @@ func (c Fig8Config) dist() ycsb.Distribution {
 func (c *Fig8Config) setDefaults() {
 	if c.Duration == 0 {
 		c.Duration = 300 * sim.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = seedFig8Calibrated
 	}
 }
 
@@ -127,6 +125,7 @@ type Fig8Diag struct {
 // represented through the pollution channel.
 type fig8Bed struct {
 	cfg     Fig8Config
+	seed    int64
 	eng     *sim.Engine
 	h       *host.Host
 	pl      *offload.Platform
@@ -135,8 +134,9 @@ type fig8Bed struct {
 	servers []*kvs.Server
 }
 
-// newFig8Bed builds the bed with totalPages of managed RAM.
-func newFig8Bed(cfg Fig8Config, totalPages int) *fig8Bed {
+// newFig8Bed builds the bed with totalPages of managed RAM; seed roots
+// every random stream of the run.
+func newFig8Bed(cfg Fig8Config, seed int64, totalPages int) *fig8Bed {
 	cfg.setDefaults()
 	h := host.MustNew(timing.Default(), host.Config{LLCBytes: 4 << 20, LLCWays: 16, Cores: 16, SNC: true})
 	if _, err := h.Attach(cxl.Type2); err != nil {
@@ -145,6 +145,7 @@ func newFig8Bed(cfg Fig8Config, totalPages int) *fig8Bed {
 	eng := sim.NewEngine()
 	return &fig8Bed{
 		cfg:    cfg,
+		seed:   seed,
 		eng:    eng,
 		h:      h,
 		pl:     offload.NewPlatform(h),
@@ -178,8 +179,8 @@ func (b *fig8Bed) startServers(n int, scfg kvs.Config, pollution func() uint64) 
 // daemons (kswapd, ksmd, the antagonist, the churn) would reschedule
 // forever and are simply cut off at the horizon.
 func (b *fig8Bed) serve(feature string, v Fig8Variant, w ycsb.Workload) (Fig8Row, Fig8Diag) {
-	gen := ycsb.MustNewGenerator(w, b.cfg.dist(), fig8Records, b.cfg.Seed)
-	lg := kvs.NewLoadGen(b.eng, b.servers, gen, workload.Poisson{RatePerSec: fig8Rate}, b.cfg.Seed+seedOffFig8LoadGen)
+	gen := ycsb.MustNewGenerator(w, b.cfg.dist(), fig8Records, b.seed)
+	lg := kvs.NewLoadGen(b.eng, b.servers, gen, workload.Poisson{RatePerSec: fig8Rate}, b.seed+seedOffFig8LoadGen)
 	lg.Start()
 	b.eng.RunUntil(b.cfg.Duration)
 	lg.Stop()
@@ -213,7 +214,8 @@ func (b *fig8Bed) merged(sample func(*kvs.Server) *stats.Sample) *stats.Sample {
 
 // Fig8Zswap runs the zswap scenario: 2 Redis servers + kswapd sharing a
 // core + a memory antagonist, under one backend variant (§VII methodology).
-func Fig8Zswap(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag) {
+// seed roots the key, arrival, antagonist and page streams.
+func Fig8Zswap(v Fig8Variant, w ycsb.Workload, cfg Fig8Config, seed int64) (Fig8Row, Fig8Diag) {
 	// Memory sizing: with the feature active the working sets exceed RAM so
 	// reclaim runs continuously; the baseline ("Redis running alone") has
 	// headroom.
@@ -221,7 +223,7 @@ func Fig8Zswap(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Dia
 	if v == Baseline {
 		totalPages = 8000
 	}
-	b := newFig8Bed(cfg, totalPages)
+	b := newFig8Bed(cfg, seed, totalPages)
 	backing := kernel.NewBackingSwap(18*sim.Microsecond, 22*sim.Microsecond)
 	var z *zswap.Zswap
 	if v == Baseline {
@@ -246,7 +248,7 @@ func Fig8Zswap(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Dia
 	var ant *kvs.Antagonist
 	pollution := func() uint64 { return 0 }
 	if z != nil {
-		ant = kvs.NewAntagonist(b.eng, b.mm.NewAddressSpace(99), b.core(2), b.cfg.Seed+seedOffFig8Antagonist)
+		ant = kvs.NewAntagonist(b.eng, b.mm.NewAddressSpace(99), b.core(2), b.seed+seedOffFig8Antagonist)
 		ant.PagesPerBurst = 8
 		ant.Interval = 500 * sim.Microsecond
 		ant.Keep = 1800 // a large cold tail: reclaim victims are mostly the antagonist's
@@ -283,9 +285,10 @@ func Fig8Zswap(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Dia
 }
 
 // Fig8Ksm runs the ksm scenario: 16 VMs (4 serving Redis), ksmd sharing a
-// serving core, scanning mergeable VM pages (§VII methodology).
-func Fig8Ksm(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag) {
-	b := newFig8Bed(cfg, 16000)
+// serving core, scanning mergeable VM pages (§VII methodology). seed roots
+// the key, arrival and page streams.
+func Fig8Ksm(v Fig8Variant, w ycsb.Workload, cfg Fig8Config, seed int64) (Fig8Row, Fig8Diag) {
+	b := newFig8Bed(cfg, seed, 16000)
 	b.mm.SetSwap(kernel.NewBackingSwap(18*sim.Microsecond, 22*sim.Microsecond))
 
 	var scanner *ksm.Scanner
@@ -297,7 +300,7 @@ func Fig8Ksm(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag)
 
 	// 12 client VMs hold mergeable pages: a shared set of template pages
 	// (OS image / common libraries) plus private pages.
-	rng := rng.New(b.cfg.Seed + seedOffFig8Pages)
+	rng := rng.New(b.seed + seedOffFig8Pages)
 	templates := make([][]byte, 64)
 	for i := range templates {
 		templates[i] = lzc.SyntheticPage(rng, phys.PageSize, 0.5)
@@ -366,29 +369,13 @@ func Fig8Ksm(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8Diag)
 	return row, diag
 }
 
-// Fig8 runs one feature across all variants and workloads, filling in the
-// baseline-normalized p99 like the paper's figure. It is the serial form
-// of Fig8Jobs, pinned to the calibrated seed so the legacy paths
-// (kvsbench, the calibration workflow) keep their published numbers. A
-// failed co-simulation (e.g. a negative Duration) panics with the first
-// job's error rather than returning the rows that survived.
-func Fig8(feature string, workloads []ycsb.Workload, cfg Fig8Config) []Fig8Row {
-	if cfg.Seed == 0 {
-		cfg.Seed = seedFig8Calibrated
-	}
-	results := runner.Run(Fig8Jobs(feature, workloads, cfg), runner.Options{Workers: 1})
-	if _, err := runner.Values(results); err != nil {
-		panic(err)
-	}
-	return fig8Collect(results)
-}
-
 // Fig8Jobs returns one job per co-simulation, ID
 // "fig8/<feature>/<workload>/<variant>": within each workload the
-// baseline comes first, then the four backends in the paper's order. When
-// cfg.Seed is zero each variant runs under
-// rng.DeriveSeed(rng.DeriveSeed(root, "fig8/<feature>/<workload>"), variant);
-// a non-zero cfg.Seed pins every run, which is what the calibration uses.
+// baseline comes first, then the four backends in the paper's order. Every
+// job of one (feature, workload) group runs under
+// rng.DeriveSeed(root, "fig8/<feature>/<workload>"), so the baseline and
+// the four backends see the same key, arrival and page streams (common
+// random numbers) and each normalized p99 is a paired ratio.
 func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runner.Job {
 	if len(workloads) == 0 {
 		workloads = ycsb.Workloads()
@@ -402,11 +389,7 @@ func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runne
 		group := fmt.Sprintf("fig8/%s/%s", feature, w)
 		for _, v := range Fig8Variants() {
 			jobs = append(jobs, runner.Job{ID: group + "/" + v.String(), Run: func(ctx *runner.Ctx) (any, error) {
-				c := cfg
-				if c.Seed == 0 {
-					c.Seed = rng.DeriveSeed(rng.DeriveSeed(ctx.Root, group), v.String())
-				}
-				row, diag := run(v, w, c)
+				row, diag := run(v, w, cfg, sectionSeed(ctx, group))
 				ctx.AddEvents(diag.EngineEvents)
 				return []Fig8Row{row}, nil
 			}})
@@ -415,10 +398,10 @@ func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runne
 	return jobs
 }
 
-// fig8Collect assembles job results (in Fig8Jobs order) into rows,
-// filling in the baseline-normalized p99: within each workload the
-// baseline job precedes its variants, so normalization is a single pass.
-func fig8Collect(results []runner.Result) []Fig8Row {
+// Fig8Rows assembles job results (in Fig8Jobs order) into rows, filling
+// in the baseline-normalized p99: within each workload the baseline job
+// precedes its variants, so normalization is a single pass.
+func Fig8Rows(results []runner.Result) []Fig8Row {
 	rows := Rows[Fig8Row](results)
 	var baseP99 float64
 	for i := range rows {

@@ -46,7 +46,7 @@ func Report(reps int, full bool) Section {
 		r.fig6(Rows[Fig6Row](by["fig6"]))
 		r.table4(Rows[Table4Row](by["table4"]))
 		if full {
-			r.fig8(fig8Collect(by["fig8"]))
+			r.fig8(Fig8Rows(by["fig8"]))
 		}
 		return r.err
 	}}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -69,13 +70,50 @@ func TestWorkloadSectionParallelMatchesSerial(t *testing.T) {
 	checkParallelMatchesSerial(t, lookup(t, "workload", 30))
 }
 
+// fig8Section is one feature's workload-A Fig8Jobs rendered the way
+// kvsbench renders them: nothing unless every job succeeded, then the rows
+// with their baseline-normalized p99.
+func fig8Section(feature string, cfg Fig8Config) Section {
+	return Section{Name: "fig8", Jobs: Fig8Jobs(feature, []ycsb.Workload{ycsb.A}, cfg),
+		Render: func(w io.Writer, results []runner.Result) error {
+			if _, err := runner.Values(results); err != nil {
+				return err
+			}
+			PrintFig8(w, Fig8Rows(results))
+			return nil
+		}}
+}
+
 func TestFig8SectionParallelMatchesSerial(t *testing.T) {
-	// A short horizon keeps the five co-simulations affordable; cfg.Seed
-	// stays 0 so each variant runs under its derived seed — the path a
-	// parallel report run takes.
-	cfg := Fig8Config{Duration: 30 * sim.Millisecond}
-	checkParallelMatchesSerial(t, Section{Name: "fig8",
-		Jobs: Fig8Jobs("zswap", []ycsb.Workload{ycsb.A}, cfg), Render: renderRows(PrintFig8)})
+	// A short horizon keeps the five co-simulations affordable.
+	checkParallelMatchesSerial(t, fig8Section("zswap", Fig8Config{Duration: 30 * sim.Millisecond}))
+}
+
+// TestFig8JobsCommonRandomNumbers: every job of one (feature, workload)
+// group runs under the group's seed, so the baseline and the four backends
+// see one arrival stream. Requests complete within their arrival event, so
+// every row of a group serves the same count; a variant on a seed of its
+// own would serve a different one.
+func TestFig8JobsCommonRandomNumbers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("co-simulation experiment")
+	}
+	cfg := Fig8Config{Duration: 10 * sim.Millisecond}
+	for _, f := range []string{"zswap", "ksm"} {
+		jobs := Fig8Jobs(f, []ycsb.Workload{ycsb.A, ycsb.B}, cfg)
+		results := runner.Run(jobs, runner.Options{RootSeed: 3})
+		if _, err := runner.Values(results); err != nil {
+			t.Fatal(err)
+		}
+		rows := Fig8Rows(results)
+		for i, r := range rows {
+			base := rows[i/len(Fig8Variants())*len(Fig8Variants())]
+			if r.Workload != base.Workload || r.Served != base.Served {
+				t.Errorf("%s: %s-%s/%v served %d, its baseline %v served %d",
+					f, r.Variant, f, r.Workload, r.Served, base.Workload, base.Served)
+			}
+		}
+	}
 }
 
 // TestClusterSectionParallelMatchesSerial: the cluster section —

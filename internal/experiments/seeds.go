@@ -11,19 +11,14 @@ const (
 	SeedTable4Page int64 = 4
 )
 
-// Fig. 8's end-to-end runs take a user seed (Fig8Config.Seed) and derive
-// the independent streams at fixed offsets: keeping the offsets distinct
-// keeps the YCSB key stream, the Poisson arrival stream, the antagonist's
-// churn and the page-content stream decorrelated.
+// Fig. 8's end-to-end runs take one seed per (feature, workload) group,
+// which Fig8Jobs derives from the root seed and the baseline and all four
+// backends share, and derive the independent streams at fixed offsets:
+// keeping the offsets distinct keeps the YCSB key stream, the Poisson
+// arrival stream, the antagonist's churn and the page-content stream
+// decorrelated.
 const (
 	seedOffFig8LoadGen    int64 = 1 // request arrivals (kvs load generator)
 	seedOffFig8Pages      int64 = 3 // synthetic page contents
 	seedOffFig8Antagonist int64 = 7 // memory-churn co-runner
 )
-
-// seedFig8Calibrated is the Fig8Config.Seed the calibration (and the
-// legacy Fig8/kvsbench paths) run under. The parallel suite instead
-// derives each fig8 job's seed from (rootSeed, jobID) through internal/rng
-// — see Fig8Jobs — so a suite run is reproducible from one root integer
-// while the calibrated numbers stay pinned to this constant.
-const seedFig8Calibrated int64 = 1

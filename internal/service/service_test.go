@@ -653,7 +653,7 @@ func TestVersionEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &v); err != nil {
 		t.Fatal(err)
 	}
-	if v.CacheKeyVersion != "v1" || v.DistProtocol == "" || v.Mode != "standalone" {
+	if v.CacheKeyVersion != "v2" || v.DistProtocol == "" || v.Mode != "standalone" {
 		t.Fatalf("version = %+v", v)
 	}
 }
