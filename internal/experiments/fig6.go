@@ -9,6 +9,7 @@ import (
 	"repro/internal/phys"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/timing"
 )
 
 // Fig6Mechanism is one curve of Fig. 6.
@@ -76,123 +77,123 @@ type Fig6Row struct {
 func Fig6Jobs() []runner.Job {
 	var jobs []runner.Job
 	for _, d2h := range []bool{false, true} {
-		dir := "H2D"
-		if d2h {
-			dir = "D2H"
-		}
 		for _, mech := range Fig6Mechanisms() {
-			if d2h && mech == MechPCIeDMA {
-				continue // Agilex-7 lacks a D2H DMA IP (§V-D)
+			if d2h && (mech == MechPCIeDMA || mech == MechCXLDSA) {
+				continue // Agilex-7 lacks a D2H DMA IP (§V-D); DSA is a host-side engine
 			}
-			if d2h && mech == MechCXLDSA {
-				continue // DSA is a host-side engine
-			}
-			mech, d2h := mech, d2h
-			jobs = append(jobs, sliceJob(fmt.Sprintf("fig6/%s/%s", dir, mech),
-				func() []Fig6Row {
-					var rows []Fig6Row
-					for _, size := range Fig6Sizes() {
-						rows = append(rows, measureFig6(mech, d2h, size))
-					}
-					return rows
-				}))
+			jobs = append(jobs, sliceJob(fmt.Sprintf("fig6/%s/%s", fig6Dir(d2h), mech),
+				func() []Fig6Row { return measureFig6Curve(mech, d2h) }))
 		}
 	}
 	return jobs
 }
 
-func measureFig6(mech Fig6Mechanism, d2h bool, size int) Fig6Row {
-	r := NewRig(cxl.Type2)
-	ep := pcie.NewEndpoint(r.P)
-	var done sim.Time
-	switch mech {
-	case MechCXLLd:
-		if d2h {
-			done = measureCXLD2HRead(r, size)
-		} else {
-			done = measureCXLH2D(r, cxl.Ld, size)
-		}
-	case MechCXLSt:
-		if d2h {
-			done = measureCXLD2HPush(r, size)
-		} else {
-			done = r.Host.Core(0).FenceCXL(measureCXLH2D(r, cxl.NtSt, size))
-		}
-	case MechCXLDSA:
-		dsa := r.Host.NewDSA()
-		_, done = dsa.Copy(HostLine(0), DevLine(0), size, 0, false)
-	case MechPCIeMMIO:
-		if d2h {
-			// The device reads host memory through its PCIe requester: same
-			// serialized word-at-a-time behavior.
-			done = ep.MMIORead(size, 0).Done
-		} else {
-			done = ep.MMIOWrite(size, 0).Done
-		}
-	case MechPCIeDMA:
-		done = ep.DMATransfer(size, 0, false).Done
-	case MechPCIeRDMA:
-		if d2h {
-			// The raw D2H RDMA curve: a NIC-driven read without per-op Arm
-			// software orchestration (that overhead belongs to the offload
-			// workflows of Table IV).
-			done = ep.RDMAFollowOn(size, 0).Done
-		} else {
-			done = ep.RDMATransfer(size, 0, pcie.H2D).Done
-		}
-	case MechPCIeDOCA:
-		dir := pcie.H2D
-		if d2h {
-			dir = pcie.D2H
-		}
-		done = ep.DOCATransfer(size, 0, dir).Done
+// measureFig6Curve measures one curve at every Fig6Sizes() point: a CXL
+// curve on one rig (CXL-DSA with a fresh engine per size), a PCIe curve on
+// a fresh endpoint per size. A CXL ld/st curve is one pass: the largest
+// transfer runs once, in segments that end at each size, and each point is
+// the running completion. That is exactly a fresh rig per size: every line
+// issues at the same time (zero, plus the LSU setup in a D2H block) and
+// the simulator handles lines in call order, so line k's completion
+// depends only on the lines before it, and a size-s transfer is the first
+// s/64 lines of the largest one.
+func measureFig6Curve(mech Fig6Mechanism, d2h bool) []Fig6Row {
+	var r *Rig
+	if mech == MechCXLLd || mech == MechCXLSt || mech == MechCXLDSA {
+		r = NewRig(cxl.Type2)
 	}
-	return Fig6Row{
-		Mech:         mech,
-		D2H:          d2h,
-		Size:         size,
-		LatencyNs:    done.Nanoseconds(),
-		BandwidthGBs: float64(size) / done.Seconds() / 1e9,
+	p := timing.Default()
+	var sent int      // bytes of the CXL ld/st transfer issued so far
+	var last sim.Time // and their latest completion
+	var rows []Fig6Row
+	for _, size := range Fig6Sizes() {
+		ep := pcie.NewEndpoint(p) // a PCIe curve's fresh endpoint per size
+		var done sim.Time
+		switch mech {
+		case MechCXLLd, MechCXLSt:
+			last = max(last, cxlSegment(r, mech, d2h, sent, size))
+			sent, done = size, last
+			if mech == MechCXLSt && !d2h {
+				done = r.Host.Core(0).FenceCXL(last) // drains the lines issued so far
+			}
+		case MechCXLDSA:
+			_, done = r.Host.NewDSA().Copy(HostLine(0), DevLine(0), size, 0, false)
+		case MechPCIeMMIO:
+			if d2h {
+				// The device reads host memory through its PCIe requester:
+				// same serialized word-at-a-time behavior.
+				done = ep.MMIORead(size, 0).Done
+			} else {
+				done = ep.MMIOWrite(size, 0).Done
+			}
+		case MechPCIeDMA:
+			done = ep.DMATransfer(size, 0, false).Done
+		case MechPCIeRDMA:
+			if d2h {
+				// The raw D2H RDMA curve: a NIC-driven read without per-op
+				// Arm software orchestration (that overhead belongs to the
+				// offload workflows of Table IV).
+				done = ep.RDMAFollowOn(size, 0).Done
+			} else {
+				done = ep.RDMATransfer(size, 0, pcie.H2D).Done
+			}
+		case MechPCIeDOCA:
+			dir := pcie.H2D
+			if d2h {
+				dir = pcie.D2H
+			}
+			done = ep.DOCATransfer(size, 0, dir).Done
+		}
+		rows = append(rows, Fig6Row{
+			Mech:         mech,
+			D2H:          d2h,
+			Size:         size,
+			LatencyNs:    done.Nanoseconds(),
+			BandwidthGBs: float64(size) / done.Seconds() / 1e9,
+		})
 	}
+	return rows
 }
 
-// measureCXLH2D times a host-initiated block transfer of device memory,
-// one op per line, and returns the last completion. With demand loads it
-// is the H2D CXL-LD curve, which the limited LD queue makes the slowest
-// CXL option beyond ~1 KB (the bottleneck CXL-DSA addresses, §V-D); with
-// nt-st (write combining) followed by a fence it is the H2D CXL-ST curve.
-func measureCXLH2D(r *Rig, op cxl.HostOp, size int) sim.Time {
-	core := r.Host.Core(0)
+// cxlSegment issues bytes [from, to) of a CXL ld/st block transfer on r at
+// time zero and returns their latest completion. H2D is host demand loads
+// (CXL-LD: the LD queue bottlenecks it beyond ~1 KB, which CXL-DSA
+// addresses, §V-D) or nt-st (CXL-ST, fenced by the caller) of device
+// memory, one op per line. D2H is a device NC-read block of host memory
+// (CXL-LD, cxl-zswap's page pull) or an NC-P block write into host LLC
+// (CXL-ST: DMA/RDMA write to host LLC via DDIO, §V-D).
+func cxlSegment(r *Rig, mech Fig6Mechanism, d2h bool, from, to int) sim.Time {
+	switch {
+	case d2h && mech == MechCXLLd:
+		return r.Dev.ReadHostBlock(cxl.NCRead, HostLine(0)+phys.Addr(from), to-from, nil, 0)
+	case d2h:
+		return r.Dev.WriteHostBlock(cxl.NCP, HostLine(0)+phys.Addr(from), nil, to-from, 0)
+	}
+	op := cxl.Ld
+	if mech == MechCXLSt {
+		op = cxl.NtSt
+	}
 	var last sim.Time
-	for off := 0; off < size; off += phys.LineSize {
-		last = max(last, core.Access(op, DevLine(off/phys.LineSize), nil, 0).Done)
+	for off := from; off < to; off += phys.LineSize {
+		last = max(last, r.Host.Core(0).Access(op, DevLine(off/phys.LineSize), nil, 0).Done)
 	}
 	return last
 }
 
-// measureCXLD2HRead times a device-initiated block read of host memory with
-// NC-read — the D2H CXL-LD curve (what cxl-zswap uses for its page pull).
-func measureCXLD2HRead(r *Rig, size int) sim.Time {
-	return r.Dev.ReadHostBlock(cxl.NCRead, HostLine(0), size, nil, 0)
-}
-
-// measureCXLD2HPush times a device-initiated block write into host LLC with
-// NC-P — the D2H CXL-ST curve (the paper uses NC-P because DMA/RDMA write
-// to host LLC via DDIO, §V-D).
-func measureCXLD2HPush(r *Rig, size int) sim.Time {
-	return r.Dev.WriteHostBlock(cxl.NCP, HostLine(0), nil, size, 0)
+// fig6Dir names a transfer direction.
+func fig6Dir(d2h bool) string {
+	if d2h {
+		return "D2H"
+	}
+	return "H2D"
 }
 
 // printFig6 renders the rows.
 func printFig6(w io.Writer, rows []Fig6Row) {
 	var table [][]string
 	for _, r := range rows {
-		dir := "H2D"
-		if r.D2H {
-			dir = "D2H"
-		}
 		table = append(table, []string{
-			r.Mech.String(), dir, fmt.Sprintf("%d", r.Size),
+			r.Mech.String(), fig6Dir(r.D2H), fmt.Sprintf("%d", r.Size),
 			fmtCell(r.LatencyNs), fmtCell(r.BandwidthGBs),
 		})
 	}
@@ -206,12 +207,8 @@ func WriteFig6CSV(w io.Writer, rows []Fig6Row) error {
 		return err
 	}
 	for _, r := range rows {
-		dir := "H2D"
-		if r.D2H {
-			dir = "D2H"
-		}
 		if _, err := fmt.Fprintf(w, "%s,%s,%d,%.2f,%.3f\n",
-			r.Mech, dir, r.Size, r.LatencyNs, r.BandwidthGBs); err != nil {
+			r.Mech, fig6Dir(r.D2H), r.Size, r.LatencyNs, r.BandwidthGBs); err != nil {
 			return err
 		}
 	}

@@ -5,8 +5,9 @@ package phys
 // Line-sized `make` calls dominate allocation in the serving and figure
 // simulations — one 64-byte object per modeled memory transaction — so
 // the arena carves them out of slab-sized allocations instead: an
-// allocation every slabLines transactions rather than every one, and no
-// per-line GC bookkeeping.
+// allocation every slab's worth of transactions rather than every one,
+// and no per-line GC bookkeeping. Slabs grow (see slabSize), so an owner
+// that hands out only a few lines pays for a small slab, not a full one.
 //
 // It is a bump allocator, not a free list: a handed-out line is never
 // reused until Reset, so callers may retain AccessResult data with the
@@ -20,8 +21,22 @@ type LineArena struct {
 	off   int // offset into the active slab
 }
 
-// slabLines is the arena granularity: 1024 lines = 64 KiB per slab.
-const slabLines = 1024
+// Slab sizes in lines: the first slab holds firstSlabLines (1 KiB), each
+// later one 4× the previous, up to maxSlabLines (64 KiB) per slab — 16,
+// 64, 256, 1024, 1024, ...
+const (
+	firstSlabLines = 16
+	maxSlabLines   = 1024
+)
+
+// slabSize returns the byte size of slab i.
+func slabSize(i int) int {
+	n := firstSlabLines
+	for ; i > 0 && n < maxSlabLines; i-- {
+		n *= 4
+	}
+	return n * LineSize
+}
 
 // Line returns a zeroed LineSize buffer with full-capacity slice bounds.
 func (a *LineArena) Line() []byte {
@@ -34,7 +49,7 @@ func (a *LineArena) Line() []byte {
 // space holds stale bytes from before the last Reset).
 func (a *LineArena) raw() []byte {
 	if a.si == len(a.slabs) {
-		a.slabs = append(a.slabs, make([]byte, slabLines*LineSize))
+		a.slabs = append(a.slabs, make([]byte, slabSize(a.si)))
 	}
 	s := a.slabs[a.si]
 	if a.off+LineSize > len(s) {
@@ -66,8 +81,9 @@ func (a *LineArena) Clone(d []byte) []byte {
 }
 
 // Reset rewinds the arena for the next run in O(1); Line/Clone zero
-// each buffer as it is handed back out. Buffers handed out before the
-// Reset must no longer be referenced.
+// each buffer as it is handed back out. The slabs are reused in order,
+// so an owner stops allocating once its slabs cover one reset period.
+// Buffers handed out before the Reset must no longer be referenced.
 func (a *LineArena) Reset() {
 	a.si, a.off = 0, 0
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +10,7 @@ import (
 	"time"
 )
 
-func open(t *testing.T, dir string, maxBytes int64) *Store {
+func open(t testing.TB, dir string, maxBytes int64) *Store {
 	t.Helper()
 	s, err := Open(Config{Dir: dir, MaxBytes: maxBytes, KeyVersion: "v1"})
 	if err != nil {
@@ -202,5 +203,48 @@ func TestOversizedEntryIgnored(t *testing.T) {
 	}
 	if _, ok := s.Get("small"); !ok {
 		t.Fatal("small entry lost to an oversized put")
+	}
+}
+
+// benchBody is a rendered-section-sized body: sections at reps=50 render
+// to 0.9–7.4 KB, most near 2 KB.
+var benchBody = bytes.Repeat([]byte("0123456789abcdef"), 128)
+
+func benchEntry(i int) Entry {
+	return Entry{Key: fmt.Sprintf("v1/section|fig3|reps=50|seed=%d|format=text", i),
+		Body: benchBody, ContentType: "text/plain; charset=utf-8", Status: 200}
+}
+
+// BenchmarkStorePut times one durable put of a fresh key: fan-out mkdir,
+// temp-file write, fsync and rename. fsync time follows the host's disk.
+func BenchmarkStorePut(b *testing.B) {
+	s := open(b, b.TempDir(), 1<<30)
+	b.SetBytes(int64(len(benchBody)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(benchEntry(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreGet times one verified hit: read, decode, checksum and the
+// mtime bump that GC evicts by.
+func BenchmarkStoreGet(b *testing.B) {
+	s := open(b, b.TempDir(), 1<<30)
+	keys := make([]string, 64)
+	for i := range keys {
+		e := benchEntry(i)
+		if err := s.Put(e); err != nil {
+			b.Fatal(err)
+		}
+		keys[i] = e.Key
+	}
+	b.SetBytes(int64(len(benchBody)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Get(keys[i%len(keys)]); !ok {
+			b.Fatalf("miss on %s", keys[i%len(keys)])
+		}
 	}
 }
