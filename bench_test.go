@@ -23,9 +23,6 @@ import (
 	"repro/internal/ycsb"
 )
 
-// benchReps keeps per-iteration work bounded; the model is deterministic.
-const benchReps = 200
-
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := runRows[experiments.Table3Row](experiments.Table3Jobs())
@@ -38,7 +35,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	var rows []experiments.Fig3Row
 	for i := 0; i < b.N; i++ {
-		rows = runRows[experiments.Fig3Row](experiments.Fig3Jobs(benchReps))
+		rows = runRows[experiments.Fig3Row](experiments.Fig3Jobs())
 	}
 	cs := experiments.Fig3Find(rows, "CS-rd", true, true)
 	ld := experiments.Fig3Find(rows, "ld", false, true)
@@ -125,7 +122,7 @@ func BenchmarkWorkload(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	var rows []experiments.Fig4Row
 	for i := 0; i < b.N; i++ {
-		rows = runRows[experiments.Fig4Row](experiments.Fig4Jobs(benchReps))
+		rows = runRows[experiments.Fig4Row](experiments.Fig4Jobs())
 	}
 	hb := experiments.Fig4Find(rows, "CO-wr", false, true, false)
 	db := experiments.Fig4Find(rows, "CO-wr", false, true, true)
@@ -135,7 +132,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	var rows []experiments.Fig5Row
 	for i := 0; i < b.N; i++ {
-		rows = runRows[experiments.Fig5Row](experiments.Fig5Jobs(benchReps))
+		rows = runRows[experiments.Fig5Row](experiments.Fig5Jobs())
 	}
 	t2 := experiments.Fig5Find(rows, cxl.Ld, experiments.CaseT2Miss)
 	t3 := experiments.Fig5Find(rows, cxl.Ld, experiments.CaseT3)

@@ -42,7 +42,7 @@ func main() { os.Exit(run()) }
 // run holds the real body so profile-flushing defers execute before the
 // process exits with the right status code.
 func run() int {
-	reps := flag.Int("reps", 1000, "repetitions per measurement (the paper uses >= 1000)")
+	reps := flag.Int("reps", 1000, "request-count scale of the infer, workload and cluster sections (Fig. 3-5 measure each cell once)")
 	parallel := flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
 	serial := flag.Bool("serial", false, "run on a single worker (same as -parallel 1)")
 	seed := flag.Int64("seed", cxl2sim.DefaultRootSeed, "root seed for per-job seed derivation")

@@ -27,7 +27,7 @@
 //	GET  /v1/sections             section catalog
 //	POST /v1/sections/{name}      run one section (body: reps/seed/format)
 //	POST /v1/measure              one Measure{D2H,D2D,H2D} job
-//	GET  /v1/report               full report (?reps=&full=&seed=)
+//	GET  /v1/report               full report (?full=&seed=)
 //	POST /dist/v1/register        worker registration (coordinator mode)
 //	GET  /dist/v1/workers         fleet listing (coordinator mode)
 //
@@ -65,7 +65,7 @@ func main() {
 	storeMB := flag.Int64("store-mb", 256, "durable result-store bound in MiB")
 	requestTimeout := flag.Duration("request-timeout", 120*time.Second, "per-run deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
-	reps := flag.Int("reps", 0, "default section repetition count (0 keeps the paper's defaults)")
+	reps := flag.Int("reps", 0, "default section reps, read by infer, workload and cluster (0 keeps their defaults, not cxlbench's -reps 1000)")
 	coordinator := flag.Bool("coordinator", false, "shard runs across registered dist workers")
 	workerMode := flag.Bool("worker", false, "run as a dist execution worker instead of the daemon")
 	join := flag.String("join", "", "coordinator base URL a -worker registers with")

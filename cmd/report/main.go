@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	report [-reps N] [-full] [-parallel N | -serial] [-seed S] [-bench-json PATH]
+//	report [-full] [-parallel N | -serial] [-seed S] [-bench-json PATH]
 package main
 
 import (
@@ -25,12 +25,10 @@ import (
 	"syscall"
 
 	cxl2sim "repro"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 )
 
 func main() {
-	reps := flag.Int("reps", experiments.ReportReps, "repetitions per microbenchmark measurement")
 	full := flag.Bool("full", false, "also run the Fig. 8 co-simulations (a few seconds)")
 	parallel := flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
 	serial := flag.Bool("serial", false, "run on a single worker (same as -parallel 1)")
@@ -38,14 +36,12 @@ func main() {
 	noStats := flag.Bool("no-stats", false, "suppress the per-job stats table on stderr")
 	benchJSON := flag.String("bench-json", "", "write per-job timing stats as JSON to this path")
 	flag.Parse()
-
-	// The report request the daemon and the dist workers validate: a
-	// negative -reps fails here, as one line, instead of inside a job.
-	sec, err := dist.Spec{Kind: "report", Reps: *reps, Full: *full}.Build()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "report: unknown argument %q (report takes only flags)\n", flag.Arg(0))
 		os.Exit(2)
 	}
+
+	sec := experiments.Report(*full)
 
 	if !*full {
 		fmt.Fprintln(os.Stderr, "(skipping Fig. 8 co-simulations; pass -full to include them)")
@@ -61,7 +57,7 @@ func main() {
 	defer stop()
 	opts := cxl2sim.JobOptions{Workers: workers, RootSeed: *seed, Context: ctx}
 	results := cxl2sim.RunJobs(sec.Jobs, opts)
-	err = sec.Render(os.Stdout, results)
+	err := sec.Render(os.Stdout, results)
 	if !*noStats {
 		cxl2sim.PrintJobStats(os.Stderr, results)
 	}

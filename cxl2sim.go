@@ -249,7 +249,7 @@ func (s *System) WriteDeviceMemory(addr Addr, data []byte) { s.Dev.WriteDevMemDi
 func (s *System) ReadDeviceMemory(addr Addr, dst []byte) { s.Dev.ReadDevMemDirect(addr, dst) }
 
 // ResetTiming returns every timing resource to idle without touching cache
-// or memory contents — use between measurement repetitions.
+// or memory contents — use between measurements.
 func (s *System) ResetTiming() { s.Host.ResetTiming() }
 
 // TraceBuffer is a bounded in-memory transaction trace.

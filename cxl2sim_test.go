@@ -225,6 +225,31 @@ func TestResetTimingIdempotent(t *testing.T) {
 	}
 }
 
+// TestMeasureIgnoresReps: a measurement is one primed access plus one
+// burst, so the requested reps change nothing but the echoed count. The
+// CO-wr burst is the sensitive case: a burst that ran after thousands of
+// latency repetitions met an HMC full of dirty lines and read a fraction
+// of its bandwidth.
+func TestMeasureIgnoresReps(t *testing.T) {
+	for _, place := range []Placement{PlaceCold, PlaceLLC} {
+		measure := func(reps int) Measurement {
+			m, err := MustNewSystem(Config{}).MeasureD2H(COWrite, MeasureSpec{Reps: reps, Place: place})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		one, many := measure(1), measure(3000)
+		if many.Reps != 3000 {
+			t.Fatalf("%v: echoed reps %d, want 3000", place, many.Reps)
+		}
+		many.Reps = one.Reps
+		if one != many {
+			t.Errorf("%v: CO-wr at reps 1 %+v, at reps 3000 %+v", place, one, many)
+		}
+	}
+}
+
 func TestMicrobenchAPI(t *testing.T) {
 	s := smallSystem(t)
 	// D2H: HMC hit must be fastest, LLC hit faster than cold.

@@ -175,7 +175,7 @@ func withinTolerance(a, b float64) bool {
 // TestReportGolden pins `report` (the microbenchmark half; Fig. 8 is
 // exercised by its own calibration tests and too slow for a golden run).
 func TestReportGolden(t *testing.T) {
-	sec := experiments.Report(50, false)
+	sec := experiments.Report(false)
 	var buf bytes.Buffer
 	if err := sec.Render(&buf, cxl2sim.RunJobs(sec.Jobs, cxl2sim.JobOptions{Workers: 1})); err != nil {
 		t.Fatal(err)

@@ -94,7 +94,9 @@ type Spec struct {
 	Kind string `json:"kind"`
 	// Section names the experiment section (Kind == "section").
 	Section string `json:"section,omitempty"`
-	// Reps is the repetition count (sections and the report).
+	// Reps scales the infer, workload and cluster sections; the other
+	// sections and the report ignore it. It is validated (>= 0) for every
+	// kind and keys every section.
 	Reps int `json:"reps,omitempty"`
 	// Full includes the Fig. 8 co-simulations (Kind == "report").
 	Full bool `json:"full,omitempty"`
@@ -112,7 +114,7 @@ type MeasureParams struct {
 	MeasureKind string `json:"measure_kind"` // d2h / d2d / h2d
 	Op          string `json:"op"`
 	Place       string `json:"place"`
-	Reps        int    `json:"reps"`
+	Reps        int    `json:"reps"` // drives no work; validated, keyed and echoed (cxl2sim.Measurement)
 	Burst       int    `json:"burst"`
 	DeviceType  int    `json:"device_type,omitempty"`
 	LLCBytes    int    `json:"llc_bytes,omitempty"`
@@ -150,7 +152,7 @@ func (sp Spec) Key(seed int64, format string) (string, error) {
 		if sp.Reps < 0 {
 			return "", errNegativeReps
 		}
-		return fmt.Sprintf("%s/report|reps=%d|full=%t|seed=%d", experiments.CacheKeyVersion, sp.Reps, sp.Full, seed), nil
+		return fmt.Sprintf("%s/report|full=%t|seed=%d", experiments.CacheKeyVersion, sp.Full, seed), nil
 	case "measure":
 		_, cfg, err := sp.measure()
 		if err != nil {
@@ -180,7 +182,7 @@ func (sp Spec) Build() (experiments.Section, error) {
 		if sp.Reps < 0 {
 			return experiments.Section{}, errNegativeReps
 		}
-		return experiments.Report(sp.Reps, sp.Full), nil
+		return experiments.Report(sp.Full), nil
 	case "measure":
 		job, _, err := sp.measure()
 		return experiments.Section{Name: "measure", Jobs: []runner.Job{job}}, err
@@ -242,6 +244,10 @@ func (sp Spec) measure() (runner.Job, cxl2sim.Config, error) {
 		return runner.Job{}, cfg, fmt.Errorf("unknown place %q (cold, LLC-1, HMC-1, DMC-1)", m.Place)
 	case m.Reps < 0 || m.Burst < 0:
 		return runner.Job{}, cfg, errors.New("reps and burst must be >= 0")
+	case m.Burst >= experiments.DevLines:
+		// Longer bursts would revisit lines of the address stream; the
+		// bound also caps the work one request can ask for.
+		return runner.Job{}, cfg, fmt.Errorf("burst must be < %d, the distinct lines of the address stream", experiments.DevLines)
 	case cfg.DeviceType != 0 && cfg.DeviceType != cxl2sim.Type2 && cfg.DeviceType != cxl2sim.Type3:
 		return runner.Job{}, cfg, fmt.Errorf("unknown device type %d", m.DeviceType)
 	}

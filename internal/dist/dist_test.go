@@ -15,6 +15,7 @@ import (
 
 	cxl2sim "repro"
 	"repro/internal/dist"
+	"repro/internal/experiments"
 	"repro/internal/runner"
 )
 
@@ -381,6 +382,8 @@ func TestMeasureSpecBuildsCanonicalJob(t *testing.T) {
 		"measure place":     {Kind: "measure", Measure: &dist.MeasureParams{MeasureKind: "d2h", Op: "NC-rd", Place: "nope"}},
 		"measure device": {Kind: "measure", Measure: &dist.MeasureParams{
 			MeasureKind: "h2d", Op: "ld", Place: "cold", DeviceType: 9}},
+		"measure burst": {Kind: "measure", Measure: &dist.MeasureParams{
+			MeasureKind: "h2d", Op: "ld", Place: "cold", Burst: experiments.DevLines}},
 		"unknown section":   {Kind: "section", Section: "nope"},
 		"unknown kind":      {Kind: "nope"},
 		"negative reps":     {Kind: "section", Section: "fig3", Reps: -1},

@@ -39,20 +39,20 @@ func TestSpecKeysPinned(t *testing.T) {
 		want   string
 	}{
 		{dist.Spec{Kind: "section", Section: "fig3", Reps: 25}, 7, "text",
-			"v2/section|fig3|reps=25|seed=7|format=text"},
+			"v3/section|fig3|reps=25|seed=7|format=text"},
 		{dist.Spec{Kind: "section", Section: "table3", Reps: 400}, 1, "json",
-			"v2/section|table3|reps=400|seed=1|format=json"},
+			"v3/section|table3|reps=400|seed=1|format=json"},
 		{dist.Spec{Kind: "section", Section: "infer", Reps: 25, Trace: tr.Encode()}, 7, "text",
-			"v2/section|infer|reps=25|seed=7|format=text|trace=1aedd2edd0f709d7"},
+			"v3/section|infer|reps=25|seed=7|format=text|trace=1aedd2edd0f709d7"},
 		{dist.Spec{Kind: "report", Reps: 120}, 1, "",
-			"v2/report|reps=120|full=false|seed=1"},
+			"v3/report|full=false|seed=1"},
 		{dist.Spec{Kind: "report", Reps: 3, Full: true}, 5, "",
-			"v2/report|reps=3|full=true|seed=5"},
+			"v3/report|full=true|seed=5"},
 		{measure(dist.MeasureParams{MeasureKind: "d2h", Op: "CS-rd", Place: "LLC-1", Reps: 50, Burst: 8}), 3, "",
-			"v2/measure|d2h|CS-rd|LLC-1|reps=50|burst=8|seed=3|cfg{params=4338a614a2c85df5,type=2,llc=62914560/15,cores=32,snc=false}"},
+			"v3/measure|d2h|CS-rd|LLC-1|reps=50|burst=8|seed=3|cfg{params=b898f56418c4e6be,type=2,llc=62914560/15,cores=32,snc=false}"},
 		{measure(dist.MeasureParams{MeasureKind: "h2d", Op: "ld", Place: "cold",
 			DeviceType: int(cxl2sim.Type3), LLCBytes: 1 << 20, LLCWays: 8, Cores: 2, SNC: true}), 1, "",
-			"v2/measure|h2d|ld|cold|reps=0|burst=0|seed=1|cfg{params=4338a614a2c85df5,type=3,llc=1048576/8,cores=2,snc=true}"},
+			"v3/measure|h2d|ld|cold|reps=0|burst=0|seed=1|cfg{params=b898f56418c4e6be,type=3,llc=1048576/8,cores=2,snc=true}"},
 	}
 	for _, c := range cases {
 		got, err := c.spec.Key(c.seed, c.format)

@@ -50,7 +50,6 @@ type Worker struct {
 
 	jobsRun  atomic.Uint64
 	runsDone atomic.Uint64
-	rejected atomic.Uint64
 }
 
 // NewWorker builds a Worker; call Run to serve.
@@ -119,7 +118,6 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	case w.sem <- struct{}{}:
 		defer func() { <-w.sem }()
 	case <-r.Context().Done():
-		w.rejected.Add(1)
 		return
 	}
 

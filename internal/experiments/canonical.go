@@ -3,8 +3,8 @@ package experiments
 import "fmt"
 
 // Canonical result-cache keys for the serving layer. A key must encode
-// everything the rendered bytes depend on — section identity, repetition
-// count, root seed, output format — and nothing else: worker counts and
+// everything the rendered bytes depend on — section identity, reps, root
+// seed, output format — and nothing else: worker counts and
 // scheduling are deliberately absent because the runner renders
 // byte-identical output for any pool size, which is precisely what makes
 // cached section output safe to share between requests.
@@ -20,11 +20,14 @@ import "fmt"
 // additive key components do not require a bump because they cannot alias.
 // v2: Fig. 8 runs every variant of a (feature, workload) group under the
 // group's seed, so a full report renders new bytes under an unchanged key.
-const CacheKeyVersion = "v2"
+// v3: a §V cell is measured once, whatever its reps, so a fig3 section at
+// reps above ~2048 renders new bytes under an unchanged key (its CO-wr
+// bursts no longer meet an HMC filled by thousands of latency reps).
+const CacheKeyVersion = "v3"
 
 // SectionKey is the canonical cache key for rendering the named section
-// at the given repetition count, root seed and output format ("text" or
-// "json").
+// at the given reps, root seed and output format ("text" or "json").
+// Every section keys its reps, including those that ignore it.
 func SectionKey(name string, reps int, seed int64, format string) string {
 	return fmt.Sprintf("%s/section|%s|reps=%d|seed=%d|format=%s", CacheKeyVersion, name, reps, seed, format)
 }

@@ -11,10 +11,6 @@ import (
 	"repro/internal/stats"
 )
 
-// quick lowers repetition counts: the model is deterministic, so medians
-// converge immediately; the paper's 1K repetitions matter on real hardware.
-const quickReps = 120
-
 // TestNewRigAttachesPersonality pins the §V rig: one host (8 MiB,
 // 16-way LLC, 8 cores) with one directly attached device of the asked
 // personality.
@@ -34,7 +30,7 @@ func TestNewRigAttachesPersonality(t *testing.T) {
 // ---------- Fig. 3 ----------
 
 func TestFig3LatencyRatios(t *testing.T) {
-	rows := runRows[Fig3Row](Fig3Jobs(quickReps))
+	rows := runRows[Fig3Row](Fig3Jobs())
 	cases := []struct {
 		trueLbl, emuLbl string
 		llcHit          bool
@@ -61,7 +57,7 @@ func TestFig3LatencyRatios(t *testing.T) {
 }
 
 func TestFig3BandwidthRelations(t *testing.T) {
-	rows := runRows[Fig3Row](Fig3Jobs(quickReps))
+	rows := runRows[Fig3Row](Fig3Jobs())
 	// §V-A: CXL reads beat emulated reads by ~1.8–2.2× when latency is
 	// comparable (LLC-0). Our model lands at 1.67–2.2 (see EXPERIMENTS.md).
 	cs := Fig3Find(rows, "CS-rd", true, false)
@@ -92,7 +88,7 @@ func TestFig3BandwidthRelations(t *testing.T) {
 // ---------- Fig. 4 ----------
 
 func TestFig4BiasModes(t *testing.T) {
-	rows := runRows[Fig4Row](Fig4Jobs(quickReps))
+	rows := runRows[Fig4Row](Fig4Jobs())
 	// Writes hitting DMC: device-bias ~60 % lower latency (§V-B).
 	for _, wr := range []string{"NC-wr", "CO-wr"} {
 		hb := Fig4Find(rows, wr, false, true, false)
@@ -133,7 +129,7 @@ func TestFig4BiasModes(t *testing.T) {
 // ---------- Fig. 5 ----------
 
 func TestFig5TypePenalties(t *testing.T) {
-	rows := runRows[Fig5Row](Fig5Jobs(quickReps))
+	rows := runRows[Fig5Row](Fig5Jobs())
 	for _, op := range []cxl.HostOp{cxl.Ld, cxl.NtLd, cxl.St, cxl.NtSt} {
 		t2 := Fig5Find(rows, op, CaseT2Miss)
 		t3 := Fig5Find(rows, op, CaseT3)
@@ -163,7 +159,7 @@ func TestFig5TypePenalties(t *testing.T) {
 }
 
 func TestFig5NCPInsight4(t *testing.T) {
-	rows := runRows[Fig5Row](Fig5Jobs(quickReps))
+	rows := runRows[Fig5Row](Fig5Jobs())
 	for _, op := range []cxl.HostOp{cxl.Ld, cxl.St} {
 		push := Fig5Find(rows, op, CaseT2Pushed)
 		miss := Fig5Find(rows, op, CaseT2Miss)
@@ -179,7 +175,7 @@ func TestFig5NCPInsight4(t *testing.T) {
 }
 
 func TestFig5NtStBandwidthDominance(t *testing.T) {
-	rows := runRows[Fig5Row](Fig5Jobs(quickReps))
+	rows := runRows[Fig5Row](Fig5Jobs())
 	ntst := Fig5Find(rows, cxl.NtSt, CaseT2Miss).BandwidthGBs
 	ratios := map[string]float64{
 		"nt-ld": ntst / Fig5Find(rows, cxl.NtLd, CaseT2Miss).BandwidthGBs, // paper 12.2
@@ -411,9 +407,9 @@ func TestFig8KsmShape(t *testing.T) {
 
 func TestPrintersDoNotPanic(t *testing.T) {
 	var sb strings.Builder
-	printFig3(&sb, runRows[Fig3Row](Fig3Jobs(4)))
-	printFig4(&sb, runRows[Fig4Row](Fig4Jobs(4)))
-	printFig5(&sb, runRows[Fig5Row](Fig5Jobs(4)))
+	printFig3(&sb, runRows[Fig3Row](Fig3Jobs()))
+	printFig4(&sb, runRows[Fig4Row](Fig4Jobs()))
+	printFig5(&sb, runRows[Fig5Row](Fig5Jobs()))
 	printFig6(&sb, runRows[Fig6Row](Fig6Jobs()))
 	PrintTable3(&sb, runRows[Table3Row](Table3Jobs()))
 	PrintTable4(&sb, runRows[Table4Row](Table4Jobs()))
@@ -429,8 +425,8 @@ func TestPrintersDoNotPanic(t *testing.T) {
 // TestDeterminism: identical configurations reproduce identical rows — the
 // property that makes the recorded EXPERIMENTS.md numbers exact.
 func TestDeterminism(t *testing.T) {
-	a := runRows[Fig3Row](Fig3Jobs(40))
-	b := runRows[Fig3Row](Fig3Jobs(40))
+	a := runRows[Fig3Row](Fig3Jobs())
+	b := runRows[Fig3Row](Fig3Jobs())
 	if len(a) != len(b) {
 		t.Fatal("row counts differ")
 	}

@@ -21,8 +21,10 @@ type Fig3Row struct {
 	True bool
 	// LLCHit is the LLC-1 (true) / LLC-0 (false) case.
 	LLCHit bool
-	// LatencyNs is the median single-access latency; LatencyStd its
-	// standard deviation across repetitions.
+	// LatencyNs is the single-access latency. LatencyStd is always 0:
+	// the model is deterministic, so the paper's standard deviation across
+	// repetitions is 0 and Probe measures once. It stays because the
+	// printed stdev column and the section JSON carry it.
 	LatencyNs, LatencyStd float64
 	// BandwidthGBs is the measured bandwidth of AccessesPerBurst
 	// back-to-back accesses.
@@ -45,10 +47,8 @@ var trueD2HOps = []struct {
 // device LSU versus nt-ld/ld/nt-st/st issued by a remote-socket core, each
 // against LLC-resident (LLC-1) and LLC-absent (LLC-0) lines. It returns one
 // self-contained job per cell, in presentation order; each job builds its
-// own rig, so jobs are shared-nothing. reps is the repetition count (0
-// takes the paper's 1000).
-func Fig3Jobs(reps int) []runner.Job {
-	reps = orPaperReps(reps)
+// own rig, so jobs are shared-nothing.
+func Fig3Jobs() []runner.Job {
 	var jobs []runner.Job
 	for _, llcHit := range []bool{true, false} {
 		llc := "LLC-0"
@@ -59,9 +59,9 @@ func Fig3Jobs(reps int) []runner.Job {
 			req, op, hit := pair.req, pair.op, llcHit
 			jobs = append(jobs,
 				cellJob(fmt.Sprintf("fig3/%s/%s", llc, req),
-					func() Fig3Row { return measureTrueD2H(req, hit, reps) }),
+					func() Fig3Row { return measureTrueD2H(req, hit) }),
 				cellJob(fmt.Sprintf("fig3/%s/%s", llc, op),
-					func() Fig3Row { return measureEmuD2H(op, hit, reps) }))
+					func() Fig3Row { return measureEmuD2H(op, hit) }))
 		}
 	}
 	return jobs
@@ -78,11 +78,11 @@ func primeLLC(r *Rig, addr phys.Addr, hit bool) {
 	}
 }
 
-func measureTrueD2H(req cxl.D2HReq, llcHit bool, reps int) Fig3Row {
+func measureTrueD2H(req cxl.D2HReq, llcHit bool) Fig3Row {
 	r := NewRig(cxl.Type2)
 	row := Fig3Row{Label: req.String(), True: true, LLCHit: llcHit}
-	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: reps, Burst: PaperBurst,
+	row.LatencyNs, row.BandwidthGBs = Probe{
+		Burst: PaperBurst,
 		Line:  HostLine,
 		Prime: func(addr phys.Addr) { primeLLC(r, addr, llcHit) },
 		Reset: r.Host.ResetTiming,
@@ -94,11 +94,11 @@ func measureTrueD2H(req cxl.D2HReq, llcHit bool, reps int) Fig3Row {
 	return row
 }
 
-func measureEmuD2H(op cxl.HostOp, llcHit bool, reps int) Fig3Row {
+func measureEmuD2H(op cxl.HostOp, llcHit bool) Fig3Row {
 	r := NewRig(cxl.Type2)
 	row := Fig3Row{Label: op.String(), LLCHit: llcHit}
-	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: reps, Burst: PaperBurst,
+	row.LatencyNs, row.BandwidthGBs = Probe{
+		Burst: PaperBurst,
 		Line:  HostLine,
 		Prime: func(addr phys.Addr) { primeLLC(r, addr, llcHit) },
 		Reset: func() {

@@ -19,7 +19,7 @@ type Fig4Row struct {
 	DMCHit       bool
 	DeviceBias   bool
 	LatencyNs    float64
-	LatencyStd   float64
+	LatencyStd   float64 // always 0, as Fig3Row.LatencyStd
 	BandwidthGBs float64
 }
 
@@ -30,10 +30,8 @@ const fig4Burst = 480
 
 // Fig4Jobs measures D2D accesses in host- and device-bias modes against
 // DMC hits and misses, alongside the NUMA-emulated equivalents: one
-// self-contained job per Fig. 4 cell, in presentation order. reps is the
-// repetition count (0 takes the paper's 1000).
-func Fig4Jobs(reps int) []runner.Job {
-	reps = orPaperReps(reps)
+// self-contained job per Fig. 4 cell, in presentation order.
+func Fig4Jobs() []runner.Job {
 	var jobs []runner.Job
 	for _, dmcHit := range []bool{true, false} {
 		dmc := "DMC-0"
@@ -48,10 +46,10 @@ func Fig4Jobs(reps int) []runner.Job {
 					bias = "device-bias"
 				}
 				jobs = append(jobs, cellJob(fmt.Sprintf("fig4/%s/%s/%s", dmc, req, bias),
-					func() Fig4Row { return measureD2D(req, hit, db, reps) }))
+					func() Fig4Row { return measureD2D(req, hit, db) }))
 			}
 			jobs = append(jobs, cellJob(fmt.Sprintf("fig4/%s/%s", dmc, op),
-				func() Fig4Row { return measureEmuD2D(op, hit, reps) }))
+				func() Fig4Row { return measureEmuD2D(op, hit) }))
 		}
 	}
 	return jobs
@@ -69,14 +67,14 @@ func primeDMC(r *Rig, addr phys.Addr, hit bool) {
 
 // The Fig. 4 cells measure steady-state bandwidth: the first fig4Burst/8
 // accesses fill the pipeline and are not counted (Probe.Warm).
-func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, reps int) Fig4Row {
+func measureD2D(req cxl.D2HReq, dmcHit, devBias bool) Fig4Row {
 	r := NewRig(cxl.Type2)
 	if devBias {
 		r.Dev.EnterDeviceBias(phys.Range{Base: DevLine(0) &^ 0xFFFFFFF, Size: 1 << 28}, 0)
 	}
 	row := Fig4Row{Label: req.String(), DMCHit: dmcHit, DeviceBias: devBias}
-	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: reps, Burst: fig4Burst, Warm: fig4Burst / 8,
+	row.LatencyNs, row.BandwidthGBs = Probe{
+		Burst: fig4Burst, Warm: fig4Burst / 8,
 		Line:  DevLine,
 		Prime: func(addr phys.Addr) { primeDMC(r, addr, dmcHit) },
 		Reset: r.Host.ResetTiming,
@@ -91,11 +89,11 @@ func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, reps int) Fig4Row {
 // measureEmuD2D times the local core whose L1 stands in for DMC; its
 // placement is a flag of the access, so lines are neither primed nor
 // addressed.
-func measureEmuD2D(op cxl.HostOp, dmcHit bool, reps int) Fig4Row {
+func measureEmuD2D(op cxl.HostOp, dmcHit bool) Fig4Row {
 	r := NewRig(cxl.Type2)
 	row := Fig4Row{Label: op.String(), Emulated: true, DMCHit: dmcHit}
-	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: reps, Burst: fig4Burst, Warm: fig4Burst / 8,
+	row.LatencyNs, row.BandwidthGBs = Probe{
+		Burst: fig4Burst, Warm: fig4Burst / 8,
 		Line:  DevLine,
 		Reset: r.Emu.ResetTiming,
 		Access: func(phys.Addr) (sim.Time, sim.Time) {

@@ -55,22 +55,20 @@ type Fig5Row struct {
 	Op           cxl.HostOp
 	Case         Fig5Case
 	LatencyNs    float64
-	LatencyStd   float64
+	LatencyStd   float64 // always 0, as Fig3Row.LatencyStd
 	BandwidthGBs float64
 }
 
 // Fig5Jobs measures H2D accesses (host core ld/nt-ld/st/nt-st to device
 // memory) across device personalities and DMC states: one self-contained
-// job per Fig. 5 cell, in presentation order. reps is the repetition
-// count (0 takes the paper's 1000).
-func Fig5Jobs(reps int) []runner.Job {
-	reps = orPaperReps(reps)
+// job per Fig. 5 cell, in presentation order.
+func Fig5Jobs() []runner.Job {
 	var jobs []runner.Job
 	for _, op := range []cxl.HostOp{cxl.Ld, cxl.NtLd, cxl.St, cxl.NtSt} {
 		for _, cs := range Fig5Cases() {
 			op, cs := op, cs
 			jobs = append(jobs, cellJob(fmt.Sprintf("fig5/%s/%s", op, cs),
-				func() Fig5Row { return measureH2D(op, cs, reps) }))
+				func() Fig5Row { return measureH2D(op, cs) }))
 		}
 	}
 	return jobs
@@ -102,12 +100,12 @@ func primeFig5(r *Rig, cs Fig5Case, addr phys.Addr) {
 	}
 }
 
-func measureH2D(op cxl.HostOp, cs Fig5Case, reps int) Fig5Row {
+func measureH2D(op cxl.HostOp, cs Fig5Case) Fig5Row {
 	r := fig5Rig(cs)
 	core := r.Host.Core(0)
 	row := Fig5Row{Op: op, Case: cs}
-	row.LatencyNs, row.LatencyStd, row.BandwidthGBs = Probe{
-		Reps: reps, Burst: PaperBurst,
+	row.LatencyNs, row.BandwidthGBs = Probe{
+		Burst: PaperBurst,
 		Line:  DevLine,
 		Prime: func(addr phys.Addr) { primeFig5(r, cs, addr) },
 		Reset: r.Host.ResetTiming,

@@ -9,18 +9,14 @@ import (
 	"repro/internal/ycsb"
 )
 
-// ReportReps is the report's default repetition count, shared by
-// cmd/report and GET /v1/report so their bytes match.
-const ReportReps = 400
-
 // Report is the paper-vs-measured comparison as one section: the
-// registry's fig3–fig6 sections at reps, Table IV and, with full, the
-// Fig. 8 co-simulations of workload A (a few seconds). It prints the paper's
+// registry's fig3–fig6 sections, Table IV and, with full, the Fig. 8
+// co-simulations of workload A (a few seconds). It prints the paper's
 // headline ratios, computed from fresh rows, next to the published
-// numbers. The jobs depend only on (reps, full), so dist workers rebuild
-// the identical list from the request alone.
-func Report(reps int, full bool) Section {
-	parts := reportParts(reps, full)
+// numbers. The jobs depend only on full, so dist workers rebuild the
+// identical list from the request alone.
+func Report(full bool) Section {
+	parts := reportParts(full)
 	var jobs []runner.Job
 	for _, p := range parts {
 		jobs = append(jobs, p.Jobs...)
@@ -55,10 +51,10 @@ func Report(reps int, full bool) Section {
 // reportParts lists the report's parts in render order. Each part is named
 // after the group of its job IDs (the ID prefix before the first '/'), so
 // per-job stats group the report's jobs by the experiment they belong to.
-func reportParts(reps int, full bool) []Section {
+func reportParts(full bool) []Section {
 	var parts []Section
 	for _, name := range []string{"fig3", "fig4", "fig5", "fig6"} {
-		sec, _ := Lookup(name, SectionOptions{Reps: reps})
+		sec, _ := Lookup(name, SectionOptions{})
 		parts = append(parts, sec)
 	}
 	parts = append(parts, Section{Name: "table4", Jobs: Table4Jobs()})

@@ -22,24 +22,23 @@ func jobIDs(jobs []runner.Job) []string {
 // sections followed by Table IV, and full appends the Fig. 8 workload-A
 // co-simulations (enumerated only, never run here).
 func TestReportComposition(t *testing.T) {
-	const reps = 7
 	var want []string
 	for _, name := range []string{"fig3", "fig4", "fig5", "fig6"} {
-		sec, ok := Lookup(name, SectionOptions{Reps: reps})
+		sec, ok := Lookup(name, SectionOptions{})
 		if !ok {
 			t.Fatalf("Lookup(%q) failed", name)
 		}
 		want = append(want, jobIDs(sec.Jobs)...)
 	}
 	want = append(want, jobIDs(Table4Jobs())...)
-	if got := jobIDs(Report(reps, false).Jobs); !slices.Equal(got, want) {
-		t.Errorf("Report(%d, false) jobs = %v\nwant %v", reps, got, want)
+	if got := jobIDs(Report(false).Jobs); !slices.Equal(got, want) {
+		t.Errorf("Report(false) jobs = %v\nwant %v", got, want)
 	}
 	a := []ycsb.Workload{ycsb.A}
 	want = append(want, jobIDs(Fig8Jobs("zswap", a, Fig8Config{}))...)
 	want = append(want, jobIDs(Fig8Jobs("ksm", a, Fig8Config{}))...)
-	if got := jobIDs(Report(reps, true).Jobs); !slices.Equal(got, want) {
-		t.Errorf("Report(%d, true) jobs = %v\nwant %v", reps, got, want)
+	if got := jobIDs(Report(true).Jobs); !slices.Equal(got, want) {
+		t.Errorf("Report(true) jobs = %v\nwant %v", got, want)
 	}
 }
 
@@ -47,7 +46,7 @@ func TestReportComposition(t *testing.T) {
 // with that job's error and leaves the writer untouched, even though every
 // earlier part could have rendered.
 func TestReportRenderFailsWithoutWriting(t *testing.T) {
-	sec := Report(7, false)
+	sec := Report(false)
 	results := runner.Run(sec.Jobs, runner.Options{Workers: 1})
 	var ok bytes.Buffer
 	if err := sec.Render(&ok, results); err != nil || ok.Len() == 0 {

@@ -1,10 +1,10 @@
 // Package experiments implements one driver per table and figure of the
 // paper's evaluation (§V and §VII): each driver builds a fresh simulated
 // system, follows the paper's methodology (state priming with CLDEMOTE/
-// CLFLUSH and warm-up reads, >=1K repetitions, median + standard
-// deviation), and returns structured rows that print like the paper's
-// plots. The calibration tests in this package pin the headline ratios to
-// the paper's numbers.
+// CLFLUSH and warm-up reads, one primed access per latency cell), and
+// returns structured rows that print like the paper's plots. The
+// calibration tests in this package pin the headline ratios to the
+// paper's numbers.
 package experiments
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/timing"
 )
 
@@ -42,30 +41,25 @@ func NewRig(devType cxl.DeviceType) *Rig {
 	return &Rig{P: p, Host: h, Dev: h.Dev, Emu: h.NewEmuCore()}
 }
 
-// PaperReps is the §V repetition count (the paper: >= 1000), taken by
-// the Fig. 3–5 sections and System.Measure* when reps is 0.
+// PaperReps is the paper's §V repetition count (>= 1000). Probe measures
+// a cell once (see Probe); PaperReps survives only as the count
+// System.Measure* echoes in Measurement.Reps when a request names none,
+// because the /v1/measure wire format carries reps.
 const PaperReps = 1000
-
-// orPaperReps returns reps, or PaperReps when reps is 0.
-func orPaperReps(reps int) int {
-	if reps == 0 {
-		return PaperReps
-	}
-	return reps
-}
 
 // PaperBurst is the number of back-to-back accesses in a Fig. 3 or
 // Fig. 5 bandwidth measurement (paper: 16 × 64 B), and System.Measure*'s
 // default burst.
 const PaperBurst = 16
 
-// Probe is the paper's §V measurement loop, shared by the Fig. 3–5 cells
-// and the public System.Measure* API. Latency: Reps times, prime a fresh
-// line, reset timing and time one access; the median and standard
-// deviation are reported. Bandwidth: prime Burst more lines (starting at
-// line Reps+1), reset timing once, then issue them back to back.
+// Probe is the paper's §V measurement, shared by the Fig. 3–5 cells and
+// the public System.Measure* API. Latency: prime line 0, reset timing and
+// time one access. The paper reports the median of >= 1000 such
+// accesses; here each one primes a fresh line onto the same reset state,
+// so all of them take the same time and one is the median. Bandwidth:
+// prime lines 1..Burst, reset timing once, then issue them back to back.
 type Probe struct {
-	Reps, Burst int
+	Burst int
 	// Warm excludes the first Warm burst completions from the bandwidth
 	// (steady-state rate past the pipeline fill); 0 counts the whole
 	// burst from time zero.
@@ -75,45 +69,41 @@ type Probe struct {
 	// Prime sets up the placement of one line before it is accessed; nil
 	// means no priming.
 	Prime func(addr phys.Addr)
-	// Reset clears the timing state between repetitions.
+	// Reset clears the timing state before the latency access and before
+	// the burst.
 	Reset func()
 	// Access issues one access, returning its completion time (for
 	// bandwidth) and the latency to record.
 	Access func(addr phys.Addr) (done, latency sim.Time)
 }
 
-// Run executes the loop and returns the median latency and its standard
-// deviation in ns, and the burst bandwidth in GB/s.
-func (p Probe) Run() (medianNs, stdNs, gbs float64) {
-	lat := stats.NewSample(p.Reps)
-	for rep := 0; rep < p.Reps; rep++ {
-		addr := p.Line(rep)
-		if p.Prime != nil {
-			p.Prime(addr)
-		}
-		p.Reset()
-		_, l := p.Access(addr)
-		lat.Add(l.Nanoseconds())
-	}
-	base := p.Reps + 1
-	if p.Prime != nil {
-		for i := 0; i < p.Burst; i++ {
-			p.Prime(p.Line(base + i))
-		}
+// Run times the latency access and the burst, and returns the latency in
+// ns and the burst bandwidth in GB/s.
+func (p Probe) Run() (latencyNs, gbs float64) {
+	p.prime(0)
+	p.Reset()
+	_, lat := p.Access(p.Line(0))
+	for i := 1; i <= p.Burst; i++ {
+		p.prime(i)
 	}
 	p.Reset()
 	var warmDone, last sim.Time
-	for i := 0; i < p.Burst; i++ {
-		done, _ := p.Access(p.Line(base + i))
-		if i == p.Warm-1 {
+	for i := 1; i <= p.Burst; i++ {
+		done, _ := p.Access(p.Line(i))
+		if i == p.Warm {
 			warmDone = done
 		}
-		if done > last {
-			last = done
-		}
+		last = max(last, done)
 	}
 	gbs = float64((p.Burst-p.Warm)*phys.LineSize) / (last - warmDone).Seconds() / 1e9
-	return lat.Median(), lat.StdDev(), gbs
+	return lat.Nanoseconds(), gbs
+}
+
+// prime primes the i-th line of the stream, if the probe primes at all.
+func (p Probe) prime(i int) {
+	if p.Prime != nil {
+		p.Prime(p.Line(i))
+	}
 }
 
 // HostLine returns the i-th distinct host-memory line of a random-ish
@@ -124,9 +114,13 @@ func HostLine(i int) phys.Addr {
 	return phys.Addr(0x100000) + phys.Addr((i*2654435761)%(1<<20))*phys.LineSize
 }
 
+// DevLines is the period of the DevLine stream: its first DevLines lines
+// are distinct, and then it repeats.
+const DevLines = 1 << 18
+
 // DevLine returns the i-th device-memory line.
 func DevLine(i int) phys.Addr {
-	return mem.RegionDevice.Base + phys.Addr(1<<20) + phys.Addr((i*2654435761)%(1<<18))*phys.LineSize
+	return mem.RegionDevice.Base + phys.Addr(1<<20) + phys.Addr((i*2654435761)%DevLines)*phys.LineSize
 }
 
 // column formats a latency/bandwidth table cell.

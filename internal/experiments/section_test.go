@@ -127,7 +127,7 @@ func TestClusterSectionParallelMatchesSerial(t *testing.T) {
 // first '/') is the name of the section, or report part, that lists it.
 // Per-group stats and per-section job spans both rely on this.
 func TestJobGroupsMatchSectionNames(t *testing.T) {
-	secs := append(Sections(SectionOptions{Reps: 7}), reportParts(7, true)...)
+	secs := append(Sections(SectionOptions{Reps: 7}), reportParts(true)...)
 	for _, sec := range secs {
 		results := make([]runner.Result, len(sec.Jobs))
 		for i, j := range sec.Jobs {

@@ -66,8 +66,8 @@ type Section struct {
 
 // SectionOptions is everything a section constructor reads.
 type SectionOptions struct {
-	// Reps tunes the repetition count of the experiments that take one
-	// (0 keeps the paper's defaults).
+	// Reps scales the request count of the infer, workload and cluster
+	// sections (0 keeps their defaults); the other sections ignore it.
 	Reps int
 	// Trace replaces the infer section's generated request stream with a
 	// recorded one; the other sections ignore it. It must pass
@@ -84,9 +84,9 @@ var registry = []struct {
 	render func(io.Writer, []runner.Result) error
 }{
 	{"table3", func(SectionOptions) []runner.Job { return Table3Jobs() }, renderRows(PrintTable3)},
-	{"fig3", func(o SectionOptions) []runner.Job { return Fig3Jobs(o.Reps) }, renderRows(printFig3)},
-	{"fig4", func(o SectionOptions) []runner.Job { return Fig4Jobs(o.Reps) }, renderRows(printFig4)},
-	{"fig5", func(o SectionOptions) []runner.Job { return Fig5Jobs(o.Reps) }, renderRows(printFig5)},
+	{"fig3", func(SectionOptions) []runner.Job { return Fig3Jobs() }, renderRows(printFig3)},
+	{"fig4", func(SectionOptions) []runner.Job { return Fig4Jobs() }, renderRows(printFig4)},
+	{"fig5", func(SectionOptions) []runner.Job { return Fig5Jobs() }, renderRows(printFig5)},
 	{"fig6", func(SectionOptions) []runner.Job { return Fig6Jobs() }, renderRows(printFig6)},
 	{"wqsweep", func(SectionOptions) []runner.Job { return WriteQueueSweepJobs(nil) }, renderRows(PrintWriteQueueSweep)},
 	{"infer", func(o SectionOptions) []runner.Job {

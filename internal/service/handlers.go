@@ -231,7 +231,8 @@ func specKey(w http.ResponseWriter, spec dist.Spec, seed int64, format string) (
 // ---- POST /v1/sections/{name} ----------------------------------------
 
 type sectionRequest struct {
-	// Reps tunes the repetition count (0 keeps the paper's defaults).
+	// Reps scales the infer, workload and cluster sections (0 keeps their
+	// defaults); the other sections ignore it, though it still keys them.
 	Reps int `json:"reps"`
 	// Seed roots the per-job seed derivation (0 = the default root seed).
 	Seed int64 `json:"seed"`
@@ -349,7 +350,11 @@ type measureRequest struct {
 	Op string `json:"op"`
 	// Place primes the caches: cold (default), LLC-1, HMC-1 or DMC-1.
 	Place string `json:"place"`
-	// Reps / Burst follow the §V methodology (0 = 1000 reps, 16 bursts).
+	// Burst is the bandwidth burst length (0 = 16 accesses, the paper's).
+	// Reps drives no work: a measurement is one primed access (see
+	// cxl2sim.Measurement). It is still validated, keyed and echoed (0
+	// echoes 1000), because existing clients send it and the body decoder
+	// rejects unknown fields.
 	Reps  int `json:"reps"`
 	Burst int `json:"burst"`
 	// Seed roots the job's seed derivation (0 = the default root seed).
@@ -427,17 +432,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 
 // ---- GET /v1/report --------------------------------------------------
 
+// handleReport serves the report for ?full= and ?seed=. Other query
+// parameters are ignored, so an old ?reps= still renders the same bytes.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	reps := experiments.ReportReps // cmd/report's default, so the cached bytes match its output
-	if v := q.Get("reps"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad reps %q", v)
-			return
-		}
-		reps = n
-	}
 	full := false
 	if v := q.Get("full"); v != "" {
 		b, err := strconv.ParseBool(v)
@@ -460,7 +458,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		seed = n
 	}
 
-	spec := dist.Spec{Kind: "report", Reps: reps, Full: full}
+	spec := dist.Spec{Kind: "report", Full: full}
 	key, ok := specKey(w, spec, seed, "")
 	if !ok {
 		return

@@ -55,9 +55,11 @@ type Config struct {
 	RequestTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown (default 30s).
 	DrainTimeout time.Duration
-	// DefaultReps is the repetition count used when a request omits one
-	// (default 0: each endpoint keeps its CLI default — 1000 for
-	// sections and measurements, experiments.ReportReps for the report).
+	// DefaultReps is the section reps used when a request omits one. Only
+	// the infer, workload and cluster sections read it. At 0 they keep
+	// their own defaults (infer and cluster 48 requests, workload 2048
+	// arrivals), which are not cxlbench's: its -reps 1000 runs 96, 96 and
+	// 8192. Measurements and the report do not read it.
 	DefaultReps int
 	// StoreDir, when set, layers a content-addressed durable result store
 	// under the in-memory cache: rendered responses survive restarts and

@@ -343,6 +343,7 @@ func TestMeasureEndpoint(t *testing.T) {
 		{"D2H on type3", `{"kind":"d2h","op":"CS-rd","reps":10,"config":{"device_type":"type3"}}`},
 		{"D2D on type3", `{"kind":"d2d","op":"CS-rd","reps":10,"config":{"device_type":"type3"}}`},
 		{"H2D DMC-1 on type3", `{"kind":"h2d","op":"ld","place":"DMC-1","reps":10,"config":{"device_type":"type3"}}`},
+		{"burst past the address stream", `{"kind":"h2d","op":"ld","burst":262144}`},
 	}
 	for _, c := range bad {
 		resp, body := post(t, ts.URL+"/v1/measure", c.body)
@@ -364,14 +365,15 @@ func TestMeasureEndpoint(t *testing.T) {
 
 // TestReportMatchesSerialWriter: the /v1/report bytes equal the report
 // section run serially in-process — the same guarantee the CI
-// smoke checks against cmd/report -serial.
+// smoke checks against cmd/report -serial. The request still names the
+// old ?reps=, which the report ignores.
 func TestReportMatchesSerialWriter(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})
 	resp, got := get(t, ts.URL+"/v1/report?reps="+fmt.Sprint(testReps)+"&seed=5")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("report: %d %s", resp.StatusCode, got)
 	}
-	sec := experiments.Report(testReps, false)
+	sec := experiments.Report(false)
 	var ref bytes.Buffer
 	if err := sec.Render(&ref, cxl2sim.RunJobs(sec.Jobs, cxl2sim.JobOptions{Workers: 1, RootSeed: 5})); err != nil {
 		t.Fatalf("reference report: %v", err)
@@ -653,7 +655,7 @@ func TestVersionEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &v); err != nil {
 		t.Fatal(err)
 	}
-	if v.CacheKeyVersion != "v2" || v.DistProtocol == "" || v.Mode != "standalone" {
+	if v.CacheKeyVersion != "v3" || v.DistProtocol == "" || v.Mode != "standalone" {
 		t.Fatalf("version = %+v", v)
 	}
 }

@@ -1,8 +1,7 @@
 // Package stats provides the measurement plumbing used by every experiment:
 // exact sample sets with percentile/median/stddev queries, fixed-bucket
 // latency histograms, and small formatting helpers for reporting
-// paper-style numbers (medians over >=1K repetitions, p99 tail latency,
-// normalized ratios).
+// paper-style numbers (medians, p99 tail latency, normalized ratios).
 package stats
 
 import (
@@ -12,9 +11,7 @@ import (
 )
 
 // Sample accumulates float64 observations and answers order statistics
-// exactly. It is the right tool for the microbenchmark experiments, which
-// follow the paper's methodology of repeating each measurement >= 1K times
-// and reporting the median with a standard-deviation error bar.
+// exactly, such as the p50/p99/p99.9 request latencies of Fig. 8.
 type Sample struct {
 	xs     []float64
 	sorted bool

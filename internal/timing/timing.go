@@ -214,9 +214,6 @@ type DRAMParams struct {
 	DDR4WriteDrainPerLine sim.Time
 	// ChannelBytesPerSec is a DDR5-4800 channel's streaming bandwidth.
 	ChannelBytesPerSec float64
-	// DDR4ChannelBytesPerSec is a device DDR4-2400 channel's bandwidth
-	// (19.2 GB/s, Table II).
-	DDR4ChannelBytesPerSec float64
 }
 
 // PCIeParams models the plain-PCIe personalities (Agilex-7 as PCIe ×16, and
@@ -254,8 +251,6 @@ type PCIeParams struct {
 	// stack per offload (§VII: "the software stack of PCIe-DMA we use is
 	// less efficient than that of PCIe-RDMA").
 	DMAStackCost sim.Time
-	// DDIO: DMA writes land in host LLC (Intel DDIO), not DRAM.
-	DDIO bool
 }
 
 // SoftwareParams models the host/device software data-plane costs of the
@@ -280,9 +275,6 @@ type SoftwareParams struct {
 	KsmControlPlane sim.Time
 	// PageFaultBase is the host cost of a minor page fault without swap-in.
 	PageFaultBase sim.Time
-	// OffloadSleep is kswapd's conservatively determined yield duration
-	// while the device works (§VI-A step 3, ~10 µs).
-	OffloadSleep sim.Time
 }
 
 // Default returns the calibrated parameter set. See the package comment for
@@ -372,15 +364,14 @@ func Default() *Params {
 			DoorbellPollGap:       ns(100),
 		},
 		DRAM: DRAMParams{
-			DDR5Read:               ns(65),
-			DDR5Write:              ns(55),
-			DDR4Read:               ns(120),
-			DDR4Write:              ns(100),
-			WriteQueueEntries:      32,
-			WriteDrainPerLine:      ns(64),
-			DDR4WriteDrainPerLine:  ns(5),
-			ChannelBytesPerSec:     38.4e9,
-			DDR4ChannelBytesPerSec: 19.2e9,
+			DDR5Read:              ns(65),
+			DDR5Write:             ns(55),
+			DDR4Read:              ns(120),
+			DDR4Write:             ns(100),
+			WriteQueueEntries:     32,
+			WriteDrainPerLine:     ns(64),
+			DDR4WriteDrainPerLine: ns(5),
+			ChannelBytesPerSec:    38.4e9,
 		},
 		PCIe: PCIeParams{
 			MMIOReadRT:      ns(1050),
@@ -398,7 +389,6 @@ func Default() *Params {
 			DOCABytesPerSec: 26e9,
 			InterruptCost:   us(1.8),
 			DMAStackCost:    us(1.9),
-			DDIO:            true,
 		},
 		SW: SoftwareParams{
 			HostCompress4K:     us(6.5),
@@ -412,7 +402,6 @@ func Default() *Params {
 			KswapdControlPlane: us(2.6),
 			KsmControlPlane:    us(0.35),
 			PageFaultBase:      us(1.1),
-			OffloadSleep:       us(10),
 		},
 	}
 }

@@ -92,10 +92,6 @@ func TestPaperStructuralRelations(t *testing.T) {
 	if p.PCIe.MMIOReadRT < sim.FromNanos(800) || p.PCIe.MMIOReadRT > sim.FromNanos(1300) {
 		t.Errorf("MMIO read RT = %v, want ~1us", p.PCIe.MMIOReadRT)
 	}
-	// Table II: device DDR4-2400 channel is 19.2 GB/s.
-	if p.DRAM.DDR4ChannelBytesPerSec != 19.2e9 {
-		t.Errorf("DDR4 channel = %v", p.DRAM.DDR4ChannelBytesPerSec)
-	}
 }
 
 func TestDefaultReturnsFreshCopies(t *testing.T) {

@@ -68,7 +68,8 @@ type ExperimentSection = experiments.Section
 
 // ExperimentSections returns the cxlbench sections (see
 // ExperimentSectionNames for the registry) in presentation order. reps
-// tunes the repetition count (0 keeps the paper's defaults).
+// scales the infer, workload and cluster sections (0 keeps their
+// defaults); the other sections ignore it.
 func ExperimentSections(reps int) []ExperimentSection {
 	return experiments.Sections(experiments.SectionOptions{Reps: reps})
 }

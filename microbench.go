@@ -45,9 +45,13 @@ func (p Placement) String() string {
 	}
 }
 
-// Measurement is a microbenchmark outcome: median single-access latency
-// (over Reps repetitions) and the bandwidth of Burst back-to-back accesses,
-// following the §V methodology.
+// Measurement is a microbenchmark outcome, following the §V methodology:
+// the latency of one primed access and the bandwidth of Burst
+// back-to-back accesses. The paper takes the median of >= 1000
+// repetitions; the model is deterministic, so every repetition takes the
+// same time and one access is that median. StdDevNs is therefore always
+// 0 and Reps only echoes the request; both stay because the /v1/measure
+// response carries them.
 type Measurement struct {
 	MedianNs     float64
 	StdDevNs     float64
@@ -55,16 +59,17 @@ type Measurement struct {
 	Reps, Burst  int
 }
 
-// MeasureSpec configures a measurement; zero values take the paper's
-// settings (experiments.PaperReps reps, experiments.PaperBurst-access
-// bursts).
+// MeasureSpec configures a measurement; a zero Burst takes the paper's
+// experiments.PaperBurst. Reps drives no work (see Measurement); it is
+// echoed, as experiments.PaperReps when 0, because the /v1/measure wire
+// format carries it.
 type MeasureSpec struct {
 	Reps  int
 	Burst int
 	Place Placement
 }
 
-// measure runs the §V loop (experiments.Probe) over the given address
+// measure runs the §V probe (experiments.Probe) over the given address
 // stream (experiments.HostLine or DevLine, the Fig. 3–5 streams),
 // priming each line with prime and timing it with access.
 func (s *System) measure(spec MeasureSpec, line func(int) Addr, prime func(Addr), access func(Addr) Time) Measurement {
@@ -75,9 +80,9 @@ func (s *System) measure(spec MeasureSpec, line func(int) Addr, prime func(Addr)
 		spec.Burst = experiments.PaperBurst
 	}
 	m := Measurement{Reps: spec.Reps, Burst: spec.Burst}
-	m.MedianNs, m.StdDevNs, m.BandwidthGBs = experiments.Probe{
-		Reps: spec.Reps, Burst: spec.Burst,
-		Line: line, Prime: prime, Reset: s.ResetTiming,
+	m.MedianNs, m.BandwidthGBs = experiments.Probe{
+		Burst: spec.Burst,
+		Line:  line, Prime: prime, Reset: s.ResetTiming,
 		Access: func(addr Addr) (Time, Time) {
 			done := access(addr)
 			return done, done

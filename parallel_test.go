@@ -19,7 +19,7 @@ import (
 // reportBytes renders the report at the given worker count.
 func reportBytes(t *testing.T, workers int) string {
 	t.Helper()
-	sec := experiments.Report(30, false)
+	sec := experiments.Report(false)
 	var buf bytes.Buffer
 	if err := sec.Render(&buf, cxl2sim.RunJobs(sec.Jobs, cxl2sim.JobOptions{Workers: workers})); err != nil {
 		t.Fatal(err)
