@@ -84,7 +84,7 @@ func BenchmarkCluster(b *testing.B) {
 }
 
 // BenchmarkClusterScale is the cluster model at 32 replicas sharing two
-// expanders: 33 mail endpoints on one engine and 768 requests, so the
+// expanders: a hub and 32 hosts on one engine and 768 requests, so the
 // event heap, the switch ports and the hosts' block runs carry a
 // fleet-sized load that BenchmarkCluster's 4 replicas never show.
 func BenchmarkClusterScale(b *testing.B) {

@@ -93,9 +93,6 @@ func TestHostOpStringsAndTemporality(t *testing.T) {
 	if HostOp(9).String() == "" {
 		t.Error("unknown host op should format")
 	}
-	if !Ld.IsTemporal() || !St.IsTemporal() || NtLd.IsTemporal() || NtSt.IsTemporal() {
-		t.Error("IsTemporal wrong")
-	}
 	if Ld.IsWrite() || NtLd.IsWrite() || !St.IsWrite() || !NtSt.IsWrite() {
 		t.Error("IsWrite wrong")
 	}

@@ -34,9 +34,6 @@ func (o HostOp) String() string {
 // IsWrite reports whether the op stores data.
 func (o HostOp) IsWrite() bool { return o == St || o == NtSt }
 
-// IsTemporal reports whether the op uses the regular caching path.
-func (o HostOp) IsTemporal() bool { return o == Ld || o == St }
-
 // EquivalentD2H returns the D2H request type the paper pairs with the host
 // op when comparing true and emulated D2H accesses (§V-A): nt-ld↔NC-rd,
 // ld↔CS-rd, nt-st↔NC-wr, st↔CO-wr.

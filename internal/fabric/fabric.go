@@ -173,16 +173,13 @@ type Fabric struct {
 	paths     map[[2]string][]pathHop
 
 	hostIDs, expanderIDs []string
-
-	endpoints []*Endpoint
 }
 
 // Option is a Build option; Build ignores it.
 type Option struct{}
 
-// Shards is a no-op: every fabric runs on its one engine, and
-// multi-host models schedule through Endpoints. It is kept for
-// cmd/cxlperf, which passes it.
+// Shards is a no-op: every fabric runs on its one engine. It is kept
+// for cmd/cxlperf, which passes it.
 func Shards(int) Option { return Option{} }
 
 // Build validates topo and compiles it into a Fabric under the timing

@@ -9,12 +9,11 @@
 // the fabric — so switch-port arbitration and expander bandwidth show up
 // directly in TTFT/TPOT when the shared pool is oversubscribed.
 //
-// The simulation runs on the fabric's one engine, split into mail
-// endpoints (fabric.Endpoint): the hub — the switch and the shared
-// expanders — owns routing, admission, the block pools and every fabric
-// transfer, and each replica host runs its batching loop and
-// local-DRAM compute. The two sides interact only through typed mail,
-// which lands one link latency per side after it is sent:
+// The simulation runs on the fabric's one engine. The hub — the switch
+// and the shared expanders — owns routing, admission, the block pools
+// and every fabric transfer, and each replica host runs its batching
+// loop and local-DRAM compute. The two sides interact only through
+// typed mail, which lands one switch-link latency after it is sent:
 //
 //	admit  (hub → replica)  a request with its KV blocks pre-assigned
 //	bundle (replica → hub)  one batching step's shared-memory work
@@ -28,12 +27,12 @@
 // with compute.
 //
 // The whole simulation is seeded (internal/rng derived streams) and
-// replays byte-identical metrics for a fixed Config: every event carries
-// its endpoint's merge key (timestamp, source endpoint, source
-// sequence), so the event order is a function of the simulation alone.
-// The `cluster` experiment section leans on that to render identically
-// in serial and parallel suite runs. Only in-flight events sit in the
-// heap: each arrival schedules the next.
+// replays byte-identical metrics for a fixed Config: same-instant events
+// dispatch in the order they were scheduled, so the event order is a
+// function of the simulation alone. The `cluster` experiment section
+// leans on that to render identically in serial and parallel suite
+// runs. Only in-flight events sit in the heap: each arrival schedules
+// the next.
 package cluster
 
 import (
@@ -256,14 +255,12 @@ func (b *bundle) reset() {
 	b.retired = b.retired[:0]
 }
 
-// replica is one serving host's endpoint state: the continuous batch
-// and the compute path through the host's own memory system. Queues and
-// pools live hub-side.
+// replica is one serving host: the continuous batch and the compute
+// path through the host's own memory system, plus the hub's admission
+// state for it.
 type replica struct {
 	c      *Cluster
-	idx    int
 	hostID string
-	ep     *fabric.Endpoint
 	core   *host.Core
 
 	pending   []*creq // admitted, joining at the next step
@@ -276,27 +273,24 @@ type replica struct {
 	localAccesses uint64
 	m             ReplicaMetrics
 
-	// Bound once at New so event scheduling never allocates.
-	admitFn, stepFn, replyFn func(any)
-}
-
-// mirror is the hub's authoritative view of one replica's admission
-// state: its local free list, its routed queue, and how many admitted
-// requests it still holds.
-type mirror struct {
+	// Hub-owned, touched only inside hub events: the replica's local
+	// free list, its routed queue, and how many admitted requests it
+	// still holds.
 	localFree []phys.Addr
 	queue     []*creq
 	batchN    int
+
+	// Bound once at New so event scheduling never allocates.
+	admitFn, stepFn, replyFn func(any)
 }
 
 // sharedSlot is one free shared block.
 type sharedSlot struct{ exp int }
 
 // reqOutcome is a request's final numbers, written by its owning
-// replica at reply time (indices are disjoint across replicas) and
-// folded into the global Sample in request-id order at finalize — the
-// step that makes aggregate metrics independent of how replicas
-// interleave.
+// replica at reply time and folded into the global Sample in request-id
+// order at finalize — the step that makes aggregate metrics independent
+// of how replicas interleave.
 type reqOutcome struct {
 	ttft    float64
 	tpot    float64
@@ -309,7 +303,7 @@ type Cluster struct {
 	cfg    Config
 	f      *fabric.Fabric
 	eng    *sim.Engine
-	hub    *fabric.Endpoint
+	mail   sim.Time // mail's delivery latency: one host–switch link
 	reps   []*replica
 	reqs   []*creq
 	expIDs []string
@@ -317,7 +311,6 @@ type Cluster struct {
 
 	// Hub-owned coordinator state, touched only inside hub events.
 	sharedFree     []sharedSlot
-	mirrors        []mirror
 	arrivalsLeft   int
 	finishedN      int
 	sharedAccesses uint64
@@ -327,33 +320,27 @@ type Cluster struct {
 	arrivalFn, bundleFn func(any)
 }
 
-// New compiles the cluster: fabric, endpoints, replicas, pools.
+// New compiles the cluster: fabric, replicas, pools.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	p := timing.Default()
-	c := &Cluster{cfg: cfg, f: fabric.MustBuild(cfg.Topology(), p)}
+	// Topology's links take the calibrated default latency, so mail
+	// between the hub and any replica crosses one CXL.OneWay.
+	c := &Cluster{cfg: cfg, f: fabric.MustBuild(cfg.Topology(), p), mail: p.CXL.OneWay}
 	c.eng = c.f.Engine()
 	c.expIDs = c.f.Expanders()
-	eps := c.f.Endpoints()
-	c.hub = eps[0]
 	c.arrivalFn = c.onArrival
 	c.bundleFn = c.onBundle
-	for i, id := range c.f.Hosts() {
-		r := &replica{
-			c: c, idx: i, hostID: id,
-			ep:   eps[1+i],
-			core: c.f.Host(id).Core(0),
-		}
+	for _, id := range c.f.Hosts() {
+		r := &replica{c: c, hostID: id, core: c.f.Host(id).Core(0)}
 		r.admitFn = r.onAdmit
 		r.stepFn = r.onStep
 		r.replyFn = r.onReply
-		c.reps = append(c.reps, r)
-		var mir mirror
 		for b := cfg.LocalBlocks - 1; b >= 0; b-- {
-			mir.localFree = append(mir.localFree,
+			r.localFree = append(r.localFree,
 				localPoolBase+phys.Addr(b*infer.BlockBytes))
 		}
-		c.mirrors = append(c.mirrors, mir)
+		c.reps = append(c.reps, r)
 	}
 	// Stripe the shared free list round-robin across expanders so
 	// allocation spreads load before any expander saturates.
@@ -378,7 +365,7 @@ func Run(cfg Config) Metrics {
 // NumReplicas and Load expose routing signals: Load is a replica's
 // queued plus admitted-unretired request count, as the hub sees it.
 func (c *Cluster) NumReplicas() int { return len(c.reps) }
-func (c *Cluster) Load(i int) int   { return len(c.mirrors[i].queue) + c.mirrors[i].batchN }
+func (c *Cluster) Load(i int) int   { return len(c.reps[i].queue) + c.reps[i].batchN }
 
 // genRequests draws the seeded open request stream.
 func (c *Cluster) genRequests() []*creq {
@@ -415,7 +402,7 @@ func (c *Cluster) run() {
 	c.reqs = c.genRequests()
 	c.outcomes = make([]reqOutcome, len(c.reqs))
 	c.arrivalsLeft = len(c.reqs)
-	c.hub.At(c.reqs[0].arrival, c.arrivalFn, c.reqs[0])
+	c.eng.AtCall(c.reqs[0].arrival, c.arrivalFn, c.reqs[0])
 	c.eng.Run()
 	c.m.Events = c.eng.Executed()
 	c.finalize()
@@ -423,36 +410,32 @@ func (c *Cluster) run() {
 
 // onArrival routes one request (hub event at its arrival time), tries
 // admission on the target replica, and schedules the next arrival.
-// Arrivals are the hub's only local events, so scheduling them one at a
-// time gives each the merge key it would have had scheduled up front.
 func (c *Cluster) onArrival(arg any) {
 	q := arg.(*creq)
 	if n := q.id + 1; n < len(c.reqs) {
-		c.hub.At(c.reqs[n].arrival, c.arrivalFn, c.reqs[n])
+		c.eng.AtCall(c.reqs[n].arrival, c.arrivalFn, c.reqs[n])
 	}
 	tgt := c.cfg.Router.Route(routeView(q), c)
 	if tgt < 0 || tgt >= len(c.reps) {
 		panic(fmt.Sprintf("cluster: router %s routed to replica %d of %d",
 			c.cfg.Router.Name(), tgt, len(c.reps)))
 	}
-	c.mirrors[tgt].queue = append(c.mirrors[tgt].queue, q)
+	c.reps[tgt].queue = append(c.reps[tgt].queue, q)
 	c.arrivalsLeft--
-	c.admitRep(tgt, c.eng.Now())
+	c.admit(c.reps[tgt], c.eng.Now())
 	c.starveCheck()
 }
 
-// admitRep admits from replica i's queue while capacity allows,
+// admit admits from replica r's queue while capacity allows,
 // assigning every block the request will ever use — local pool first,
 // shared overflow after. Worst-case assignment up front means replicas
 // drawing from the shared pool can never deadlock each other
 // mid-decode, and the replica never asks the hub for blocks mid-flight.
-func (c *Cluster) admitRep(i int, now sim.Time) {
-	cfg := &c.cfg
-	mir := &c.mirrors[i]
-	for len(mir.queue) > 0 && mir.batchN < cfg.MaxBatch {
-		q := mir.queue[0]
+func (c *Cluster) admit(r *replica, now sim.Time) {
+	for len(r.queue) > 0 && r.batchN < c.cfg.MaxBatch {
+		q := r.queue[0]
 		w := infer.BlocksFor(q.prompt + q.decode)
-		l := min(len(mir.localFree), w)
+		l := min(len(r.localFree), w)
 		s := w - l
 		if len(c.sharedFree) < s {
 			return
@@ -461,8 +444,8 @@ func (c *Cluster) admitRep(i int, now sim.Time) {
 			q.blocks = make([]cblock, 0, w)
 		}
 		for j := 0; j < l; j++ {
-			a := mir.localFree[len(mir.localFree)-1]
-			mir.localFree = mir.localFree[:len(mir.localFree)-1]
+			a := r.localFree[len(r.localFree)-1]
+			r.localFree = r.localFree[:len(r.localFree)-1]
 			q.blocks = append(q.blocks, cblock{addr: a})
 		}
 		for j := 0; j < s; j++ {
@@ -470,18 +453,18 @@ func (c *Cluster) admitRep(i int, now sim.Time) {
 			c.sharedFree = c.sharedFree[1:]
 			q.blocks = append(q.blocks, cblock{shared: true, exp: slot.exp})
 		}
-		q.rep = c.reps[i]
-		mir.queue = mir.queue[1:]
-		mir.batchN++
-		c.hub.Send(c.reps[i].ep, now, c.reps[i].admitFn, q)
+		q.rep = r
+		r.queue = r.queue[1:]
+		r.batchN++
+		c.eng.AtCall(now+c.mail, r.admitFn, q)
 	}
 }
 
 // admitAll sweeps every replica in index order — the deterministic
 // admission pass after frees return capacity.
 func (c *Cluster) admitAll(now sim.Time) {
-	for i := range c.mirrors {
-		c.admitRep(i, now)
+	for _, r := range c.reps {
+		c.admit(r, now)
 	}
 }
 
@@ -493,11 +476,11 @@ func (c *Cluster) starveCheck() {
 		return
 	}
 	queued := false
-	for i := range c.mirrors {
-		if c.mirrors[i].batchN > 0 {
+	for _, r := range c.reps {
+		if r.batchN > 0 {
 			return
 		}
-		if len(c.mirrors[i].queue) > 0 {
+		if len(r.queue) > 0 {
 			queued = true
 		}
 	}
@@ -513,7 +496,7 @@ func (r *replica) onAdmit(arg any) {
 	r.pending = append(r.pending, q)
 	if !r.scheduled && !r.awaiting {
 		r.scheduled = true
-		r.ep.At(r.c.eng.Now(), r.stepFn, nil)
+		r.c.eng.AtCall(r.c.eng.Now(), r.stepFn, nil)
 	}
 }
 
@@ -545,7 +528,7 @@ func (r *replica) onStep(any) {
 	}
 	r.batch = keep
 	r.awaiting = true
-	r.ep.Send(r.c.hub, e, r.c.bundleFn, b)
+	r.c.eng.AtCall(e+r.c.mail, r.c.bundleFn, b)
 }
 
 func (r *replica) getBundle() *bundle {
@@ -683,21 +666,20 @@ func (c *Cluster) onBundle(arg any) {
 			}
 		}
 	}
-	mir := &c.mirrors[r.idx]
 	for _, q := range b.retired {
 		for _, blk := range q.blocks {
 			if blk.shared {
 				c.sharedFree = append(c.sharedFree, sharedSlot{exp: blk.exp})
 			} else {
-				mir.localFree = append(mir.localFree, blk.addr)
+				r.localFree = append(r.localFree, blk.addr)
 			}
 		}
 		c.finishedN++
 	}
-	mir.batchN -= len(b.retired)
+	r.batchN -= len(b.retired)
 	c.admitAll(now)
 	c.starveCheck()
-	c.hub.Send(r.ep, now, r.replyFn, b)
+	c.eng.AtCall(now+c.mail, r.replyFn, b)
 }
 
 // onReply (replica event) closes the step: fold metrics in batch order,
@@ -738,7 +720,7 @@ func (r *replica) onReply(arg any) {
 			at = now
 		}
 		r.scheduled = true
-		r.ep.At(at, r.stepFn, nil)
+		c.eng.AtCall(at, r.stepFn, nil)
 	}
 }
 

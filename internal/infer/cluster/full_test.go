@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// fullGolden holds fullRender of every shardedCases and stressCases run
+// fullGolden holds fullRender of every regimeCases and stressCases run
 // plus the cxlperf cluster shape at two seeds, each under a "== name"
 // header line. Regenerate with:
 //
@@ -37,10 +37,10 @@ func fullRender(m Metrics) string {
 	return b.String()
 }
 
-// fullCases are the golden cases plus the cmd/cxlperf cluster shape
-// (8 replicas, 2 expanders, 2048 requests) at seeds 1 and 7.
+// fullCases are the regime and stress cases plus the cmd/cxlperf
+// cluster shape (8 replicas, 2 expanders, 2048 requests) at seeds 1 and 7.
 func fullCases() []shardedCase {
-	cases := append(shardedCases(), stressCases()...)
+	cases := append(regimeCases(), stressCases()...)
 	for _, seed := range []int64{1, 7} {
 		cases = append(cases, shardedCase{fmt.Sprintf("cxlperf-%d", seed), Config{
 			Seed: seed, Replicas: 8, Expanders: 2, Requests: 2048,

@@ -11,7 +11,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden under test in testdata/ instead of comparing")
 
 // shardedGolden holds the render of every shardedCases and stressCases
-// run, each under a "== name" header line. Regenerate with:
+// run, each under a "== name" header line, in goldenCases order.
+// Regenerate with:
 //
 //	go test ./internal/infer/cluster -run ShardedByteIdentity -update
 const shardedGolden = "testdata/sharded.golden"
@@ -22,8 +23,13 @@ type shardedCase struct {
 }
 
 // shardedCases are the pinned runs: each oversubscription regime and
-// router.
+// router, then tieCase.
 func shardedCases() []shardedCase {
+	return append(regimeCases(), tieCase)
+}
+
+// regimeCases are one run per oversubscription regime and router.
+func regimeCases() []shardedCase {
 	return []shardedCase{
 		{"ample", Config{Seed: 11, Replicas: 4, Requests: 48,
 			LocalBlocks: 64, SharedBlocks: 256}},
@@ -37,10 +43,17 @@ func shardedCases() []shardedCase {
 	}
 }
 
+// tieCase pins a cross-replica same-instant tie: replicas 1 and 7 both
+// step at t = 149 025 227 ps, and the engine dispatches the two steps
+// in the order they were scheduled.
+var tieCase = shardedCase{"tie", Config{Seed: 25, Replicas: 8, Expanders: 3,
+	Requests: 64, RatePerSec: 400_000, LocalBlocks: 2, SharedBlocks: 24,
+	MaxBatch: 8, Router: NewLeastLoaded()}}
+
 // stressCases are the mail-ordering stress runs: a high arrival rate
 // over a tiny shared pool makes every decode step exchange
-// admit/bundle/reply mail while many same-instant fabric completions
-// land at the hub, at several seeds.
+// admit/bundle/reply mail while many same-instant events land at the
+// hub, at several seeds.
 func stressCases() []shardedCase {
 	var cases []shardedCase
 	for _, seed := range []int64{1, 7, 23, 101} {
@@ -53,14 +66,20 @@ func stressCases() []shardedCase {
 	return cases
 }
 
+// goldenCases lists every block of shardedGolden in file order; the tie
+// block came last.
+func goldenCases() []shardedCase {
+	return append(append(regimeCases(), stressCases()...), tieCase)
+}
+
 // checkGolden runs cases and requires each render to equal its block in
 // shardedGolden exactly. With -update it rewrites the whole golden from
-// shardedCases and stressCases instead.
+// goldenCases instead.
 func checkGolden(t *testing.T, cases []shardedCase) {
 	t.Helper()
 	if *update {
 		var all strings.Builder
-		for _, tc := range append(shardedCases(), stressCases()...) {
+		for _, tc := range goldenCases() {
 			fmt.Fprintf(&all, "== %s\n%s", tc.name, render(Run(tc.cfg)))
 		}
 		if err := os.WriteFile(shardedGolden, []byte(all.String()), 0o644); err != nil {
@@ -92,38 +111,15 @@ func checkGolden(t *testing.T, cases []shardedCase) {
 }
 
 // TestShardedByteIdentity pins the cluster's bytes: every regime's
-// rendered metrics must equal the golden exactly, so a change to the
-// merge keys or the cluster model that moves any event shows up here.
+// rendered metrics, and the tie's, must equal the golden exactly, so a
+// change to the engine's tie order or the cluster model that moves any
+// event shows up here.
 func TestShardedByteIdentity(t *testing.T) {
 	checkGolden(t, shardedCases())
 }
 
-// TestShardedStressCrossShardOrdering hammers the mail merge path with
-// stressCases; each seed's render must equal the golden exactly.
+// TestShardedStressCrossShardOrdering hammers the hub–replica mail path
+// with stressCases; each seed's render must equal the golden exactly.
 func TestShardedStressCrossShardOrdering(t *testing.T) {
 	checkGolden(t, stressCases())
-}
-
-// TestShardPartitionShape pins the cluster's endpoints: the hub first,
-// then one per replica host, with every delivery distance the
-// calibrated link latency per side (hosts are two hops apart through the
-// hub).
-func TestShardPartitionShape(t *testing.T) {
-	c := New(Config{Replicas: 3, Expanders: 2})
-	eps := c.f.Endpoints()
-	if len(eps) != 4 || c.hub != eps[0] {
-		t.Fatalf("%d endpoints, hub first = %v; want hub + 3 replicas", len(eps), c.hub == eps[0])
-	}
-	for i, r := range c.reps {
-		if r.ep != eps[1+i] {
-			t.Fatalf("replica %d is not endpoint %d", i, 1+i)
-		}
-	}
-	oneWay := c.hub.Dist(c.reps[0].ep)
-	if want := c.f.Params().CXL.OneWay; oneWay != want || want <= 0 {
-		t.Fatalf("hub→replica distance %v, want the calibrated link latency %v", oneWay, want)
-	}
-	if got := c.reps[0].ep.Dist(c.reps[1].ep); got != 2*oneWay {
-		t.Fatalf("replica→replica distance %v, want %v (two hops via hub)", got, 2*oneWay)
-	}
 }

@@ -77,24 +77,8 @@ func (l *Link) Transfer(d Dir, now sim.Time, payloadBytes int) sim.Time {
 	return start + occ + l.oneWay
 }
 
-// RoundTrip sends a request of reqBytes in direction d and a response of
-// respBytes back, returning the response arrival time. remoteProc is the
-// far-end service time between request arrival and response injection.
-func (l *Link) RoundTrip(d Dir, now sim.Time, reqBytes, respBytes int, remoteProc sim.Time) sim.Time {
-	arrive := l.Transfer(d, now, reqBytes)
-	return l.Transfer(1-d, arrive+remoteProc, respBytes)
-}
-
 // Transferred reports total payload bytes moved in direction d.
 func (l *Link) Transferred(d Dir) uint64 { return l.transferred[d] }
-
-// Utilization reports the busy fraction of direction d up to now.
-func (l *Link) Utilization(d Dir, now sim.Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return float64(l.dirs[d].Busy()) / float64(now)
-}
 
 // Reset restores the link to idle.
 func (l *Link) Reset() {

@@ -42,18 +42,6 @@ func TestFullDuplexIndependence(t *testing.T) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	l := NewLink("upi", 40*sim.Nanosecond, 64e9)
-	// 16 B req + 64+16 B resp + 20 ns remote processing.
-	got := l.RoundTrip(Down, 0, 16, 80, 20*sim.Nanosecond)
-	// req: serialize 0.25 ns + 40 ns; proc 20 ns; resp: 1.25 ns + 40 ns.
-	want := sim.FromNanos(0.25) + 40*sim.Nanosecond + 20*sim.Nanosecond +
-		sim.FromNanos(1.25) + 40*sim.Nanosecond
-	if got != want {
-		t.Fatalf("RT = %v, want %v", got, want)
-	}
-}
-
 func TestBandwidthEmergesFromOccupancy(t *testing.T) {
 	// Saturate the down direction with 1000 × 64 B transfers issued at t=0:
 	// total occupancy should make the last arrival reflect ~64 GB/s.
@@ -68,18 +56,6 @@ func TestBandwidthEmergesFromOccupancy(t *testing.T) {
 	}
 	if l.Transferred(Down) != 64000 {
 		t.Fatalf("Transferred = %d", l.Transferred(Down))
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	l := NewLink("x", 0, 64e9)
-	l.Transfer(Down, 0, 64_000) // 1 µs busy
-	u := l.Utilization(Down, 2*sim.Microsecond)
-	if u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %v", u)
-	}
-	if l.Utilization(Down, 0) != 0 {
-		t.Fatal("utilization at t=0 should be 0")
 	}
 }
 

@@ -80,8 +80,7 @@ type event struct {
 // with a binary heap it halves tree depth, trading slightly more sibling
 // comparisons (cheap, same cache line) for fewer swap levels.
 //
-// Because (when, seq) is unique per event — seq strictly increases, and
-// AtCallTagged callers keep their keys unique — the
+// Because (when, seq) is unique per event — seq strictly increases — the
 // dispatch sequence is the total order by (when, seq) no matter how the
 // heap arranges ties internally, so replacing the binary boxed heap cannot
 // reorder dispatch: FIFO within a timestamp is preserved exactly.
@@ -141,13 +140,6 @@ func (h *eventHeap) popEvent() event {
 	return top
 }
 
-// SourceShift is the bit position of the source-ID field in an
-// AtCallTagged sequence key. The low 48 bits hold a per-source monotone
-// counter (2^48 events ≈ 2.8e14, far beyond any run), the high 16 bits
-// the source ID, so comparing packed keys numerically is exactly
-// comparing (sourceID, perSourceSeq) lexicographically.
-const SourceShift = 48
-
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
@@ -188,21 +180,6 @@ func (e *Engine) AtCall(t Time, fn func(arg any), arg any) {
 	}
 	e.seq++
 	e.events.pushEvent(event{when: t, seq: e.seq, call: fn, arg: arg})
-}
-
-// AtCallTagged schedules fn(arg) at absolute time t under an explicit
-// sequence key instead of the engine's own counter, for callers that
-// interleave several event sources on one engine: each source packs
-// key as sourceID<<SourceShift | perSourceSeq, so the dispatch position
-// among same-timestamp events is fixed by the source — not by when the
-// event happened to be scheduled. Keeping keys unique, and apart from
-// the engine's own counter if AtCall is used too, is the caller's
-// contract; it is what keeps the heap's order total.
-func (e *Engine) AtCallTagged(t Time, key uint64, fn func(arg any), arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling tagged event at %v before now %v", t, e.now))
-	}
-	e.events.pushEvent(event{when: t, seq: key, call: fn, arg: arg})
 }
 
 // Run dispatches events until none remain. It returns the final simulated

@@ -158,43 +158,12 @@ func TestEnginePastSchedulePanics(t *testing.T) {
 	e := NewEngine()
 	e.AtCall(100, func(any) {}, nil)
 	e.Run()
-	for name, schedule := range map[string]func(){
-		"AtCall":       func() { e.AtCall(50, func(any) {}, nil) },
-		"AtCallTagged": func() { e.AtCallTagged(50, 1<<SourceShift|1, func(any) {}, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic scheduling in the past", name)
-				}
-			}()
-			schedule()
-		}()
-	}
-}
-
-// TestSourceTaggedMergeOrder pins the tagged-key contract: at an equal
-// timestamp, events dispatch by (sourceID, perSourceSeq) regardless of
-// the order they were scheduled in, and the engine's own counter sorts
-// as source 0.
-func TestSourceTaggedMergeOrder(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	rec := func(arg any) { got = append(got, arg.(string)) }
-
-	e.AtCallTagged(100, 2<<SourceShift|1, rec, "src2-1")
-	e.AtCallTagged(100, 3<<SourceShift|1, rec, "src3-1")
-	e.AtCall(100, rec, "local-1")
-	// Deliberately insert the higher sequence first.
-	e.AtCallTagged(100, 1<<SourceShift|2, rec, "src1-2")
-	e.AtCallTagged(100, 1<<SourceShift|1, rec, "src1-1")
-	e.AtCall(100, rec, "local-2")
-
-	e.Run()
-	want := []string{"local-1", "local-2", "src1-1", "src1-2", "src2-1", "src3-1"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("dispatch order %v, want %v", got, want)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic scheduling in the past")
+		}
+	}()
+	e.AtCall(50, func(any) {}, nil)
 }
 
 func TestEngineRandomOrderProperty(t *testing.T) {

@@ -43,14 +43,11 @@ func TestQuantileTable(t *testing.T) {
 }
 
 // TestEmptySampleBehavior pins every query against an empty sample: the
-// mean/stddev family degrades to zero, the order statistics panic.
+// mean degrades to zero, the order statistics panic.
 func TestEmptySampleBehavior(t *testing.T) {
 	s := NewSample(0)
-	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 {
-		t.Fatal("empty sample N/Mean/StdDev should be 0")
-	}
-	if got := s.Summarize(); got != (Summary{}) {
-		t.Fatalf("empty Summarize = %+v, want zero", got)
+	if s.N() != 0 || s.Mean() != 0 {
+		t.Fatal("empty sample N/Mean should be 0")
 	}
 	if vs := s.Values(); len(vs) != 0 {
 		t.Fatalf("empty Values = %v", vs)
@@ -90,29 +87,5 @@ func TestEmptyOrderStatPanicMessages(t *testing.T) {
 			}()
 			c.fn()
 		})
-	}
-}
-
-// TestSingleObservationSummary: with one observation every order statistic
-// collapses to it and the spread is zero.
-func TestSingleObservationSummary(t *testing.T) {
-	s := NewSample(1)
-	s.Add(42)
-	got := s.Summarize()
-	want := Summary{N: 1, Mean: 42, StdDev: 0, Min: 42, Median: 42, P99: 42, Max: 42}
-	if got != want {
-		t.Fatalf("Summarize = %+v, want %+v", got, want)
-	}
-}
-
-// TestStdDevOfConstant guards the sumSq formulation against catastrophic
-// cancellation flipping the variance negative.
-func TestStdDevOfConstant(t *testing.T) {
-	s := NewSample(0)
-	for i := 0; i < 1000; i++ {
-		s.Add(1e9 + 0.5)
-	}
-	if got := s.StdDev(); got != 0 {
-		t.Fatalf("StdDev of a constant = %v, want 0", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package stats provides the measurement plumbing used by every experiment:
-// exact sample sets with percentile/median/stddev queries, fixed-bucket
-// latency histograms, and small formatting helpers for reporting
-// paper-style numbers (medians, p99 tail latency, normalized ratios).
+// exact sample sets with mean, median and percentile queries, and small
+// helpers for reporting paper-style numbers (medians, p99 tail latency,
+// normalized ratios).
 package stats
 
 import (
@@ -16,7 +16,6 @@ type Sample struct {
 	xs     []float64
 	sorted bool
 	sum    float64
-	sumSq  float64
 }
 
 // NewSample returns an empty sample, optionally pre-sized.
@@ -29,7 +28,6 @@ func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
 	s.sum += x
-	s.sumSq += x * x
 }
 
 // N reports the number of observations.
@@ -41,21 +39,6 @@ func (s *Sample) Mean() float64 {
 		return 0
 	}
 	return s.sum / float64(len(s.xs))
-}
-
-// StdDev reports the population standard deviation, or 0 for fewer than two
-// observations.
-func (s *Sample) StdDev() float64 {
-	n := float64(len(s.xs))
-	if n < 2 {
-		return 0
-	}
-	mean := s.sum / n
-	v := s.sumSq/n - mean*mean
-	if v < 0 { // numerical noise
-		v = 0
-	}
-	return math.Sqrt(v)
 }
 
 func (s *Sample) ensureSorted() {
@@ -126,34 +109,7 @@ func (s *Sample) Values() []float64 {
 func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
 	s.sorted = false
-	s.sum, s.sumSq = 0, 0
-}
-
-// Summary is a compact set of order statistics, convenient for table rows.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Median float64
-	P99    float64
-	Max    float64
-}
-
-// Summarize computes a Summary; an empty sample yields a zero Summary.
-func (s *Sample) Summarize() Summary {
-	if len(s.xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      s.N(),
-		Mean:   s.Mean(),
-		StdDev: s.StdDev(),
-		Min:    s.Min(),
-		Median: s.Median(),
-		P99:    s.P99(),
-		Max:    s.Max(),
-	}
+	s.sum = 0
 }
 
 // Ratio returns a/b, guarding against a zero denominator.

@@ -28,26 +28,16 @@ func TestSampleBasics(t *testing.T) {
 	if got := s.Max(); got != 5 {
 		t.Fatalf("Max = %v", got)
 	}
-	want := math.Sqrt(2) // population stddev of 1..5
-	if got := s.StdDev(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("StdDev = %v, want %v", got, want)
-	}
 }
 
 func TestSampleEmptyAndSingle(t *testing.T) {
 	s := NewSample(0)
-	if s.Mean() != 0 || s.StdDev() != 0 {
-		t.Fatal("empty sample mean/stddev should be 0")
-	}
-	if sum := s.Summarize(); sum.N != 0 {
-		t.Fatal("empty summary should be zero")
+	if s.Mean() != 0 {
+		t.Fatal("empty sample mean should be 0")
 	}
 	s.Add(7)
 	if s.Median() != 7 || s.Quantile(0) != 7 || s.Quantile(1) != 7 {
 		t.Fatal("single-element quantiles should all be the element")
-	}
-	if s.StdDev() != 0 {
-		t.Fatal("single-element stddev should be 0")
 	}
 }
 
@@ -140,20 +130,6 @@ func TestQuantileMatchesSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := NewSample(0)
-	for i := 1; i <= 10; i++ {
-		s.Add(float64(i))
-	}
-	sum := s.Summarize()
-	if sum.N != 10 || sum.Min != 1 || sum.Max != 10 || sum.Mean != 5.5 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if sum.Median != 5.5 {
-		t.Fatalf("median = %v", sum.Median)
 	}
 }
 

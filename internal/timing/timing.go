@@ -433,11 +433,6 @@ func (p *Params) FabricCycle() sim.Time {
 	return sim.FromNanos(1 / p.Device.FabricGHz)
 }
 
-// CoreCycle returns the host core clock period.
-func (p *Params) CoreCycle() sim.Time {
-	return sim.FromNanos(1 / p.Host.CoreGHz)
-}
-
 // Serialize returns the wire occupancy of n payload bytes on a link of rate
 // bytesPerSec.
 func Serialize(n int, bytesPerSec float64) sim.Time {
