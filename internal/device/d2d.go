@@ -197,7 +197,8 @@ func (d *Device) fillDMC(addr phys.Addr, st cache.State, data []byte, now sim.Ti
 // dst selects timing-only mode: per-line latencies and all cache/memory
 // state transitions are identical, but no line buffers are materialized —
 // the fast path that keeps high-volume consumers (the LLM-serving KV
-// streams) allocation-free.
+// streams) allocation-free. An untraced timing-only NC read also batches
+// its miss-path runs (readDevBlockBatched).
 func (d *Device) ReadDevBlock(req cxl.D2HReq, addr phys.Addr, size int, dst []byte, now sim.Time) sim.Time {
 	if !req.IsRead() {
 		panic("device: ReadDevBlock requires a read hint")
@@ -231,15 +232,19 @@ func (d *Device) ReadDevBlock(req cxl.D2HReq, addr phys.Addr, size int, dst []by
 
 // readDevBlockBatched is the timing-only NC block read with per-line work
 // collapsed into run-batched resource claims. A run of consecutive lines
-// that are device-bias and DMC-absent all take the identical miss path —
-// LSU issue claim, then a device-memory access through the d2d credit pool
-// — so the run is admitted with one ClaimN and one credit Pipeline, both
-// exactly equivalent to the per-line sequence (and the per-line state reads
-// stay valid across the run: an NC read never installs or upgrades DMC
-// lines, so a miss scan computed ahead of the run cannot be invalidated by
-// the run itself). Lines that are host-bias or DMC-resident fall back to
-// the general per-line path. The fused loop removes two calls and a 40-byte
-// result copy per line, which dominated block-read cost for the KV streams.
+// in one bias mode that the DMC does not hold all take the identical miss
+// path — LSU issue claim, then a device-memory access through the d2d
+// credit pool — so the run is admitted with one ClaimN and one credit
+// Pipeline, both exactly equivalent to the per-line sequence. Under host
+// bias each line also pays the bias check, which recalls nothing when the
+// home LLC does not hold the line either, so such a run only starts its
+// pipeline BiasCheck later. The per-line state reads stay valid across
+// the run: an NC read miss installs no DMC line and touches no LLC line,
+// so a scan computed ahead of the run cannot be invalidated by the run
+// itself. DMC-resident lines, and host-bias lines the LLC holds, fall
+// back to the general per-line path. The fused loop removes two calls
+// and a 40-byte result copy per line, which dominated block-read cost for
+// the KV streams.
 func (d *Device) readDevBlockBatched(addr phys.Addr, size int, t sim.Time) sim.Time {
 	var (
 		last    sim.Time
@@ -250,12 +255,15 @@ func (d *Device) readDevBlockBatched(addr phys.Addr, size int, t sim.Time) sim.T
 	for off := 0; off < size; {
 		la := phys.LineAddr(addr + phys.Addr(off))
 		maxLines := (size - off + phys.LineSize - 1) / phys.LineSize
-		n := d.deviceBiasRun(la, maxLines)
-		if n > 0 {
-			n = d.dmc.MissRun(la, n)
+		n, hostBias := d.biasRun(la, maxLines)
+		n = d.dmc.MissRun(la, n)
+		lat := lineLat
+		if hostBias && n > 0 {
+			n = d.home.LLC().MissRun(la, n)
+			lat += d.p.CXL.BiasCheck
 		}
 		if n == 0 {
-			// Host-bias or DMC-resident line: general per-line path.
+			// DMC-resident, or host-bias and LLC-resident: general per-line path.
 			r := d.d2dRead(cxl.NCRead, la, t, false)
 			if r.Done > last {
 				last = r.Done
@@ -268,7 +276,7 @@ func (d *Device) readDevBlockBatched(addr phys.Addr, size int, t sim.Time) sim.T
 		issue := d.lsu.ClaimN(t, gap, n)
 		// Completion times are nondecreasing along the run, so the final
 		// pipeline completion is the run's maximum.
-		done := d.d2dCredits.Pipeline(issue+lineLat, gap, svc, n)
+		done := d.d2dCredits.Pipeline(issue+lat, gap, svc, n)
 		if done > last {
 			last = done
 		}
@@ -277,22 +285,26 @@ func (d *Device) readDevBlockBatched(addr phys.Addr, size int, t sim.Time) sim.T
 	return last
 }
 
-// deviceBiasRun reports how many consecutive lines, starting at line-aligned
-// la, are governed by device bias — up to max. A run may end at an
-// override's boundary without the device-bias region ending (adjacent
-// overrides); callers re-enter for the remainder and lose only batching,
-// not correctness.
-func (d *Device) deviceBiasRun(la phys.Addr, max int) int {
+// biasRun reports how many consecutive lines, starting at line-aligned la
+// and up to max, share la's bias mode, and whether that mode is host
+// bias. A device-bias run may end at an override's boundary without the
+// device-bias region ending (adjacent overrides); callers re-enter for
+// the remainder and lose only batching, not correctness.
+func (d *Device) biasRun(la phys.Addr, max int) (n int, hostBias bool) {
+	n = max
 	for _, r := range d.biasOverrides {
 		if r.Contains(la) {
-			n := int((uint64(r.End()-la) + phys.LineSize - 1) / phys.LineSize)
-			if n > max {
-				n = max
+			return min(max, int((uint64(r.End()-la)+phys.LineSize-1)/phys.LineSize)), false
+		}
+		if r.Base > la {
+			// The first line at or past r.Base, if r holds it, ends the run.
+			k := int((uint64(r.Base-la) + phys.LineSize - 1) / phys.LineSize)
+			if r.Contains(la + phys.Addr(k*phys.LineSize)) {
+				n = min(n, k)
 			}
-			return n
 		}
 	}
-	return 0
+	return n, true
 }
 
 // WriteDevBlock performs a multi-line D2D block write (e.g. storing a

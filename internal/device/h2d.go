@@ -38,7 +38,18 @@ type H2DResult struct {
 // accelerator may read DMC (§IV, §V-C). A Type-3 device goes straight to
 // device memory, which is why its H2D accesses are slightly faster.
 func (d *Device) H2D(op cxl.HostOp, addr phys.Addr, data []byte, arrive sim.Time) H2DResult {
-	res := d.h2d(op, addr, data, arrive)
+	return d.traceH2D(op, addr, arrive, d.h2d(op, addr, data, arrive, true))
+}
+
+// H2DTiming is H2D for a caller with no use for the line bytes (the host
+// core's NTRun): the same bias flip, DMC check and downgrade or writeback,
+// write-queue admission and statistics, minus the read's payload copy. It
+// returns when device memory has served the request.
+func (d *Device) H2DTiming(op cxl.HostOp, addr phys.Addr, arrive sim.Time) sim.Time {
+	return d.traceH2D(op, addr, arrive, d.h2d(op, addr, nil, arrive, false)).Done
+}
+
+func (d *Device) traceH2D(op cxl.HostOp, addr phys.Addr, arrive sim.Time, res H2DResult) H2DResult {
 	if d.tracer != nil {
 		where := "mem"
 		if res.DMCHit {
@@ -49,7 +60,9 @@ func (d *Device) H2D(op cxl.HostOp, addr phys.Addr, data []byte, arrive sim.Time
 	return res
 }
 
-func (d *Device) h2d(op cxl.HostOp, addr phys.Addr, data []byte, arrive sim.Time) H2DResult {
+// h2d is the H2D datapath. wantData=false skips materializing the read's
+// line; timing and every state transition are the same in both modes.
+func (d *Device) h2d(op cxl.HostOp, addr phys.Addr, data []byte, arrive sim.Time, wantData bool) H2DResult {
 	if !d.cfg.Type.HasDeviceMemory() {
 		panic(fmt.Sprintf("device: H2D requires CXL.mem (Type-2/3); device is %v", d.cfg.Type))
 	}
@@ -132,10 +145,11 @@ func (d *Device) h2d(op cxl.HostOp, addr phys.Addr, data []byte, arrive sim.Time
 		return res
 	}
 	d.stats.DevMemReads++
-	buf := d.arena.Line()
-	d.mem.ReadLine(addr, buf)
 	res.Done = t + d.p.DRAM.DDR4Read
-	res.Data = buf
+	if wantData {
+		res.Data = d.arena.Line()
+		d.mem.ReadLine(addr, res.Data)
+	}
 	return res
 }
 

@@ -87,19 +87,20 @@ func (c *Core) Access(op cxl.HostOp, addr phys.Addr, data []byte, now sim.Time) 
 // NtSt) starting at addr's line, all at now, and returns the latest
 // completion — timing only, no payload. It is exactly equivalent to
 // issuing each line through Access and discarding the results: the same
-// return value and the same core, LLC, directory, credit and channel
-// state afterwards.
+// return value and the same core, LLC, directory, credit, channel and
+// device state afterwards.
 //
 // A run of lines that lies in one host-DRAM region, is not device-held
 // in the home directory and is absent from the LLC takes one identical
 // miss path per line, so it is admitted with one issue ClaimN and, for
 // loads, one credit Pipeline (stores fuse their WC-credit and
 // write-queue steps into one loop). Scanning the run ahead is sound:
-// such a line op neither fills the LLC nor touches the directory. Any
-// other line — LLC-resident, device-held, or in device memory — takes
-// the general per-line path, and the scan re-enters after it. The
-// cluster model's KV block streams issue these runs at every decode
-// step.
+// such a line op neither fills the LLC nor touches the directory. A run
+// in device memory takes ntDevice, accessCXL's nt path fused into one
+// per-line loop that materializes no payload. Any other line —
+// LLC-resident or device-held host DRAM — takes the general per-line
+// path, and the scan re-enters after it. The infer and cluster models'
+// KV block streams issue these runs at every decode step.
 func (c *Core) NTRun(op cxl.HostOp, addr phys.Addr, lines int, now sim.Time) sim.Time {
 	if op != cxl.NtLd && op != cxl.NtSt {
 		panic(fmt.Sprintf("host: NTRun of %v; want NtLd or NtSt", op))
@@ -109,23 +110,24 @@ func (c *Core) NTRun(op cxl.HostOp, addr phys.Addr, lines int, now sim.Time) sim
 	la := phys.LineAddr(addr)
 	last := now // every completion is at or after now
 	for lines > 0 {
-		n, remoteExtra := c.ntBatchRun(la, lines)
-		if n == 0 {
+		n, remoteExtra, device := c.ntBatchRun(la, lines)
+		switch {
+		case device:
+			last = max(last, c.ntDevice(op, la, n, now))
+		case n == 0:
 			if d := c.access(op, la, nil, now, false).Done; d > last {
 				last = d
 			}
-			la += phys.LineSize
-			lines--
-			continue
-		}
-		t := c.issue.ClaimN(now, gap, n) + p.Host.LocalLookup
-		if op == cxl.NtLd {
+			n = 1
+		case op == cxl.NtLd:
+			t := c.issue.ClaimN(now, gap, n) + p.Host.LocalLookup
 			// Completions are nondecreasing along the run, so the final
 			// pipeline completion is the run's maximum.
 			if d := c.ntLoadCred.Pipeline(t, gap, p.DRAM.DDR5Read+remoteExtra, n); d > last {
 				last = d
 			}
-		} else {
+		default:
+			t := c.issue.ClaimN(now, gap, n) + p.Host.LocalLookup
 			post := p.Host.StoreIssueGap + remoteExtra/2
 			for i := 0; i < n; i++ {
 				s := c.wcCred.Acquire(t)
@@ -144,19 +146,61 @@ func (c *Core) NTRun(op cxl.HostOp, addr phys.Addr, lines int, now sim.Time) sim
 }
 
 // ntBatchRun reports how many of the (up to max) lines starting at
-// line-aligned la can take NTRun's batched miss path — in one host-DRAM
+// line-aligned la NTRun can take as one run, from the one region lookup
+// it makes: with device set, the lines left in device memory; otherwise
+// the lines that can take the batched miss path — in one host-DRAM
 // region, not device-held, not LLC-resident — and that region's
 // remote-socket surcharge. It reads state only.
-func (c *Core) ntBatchRun(la phys.Addr, max int) (n int, remoteExtra sim.Time) {
+func (c *Core) ntBatchRun(la phys.Addr, max int) (n int, remoteExtra sim.Time, device bool) {
 	r, kind, ok := c.h.amap.Region(la)
-	if !ok || (kind != mem.KindHost0 && kind != mem.KindHost1) {
-		return 0, 0
+	if !ok {
+		return 0, 0, false
 	}
 	n = min(max, int(uint64(r.End()-la)/phys.LineSize))
-	if n = c.h.home.UnheldRun(la, n); n > 0 {
-		n = c.h.llc.MissRun(la, n)
+	switch kind {
+	case mem.KindDevice:
+		return n, 0, true
+	case mem.KindHost0, mem.KindHost1:
+		if n = c.h.home.UnheldRun(la, n); n > 0 {
+			n = c.h.llc.MissRun(la, n)
+		}
+		return n, c.remoteExtra(kind == mem.KindHost1), false
 	}
-	return n, c.remoteExtra(kind == mem.KindHost1)
+	return 0, 0, false
+}
+
+// ntDevice issues n nt line ops to device memory starting at line-aligned
+// la, all at now, and returns the latest completion. Each line does
+// exactly what accessCXL does for it — nt ops skip the LLC-hit shortcut,
+// an nt-st still invalidates the LLC copy — but asks the device for
+// timing only, so no line payload is read or allocated.
+func (c *Core) ntDevice(op cxl.HostOp, la phys.Addr, n int, now sim.Time) sim.Time {
+	p := c.h.p
+	dev := c.h.Dev
+	if dev == nil {
+		panic("host: no CXL device attached")
+	}
+	last := now
+	for i := 0; i < n; i, la = i+1, la+phys.LineSize {
+		t := c.issue.Claim(now, p.Host.IssueGap) + p.Host.LocalLookup
+		if op == cxl.NtLd {
+			s := c.cxlLoad.Acquire(t)
+			arrive := c.h.CXLLink.Transfer(interconnect.Down, s, cxl.HeaderBytes) + p.CXL.MemProc
+			done := c.h.CXLLink.Transfer(interconnect.Up, dev.H2DTiming(op, la, arrive), cxl.DataBytes)
+			c.cxlLoad.Complete(done)
+			last = max(last, done)
+			continue
+		}
+		c.h.llc.Invalidate(la)
+		s := c.wcCred.Acquire(t)
+		egress := c.ntEgress.Claim(s, p.Host.NTStoreEgressGap)
+		hostDone := egress + p.Host.NTStoreEgressGap
+		arrive := c.h.CXLLink.Transfer(interconnect.Down, egress, cxl.DataBytes) + p.CXL.MemProc
+		dev.H2DTiming(op, la, arrive)
+		c.wcCred.Complete(hostDone)
+		last = max(last, hostDone)
+	}
+	return last
 }
 
 // remoteExtra is the UPI round trip plus remote-home service cost a

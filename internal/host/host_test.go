@@ -13,8 +13,14 @@ import (
 
 func fixture(t testing.TB) *Host {
 	t.Helper()
+	return fixtureOf(t, cxl.Type2)
+}
+
+// fixtureOf is fixture with a device of the given type attached.
+func fixtureOf(t testing.TB, typ cxl.DeviceType) *Host {
+	t.Helper()
 	h := MustNew(timing.Default(), Config{LLCBytes: 1 << 20, LLCWays: 16, Cores: 4})
-	if _, err := h.Attach(cxl.Type2); err != nil {
+	if _, err := h.Attach(typ); err != nil {
 		t.Fatal(err)
 	}
 	return h

@@ -26,10 +26,12 @@ import (
 // stateless between draws — callers own the *rand.Rand — so one Zipf can
 // serve several independent streams.
 type Zipf struct {
-	n               uint64
-	theta           float64
-	alpha, zetan    float64
-	eta, zeta2theta float64
+	n                 uint64
+	alpha, zetan, eta float64
+	// rank1 = 1 + 0.5^theta is the uz bound under which Next returns
+	// rank 1. NewZipf computes it once: Next is on every YCSB key and
+	// prompt-length draw.
+	rank1 float64
 }
 
 // NewZipf precomputes the generator constants for n items at the given
@@ -43,11 +45,12 @@ func NewZipf(n uint64, theta float64) *Zipf {
 	if theta <= 0 || theta >= 1 {
 		panic(fmt.Sprintf("workload: Zipf theta must be in (0, 1), got %v", theta))
 	}
-	z := &Zipf{n: n, theta: theta}
-	z.zeta2theta = zetaStatic(2, theta)
+	z := &Zipf{n: n}
+	zeta2theta := zetaStatic(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.zetan = zetaStatic(n, theta)
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2theta/z.zetan)
+	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2theta/z.zetan)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -71,7 +74,7 @@ func (z *Zipf) Next(rng *rand.Rand) uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	k := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
