@@ -305,7 +305,7 @@ type Cluster struct {
 	eng    *sim.Engine
 	mail   sim.Time // mail's delivery latency: one host–switch link
 	reps   []*replica
-	reqs   []*creq
+	reqs   []creq
 	expIDs []string
 	m      Metrics
 
@@ -316,6 +316,9 @@ type Cluster struct {
 	sharedAccesses uint64
 
 	outcomes []reqOutcome
+	// view is the routing view of the arriving request, rebuilt for each
+	// Route call; routers do not retain it.
+	view Request
 
 	arrivalFn, bundleFn func(any)
 }
@@ -367,8 +370,9 @@ func Run(cfg Config) Metrics {
 func (c *Cluster) NumReplicas() int { return len(c.reps) }
 func (c *Cluster) Load(i int) int   { return len(c.reps[i].queue) + c.reps[i].batchN }
 
-// genRequests draws the seeded open request stream.
-func (c *Cluster) genRequests() []*creq {
+// genRequests draws the seeded open request stream, every request
+// carved from one slice.
+func (c *Cluster) genRequests() []creq {
 	cfg := c.cfg
 	arrRng := rng.Derive(cfg.Seed, "cluster/arrivals")
 	shapeRng := rng.Derive(cfg.Seed, "cluster/shape")
@@ -378,20 +382,17 @@ func (c *Cluster) genRequests() []*creq {
 	sZipf := workload.NewZipf(sessions, 0.99)
 	arrivals := workload.Poisson{RatePerSec: cfg.RatePerSec}
 	capacity := cfg.LocalBlocks + cfg.SharedBlocks*cfg.Expanders
-	reqs := make([]*creq, cfg.Requests)
+	reqs := make([]creq, cfg.Requests)
 	now := sim.Time(0)
 	for i := range reqs {
 		now += arrivals.GapAt(arrRng, now)
-		r := &creq{
-			id:      i,
-			arrival: now,
-			session: uint32(sZipf.Next(sessRng) % sessions),
-		}
+		r := &reqs[i]
+		r.id, r.arrival = i, now
+		r.session = uint32(sZipf.Next(sessRng) % sessions)
 		_, r.prompt, r.decode = shapes.Sample(shapeRng)
 		if w := infer.BlocksFor(r.prompt + r.decode); w > capacity {
 			panic(fmt.Sprintf("cluster: request needs %d KV blocks, pools hold %d", w, capacity))
 		}
-		reqs[i] = r
 	}
 	return reqs
 }
@@ -402,7 +403,7 @@ func (c *Cluster) run() {
 	c.reqs = c.genRequests()
 	c.outcomes = make([]reqOutcome, len(c.reqs))
 	c.arrivalsLeft = len(c.reqs)
-	c.eng.AtCall(c.reqs[0].arrival, c.arrivalFn, c.reqs[0])
+	c.eng.AtCall(c.reqs[0].arrival, c.arrivalFn, &c.reqs[0])
 	c.eng.Run()
 	c.m.Events = c.eng.Executed()
 	c.finalize()
@@ -413,9 +414,10 @@ func (c *Cluster) run() {
 func (c *Cluster) onArrival(arg any) {
 	q := arg.(*creq)
 	if n := q.id + 1; n < len(c.reqs) {
-		c.eng.AtCall(c.reqs[n].arrival, c.arrivalFn, c.reqs[n])
+		c.eng.AtCall(c.reqs[n].arrival, c.arrivalFn, &c.reqs[n])
 	}
-	tgt := c.cfg.Router.Route(routeView(q), c)
+	c.view = Request{ID: q.id, Session: q.session, Prompt: q.prompt, Decode: q.decode}
+	tgt := c.cfg.Router.Route(&c.view, c)
 	if tgt < 0 || tgt >= len(c.reps) {
 		panic(fmt.Sprintf("cluster: router %s routed to replica %d of %d",
 			c.cfg.Router.Name(), tgt, len(c.reps)))

@@ -7,7 +7,8 @@ package cluster
 type Router interface {
 	// Name labels the router in metrics and reports.
 	Name() string
-	// Route returns the target replica index for r.
+	// Route returns the target replica index for r. The cluster reuses
+	// *r for the next arrival, so a router must copy any field it keeps.
 	Route(r *Request, c *Cluster) int
 }
 
@@ -18,11 +19,6 @@ type Request struct {
 	Session uint32
 	Prompt  int
 	Decode  int
-}
-
-// routeView builds the router-facing view of a request.
-func routeView(q *creq) *Request {
-	return &Request{ID: q.id, Session: q.session, Prompt: q.prompt, Decode: q.decode}
 }
 
 // roundRobin dispatches requests in strict rotation.

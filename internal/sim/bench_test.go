@@ -8,7 +8,8 @@ import "testing"
 // actors — the shape of the §VII simulations (kswapd + ksmd + load
 // generator + antagonist all rescheduling themselves every few
 // microseconds). BenchmarkCreditsChurn is the Acquire/Complete cycle that
-// every modeled memory operation performs.
+// every modeled memory operation performs, and BenchmarkCreditsPipeline
+// the batched form block transfers use.
 
 // BenchmarkSchedule measures one schedule+dispatch round trip through the
 // event heap with a trivial, preallocated callback.
@@ -99,5 +100,22 @@ func BenchmarkCreditsChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := c.Acquire(Time(i))
 		c.Complete(s + 100)
+	}
+}
+
+// BenchmarkCreditsPipeline measures one 8-line Pipeline run on a
+// saturated 8-credit pool — the cluster's KV block read: a decode step
+// issues its block reads back to back at the host's 1.4 ns issue gap, so
+// every run after the first finds each nt-load credit held by a 65 ns
+// DRAM read.
+func BenchmarkCreditsPipeline(b *testing.B) {
+	c := NewCredits("bench", 8)
+	const gap, svc = 1400 * Picosecond, 65 * Nanosecond
+	var t Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Pipeline(t, gap, svc, 8)
+		t += 8 * gap
 	}
 }

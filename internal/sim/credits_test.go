@@ -114,15 +114,21 @@ func (c *Credits) held() []Time {
 }
 
 // TestCreditsRingMatchesSlice drives the ring and the slice oracle with
-// the same seeded random Acquire/Complete/Pipeline/Reset sequences and
-// requires every grant, every Pipeline completion, InFlight and the full
-// list of outstanding completions to agree after every call. Service
-// times span a wide range, so completions arrive out of order and
-// Pipeline steps land before completions already outstanding (its
-// mixed-svc insert). Request times mostly advance but sometimes step
-// back. A few Completes come without an Acquire, which grows the ring,
-// and a few Acquires without a Complete.
+// the same calls: random sequences and saturated Pipeline streams.
 func TestCreditsRingMatchesSlice(t *testing.T) {
+	t.Run("random", randomCalls)
+	t.Run("saturated", saturatedStreams)
+}
+
+// randomCalls drives them with seeded random Acquire/Complete/Pipeline/
+// Reset sequences and requires every grant, every Pipeline completion,
+// InFlight and the full list of outstanding completions to agree after
+// every call. Service times span a wide range, so completions arrive out
+// of order and Pipeline steps land before completions already
+// outstanding (its mixed-svc insert). Request times mostly advance but
+// sometimes step back. A few Completes come without an Acquire, which
+// grows the ring, and a few Acquires without a Complete.
+func randomCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var grew, inserts, fallbacks int
 	for trial := 0; trial < 2000; trial++ {
@@ -176,4 +182,111 @@ func TestCreditsRingMatchesSlice(t *testing.T) {
 			grew, inserts, fallbacks)
 	}
 	t.Logf("%d ring growths, %d out-of-order inserts, %d Pipeline fallbacks", grew, inserts, fallbacks)
+}
+
+// fastSteps reports how many leading steps of Pipeline(t0, dt, svc, n)
+// on c qualify for saturated's fast path, and whether the pool is
+// saturated with the head after t0 but the first step's completion
+// precedes the tail: a coverage probe that changes nothing.
+func fastSteps(c *Credits, t0, dt, svc Time, n int) (k int, tailReject bool) {
+	if c.n != c.capacity || c.n != len(c.ring) || c.ring[c.head] <= t0 {
+		return 0, false
+	}
+	q := slices.Clone(c.ring)
+	h, last := c.head, q[(c.head+len(q)-1)%len(q)]
+	for t := t0; k < n && q[h] > t && q[h]+svc >= last; k++ {
+		last = q[h] + svc
+		q[h] = last
+		h = (h + 1) % len(q)
+		t += dt
+	}
+	return k, k == 0
+}
+
+// saturatedStreams runs long Pipeline streams on saturated pools against
+// the slice oracle, comparing every grant, every
+// completion, InFlight and the outstanding list after every call. The
+// streams enter Pipeline's fast path, leave it mid-run when requests
+// catch up with the head (retiring it), are refused it when a shorter
+// svc puts a completion before the tail, and re-enter it; dt = 0 runs,
+// a ring grown past capacity by an unpaired Complete (which never takes
+// the fast path again) and a Reset mid-stream ride along.
+func saturatedStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var calls, entered, partial, rejected, reentered, grown, dt0 int
+	for trial := 0; trial < 300; trial++ {
+		capacity := 1 + rng.Intn(8)
+		c := NewCredits("ring", capacity)
+		o := &sliceCredits{capacity: capacity}
+		now := Time(0)
+		left := false // the last call on a full ring left or was refused the fast path
+		for op := 0; op < 300; op++ {
+			var got, want Time
+			switch k := rng.Intn(100); {
+			case k < 85:
+				dt := Time(rng.Intn(4))
+				switch rng.Intn(6) {
+				case 0:
+					dt = 0
+				case 1: // requests catch up with the head mid-run
+					dt = Time(30 + rng.Intn(60))
+				}
+				svc := []Time{200, 200, 200, 120, 400}[rng.Intn(5)]
+				n := 1 + rng.Intn(4*capacity)
+				fast, reject := fastSteps(c, now, dt, svc, n)
+				calls++
+				if dt == 0 {
+					dt0++
+				}
+				switch {
+				case fast > 0:
+					entered++
+					if left {
+						reentered++
+					}
+					left = fast < n
+					if left {
+						partial++
+					}
+				case reject:
+					rejected++
+					left = true
+				}
+				got, want = c.Pipeline(now, dt, svc, n), o.pipeline(now, dt, svc, n)
+				// Mostly fall behind the pool; sometimes catch up past
+				// its head so the next run retires completions.
+				now += Time(rng.Intn(8))
+				if rng.Intn(10) == 0 {
+					now += Time(rng.Intn(300))
+				}
+			case k < 92:
+				got, want = c.Acquire(now), o.acquire(now)
+				if got == want {
+					c.Complete(got + 200)
+					o.complete(got + 200)
+				}
+			case k < 94: // unpaired Complete: the ring grows past capacity
+				if c.n == len(c.ring) {
+					grown++
+				}
+				c.Complete(now + 250)
+				o.complete(now + 250)
+			default:
+				c.Reset()
+				o.reset()
+			}
+			if got != want {
+				t.Fatalf("trial %d op %d: ring %v, slice %v", trial, op, got, want)
+			}
+			if c.InFlight() != o.inFlight() || !slices.Equal(c.held(), o.outstanding[o.head:]) {
+				t.Fatalf("trial %d op %d: ring holds %v, slice %v", trial, op, c.held(), o.outstanding[o.head:])
+			}
+		}
+	}
+	if entered == 0 || partial == 0 || rejected == 0 || reentered == 0 || grown == 0 || dt0 == 0 {
+		t.Fatalf("streams missed a path: %d calls, %d fast, %d left mid-run, %d refused at the tail, %d re-entered, %d ring growths, %d with dt 0",
+			calls, entered, partial, rejected, reentered, grown, dt0)
+	}
+	t.Logf("%d calls: %d fast, %d left mid-run, %d refused at the tail, %d re-entered, %d ring growths, %d with dt 0",
+		calls, entered, partial, rejected, reentered, grown, dt0)
 }

@@ -96,6 +96,11 @@ func (r *Resource) Reset() { r.nextFree, r.busy, r.claims = 0, 0, 0 }
 // semantics for any call pattern. Every caller pairs Acquire with
 // Complete, so the ring never holds more than capacity entries; a Complete
 // without a matching Acquire (the API allows it) grows the ring.
+//
+// Pipeline batches a run of such pairs. A run that finds the ring exactly
+// full and every credit busy past its request time — the steady state of
+// a block stream issued faster than it is served — takes a fast path in
+// which each operation overwrites the head with its own completion.
 type Credits struct {
 	name     string
 	capacity int
@@ -200,12 +205,23 @@ func insert(q []Time, head, n int, t Time) int {
 // state in locals — the primitive block transfers use to batch a run of
 // identical line requests. It is equivalent to n sequential
 // Acquire/Complete pairs in every grant, every completion and InFlight.
+// A run that finds the ring full and its head after t0 takes saturated's
+// fast path.
 func (c *Credits) Pipeline(t0, dt, svc Time, n int) (lastDone Time) {
 	if dt < 0 || n <= 0 {
 		panic(fmt.Sprintf("sim: credits %q pipeline dt %v, n %d", c.name, dt, n))
 	}
+	if c.n == c.capacity && c.n == len(c.ring) && c.ring[c.head] > t0 {
+		return c.saturated(t0, dt, svc, n)
+	}
+	return c.pipeline(t0, dt, svc, n)
+}
+
+// pipeline is Pipeline's general loop: one grant and one insert per
+// operation.
+func (c *Credits) pipeline(t, dt, svc Time, n int) (lastDone Time) {
 	h, m := c.head, c.n
-	for t := t0; n > 0; n-- {
+	for ; n > 0; n-- {
 		var start Time
 		start, h, m = c.grant(h, m, t)
 		// A credit is free, so the ring has a slot for the completion; it
@@ -216,6 +232,50 @@ func (c *Credits) Pipeline(t0, dt, svc Time, n int) (lastDone Time) {
 		t += dt
 	}
 	c.head, c.n = h, m
+	return lastDone
+}
+
+// saturated is Pipeline on a pool whose ring is exactly full at capacity
+// (n == capacity == len(ring)). It runs the leading operations that
+// qualify in one load, one add and one store each, and hands the rest
+// to pipeline.
+//
+// An operation qualifies when the head completion is after its request
+// time and head+svc is at or after the tail. Then grant retires nothing
+// (the head is the earliest completion) and hands out the head, so the
+// operation starts at it; the freed slot is the one after the tail,
+// which in a full ring is the head's own slot, and insert writes the
+// completion there because it does not precede the tail. The ring stays
+// full, and the grant, the ring and the count are those of grant plus
+// insert. Past the first operation the tail check always holds — the
+// ring is sorted, so each head+svc is at or after the one before — and a
+// run leaves the fast path only when its request times catch up with the
+// head. Pipeline tries the fast path only at its first operation, so the
+// general loop carries no per-operation check; a block stream re-enters
+// the fast path at its next run.
+func (c *Credits) saturated(t, dt, svc Time, n int) (lastDone Time) {
+	q, h := c.ring, c.head
+	tail := h - 1
+	if tail < 0 {
+		tail = len(q) - 1
+	}
+	lastDone = q[tail]
+	for ; n > 0; n-- {
+		start := q[h]
+		if start <= t || start+svc < lastDone {
+			break
+		}
+		lastDone = start + svc
+		q[h] = lastDone
+		if h++; h == len(q) {
+			h = 0
+		}
+		t += dt
+	}
+	c.head = h
+	if n > 0 {
+		return c.pipeline(t, dt, svc, n)
+	}
 	return lastDone
 }
 

@@ -61,82 +61,98 @@ func (t Time) String() string {
 // nearest picosecond.
 func FromNanos(ns float64) Time { return Time(math.Round(ns * 1000)) }
 
-// event is a scheduled callback. seq breaks ties so that events scheduled
-// earlier at the same timestamp run first (FIFO within a timestamp), which
-// keeps the simulation deterministic. Every event carries its callback's
-// state as an explicit argument, so scheduling boxes nothing (func values
-// and pointers are interface-payload-sized).
-type event struct {
+// key is one pending event's place in the heap: its time and ord =
+// seq<<slotBits | slot, where seq is the event's schedule tick and slot
+// indexes the engine's callback slab. seq is unique and strictly
+// increasing, so comparing ord compares seq: keys order by (when, seq),
+// which makes events scheduled earlier at the same timestamp run first
+// (FIFO within a timestamp) and keeps the simulation deterministic. A
+// key holds no pointer, so the heap moves 16 bytes per step and the
+// garbage collector never scans it or takes a write barrier on a move.
+type key struct {
 	when Time
-	seq  uint64
+	ord  uint64
+}
+
+// The packing of ord: the low slotBits bits name the slot, the rest hold
+// seq. AtCall panics rather than wrap when either outgrows its field —
+// 16 M pending events, or 2^40 (~1.1 T) events scheduled on one engine.
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	maxSeq   = 1<<(64-slotBits) - 1
+)
+
+// before reports whether k dispatches before o.
+func (k key) before(o key) bool {
+	return k.when < o.when || (k.when == o.when && k.ord < o.ord)
+}
+
+// slot is one pending event's callback and its argument. Every event
+// carries its callback's state as an explicit argument, so scheduling
+// boxes nothing (func values and pointers are interface-payload-sized).
+type slot struct {
 	call func(arg any)
 	arg  any
 }
 
-// eventHeap is a concrete 4-ary min-heap of events ordered by (when, seq),
-// stored flat in one slice — the non-boxing pattern timeHeap uses, widened
-// to 4 children per node. Compared with container/heap this removes the
-// per-push interface allocation and the Less/Swap indirect calls; compared
-// with a binary heap it halves tree depth, trading slightly more sibling
-// comparisons (cheap, same cache line) for fewer swap levels.
+// keyHeap is a concrete 4-ary min-heap of keys stored flat in one slice.
+// Compared with container/heap this removes the per-push interface
+// allocation and the Less/Swap indirect calls; compared with a binary
+// heap it halves tree depth, trading slightly more sibling comparisons
+// (cheap, same cache line) for fewer levels. Sifts move a hole and write
+// the moving key once, at its final place.
 //
-// Because (when, seq) is unique per event — seq strictly increases — the
-// dispatch sequence is the total order by (when, seq) no matter how the
-// heap arranges ties internally, so replacing the binary boxed heap cannot
-// reorder dispatch: FIFO within a timestamp is preserved exactly.
-type eventHeap []event
+// Because (when, seq) is unique per event, the dispatch sequence is the
+// total order by (when, seq) no matter how the heap arranges ties
+// internally: FIFO within a timestamp is preserved exactly.
+type keyHeap []key
 
-// before reports whether element i dispatches before element j.
-func (h eventHeap) before(i, j int) bool {
-	return h[i].when < h[j].when || (h[i].when == h[j].when && h[i].seq < h[j].seq)
-}
-
-func (h eventHeap) peek() event { return h[0] }
-
-func (h *eventHeap) pushEvent(e event) {
-	*h = append(*h, e)
-	a := *h
+func (h *keyHeap) push(k key) {
+	a := append(*h, k)
+	*h = a
 	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !a.before(i, p) {
+		if !k.before(a[p]) {
 			break
 		}
-		a[i], a[p] = a[p], a[i]
+		a[i] = a[p]
 		i = p
 	}
+	a[i] = k
 }
 
-func (h *eventHeap) popEvent() event {
+func (h *keyHeap) pop() key {
 	a := *h
 	top := a[0]
 	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = event{} // release callback/arg references; the slot stays for reuse
+	last := a[n]
 	a = a[:n]
 	*h = a
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		c := 4*i + 1
 		if c >= n {
 			break
 		}
-		min := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		m := c
+		end := min(c+4, n)
 		for c++; c < end; c++ {
-			if a.before(c, min) {
-				min = c
+			if a[c].before(a[m]) {
+				m = c
 			}
 		}
-		if !a.before(min, i) {
+		if !a[m].before(last) {
 			break
 		}
-		a[i], a[min] = a[min], a[i]
-		i = min
+		a[i] = a[m]
+		i = m
 	}
+	a[i] = last
 	return top
 }
 
@@ -145,7 +161,11 @@ func (h *eventHeap) popEvent() event {
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events keyHeap
+	// slots holds each pending event's callback; free lists the slots
+	// no pending event uses.
+	slots []slot
+	free  []uint32
 	// Executed counts events dispatched since creation, for diagnostics.
 	executed uint64
 }
@@ -178,8 +198,23 @@ func (e *Engine) AtCall(t Time, fn func(arg any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	if e.seq == maxSeq {
+		panic(fmt.Sprintf("sim: more than %d events scheduled on one engine", uint64(maxSeq)))
+	}
+	var s uint32
+	if n := len(e.free); n > 0 {
+		s = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		if len(e.slots) > slotMask {
+			panic(fmt.Sprintf("sim: more than %d events pending", slotMask+1))
+		}
+		s = uint32(len(e.slots))
+		e.slots = append(e.slots, slot{})
+	}
+	e.slots[s] = slot{call: fn, arg: arg}
 	e.seq++
-	e.events.pushEvent(event{when: t, seq: e.seq, call: fn, arg: arg})
+	e.events.push(key{when: t, ord: e.seq<<slotBits | uint64(s)})
 }
 
 // Run dispatches events until none remain. It returns the final simulated
@@ -194,7 +229,7 @@ func (e *Engine) Run() Time {
 // final simulated time.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for len(e.events) > 0 {
-		when := e.events.peek().when
+		when := e.events[0].when
 		if when > deadline {
 			break
 		}
@@ -202,14 +237,17 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		// of events sharing this timestamp without re-checking the deadline
 		// (when <= deadline covers every one of them, including events a
 		// callback schedules at the current instant). Pops follow (when, seq)
-		// order exactly as before, so dispatch order — and therefore every
-		// simulation outcome — is unchanged.
+		// order, so dispatch order — and therefore every simulation
+		// outcome — is the same as one pop per deadline check.
 		e.now = when
 		for {
-			ev := e.events.popEvent()
+			s := uint32(e.events.pop().ord & slotMask)
+			ev := e.slots[s]
+			e.slots[s] = slot{} // the engine drops arg at dispatch
+			e.free = append(e.free, s)
 			e.executed++
 			ev.call(ev.arg)
-			if len(e.events) == 0 || e.events.peek().when != when {
+			if len(e.events) == 0 || e.events[0].when != when {
 				break
 			}
 		}

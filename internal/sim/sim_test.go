@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -166,28 +168,195 @@ func TestEnginePastSchedulePanics(t *testing.T) {
 	e.AtCall(50, func(any) {}, nil)
 }
 
-func TestEngineRandomOrderProperty(t *testing.T) {
-	// Property: regardless of insertion order, dispatch order is sorted by
-	// (time, insertion sequence).
-	f := func(seed int64) bool {
+// oracleEvent is one event TestEngineMatchesSortedOracle schedules: its
+// time, the schedule tick the test counts alongside the engine's, and
+// the callback slot the engine gives it.
+type oracleEvent struct {
+	id   int
+	when Time
+	seq  uint64
+	slot uint32
+}
+
+// engineOracle drives an engine with a seeded random program and
+// records every schedule and every dispatch.
+type engineOracle struct {
+	t      *testing.T
+	rng    *rand.Rand
+	e      *Engine
+	seq    uint64
+	events []*oracleEvent
+	got    []int
+	procs  []*Proc
+	// steps[i] holds the events of procs[i]'s pending steps, in order.
+	steps [][]*oracleEvent
+	// budget bounds the events callbacks may still schedule.
+	budget int
+	// peak is the most events ever pending at once.
+	peak int
+}
+
+// note records an event about to be scheduled at when: the engine takes
+// the last free slot, or appends one.
+func (o *engineOracle) note(when Time) *oracleEvent {
+	o.seq++
+	s := uint32(len(o.e.slots))
+	if n := len(o.e.free); n > 0 {
+		s = o.e.free[n-1]
+	}
+	ev := &oracleEvent{id: len(o.events), when: when, seq: o.seq, slot: s}
+	o.events = append(o.events, ev)
+	o.peak = max(o.peak, o.e.Pending()+1)
+	return ev
+}
+
+func (o *engineOracle) at(when Time) {
+	o.e.AtCall(when, o.fire, o.note(when))
+}
+
+func (o *engineOracle) fire(arg any) { o.dispatched(arg.(*oracleEvent)) }
+
+// schedule queues a step on proc i after d of sleep from the later of its
+// clock and now.
+func (o *engineOracle) schedule(i int, d Time) {
+	p := o.procs[i]
+	p.AdvanceTo(o.e.Now())
+	p.Sleep(d)
+	o.steps[i] = append(o.steps[i], o.note(p.Now()))
+	p.Schedule(o.step)
+}
+
+func (o *engineOracle) step(p *Proc) {
+	for i, q := range o.procs {
+		if q == p {
+			ev := o.steps[i][0]
+			o.steps[i] = o.steps[i][1:]
+			o.dispatched(ev)
+			return
+		}
+	}
+}
+
+// dispatched checks one dispatch and lets it schedule up to two more
+// events: at now (a same-instant tie behind everything pending) or
+// later, through AtCall or a Proc.
+func (o *engineOracle) dispatched(ev *oracleEvent) {
+	if o.e.Now() != ev.when {
+		o.t.Fatalf("event %d dispatched at %v, scheduled for %v", ev.id, o.e.Now(), ev.when)
+	}
+	if sl := o.e.slots[ev.slot]; sl.call != nil || sl.arg != nil {
+		o.t.Fatalf("event %d: slot %d still holds its callback at dispatch", ev.id, ev.slot)
+	}
+	o.got = append(o.got, ev.id)
+	for k := o.rng.Intn(3); k > 0 && o.budget > 0; k-- {
+		o.budget--
+		d := Time(0)
+		if o.rng.Intn(3) > 0 {
+			d = Time(o.rng.Intn(40))
+		}
+		if o.rng.Intn(4) == 0 {
+			o.schedule(o.rng.Intn(len(o.procs)), d)
+		} else {
+			o.at(o.e.Now() + d)
+		}
+	}
+}
+
+// TestEngineMatchesSortedOracle runs seeded random programs — bursts of
+// AtCall with many same-time ties, callbacks that schedule at Now() and
+// later, interleaved Proc.Schedule chains, RunUntil and Advance
+// deadlines, and a burst past 4096 pending events that drains so its
+// slots are reused — and requires the dispatch sequence to equal the
+// schedule sorted by (when, seq). Every event's time is at or after the
+// clock when it is scheduled and seq only grows, so the whole dispatch
+// sequence, not just each batch, is that sort. Each dispatch also finds
+// its callback slot already cleared: the engine keeps no reference to
+// arg once an event runs.
+func TestEngineMatchesSortedOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		n := 200
-		times := make([]Time, n)
-		for i := range times {
-			times[i] = Time(rng.Intn(50)) // many ties
+		o := &engineOracle{t: t, rng: rng, e: e, budget: 3000}
+		for i := 0; i < 3; i++ {
+			o.procs = append(o.procs, NewProc(e, fmt.Sprint("p", i), nil))
+			o.steps = append(o.steps, nil)
 		}
-		var got []Time
-		for _, tm := range times {
-			tm := tm
-			e.AtCall(tm, func(any) { got = append(got, tm) }, nil)
+		for phase := 0; phase < 30; phase++ {
+			burst := 1 + rng.Intn(60)
+			if phase == 10 && seed%4 == 0 {
+				burst = 4500 // past 4096 pending
+			}
+			for i := 0; i < burst; i++ {
+				if rng.Intn(5) == 0 {
+					o.schedule(rng.Intn(len(o.procs)), Time(rng.Intn(30)))
+				} else {
+					o.at(e.Now() + Time(rng.Intn(50)))
+				}
+			}
+			switch rng.Intn(3) {
+			case 0:
+				e.RunUntil(e.Now() + Time(rng.Intn(40)))
+			case 1:
+				e.Advance(e.Now() + Time(rng.Intn(40)))
+			default:
+				e.Run()
+			}
+			if phase == 10 && seed%4 == 0 && len(e.slots) < 4096 {
+				t.Fatalf("seed %d: burst left %d slots, want over 4096", seed, len(e.slots))
+			}
 		}
 		e.Run()
-		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] })
+		if e.Pending() != 0 || len(o.got) != len(o.events) {
+			t.Fatalf("seed %d: dispatched %d of %d events, %d pending", seed, len(o.got), len(o.events), e.Pending())
+		}
+		want := slices.Clone(o.events)
+		slices.SortFunc(want, func(a, b *oracleEvent) int {
+			if a.when != b.when {
+				return cmp.Compare(a.when, b.when)
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		for i, ev := range want {
+			if o.got[i] != ev.id {
+				t.Fatalf("seed %d: dispatch %d is event %d, sorted order has %d", seed, i, o.got[i], ev.id)
+			}
+		}
+		// Drained: every slot is free and cleared, and the slab holds
+		// one slot per event ever pending at once — freed slots were
+		// reused, never left behind for growth.
+		if len(e.free) != len(e.slots) || len(e.slots) != o.peak {
+			t.Fatalf("seed %d: %d free of %d slots, at most %d events pending", seed, len(e.free), len(e.slots), o.peak)
+		}
+		for i, sl := range e.slots {
+			if sl.call != nil || sl.arg != nil {
+				t.Fatalf("seed %d: drained slot %d still holds a callback", seed, i)
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+}
+
+// TestEngineSeqLimitPanics drives the schedule tick to the packing limit
+// without scheduling that many events: the last tick that fits still
+// dispatches in order, and the next AtCall panics instead of wrapping
+// into the slot bits.
+func TestEngineSeqLimitPanics(t *testing.T) {
+	e := NewEngine()
+	e.seq = maxSeq - 2
+	var order []int
+	add := func(arg any) { order = append(order, *arg.(*int)) }
+	a, b := 1, 2
+	e.AtCall(5, add, &a)
+	e.AtCall(5, add, &b)
+	e.Run()
+	if !slices.Equal(order, []int{1, 2}) {
+		t.Fatalf("order at the seq limit = %v, want [1 2]", order)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtCall past the seq limit did not panic")
+		}
+	}()
+	e.AtCall(5, add, &a)
 }
 
 func TestResourceSerialization(t *testing.T) {
